@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Batch-size ablation (4 GPUs, weak-style config).");
   cli.addInt("batches", 20, "batches per configuration");
@@ -41,4 +41,8 @@ int main(int argc, char** argv) {
   }
   printf("\n%s\n", table.render().c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Message-header overhead ablation (4 GPUs, weak config).");
   cli.addInt("batches", 10, "batches per configuration");
@@ -40,4 +40,8 @@ int main(int argc, char** argv) {
          "moves while the drain still fits inside compute — the paper's "
          "point)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -45,7 +45,7 @@ double runOnce(int gpus, int slices, Topo topo, int batches) {
       t = std::make_unique<fabric::RingTopology>(gpus, pair_link);
       break;
   }
-  fabric::Fabric fabric(system.simulator(), std::move(t));
+  fabric::Fabric fabric(std::move(t));
   pgas::PgasRuntime runtime(system, fabric);
   const auto spec = emb::weakScalingLayerSpec(gpus);
   emb::ShardedEmbeddingLayer layer(system, spec);
@@ -60,7 +60,7 @@ double runOnce(int gpus, int slices, Topo topo, int batches) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   CliParser cli("Overlap-granularity ablation: kernel message slices x "
                 "interconnect topology (4 GPUs, weak config).");
   cli.addInt("batches", 5, "batches per configuration");
@@ -89,4 +89,8 @@ int main(int argc, char** argv) {
          "overlap benefit.\n The ring pays multi-hop store-and-forward; "
          "spreading matters more there.)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Pooling-factor ablation (4 GPUs, weak config).");
   cli.addInt("batches", 20, "batches per configuration");
@@ -51,4 +51,8 @@ int main(int argc, char** argv) {
   printf("(comm volume is pooling-independent; compute scales with "
          "pooling, so overlap headroom grows with the bag size)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

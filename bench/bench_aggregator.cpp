@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Async aggregator sweep on a 2-node x 2-GPU system "
                 "(paper SV / SC'22 [7] extension).");
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
   printf("(the paper's proposed change: sum.store(out[idx], pe) -> "
          "aggregator.store(out[idx], sum, pe))\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

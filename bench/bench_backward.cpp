@@ -13,7 +13,7 @@
 #include "pgas/runtime.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("EMB backward pass: PGAS remote atomics vs collective "
                 "rounds (paper SV future work).");
@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
     sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
     gpu::MultiGpuSystem system(sys_cfg);
     fabric::Fabric fabric(
-        system.simulator(),
         std::make_unique<fabric::NvlinkAllToAllTopology>(
             gpus, fabric::LinkParams{}));
     collective::Communicator comm(system, fabric);
@@ -68,4 +67,8 @@ int main(int argc, char** argv) {
   printf("(paper SV: PGAS replaces the multi-round collective shifts and "
          "their\n per-round synchronization with overlapped remote atomic adds)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -13,7 +13,7 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli(
       "Replica-cache sweep: Zipf skew x cache capacity x retriever "
@@ -104,4 +104,8 @@ int main(int argc, char** argv) {
     printf("\nwrote %s\n", csv_path.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -104,7 +104,7 @@ void runFigure(const char* title, pgasemb::engine::ExperimentConfig cfg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli(
       "Communication volume over time (paper Figures 7 and 10).");
@@ -127,4 +127,8 @@ int main(int argc, char** argv) {
   runFigure("Figure 10: comm volume over time — strong scaling, 4 GPUs",
             fig10, retrievers, cli.getString("csv-fig10"));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

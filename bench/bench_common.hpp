@@ -21,6 +21,19 @@ namespace pgasemb::bench {
 /// The paper's comparison pair: NCCL collective baseline vs PGAS fused.
 inline constexpr const char* kDefaultRetrievers = "nccl_collective,pgas_fused";
 
+/// Runs a bench's body. A library InvalidArgumentError escaping it is an
+/// operator error — a flag combination the library rejects, such as
+/// pipelining on one GPU — so it prints the message and exits 2 like a
+/// malformed flag; every other error still aborts.
+inline int guardedMain(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const InvalidArgumentError& e) {
+    fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
+    return 2;
+  }
+}
+
 /// Registers the shared --retrievers flag (comma-separated registry
 /// names; first is the reference the others are compared against).
 inline std::string registeredRetrieverNames() {

@@ -110,7 +110,7 @@ double overloadGoodputQps(const std::string& retriever) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli(
       "Fault-severity x retriever sweep: per-batch slowdown and "
@@ -343,4 +343,8 @@ int main(int argc, char** argv) {
     printf("wrote %s\n", bench_json.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

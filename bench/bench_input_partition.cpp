@@ -13,7 +13,7 @@
 
 using namespace pgasemb;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   CliParser cli("Input-partitioning cost: table-wise vs row-wise vs "
                 "fused-into-kernel (paper SV).");
   cli.addInt("gpus", 4, "GPU count");
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
          "it\n into the kernel converts ~ms of serial CPU time into "
          "parallel reads)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -53,9 +53,8 @@ void BM_SimulatorNestedEvents(benchmark::State& state) {
 BENCHMARK(BM_SimulatorNestedEvents)->Arg(10000);
 
 void BM_FabricTransfer(benchmark::State& state) {
-  sim::Simulator sim;
-  fabric::Fabric fab(sim, std::make_unique<fabric::NvlinkAllToAllTopology>(
-                              4, fabric::LinkParams{}));
+  fabric::Fabric fab(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      4, fabric::LinkParams{}));
   std::int64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -118,9 +117,8 @@ void BM_TimingOnlyBatch(benchmark::State& state) {
   sys_cfg.num_gpus = 4;
   sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
   gpu::MultiGpuSystem sys(sys_cfg);
-  fabric::Fabric fab(sys.simulator(),
-                     std::make_unique<fabric::NvlinkAllToAllTopology>(
-                         4, fabric::LinkParams{}));
+  fabric::Fabric fab(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      4, fabric::LinkParams{}));
   collective::Communicator comm(sys, fab);
   pgas::PgasRuntime runtime(sys, fab);
   const auto spec = emb::weakScalingLayerSpec(4);

@@ -313,7 +313,7 @@ int runSweep(const CliParser& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   CliParser cli("Multi-node weak scaling: baseline vs PGAS vs "
                 "PGAS+aggregator (paper SV extension).");
   cli.addInt("batches", 10, "batches per configuration");
@@ -377,4 +377,8 @@ int main(int argc, char** argv) {
          "NICs.\n The aggregator recovers the NIC message-rate loss, as "
          "the paper\n proposes for the multi-node extension.)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

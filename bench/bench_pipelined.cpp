@@ -15,7 +15,7 @@
 
 using namespace pgasemb;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   CliParser cli("Inter-batch pipelined baseline vs PGAS fused (weak "
                 "config).");
   cli.addInt("batches", 50, "batches per configuration");
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
          "PGAS hides\n communication inside the same batch and has no "
          "unpack at all)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -95,7 +95,7 @@ bool sustained(const engine::ServingResult& sv, double slo_ms) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli(
       "Open-loop serving benchmark: query load generator -> dynamic "
@@ -303,4 +303,8 @@ int main(int argc, char** argv) {
     printf("wrote %s\n", bench_json.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Sharding-scheme ablation under PGAS fused retrieval.");
   cli.addInt("batches", 10, "batches per configuration");
@@ -40,4 +40,8 @@ int main(int argc, char** argv) {
          "partial sums; the paper uses table-wise and defers row-wise "
          "to future work)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

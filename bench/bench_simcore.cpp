@@ -117,7 +117,7 @@ FlowRun flowRun(int gpus, int batches, bool coalesce, int repeats) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli(
       "Simulator-core throughput: EventQueue push/pop, scheduleBatch, and "
@@ -193,4 +193,8 @@ int main(int argc, char** argv) {
     printf("wrote %s\n", json.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

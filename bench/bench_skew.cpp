@@ -11,7 +11,7 @@
 
 using namespace pgasemb;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   CliParser cli("Skewed-pooling ablation: naive vs balanced table-wise "
                 "sharding (4 GPUs).");
   cli.addInt("batches", 10, "batches per configuration");
@@ -71,4 +71,8 @@ int main(int argc, char** argv) {
          "is a\n batch-wide barrier; balancing recovers the loss without "
          "row-wise's\n volume multiplication)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -6,7 +6,7 @@
 // total (~1.8x) while PGAS achieves ~1.6x speedup at 2 GPUs.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Strong-scaling runtime breakdown (paper Figure 9).");
   cli.addInt("max-gpus", 4, "largest GPU count to sweep");
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
     printf("\nwrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -8,7 +8,7 @@
 // batch 16384, pooling U(1, 32), 100 inference batches.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli(
       "Strong-scaling benchmark (paper Table 2 + Figure 8): PGAS fused vs "
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
     printf("\nwrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

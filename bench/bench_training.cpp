@@ -15,7 +15,7 @@
 
 using namespace pgasemb;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   CliParser cli("Full DLRM training step: collective vs PGAS on both the "
                 "forward and backward EMB paths (4 GPUs, weak config).");
   cli.addInt("batches", 10, "steps per configuration");
@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
       sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
       gpu::MultiGpuSystem system(sys_cfg);
       fabric::Fabric fabric(
-          system.simulator(),
           std::make_unique<fabric::NvlinkAllToAllTopology>(
               gpus, fabric::LinkParams{}));
       collective::Communicator comm(system, fabric);
@@ -90,4 +89,8 @@ int main(int argc, char** argv) {
   printf("full-PGAS training step speedup over full-collective: see "
          "rows 1 vs 4 (baseline %.3f ms)\n", base_ms);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

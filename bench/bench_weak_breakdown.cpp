@@ -6,7 +6,7 @@
 // computation flat, communication decreasing, sync+unpack increasing.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Weak-scaling runtime breakdown (paper Figure 6).");
   cli.addInt("max-gpus", 4, "largest GPU count to sweep");
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
     printf("\nwrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

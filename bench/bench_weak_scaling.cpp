@@ -15,7 +15,7 @@
 #include "bench_common.hpp"
 #include "engine/scenario_runner.hpp"
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli(
       "Weak-scaling benchmark (paper Table 1 + Figure 5): PGAS fused vs "
@@ -130,4 +130,8 @@ int main(int argc, char** argv) {
     printf("wrote %s\n", bench_json.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return pgasemb::bench::guardedMain(argc, argv, benchMain);
 }

@@ -8,9 +8,12 @@ tolerance. Direction-aware:
 
   sim_wall_ms_per_batch   lower is better  -> fail if fresh > base*(1+tol)
   events_per_sec          higher is better -> fail if fresh < base*(1-tol)
-  events_processed        deterministic    -> fail if outside base*(1+-tol)
+  events_processed        deterministic    -> fail unless fresh == base
                           (any drift here means simulated behaviour moved,
-                          not just the host clock; expect exact equality)
+                          not just the host clock)
+
+A zero baseline has no relative scale, so it is held to an absolute
+tolerance (ZERO_ABS_TOL, in the metric's own unit) in its direction.
 
 Usage:
   scripts/check_perf.py FRESH.json BASELINE.json [--tolerance 0.15]
@@ -24,6 +27,9 @@ ride out shared-machine noise).
 import argparse
 import json
 import sys
+
+# A zero baseline ("this never happens") may drift by at most this much.
+ZERO_ABS_TOL = 1e-9
 
 # metric-group key -> (direction, human unit)
 METRICS = {
@@ -61,6 +67,25 @@ def load(path):
         sys.exit(2)
 
 
+def regressed(direction, fresh_val, base_val, tol):
+    """True when fresh_val is worse than base_val beyond the tolerance."""
+    if direction == "exact":
+        return fresh_val != base_val
+    if base_val == 0:
+        drift = fresh_val if direction == "lower" else -fresh_val
+        return drift > ZERO_ABS_TOL
+    ratio = fresh_val / base_val
+    if direction == "lower":
+        return ratio > 1.0 + tol
+    return ratio < 1.0 - tol
+
+
+def fmt(value, direction):
+    # Four significant digits keep sub-ms values readable ("0.0123", not
+    # "0.0"); exact groups print every digit, since one count off fails.
+    return f"{value:.15g}" if direction == "exact" else f"{value:.4g}"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("fresh", help="freshly generated BENCH_*.json")
@@ -86,27 +111,23 @@ def main():
                 continue
             fresh_val = fresh[group][key]
             checked += 1
-            if base_val == 0:
-                continue
-            ratio = fresh_val / base_val
-            if direction == "lower":
-                bad = ratio > 1.0 + tol
-            elif direction == "higher":
-                bad = ratio < 1.0 - tol
-            else:  # exact (count drift means behaviour changed)
-                bad = not (1.0 - tol <= ratio <= 1.0 + tol)
+            bad = regressed(direction, fresh_val, base_val, tol)
+            if direction == "exact":
+                rule = "expect equal"
+            elif base_val == 0:
+                rule = (f"zero baseline, +-{ZERO_ABS_TOL:g} {unit}, "
+                        f"{direction} is better")
+            else:
+                rule = (f"{fresh_val / base_val:.2f}x, "
+                        f"{direction} is better")
             verdict = "FAIL" if bad else "ok"
-            line = (f"  {verdict:4s} {group}.{key}: {fresh_val:.1f} vs "
-                    f"baseline {base_val:.1f} {unit} ({ratio:.2f}x, "
-                    f"{direction} is better)"
-                    if direction != "exact" else
-                    f"  {verdict:4s} {group}.{key}: {fresh_val:.0f} vs "
-                    f"baseline {base_val:.0f} {unit} ({ratio:.2f}x, "
-                    f"expect equal)")
-            print(line)
+            print(f"  {verdict:4s} {group}.{key}: "
+                  f"{fmt(fresh_val, direction)} vs baseline "
+                  f"{fmt(base_val, direction)} {unit} ({rule})")
             if bad:
-                failures.append(f"{group}.{key} drifted {ratio:.2f}x "
-                                f"(tolerance {tol:.2f})")
+                failures.append(f"{group}.{key}: {fmt(fresh_val, direction)}"
+                                f" vs baseline {fmt(base_val, direction)} "
+                                f"({rule}, tolerance {tol:.2f})")
 
     if checked == 0:
         print("check_perf: no comparable metrics found", file=sys.stderr)

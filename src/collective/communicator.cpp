@@ -37,7 +37,7 @@ fabric::Fabric::Delivery Communicator::xfer(int src, int dst,
     return injector_->reliableCollective(src, dst, wire_bytes, n_messages,
                                          at, protoEff());
   }
-  return fabric_.transfer(src, dst, wire_bytes, n_messages, at, nullptr,
+  return fabric_.transfer(src, dst, wire_bytes, n_messages, at,
                           protoEff());
 }
 
@@ -50,7 +50,7 @@ fabric::Fabric::Delivery Communicator::hierXfer(int src, int dst,
     return injector_->reliableCollective(src, dst, payload_bytes, n_messages,
                                          at, bandwidth_fraction);
   }
-  return fabric_.transfer(src, dst, payload_bytes, n_messages, at, nullptr,
+  return fabric_.transfer(src, dst, payload_bytes, n_messages, at,
                           bandwidth_fraction);
 }
 

@@ -73,7 +73,7 @@ void SystemBuilder::build() {
                                                             config_.link);
   }
   fabric_ = std::make_unique<fabric::Fabric>(
-      system_->simulator(), std::move(topo), config_.counter_bucket);
+      std::move(topo), config_.counter_bucket);
 
   comm_ = std::make_unique<collective::Communicator>(*system_, *fabric_);
   runtime_ = std::make_unique<pgas::PgasRuntime>(*system_, *fabric_);

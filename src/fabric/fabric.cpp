@@ -1,14 +1,12 @@
 #include "fabric/fabric.hpp"
 
-#include "sim/simulator.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::fabric {
 
-Fabric::Fabric(sim::Simulator& simulator, std::unique_ptr<Topology> topology,
+Fabric::Fabric(std::unique_ptr<Topology> topology,
                SimTime counter_bucket_width)
-    : simulator_(simulator),
-      topology_(std::move(topology)),
+    : topology_(std::move(topology)),
       injected_(counter_bucket_width),
       delivered_(counter_bucket_width) {
   PGASEMB_CHECK(topology_ != nullptr, "fabric needs a topology");
@@ -17,7 +15,6 @@ Fabric::Fabric(sim::Simulator& simulator, std::unique_ptr<Topology> topology,
 Fabric::Delivery Fabric::transfer(int src, int dst,
                                   std::int64_t payload_bytes,
                                   std::int64_t n_messages, SimTime at,
-                                  std::function<void(SimTime)> on_delivered,
                                   double bandwidth_fraction) {
   PGASEMB_CHECK(payload_bytes >= 0 && n_messages >= 0, "negative flow");
   Delivery d{at, at, false};
@@ -60,17 +57,6 @@ Fabric::Delivery Fabric::transfer(int src, int dst,
     }
     total_payload_bytes_ += payload_bytes;
     total_messages_ += n_messages;
-  }
-  if (d.dropped) return d;
-  if (on_delivered) {
-    if (d.delivered <= simulator_.now()) {
-      on_delivered(d.delivered);
-    } else {
-      simulator_.scheduleAt(d.delivered,
-                            [t = d.delivered, fn = std::move(on_delivered)] {
-                              fn(t);
-                            });
-    }
   }
   return d;
 }

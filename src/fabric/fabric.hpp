@@ -15,16 +15,12 @@
 #include "fabric/topology.hpp"
 #include "util/time.hpp"
 
-namespace pgasemb::sim {
-class Simulator;
-}
-
 namespace pgasemb::fabric {
 
 class Fabric {
  public:
-  Fabric(sim::Simulator& simulator, std::unique_ptr<Topology> topology,
-         SimTime counter_bucket_width = SimTime::us(5.0));
+  explicit Fabric(std::unique_ptr<Topology> topology,
+                  SimTime counter_bucket_width = SimTime::us(5.0));
 
   int numGpus() const { return topology_->numGpus(); }
   Topology& topology() { return *topology_; }
@@ -34,22 +30,20 @@ class Fabric {
     SimTime delivered;
     /// True when a link-flap fault window swallowed the flow; then
     /// `delivered` is the time the flow was lost (sender-side wire end
-    /// of the dropping hop) and `on_delivered` does NOT fire — the
-    /// resilience layer (fault::FaultInjector) is responsible for
-    /// retransmission.  Always false without armed link faults.
+    /// of the dropping hop) — the resilience layer
+    /// (fault::FaultInjector) is responsible for retransmission.
+    /// Always false without armed link faults.
     bool dropped = false;
   };
 
   /// Inject a flow of `n_messages` messages totalling `payload_bytes`
-  /// from GPU `src` to GPU `dst` at time `at`.  Returns the (eagerly
-  /// computable) delivery time; if `on_delivered` is given it fires as a
-  /// simulator event at that time (used for functional data landing and
-  /// request completion).
+  /// from GPU `src` to GPU `dst` at time `at`, and return its eagerly
+  /// computed delivery time: the flow occupies each link of the
+  /// topology's precomputed route in turn, with no simulator event.
   /// `bandwidth_fraction` scales achieved link bandwidth for this flow
   /// (collective protocol efficiency vs. raw one-sided stores).
   Delivery transfer(int src, int dst, std::int64_t payload_bytes,
                     std::int64_t n_messages, SimTime at,
-                    std::function<void(SimTime)> on_delivered = nullptr,
                     double bandwidth_fraction = 1.0);
 
   /// Bytes put on the wire over time (payload only), all flows.
@@ -102,7 +96,6 @@ class Fabric {
   void reset();
 
  private:
-  sim::Simulator& simulator_;
   std::unique_ptr<Topology> topology_;
   TimeSeriesCounter injected_;
   TimeSeriesCounter delivered_;

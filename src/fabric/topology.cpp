@@ -20,6 +20,9 @@ NvlinkAllToAllTopology::NvlinkAllToAllTopology(int num_gpus,
               params);
     }
   }
+  buildRoutes([this](int s, int d, std::vector<Link*>& out) {
+    out.push_back(&link(s, d));
+  });
 }
 
 Link& NvlinkAllToAllTopology::link(int src, int dst) {
@@ -27,11 +30,6 @@ Link& NvlinkAllToAllTopology::link(int src, int dst) {
                     src != dst,
                 "bad link endpoints ", src, "->", dst);
   return *links_[static_cast<std::size_t>(src) * num_gpus_ + dst];
-}
-
-std::vector<Link*> NvlinkAllToAllTopology::route(int src, int dst) {
-  if (src == dst) return {};
-  return {&link(src, dst)};
 }
 
 std::vector<Link*> NvlinkAllToAllTopology::links() {
@@ -52,14 +50,10 @@ NvSwitchTopology::NvSwitchTopology(int num_gpus,
     down_.push_back(std::make_unique<Link>(
         "nvswitch.gpu" + std::to_string(g) + ".down", port_params));
   }
-}
-
-std::vector<Link*> NvSwitchTopology::route(int src, int dst) {
-  PGASEMB_CHECK(src >= 0 && src < num_gpus_ && dst >= 0 && dst < num_gpus_,
-                "bad route endpoints ", src, "->", dst);
-  if (src == dst) return {};
-  return {up_[static_cast<std::size_t>(src)].get(),
-          down_[static_cast<std::size_t>(dst)].get()};
+  buildRoutes([this](int s, int d, std::vector<Link*>& out) {
+    out.push_back(up_[static_cast<std::size_t>(s)].get());
+    out.push_back(down_[static_cast<std::size_t>(d)].get());
+  });
 }
 
 std::vector<Link*> NvSwitchTopology::links() {
@@ -78,16 +72,11 @@ RingTopology::RingTopology(int num_gpus, const LinkParams& params)
             std::to_string((g + 1) % num_gpus),
         params));
   }
-}
-
-std::vector<Link*> RingTopology::route(int src, int dst) {
-  PGASEMB_CHECK(src >= 0 && src < num_gpus_ && dst >= 0 && dst < num_gpus_,
-                "bad route endpoints ", src, "->", dst);
-  std::vector<Link*> out;
-  for (int hop = src; hop != dst; hop = (hop + 1) % num_gpus_) {
-    out.push_back(hops_[static_cast<std::size_t>(hop)].get());
-  }
-  return out;
+  buildRoutes([this](int s, int d, std::vector<Link*>& out) {
+    for (int hop = s; hop != d; hop = (hop + 1) % num_gpus_) {
+      out.push_back(hops_[static_cast<std::size_t>(hop)].get());
+    }
+  });
 }
 
 std::vector<Link*> RingTopology::links() {
@@ -125,21 +114,14 @@ MultiNodeTopology::MultiNodeTopology(int num_nodes, int gpus_per_node,
       nic_down_.back()->setWireQueue(&nic_up_.back()->fifo());
     }
   }
-}
-
-Link& MultiNodeTopology::intraLink(int src, int dst) {
-  const int n = numGpus();
-  return *intra_links_[static_cast<std::size_t>(src) * n + dst];
-}
-
-std::vector<Link*> MultiNodeTopology::route(int src, int dst) {
-  const int n = numGpus();
-  PGASEMB_CHECK(src >= 0 && src < n && dst >= 0 && dst < n,
-                "bad route endpoints ", src, "->", dst);
-  if (src == dst) return {};
-  if (nodeOf(src) == nodeOf(dst)) return {&intraLink(src, dst)};
-  return {nic_up_[static_cast<std::size_t>(nodeOf(src))].get(),
-          nic_down_[static_cast<std::size_t>(nodeOf(dst))].get()};
+  buildRoutes([this, n](int s, int d, std::vector<Link*>& out) {
+    if (nodeOf(s) == nodeOf(d)) {
+      out.push_back(intra_links_[static_cast<std::size_t>(s) * n + d].get());
+      return;
+    }
+    out.push_back(nic_up_[static_cast<std::size_t>(nodeOf(s))].get());
+    out.push_back(nic_down_[static_cast<std::size_t>(nodeOf(d))].get());
+  });
 }
 
 std::vector<Link*> MultiNodeTopology::nicLinks(int node) {

@@ -12,10 +12,13 @@
 //    where the async aggregator pays off.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fabric/link.hpp"
+#include "util/expect.hpp"
 
 namespace pgasemb::fabric {
 
@@ -26,8 +29,16 @@ class Topology {
   virtual int numGpus() const = 0;
 
   /// Ordered links a flow from `src` to `dst` traverses. Empty for local
-  /// (src == dst) transfers.
-  virtual std::vector<Link*> route(int src, int dst) = 0;
+  /// (src == dst) transfers. Every route is built once, with the
+  /// topology, so a transfer walks its route without allocating.
+  std::span<Link* const> route(int src, int dst) const {
+    PGASEMB_CHECK(src >= 0 && src < route_gpus_ && dst >= 0 &&
+                      dst < route_gpus_,
+                  "bad route endpoints ", src, "->", dst);
+    const auto pair = static_cast<std::size_t>(src) * route_gpus_ + dst;
+    return {route_links_.data() + route_begin_[pair],
+            route_begin_[pair + 1] - route_begin_[pair]};
+  }
 
   /// All links (for counters/reset/utilization reports).
   virtual std::vector<Link*> links() = 0;
@@ -72,6 +83,32 @@ class Topology {
   /// Shared-resource topologies (NVSwitch ports, ring hops, NICs) must
   /// keep the default `false`.
   virtual bool dedicatedPairLinks() const { return false; }
+
+ protected:
+  /// Fills the route table. Each concrete topology's constructor calls
+  /// it once its links exist: `hops(src, dst, out)` appends the links of
+  /// the src -> dst route (src != dst) to `out`.
+  template <typename Hops>
+  void buildRoutes(Hops&& hops) {
+    route_gpus_ = numGpus();
+    const auto n = static_cast<std::size_t>(route_gpus_);
+    route_begin_.assign(n * n + 1, 0);
+    for (int s = 0; s < route_gpus_; ++s) {
+      for (int d = 0; d < route_gpus_; ++d) {
+        route_begin_[static_cast<std::size_t>(s) * n + d] =
+            route_links_.size();
+        if (s != d) hops(s, d, route_links_);
+      }
+    }
+    route_begin_.back() = route_links_.size();
+  }
+
+ private:
+  int route_gpus_ = 0;
+  /// Every route's links back to back; pair (s, d)'s route is
+  /// route_links_[route_begin_[s * n + d], route_begin_[s * n + d + 1]).
+  std::vector<Link*> route_links_;
+  std::vector<std::size_t> route_begin_;
 };
 
 /// Fully connected single-node NVLink system (the paper's DGX).
@@ -80,7 +117,6 @@ class NvlinkAllToAllTopology final : public Topology {
   NvlinkAllToAllTopology(int num_gpus, const LinkParams& params);
 
   int numGpus() const override { return num_gpus_; }
-  std::vector<Link*> route(int src, int dst) override;
   std::vector<Link*> links() override;
   bool dedicatedPairLinks() const override { return true; }
 
@@ -102,7 +138,6 @@ class NvSwitchTopology final : public Topology {
   NvSwitchTopology(int num_gpus, const LinkParams& port_params);
 
   int numGpus() const override { return num_gpus_; }
-  std::vector<Link*> route(int src, int dst) override;
   std::vector<Link*> links() override;
 
  private:
@@ -120,7 +155,6 @@ class RingTopology final : public Topology {
   RingTopology(int num_gpus, const LinkParams& params);
 
   int numGpus() const override { return num_gpus_; }
-  std::vector<Link*> route(int src, int dst) override;
   std::vector<Link*> links() override;
 
  private:
@@ -142,7 +176,6 @@ class MultiNodeTopology final : public Topology {
                     bool shared_nic_queue = false);
 
   int numGpus() const override { return num_nodes_ * gpus_per_node_; }
-  std::vector<Link*> route(int src, int dst) override;
   std::vector<Link*> links() override;
 
   LinkClass routeClass(int src, int dst) const override {
@@ -159,7 +192,6 @@ class MultiNodeTopology final : public Topology {
   std::vector<std::unique_ptr<Link>> intra_links_;  // per (node, src, dst)
   std::vector<std::unique_ptr<Link>> nic_up_;       // per node
   std::vector<std::unique_ptr<Link>> nic_down_;     // per node
-  Link& intraLink(int src, int dst);
 };
 
 }  // namespace pgasemb::fabric

@@ -227,7 +227,7 @@ FaultInjector::PutResult FaultInjector::reliableTransfer(
   SimTime backoff = plan_.retry.put_timeout;
   for (int attempt = 1;; ++attempt) {
     const auto d = fabric_->transfer(src, dst, payload_bytes, n_messages,
-                                     inject, nullptr, bandwidth_fraction);
+                                     inject, bandwidth_fraction);
     if (on_attempt) on_attempt(inject, d);
     if (!d.dropped) {
       out.acked = d.delivered;

@@ -12,7 +12,9 @@
 // completion.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pgasemb::pgas {
@@ -24,10 +26,23 @@ struct SliceFlow {
   std::int64_t n_messages = 0;
 };
 
+/// Every flow of a kernel in one slice-major array: slice s owns
+/// flows[slice_begin[s], slice_begin[s + 1]). The builders size both
+/// arrays exactly up front, so each is allocated once however many
+/// slices the plan has.
 struct MessagePlan {
-  int slices = 1;
-  /// flows[s] = traffic generated during slice s (size == slices).
-  std::vector<std::vector<SliceFlow>> flows;
+  std::vector<SliceFlow> flows;
+  /// slices() + 1 ascending offsets into `flows`, from 0 to flows.size().
+  std::vector<std::size_t> slice_begin;
+
+  int slices() const { return static_cast<int>(slice_begin.size()) - 1; }
+  std::span<const SliceFlow> slice(int s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return {flows.data() + slice_begin[i],
+            slice_begin[i + 1] - slice_begin[i]};
+  }
+  /// At least one slice, and offsets that tile `flows` in order.
+  bool wellFormed() const;
 
   std::int64_t totalPayloadBytes() const;
   std::int64_t totalMessages() const;
@@ -37,6 +52,10 @@ struct MessagePlan {
 /// sized messages) uniformly over `slices` slices — the traffic shape of
 /// a lookup kernel whose outputs are uniformly distributed over the
 /// remote mini-batches, as with the paper's uniform synthetic inputs.
+/// Whole messages are split by largest remainder (slice s ends after
+/// floor(total_msgs * (s + 1) / slices) messages); only a destination's
+/// final message may be partial. Within a slice, flows are in
+/// destination order.
 MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
                             int self, int slices,
                             std::int64_t message_bytes);

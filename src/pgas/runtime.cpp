@@ -1,6 +1,8 @@
 #include "pgas/runtime.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 #include <string>
 
 #include "fault/injector.hpp"
@@ -15,6 +17,56 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
                 "fabric topology smaller than the GPU system");
 }
 
+namespace {
+
+/// One slice's flows grouped by destination node, each group in plan
+/// order. Sized once per plan; regrouping a slice is one counting pass
+/// over its flows, so forwarding is linear in the flows however many
+/// nodes there are, and allocates nothing.
+class NodeGroups {
+ public:
+  NodeGroups() = default;
+  NodeGroups(const MessagePlan& plan, int nodes, int gpus_per_node)
+      : gpus_per_node_(gpus_per_node),
+        begin_(static_cast<std::size_t>(nodes) + 1),
+        cursor_(static_cast<std::size_t>(nodes)) {
+    std::size_t widest = 0;
+    for (int s = 0; s < plan.slices(); ++s) {
+      widest = std::max(widest, plan.slice(s).size());
+    }
+    flows_.resize(widest);
+  }
+
+  int nodes() const { return static_cast<int>(cursor_.size()); }
+
+  void regroup(std::span<const SliceFlow> flows) {
+    std::fill(begin_.begin(), begin_.end(), 0);
+    for (const auto& f : flows) ++begin_[nodeOf(f) + 1];
+    std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+    std::copy(begin_.begin(), begin_.end() - 1, cursor_.begin());
+    for (const auto& f : flows) flows_[cursor_[nodeOf(f)]++] = &f;
+  }
+
+  /// The current slice's flows to `node`.
+  std::span<const SliceFlow* const> to(int node) const {
+    const auto n = static_cast<std::size_t>(node);
+    return {flows_.data() + begin_[n], begin_[n + 1] - begin_[n]};
+  }
+
+ private:
+  std::size_t nodeOf(const SliceFlow& f) const {
+    return static_cast<std::size_t>(f.dst / gpus_per_node_);
+  }
+
+  int gpus_per_node_ = 1;
+  std::vector<const SliceFlow*> flows_;
+  /// Node n's flows are flows_[begin_[n], begin_[n + 1]).
+  std::vector<std::size_t> begin_;
+  std::vector<std::size_t> cursor_;  ///< fill position per node
+};
+
+}  // namespace
+
 void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                     MessagePlan plan, CommCounter* counter,
                                     const AggregatorParams* aggregator,
@@ -23,12 +75,9 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   if (aggregator != nullptr) {
     plan = aggregatePlan(plan, desc.duration, *aggregator);
   }
-  PGASEMB_CHECK(plan.slices >= 1 &&
-                    plan.flows.size() ==
-                        static_cast<std::size_t>(plan.slices),
-                "malformed message plan");
+  PGASEMB_CHECK(plan.wellFormed(), "malformed message plan");
 
-  desc.slices = plan.slices;
+  desc.slices = plan.slices();
 
   // Slice-coalescing eligibility: every condition under which running
   // the slice callbacks synchronously at kernel start (with their
@@ -59,9 +108,23 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
     strict_puts = strict->trackPuts(desc.name, remote_writes);
   }
 
-  desc.on_slice = [this, src, counter, quiet, strict_puts,
-                   remote_writes = std::move(remote_writes),
-                   plan = std::move(plan)](int slice, SimTime at) {
+  // Node structure, read once per plan: on every topology GPU g sits on
+  // node g / gpusPerNode(), and a node's default leader is its first GPU.
+  const auto& topo = fabric_.topology();
+  const int gpn = topo.gpusPerNode();
+  const int src_node = src / gpn;
+  // Hierarchical forwarding stays on under an armed injector: the
+  // leader hops are delivery-tracked reliable puts, and only node
+  // pairs inside a NIC fault window fall back to direct per-flow puts
+  // (per-pair degraded mode — see DESIGN.md §13).
+  const bool hier = hierarchical_ && topo.numNodes() > 1;
+  NodeGroups groups;  // forwarding scratch, sized only when forwarding
+  if (hier) groups = NodeGroups(plan, topo.numNodes(), gpn);
+
+  desc.on_slice = [this, src, gpn, src_node, hier, counter, quiet,
+                   strict_puts, remote_writes = std::move(remote_writes),
+                   plan = std::move(plan), groups = std::move(groups)](
+                      int slice, SimTime at) mutable {
     auto* san = system_.sanitizer();
     if (san != nullptr && quiet->side_actor < 0) {
       // The in-kernel put engine: inherits what the launching stream had
@@ -79,22 +142,14 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                     const fabric::Fabric::Delivery&) {
           if (counter != nullptr) counter->record(attempt_at, attempt_payload);
         };
-    auto& topo = fabric_.topology();
-    // Hierarchical forwarding stays on under an armed injector: the
-    // leader hops are delivery-tracked reliable puts, and only node
-    // pairs inside a NIC fault window fall back to direct per-flow puts
-    // (per-pair degraded mode — see DESIGN.md §13). This replaces the
-    // old global flat fallback that abandoned the hierarchy whenever
-    // any plan was armed.
-    const bool hier = hierarchical_ && topo.numNodes() > 1;
-    const auto& flows = plan.flows[static_cast<std::size_t>(slice)];
+    const auto flows = plan.slice(slice);
     // Common put bookkeeping once the *final* delivery time is known:
     // quiet latches it, the comm counter records the original payload at
     // injection time, and the simsan window spans injection -> landing
     // (for forwarded puts the leader staging hops are timing-only; the
     // collective retriever's staging buffers are where simsan certifies
     // the gather/scatter interleavings).
-    const auto log_put = [&](const auto& f, SimTime delivered) {
+    const auto log_put = [&](const SliceFlow& f, SimTime delivered) {
       quiet->last_delivery = std::max(quiet->last_delivery, delivered);
       if (counter != nullptr) counter->record(at, f.payload_bytes);
       if (san != nullptr) {
@@ -105,14 +160,16 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
         }
       }
     };
-    // Delivery-tracked direct put (the flat path under faults):
-    // flap-dropped attempts are retransmitted after timeout + backoff,
-    // every injection counts toward comm volume, and quiet waits on the
-    // *acknowledged* delivery. Returns the acked delivery time.
-    const auto reliable_direct = [&](const auto& f) {
+    // Delivery-tracked direct put (under faults): flap-dropped attempts
+    // are retransmitted after timeout + backoff at the same wire size,
+    // every injection counts its original payload toward comm volume,
+    // and quiet waits on the *acknowledged* delivery. Returns the acked
+    // delivery time.
+    const auto reliable_direct = [&](const SliceFlow& f,
+                                     std::int64_t wire_bytes) {
       attempt_payload = f.payload_bytes;
-      const auto r = injector_->reliablePut(
-          src, f.dst, f.payload_bytes, f.n_messages, at, on_attempt);
+      const auto r = injector_->reliablePut(src, f.dst, wire_bytes,
+                                            f.n_messages, at, on_attempt);
       const bool buggy = injector_->plan().bug_retransmit_without_quiet &&
                          r.retransmitted();
       // Seeded bug (simsan certification): quiet latches the loss time of
@@ -143,33 +200,36 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
       }
       return r.acked;
     };
-    for (const auto& f : flows) {
-      if (strict_puts != nullptr) strict_puts->flow(f.dst, f.payload_bytes);
-      const bool inter =
-          topo.routeClass(src, f.dst) == fabric::LinkClass::kInter;
-      if (hier && inter) {
-        continue;  // forwarded below, aggregated (or degraded) per node
+    // Direct one-sided put: the flat path, intra-node flows, and
+    // degraded node pairs. A flow that leaves the node is encoded on its
+    // way out when a codec is attached (the 256-byte messages shrink but
+    // their count — and hence the NIC message-rate padding — does not),
+    // with or without an armed injector. Returns the (acked) delivery.
+    const auto direct = [&](const SliceFlow& f) {
+      std::int64_t wire_bytes = f.payload_bytes;
+      if (codec_ != nullptr && f.payload_bytes > 0 &&
+          f.payload_bytes % 4 == 0 && f.dst / gpn != src_node) {
+        wire_bytes = fabric::InterNodeCodec::compressedBytes(
+            f.payload_bytes, codec_->aggregateBits(src_node, at));
+        codec_->recordFlow(f.payload_bytes, wire_bytes);
+        codec_->recordEgress(src_node, at, wire_bytes);
       }
-      if (injector_ == nullptr) {
-        std::int64_t wire_bytes = f.payload_bytes;
-        if (codec_ != nullptr && f.payload_bytes > 0 &&
-            f.payload_bytes % 4 == 0 && inter) {
-          // Flat-mode compression: each one-sided flow is encoded on its
-          // way out of the node (the 256-byte messages shrink but their
-          // count — and hence the NIC message-rate padding — does not).
-          wire_bytes = fabric::InterNodeCodec::compressedBytes(
-              f.payload_bytes, codec_->aggregateBits(topo.nodeOf(src), at));
-          codec_->recordFlow(f.payload_bytes, wire_bytes);
-          codec_->recordEgress(topo.nodeOf(src), at, wire_bytes);
-        }
-        const auto d =
-            fabric_.transfer(src, f.dst, wire_bytes, f.n_messages, at);
-        log_put(f, d.delivered);
-        continue;
-      }
-      reliable_direct(f);
+      if (injector_ != nullptr) return reliable_direct(f, wire_bytes);
+      const auto d = fabric_.transfer(src, f.dst, wire_bytes, f.n_messages, at);
+      log_put(f, d.delivered);
+      return d.delivered;
+    };
+    if (strict_puts != nullptr) {
+      for (const auto& f : flows) strict_puts->flow(f.dst, f.payload_bytes);
     }
-    if (!hier) return;
+    if (!hier) {
+      for (const auto& f : flows) direct(f);
+      return;
+    }
+    groups.regroup(flows);
+    for (const SliceFlow* f : groups.to(src_node)) {
+      direct(*f);  // intra-node: NVLink, never forwarded
+    }
     // Hierarchical forwarding (DESIGN.md §12): per destination node,
     // this slice's inter-node puts ride three hops —
     //   1. NVLink gather: src -> own node leader (summed payload, the
@@ -187,14 +247,14 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
       }
       return injector_->reliablePut(a, b, bytes, msgs, t).acked;
     };
-    const int src_node = topo.nodeOf(src);
     // Under a leader-fail window the injector's fault domains re-elect
     // the next healthy GPU on the node (counted as a failover).
     const int leader_s = injector_ != nullptr
                              ? injector_->leaderAt(src_node, at)
-                             : topo.nodeLeader(src_node);
-    for (int node = 0; node < topo.numNodes(); ++node) {
+                             : src_node * gpn;
+    for (int node = 0; node < groups.nodes(); ++node) {
       if (node == src_node) continue;
+      const auto group = groups.to(node);
       if (injector_ != nullptr &&
           injector_->pairDegraded(src_node, node, at)) {
         // Per-pair degraded mode: a NIC fault window covers one of the
@@ -203,27 +263,19 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
         // one retransmit domain) and goes direct, flow by flow. Every
         // healthy pair below keeps the hierarchy.
         SimTime last = at;
-        bool any = false;
-        for (const auto& f : flows) {
-          if (topo.nodeOf(f.dst) != node) continue;
-          last = std::max(last, reliable_direct(f));
-          any = true;
-        }
-        if (any) injector_->recordHierFallback(at, last);
+        for (const SliceFlow* f : group) last = std::max(last, direct(*f));
+        if (!group.empty()) injector_->recordHierFallback(at, last);
         continue;
       }
       std::int64_t to_node = 0;
       std::int64_t msgs = 0;
-      for (const auto& f : flows) {
-        if (topo.nodeOf(f.dst) != node) continue;
-        to_node += f.payload_bytes;
-        msgs += f.n_messages;
+      for (const SliceFlow* f : group) {
+        to_node += f->payload_bytes;
+        msgs += f->n_messages;
       }
       if (to_node == 0) {
         // Nothing to ship; empty puts complete at injection.
-        for (const auto& f : flows) {
-          if (topo.nodeOf(f.dst) == node) log_put(f, at);
-        }
+        for (const SliceFlow* f : group) log_put(*f, at);
         continue;
       }
       SimTime staged = at;
@@ -239,15 +291,15 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
       }
       const int leader_d = injector_ != nullptr
                                ? injector_->leaderAt(node, staged)
-                               : topo.nodeLeader(node);
+                               : node * gpn;
       const SimTime landed = hop(leader_s, leader_d, wire_bytes, 1, staged);
-      for (const auto& f : flows) {
-        if (topo.nodeOf(f.dst) != node) continue;
+      for (const SliceFlow* f : group) {
         SimTime done = landed;
-        if (f.dst != leader_d) {
-          done = hop(leader_d, f.dst, f.payload_bytes, f.n_messages, landed);
+        if (f->dst != leader_d) {
+          done = hop(leader_d, f->dst, f->payload_bytes, f->n_messages,
+                     landed);
         }
-        log_put(f, done);
+        log_put(*f, done);
       }
     }
   };

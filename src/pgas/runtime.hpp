@@ -64,8 +64,10 @@ class PgasRuntime {
 
   /// Attach the inter-node compression codec: a flow whose route
   /// crosses nodes ships InterNodeCodec::compressedBytes(payload,
-  /// aggregateBits(src node)) on the wire — per flow in flat mode, on
-  /// the aggregated leader->leader hop in hierarchical mode.  Comm
+  /// aggregateBits(src node)) on the wire — per flow on direct puts
+  /// (flat mode and degraded node pairs, with or without an armed
+  /// injector; a retransmit re-sends the compressed size), on the
+  /// aggregated leader->leader hop in hierarchical mode.  Comm
   /// counters and strict effects keep accounting the original payload
   /// (compression is a wire-format concern, not a protocol one).  Not
   /// owned; must outlive the runtime.

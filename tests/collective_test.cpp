@@ -20,8 +20,7 @@ struct Rig {
 
   explicit Rig(int gpus, fabric::LinkParams link = {})
       : system(makeConfig(gpus)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
         comm(system, fabric) {}
 
   static gpu::SystemConfig makeConfig(int gpus) {

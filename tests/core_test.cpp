@@ -30,9 +30,8 @@ struct Rig {
 
   Rig(int gpus, gpu::ExecutionMode mode)
       : system(makeConfig(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            gpus, fabric::LinkParams{})),
         comm(system, fabric),
         runtime(system, fabric) {}
 

@@ -31,9 +31,8 @@ struct Rig {
 
   Rig(int gpus, gpu::ExecutionMode mode)
       : system(makeConfig(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            gpus, fabric::LinkParams{})),
         comm(system, fabric),
         runtime(system, fabric) {}
 
@@ -230,7 +229,6 @@ TEST(PipelineTest, MlpOverlapsWithEmb) {
   big.memory_capacity_bytes = 32LL << 30;
   gpu::MultiGpuSystem system(big);
   fabric::Fabric fabric(
-      system.simulator(),
       std::make_unique<fabric::NvlinkAllToAllTopology>(
           2, fabric::LinkParams{}));
   pgas::PgasRuntime runtime(system, fabric);

@@ -146,9 +146,8 @@ core::RetrieverStats legacyRun(const engine::ExperimentConfig& config,
   sys_cfg.mode = config.mode;
   sys_cfg.cost_model = config.cost_model;
   gpu::MultiGpuSystem system(sys_cfg);
-  fabric::Fabric fabric(system.simulator(),
-                        std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            config.num_gpus, config.link),
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      config.num_gpus, config.link),
                         config.counter_bucket);
   collective::Communicator comm(system, fabric);
   pgas::PgasRuntime runtime(system, fabric);

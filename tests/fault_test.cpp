@@ -177,9 +177,8 @@ struct Rig {
   explicit Rig(int gpus,
                gpu::ExecutionMode mode = gpu::ExecutionMode::kTimingOnly)
       : system(makeConfig(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            gpus, fabric::LinkParams{})),
         comm(system, fabric),
         runtime(system, fabric) {}
 
@@ -672,7 +671,9 @@ engine::ExperimentConfig certifiedConfig(
   return cfg;
 }
 
-using CertParams = std::tuple<int /*gpus*/, const char* /*retriever*/>;
+// The retriever is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would put a per-run value in the name.
+using CertParams = std::tuple<int /*gpus*/, std::string /*retriever*/>;
 class RecoveryCertification : public ::testing::TestWithParam<CertParams> {};
 
 TEST_P(RecoveryCertification, RetransmitAndReissuePathsAreRaceFree) {
@@ -688,7 +689,7 @@ TEST_P(RecoveryCertification, RetransmitAndReissuePathsAreRaceFree) {
   // The flap was placed inside the strategy's own traffic phase, so the
   // recovery path demonstrably ran (the pipelined strategy overlaps its
   // phases, so only the two phase-separable strategies guarantee drops).
-  if (std::string(retriever) != "nccl_pipelined") {
+  if (retriever != "nccl_pipelined") {
     EXPECT_GT(result.resilience->dropped_flows, 0);
   }
 }
@@ -696,8 +697,9 @@ TEST_P(RecoveryCertification, RetransmitAndReissuePathsAreRaceFree) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, RecoveryCertification,
     ::testing::Combine(::testing::Values(2, 4, 8),
-                       ::testing::Values("nccl_collective", "pgas_fused",
-                                         "nccl_pipelined")));
+                       ::testing::Values(std::string("nccl_collective"),
+                                         std::string("pgas_fused"),
+                                         std::string("nccl_pipelined"))));
 
 TEST(SimsanBugSeedTest, RetransmitWithoutRequietIsCaughtByName) {
   // The seeded bug: the retransmit path lands the recovered put without

@@ -50,6 +50,16 @@ ExperimentConfig sweepConfig(int nodes, int per_node) {
   return cfg;
 }
 
+/// Hierarchical sweep cell with a parsed fault plan (pinned windows so
+/// the schedule is explicit, not seed-drawn).
+ExperimentConfig faultedConfig(int nodes, int per_node,
+                               const std::string& spec) {
+  ExperimentConfig cfg = sweepConfig(nodes, per_node);
+  cfg.hierarchical_a2a = true;
+  cfg.faults = fault::FaultPlan::parse(spec, 7);
+  return cfg;
+}
+
 /// Small 2-node layer for Functional runs (real weights, real codec).
 ExperimentConfig functionalConfig() {
   ExperimentConfig cfg = weakScalingConfig(4);
@@ -206,6 +216,121 @@ TEST(MultiNodeGoldenTest, SingleNodeReportsNoInterNodeSection) {
   EXPECT_FALSE(r.compression.has_value());
 }
 
+// The hierarchical path, pinned: 4 nodes x 4 GPUs (sweepConfig), all
+// three retrievers, hierarchical routing alone, with the adaptive codec,
+// and under leader-fail + nic-flap faults. The numbers were recorded
+// before PGAS forwarding was regrouped per node; every simulated total,
+// byte, message, codec decision and resilience counter must stay put.
+
+struct TrafficPin {
+  const char* retriever;
+  std::int64_t total_ps;
+  std::int64_t wire_bytes;
+  std::int64_t wire_messages;
+  double inter_wire_equivalent_bytes;
+};
+
+void expectTrafficPinned(const ExperimentResult& r, const TrafficPin& pin) {
+  EXPECT_EQ(r.stats.total.count(), pin.total_ps) << pin.retriever;
+  EXPECT_EQ(r.total_wire_bytes, pin.wire_bytes) << pin.retriever;
+  EXPECT_EQ(r.total_wire_messages, pin.wire_messages) << pin.retriever;
+  ASSERT_TRUE(r.inter_node.has_value()) << pin.retriever;
+  EXPECT_DOUBLE_EQ(r.inter_node->inter_wire_equivalent_bytes,
+                   pin.inter_wire_equivalent_bytes)
+      << pin.retriever;
+}
+
+ExperimentConfig hierConfig() {
+  ExperimentConfig cfg = sweepConfig(4, 4);
+  cfg.hierarchical_a2a = true;
+  return cfg;
+}
+
+TEST(MultiNodeGoldenTest, HierarchicalTotalsArePinned) {
+  const TrafficPin pins[] = {
+      {"nccl_collective", 7639853382, 553648128, 288, 402659328.0},
+      {"pgas_fused", 3506622650, 553648128, 1388544, 404226048.0},
+      {"nccl_pipelined", 5924868499, 553648128, 288, 402659328.0},
+  };
+  for (const auto& pin : pins) {
+    const ExperimentResult r = ScenarioRunner(hierConfig()).run(pin.retriever);
+    expectTrafficPinned(r, pin);
+    EXPECT_FALSE(r.compression.has_value()) << pin.retriever;
+    EXPECT_FALSE(r.resilience.has_value()) << pin.retriever;
+  }
+}
+
+TEST(MultiNodeGoldenTest, HierarchicalAdaptiveCodecIsPinned) {
+  struct Pin {
+    TrafficPin traffic;
+    std::int64_t raw_bytes, wire_bytes, hot_decisions, cool_decisions;
+  };
+  const Pin pins[] = {
+      {{"nccl_collective", 6617426510, 452985024, 288, 201449664.0},
+       201326592, 100663488, 0, 24},
+      {{"pgas_fused", 1114874170, 400722432, 1388544, 98374656.0},
+       201326592, 48400896, 11363, 925},
+      {{"nccl_pipelined", 4902441627, 452985024, 288, 201449664.0},
+       201326592, 100663488, 0, 24},
+  };
+  ExperimentConfig cfg = hierConfig();
+  cfg.compress_bound = 1e-2;
+  cfg.compress_adaptive = true;
+  for (const auto& pin : pins) {
+    const char* name = pin.traffic.retriever;
+    const ExperimentResult r = ScenarioRunner(cfg).run(name);
+    expectTrafficPinned(r, pin.traffic);
+    ASSERT_TRUE(r.compression.has_value()) << name;
+    EXPECT_EQ(r.compression->raw_bytes, pin.raw_bytes) << name;
+    EXPECT_EQ(r.compression->wire_bytes, pin.wire_bytes) << name;
+    EXPECT_EQ(r.compression->hot_decisions, pin.hot_decisions) << name;
+    EXPECT_EQ(r.compression->cool_decisions, pin.cool_decisions) << name;
+  }
+}
+
+TEST(MultiNodeGoldenTest, HierarchicalUnderNodeFaultsIsPinned) {
+  // Node 1's leader fails for the whole run and node 2's NIC flaps from
+  // the first lookup's slices onwards, so every retriever exercises
+  // failover, per-pair degraded mode and re-sends. No codec: the pins
+  // cover forwarding only.
+  struct Pin {
+    TrafficPin traffic;
+    std::int64_t faults_injected, dropped_flows, dropped_bytes, retransmits,
+        retransmitted_bytes, collective_reissues, recovery_ps,
+        hier_fallbacks, degraded_ps, leader_failovers, staging_rebuilds;
+  };
+  const Pin pins[] = {
+      {{"nccl_collective", 12932016642, 482869248, 345, 916235406.625},
+       11, 9, 4718592, 0, 4718592, 9, 3458065630, 24, 111809363365, 1, 1},
+      {{"pgas_fused", 13446718010, 482021376, 1291641, 1239488960.0},
+       12, 10, 102400, 10, 102400, 0, 3100508259, 2908, 18655381734275, 1,
+       0},
+      {{"nccl_pipelined", 14722491249, 407896064, 394, 1396852216.875},
+       12, 10, 5242880, 0, 5242880, 10, 4258065630, 48, 212590698700, 1, 1},
+  };
+  const ExperimentConfig cfg = faultedConfig(
+      4, 4, "leader-fail:1:0.0-1000000.0,nic-flap:2:0.04-1.5");
+  for (const auto& pin : pins) {
+    const char* name = pin.traffic.retriever;
+    const ExperimentResult r = ScenarioRunner(cfg).run(name);
+    expectTrafficPinned(r, pin.traffic);
+    EXPECT_FALSE(r.compression.has_value()) << name;
+    ASSERT_TRUE(r.resilience.has_value()) << name;
+    const auto& rs = *r.resilience;
+    EXPECT_EQ(rs.faults_injected, pin.faults_injected) << name;
+    EXPECT_EQ(rs.dropped_flows, pin.dropped_flows) << name;
+    EXPECT_EQ(rs.dropped_bytes, pin.dropped_bytes) << name;
+    EXPECT_EQ(rs.retransmits, pin.retransmits) << name;
+    EXPECT_EQ(rs.retransmitted_bytes, pin.retransmitted_bytes) << name;
+    EXPECT_EQ(rs.collective_reissues, pin.collective_reissues) << name;
+    EXPECT_EQ(rs.recovery_latency.count(), pin.recovery_ps) << name;
+    EXPECT_EQ(rs.hier_fallbacks, pin.hier_fallbacks) << name;
+    EXPECT_EQ(rs.degraded_time.count(), pin.degraded_ps) << name;
+    EXPECT_EQ(rs.leader_failovers, pin.leader_failovers) << name;
+    EXPECT_EQ(rs.staging_rebuilds, pin.staging_rebuilds) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Modeled wins: hierarchy and compression
 // ---------------------------------------------------------------------------
@@ -273,6 +398,36 @@ TEST(CompressionTest, AdaptiveControllerIsSeedDeterministic) {
   EXPECT_EQ(a.compression->cool_decisions, b.compression->cool_decisions);
   // The controller actually exercised both regimes' accounting.
   EXPECT_GT(a.compression->hot_decisions + a.compression->cool_decisions, 0);
+}
+
+TEST(CompressionTest, ArmedInjectorKeepsDirectPutsCompressed) {
+  // Delivery-tracked direct puts (any armed fault plan) must go through
+  // the codec like plain ones: a plan whose only window opens after the
+  // run changes nothing, so flat PGAS ships the same compressed traffic.
+  ExperimentConfig plain = sweepConfig(2, 4);
+  plain.compress_bound = 1e-2;
+  ExperimentConfig armed = plain;
+  armed.faults = fault::FaultPlan::parse("node-straggle:1:1.01:1000-2000", 7);
+  const ExperimentResult a = ScenarioRunner(plain).run("pgas_fused");
+  const ExperimentResult b = ScenarioRunner(armed).run("pgas_fused");
+  ASSERT_TRUE(a.compression.has_value());
+  ASSERT_TRUE(b.compression.has_value());
+  EXPECT_GT(a.compression->raw_bytes, 0);
+  EXPECT_EQ(b.compression->raw_bytes, a.compression->raw_bytes);
+  EXPECT_EQ(b.compression->wire_bytes, a.compression->wire_bytes);
+  EXPECT_EQ(b.compression->hot_decisions, a.compression->hot_decisions);
+  EXPECT_EQ(b.compression->cool_decisions, a.compression->cool_decisions);
+  ASSERT_TRUE(a.inter_node.has_value());
+  ASSERT_TRUE(b.inter_node.has_value());
+  EXPECT_EQ(b.inter_node->inter_payload_bytes,
+            a.inter_node->inter_payload_bytes);
+  EXPECT_EQ(b.inter_node->inter_messages, a.inter_node->inter_messages);
+  EXPECT_DOUBLE_EQ(b.inter_node->inter_wire_equivalent_bytes,
+                   a.inter_node->inter_wire_equivalent_bytes);
+  EXPECT_EQ(b.inter_node->intra_payload_bytes,
+            a.inter_node->intra_payload_bytes);
+  EXPECT_EQ(b.total_wire_bytes, a.total_wire_bytes);
+  EXPECT_EQ(b.total_wire_messages, a.total_wire_messages);
 }
 
 TEST(CompressionTest, SharedNicQueueNeverFasterThanPerFlowQueues) {
@@ -376,16 +531,6 @@ TEST(MultiNodeSimsanTest, StrictEffectsHoldUnderHierarchyAndCompression) {
 // ---------------------------------------------------------------------------
 // Node-level fault domains (DESIGN.md §13)
 // ---------------------------------------------------------------------------
-
-/// Hierarchical sweep cell with a parsed fault plan (pinned windows so
-/// the schedule is explicit, not seed-drawn).
-ExperimentConfig faultedConfig(int nodes, int per_node,
-                               const std::string& spec) {
-  ExperimentConfig cfg = sweepConfig(nodes, per_node);
-  cfg.hierarchical_a2a = true;
-  cfg.faults = fault::FaultPlan::parse(spec, 7);
-  return cfg;
-}
 
 TEST(NodeFaultDomainTest, ValidationRejectsIllFormedNodeFaultLayouts) {
   // Node-scoped kinds need a multi-node layout...

@@ -3,7 +3,12 @@
 // and the async aggregator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 #include "gpu/system.hpp"
@@ -25,8 +30,7 @@ struct Rig {
                gpu::ExecutionMode mode = gpu::ExecutionMode::kTimingOnly,
                fabric::LinkParams link = {})
       : system(makeConfig(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(gpus, link)),
         runtime(system, fabric) {}
 
   static gpu::SystemConfig makeConfig(int gpus, gpu::ExecutionMode mode) {
@@ -71,9 +75,152 @@ TEST(SymmetricHeapTest, BadPeThrows) {
 
 // --- Message plans -----------------------------------------------------------
 
+/// A plan as one flow list per slice: the reference layout the
+/// property tests below materialize independently of the builders.
+using Slices = std::vector<std::vector<SliceFlow>>;
+
+MessagePlan planFromSlices(const Slices& slices) {
+  MessagePlan plan;
+  for (const auto& slice : slices) {
+    plan.slice_begin.push_back(plan.flows.size());
+    plan.flows.insert(plan.flows.end(), slice.begin(), slice.end());
+  }
+  plan.slice_begin.push_back(plan.flows.size());
+  return plan;
+}
+
+/// Reference uniform split: per destination, whole messages are dealt
+/// out by largest remainder (slice s ends after floor(T * (s + 1) / S)
+/// of T messages), bytes follow the messages, and only the last message
+/// may be partial.
+Slices referenceUniform(const std::vector<std::int64_t>& payload, int self,
+                        int slices, std::int64_t message_bytes) {
+  Slices out(static_cast<std::size_t>(slices));
+  for (int dst = 0; dst < static_cast<int>(payload.size()); ++dst) {
+    const std::int64_t total = payload[static_cast<std::size_t>(dst)];
+    if (dst == self || total == 0) continue;
+    const std::int64_t total_msgs =
+        (total + message_bytes - 1) / message_bytes;
+    std::int64_t emitted_msgs = 0;
+    std::int64_t emitted_bytes = 0;
+    for (int s = 0; s < slices; ++s) {
+      const std::int64_t upto = total_msgs * (s + 1) / slices;
+      const std::int64_t msgs = upto - emitted_msgs;
+      if (msgs == 0) continue;
+      emitted_msgs = upto;
+      const std::int64_t bytes =
+          std::min(msgs * message_bytes, total - emitted_bytes);
+      emitted_bytes += bytes;
+      out[static_cast<std::size_t>(s)].push_back(SliceFlow{dst, bytes, msgs});
+    }
+  }
+  return out;
+}
+
+/// Reference aggregator over the per-slice layout: per-destination
+/// buffers flushed by size during a slice, then by age in destination
+/// order, and drained at the last slice.
+Slices referenceAggregate(const Slices& in, SimTime kernel_duration,
+                          const AggregatorParams& params) {
+  const int slices = static_cast<int>(in.size());
+  const std::int64_t slice_dt =
+      std::max<std::int64_t>(1, kernel_duration.count() / slices);
+  const std::int64_t max_wait =
+      std::max<std::int64_t>(1, params.max_wait.count() / slice_dt);
+  struct Buf {
+    std::int64_t bytes = 0;
+    int oldest = -1;
+  };
+  std::map<int, Buf> pending;
+  Slices out(in.size());
+  for (int s = 0; s < slices; ++s) {
+    auto& emitted = out[static_cast<std::size_t>(s)];
+    for (const auto& f : in[static_cast<std::size_t>(s)]) {
+      auto& buf = pending[f.dst];
+      if (buf.bytes == 0) buf.oldest = s;
+      buf.bytes += f.payload_bytes;
+      while (buf.bytes >= params.aggregation_bytes) {
+        emitted.push_back(SliceFlow{f.dst, params.aggregation_bytes, 1});
+        buf.bytes -= params.aggregation_bytes;
+        buf.oldest = buf.bytes > 0 ? s : -1;
+      }
+    }
+    for (auto& [dst, buf] : pending) {
+      if (buf.bytes > 0 && s - buf.oldest >= max_wait) {
+        emitted.push_back(SliceFlow{dst, buf.bytes, 1});
+        buf = Buf{};
+      }
+    }
+  }
+  for (auto& [dst, buf] : pending) {
+    if (buf.bytes > 0) out.back().push_back(SliceFlow{dst, buf.bytes, 1});
+  }
+  return out;
+}
+
+void expectSameSlices(const MessagePlan& plan, const Slices& ref,
+                      const std::string& what) {
+  ASSERT_TRUE(plan.wellFormed()) << what;
+  ASSERT_EQ(plan.slices(), static_cast<int>(ref.size())) << what;
+  for (int s = 0; s < plan.slices(); ++s) {
+    const auto got = plan.slice(s);
+    const auto& want = ref[static_cast<std::size_t>(s)];
+    ASSERT_EQ(got.size(), want.size()) << what << " slice " << s;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].dst, want[i].dst) << what << " slice " << s;
+      EXPECT_EQ(got[i].payload_bytes, want[i].payload_bytes)
+          << what << " slice " << s;
+      EXPECT_EQ(got[i].n_messages, want[i].n_messages)
+          << what << " slice " << s;
+    }
+  }
+}
+
+TEST(MessagePlanTest, BuildersMatchReferenceSliceBySlice) {
+  // Random payload vectors (zeros, sub-slice trickles and bulk flows),
+  // 1-128 slices and several message sizes: the flat builders must
+  // reproduce the reference materialization flow for flow, uniform and
+  // aggregated alike.
+  std::mt19937_64 rng(0x9e37'79b9);
+  std::uniform_int_distribution<int> n_gpus(1, 16);
+  std::uniform_int_distribution<int> n_slices(1, 128);
+  std::uniform_int_distribution<int> shape(0, 3);
+  const std::int64_t message_sizes[] = {1, 7, 256, 4096};
+  for (int trial = 0; trial < 400; ++trial) {
+    const int p = n_gpus(rng);
+    const int self = std::uniform_int_distribution<int>(0, p - 1)(rng);
+    const int slices = n_slices(rng);
+    const std::int64_t mb = message_sizes[trial % 4];
+    std::vector<std::int64_t> payload(static_cast<std::size_t>(p));
+    for (auto& bytes : payload) {
+      switch (shape(rng)) {
+        case 0: bytes = 0; break;
+        case 1: bytes = std::uniform_int_distribution<std::int64_t>(
+                    1, mb * slices)(rng); break;
+        default: bytes = std::uniform_int_distribution<std::int64_t>(
+                     1, std::int64_t{1} << 22)(rng);
+      }
+    }
+    const std::string what = "trial " + std::to_string(trial);
+    const auto ref = referenceUniform(payload, self, slices, mb);
+    const auto plan = makeUniformPlan(payload, self, slices, mb);
+    expectSameSlices(plan, ref, what + " uniform");
+
+    AggregatorParams params;
+    params.aggregation_bytes =
+        std::uniform_int_distribution<std::int64_t>(1, 1 << 16)(rng);
+    params.max_wait = SimTime::us(
+        std::uniform_int_distribution<int>(1, 400)(rng));
+    const SimTime duration = SimTime::ms(1);
+    expectSameSlices(aggregatePlan(plan, duration, params),
+                     referenceAggregate(ref, duration, params),
+                     what + " aggregated");
+  }
+}
+
 TEST(MessagePlanTest, UniformPlanConservesBytes) {
   const auto plan = makeUniformPlan({0, 1000, 2000, 3000}, 0, 7, 256);
-  EXPECT_EQ(plan.slices, 7);
+  EXPECT_EQ(plan.slices(), 7);
   EXPECT_EQ(plan.totalPayloadBytes(), 6000);
   // ceil(per-slice bytes / 256) summed >= 6000/256.
   EXPECT_GE(plan.totalMessages(), 24);
@@ -82,15 +229,14 @@ TEST(MessagePlanTest, UniformPlanConservesBytes) {
 TEST(MessagePlanTest, SelfTrafficExcluded) {
   const auto plan = makeUniformPlan({500, 500}, 1, 4, 256);
   EXPECT_EQ(plan.totalPayloadBytes(), 500);
-  for (const auto& slice : plan.flows) {
-    for (const auto& f : slice) EXPECT_EQ(f.dst, 0);
-  }
+  for (const auto& f : plan.flows) EXPECT_EQ(f.dst, 0);
 }
 
 TEST(MessagePlanTest, SpreadIsEven) {
   const auto plan = makeUniformPlan({0, 100000}, 0, 10, 256);
   std::int64_t total = 0;
-  for (const auto& slice : plan.flows) {
+  for (int s = 0; s < plan.slices(); ++s) {
+    const auto slice = plan.slice(s);
     ASSERT_EQ(slice.size(), 1u);
     // Whole-message granularity: each slice within one message of even.
     EXPECT_NEAR(static_cast<double>(slice[0].payload_bytes), 10000.0, 256.0);
@@ -203,13 +349,11 @@ TEST(AggregatorTest, SizeTriggeredFlushesAreFullBuffers) {
   const auto agg = aggregatePlan(plan, SimTime::ms(1), params);
   // All but the final quiet flush are exactly aggregation_bytes.
   std::int64_t full = 0, partial = 0;
-  for (const auto& slice : agg.flows) {
-    for (const auto& f : slice) {
-      if (f.payload_bytes == params.aggregation_bytes) {
-        ++full;
-      } else {
-        ++partial;
-      }
+  for (const auto& f : agg.flows) {
+    if (f.payload_bytes == params.aggregation_bytes) {
+      ++full;
+    } else {
+      ++partial;
     }
   }
   EXPECT_EQ(full, (1 << 20) / params.aggregation_bytes);
@@ -219,13 +363,8 @@ TEST(AggregatorTest, SizeTriggeredFlushesAreFullBuffers) {
 TEST(AggregatorTest, MaxWaitFlushesPartialBuffers) {
   // Slow trickle to one destination: without the wait trigger everything
   // would flush only at the end.
-  MessagePlan plan;
-  plan.slices = 100;
-  plan.flows.resize(100);
-  for (int s = 0; s < 100; ++s) {
-    plan.flows[static_cast<std::size_t>(s)].push_back(
-        SliceFlow{1, 128, 1});
-  }
+  const MessagePlan plan =
+      planFromSlices(Slices(100, std::vector<SliceFlow>{{1, 128, 1}}));
   AggregatorParams params;
   params.aggregation_bytes = 1 << 20;      // never by size
   params.max_wait = SimTime::us(100);      // 10 slices of a 1 ms kernel
@@ -237,17 +376,16 @@ TEST(AggregatorTest, MaxWaitFlushesPartialBuffers) {
 }
 
 TEST(AggregatorTest, QuietDrainsRemainder) {
-  MessagePlan plan;
-  plan.slices = 4;
-  plan.flows.resize(4);
-  plan.flows[0].push_back(SliceFlow{1, 100, 1});
+  Slices slices(4);
+  slices[0].push_back(SliceFlow{1, 100, 1});
+  const MessagePlan plan = planFromSlices(slices);
   AggregatorParams params;  // defaults: large threshold, long wait
   params.aggregation_bytes = 1 << 20;
   params.max_wait = SimTime::sec(10);
   const auto agg = aggregatePlan(plan, SimTime::ms(1), params);
   EXPECT_EQ(agg.totalPayloadBytes(), 100);
   // Drained at the last slice.
-  EXPECT_FALSE(agg.flows[3].empty());
+  EXPECT_FALSE(agg.slice(3).empty());
 }
 
 TEST(AggregatorTest, AggregatedKernelFasterOnMessageRateLimitedLink) {

@@ -24,9 +24,8 @@ struct Rig {
   explicit Rig(int gpus, gpu::ExecutionMode mode =
                              gpu::ExecutionMode::kTimingOnly)
       : system(config(gpus, mode)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            gpus, fabric::LinkParams{})),
         comm(system, fabric),
         runtime(system, fabric),
         layer(system, spec()) {}

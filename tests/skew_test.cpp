@@ -153,9 +153,8 @@ TEST(SkewTest, RetrieversStayEquivalentWithBalancedBoundaries) {
   cfg.memory_capacity_bytes = 256 << 20;
   cfg.mode = gpu::ExecutionMode::kFunctional;
   gpu::MultiGpuSystem system(cfg);
-  fabric::Fabric fabric(system.simulator(),
-                        std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            3, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      3, fabric::LinkParams{}));
   collective::Communicator comm(system, fabric);
   pgas::PgasRuntime runtime(system, fabric);
 

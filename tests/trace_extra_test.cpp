@@ -29,9 +29,8 @@ gpu::SystemConfig timingConfig(int gpus) {
 
 TEST(ObserverTest, KernelObserverSeesComputeAndQuiet) {
   gpu::MultiGpuSystem system(timingConfig(2));
-  fabric::Fabric fabric(system.simulator(),
-                        std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            2, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      2, fabric::LinkParams{}));
   pgas::PgasRuntime runtime(system, fabric);
 
   int spans = 0;
@@ -60,9 +59,8 @@ TEST(ObserverTest, KernelObserverSeesComputeAndQuiet) {
 }
 
 TEST(ObserverTest, FlowObserverSeesEveryTransfer) {
-  sim::Simulator sim;
-  fabric::Fabric fabric(sim, std::make_unique<fabric::NvlinkAllToAllTopology>(
-                                 2, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      2, fabric::LinkParams{}));
   int flows = 0;
   std::int64_t bytes = 0;
   fabric.setFlowObserver([&](int src, int dst, std::int64_t payload,
@@ -86,9 +84,8 @@ TEST(ObserverTest, FlowObserverSeesEveryTransfer) {
 
 TEST(ChromeTraceTest, RecordsAndSerializes) {
   gpu::MultiGpuSystem system(timingConfig(2));
-  fabric::Fabric fabric(system.simulator(),
-                        std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            2, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      2, fabric::LinkParams{}));
   collective::Communicator comm(system, fabric);
   pgas::PgasRuntime runtime(system, fabric);
   emb::EmbLayerSpec spec;
@@ -120,9 +117,8 @@ TEST(ChromeTraceTest, RecordsAndSerializes) {
 
 TEST(ChromeTraceTest, QuietTailEmittedForPgas) {
   gpu::MultiGpuSystem system(timingConfig(2));
-  fabric::Fabric fabric(system.simulator(),
-                        std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            2, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      2, fabric::LinkParams{}));
   pgas::PgasRuntime runtime(system, fabric);
   trace::ChromeTraceRecorder recorder;
   recorder.attach(system, fabric);
@@ -140,9 +136,8 @@ TEST(ChromeTraceTest, QuietTailEmittedForPgas) {
 
 TEST(ChromeTraceTest, WritesFile) {
   gpu::MultiGpuSystem system(timingConfig(1));
-  fabric::Fabric fabric(system.simulator(),
-                        std::make_unique<fabric::NvlinkAllToAllTopology>(
-                            1, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+      1, fabric::LinkParams{}));
   trace::ChromeTraceRecorder recorder;
   recorder.attach(system, fabric);
   gpu::KernelDesc k;
@@ -161,9 +156,8 @@ TEST(ChromeTraceTest, WritesFile) {
 // --- New topologies -------------------------------------------------------------
 
 TEST(NvSwitchTest, EgressSharesThePort) {
-  sim::Simulator sim;
-  fabric::Fabric fabric(sim, std::make_unique<fabric::NvSwitchTopology>(
-                                 4, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvSwitchTopology>(
+      4, fabric::LinkParams{}));
   // Two flows from GPU 0 to different destinations contend at 0's up
   // port (unlike the pairwise topology, where they are independent).
   const auto d1 = fabric.transfer(0, 1, 10 << 20, 1, SimTime::zero());
@@ -172,9 +166,8 @@ TEST(NvSwitchTest, EgressSharesThePort) {
 }
 
 TEST(NvSwitchTest, IngressSharesThePortToo) {
-  sim::Simulator sim;
-  fabric::Fabric fabric(sim, std::make_unique<fabric::NvSwitchTopology>(
-                                 4, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::NvSwitchTopology>(
+      4, fabric::LinkParams{}));
   const auto d1 = fabric.transfer(1, 0, 10 << 20, 1, SimTime::zero());
   const auto d2 = fabric.transfer(2, 0, 10 << 20, 1, SimTime::zero());
   EXPECT_GT(d2.delivered, d1.delivered);
@@ -189,9 +182,8 @@ TEST(RingTest, RouteLengthIsHopDistance) {
 }
 
 TEST(RingTest, MultiHopIsSlowerThanNeighbor) {
-  sim::Simulator sim;
-  fabric::Fabric fabric(sim, std::make_unique<fabric::RingTopology>(
-                                 4, fabric::LinkParams{}));
+  fabric::Fabric fabric(std::make_unique<fabric::RingTopology>(
+      4, fabric::LinkParams{}));
   const auto near = fabric.transfer(0, 1, 1 << 20, 1, SimTime::zero());
   const auto far = fabric.transfer(1, 0, 1 << 20, 1, SimTime::zero());
   // 1 -> 0 takes 3 hops on a unidirectional ring.
@@ -207,9 +199,8 @@ struct CommRig {
   collective::Communicator comm;
   explicit CommRig(int gpus)
       : system(timingConfig(gpus)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            gpus, fabric::LinkParams{})),
         comm(system, fabric) {}
 };
 

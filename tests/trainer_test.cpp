@@ -156,9 +156,8 @@ struct TrainRig {
 
   explicit TrainRig(int gpus)
       : system(config(gpus)),
-        fabric(system.simulator(),
-               std::make_unique<fabric::NvlinkAllToAllTopology>(
-                   gpus, fabric::LinkParams{})),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            gpus, fabric::LinkParams{})),
         comm(system, fabric),
         runtime(system, fabric),
         layer(system, layerSpec()),
