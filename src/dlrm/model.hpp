@@ -31,7 +31,9 @@ class DlrmModel {
 
   const DlrmConfig& config() const { return config_; }
   emb::ShardedEmbeddingLayer& embLayer() { return layer_; }
+  Mlp& topMlp() { return top_; }
   const Mlp& topMlp() const { return top_; }
+  Mlp& bottomMlp() { return bottom_; }
   const Mlp& bottomMlp() const { return bottom_; }
   const InteractionLayer& interaction() const { return interaction_; }
 

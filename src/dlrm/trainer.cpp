@@ -19,8 +19,11 @@ DlrmTrainer::DlrmTrainer(DlrmModel& model,
       lr_(learning_rate),
       scheme_(scheme) {
   // Training mutates the MLPs; move them off the procedural weights.
-  const_cast<Mlp&>(model.topMlp()).materialize();
-  const_cast<Mlp&>(model.bottomMlp()).materialize();
+  // Dense weights are data plane: a TimingOnly run never reads them.
+  if (model.embLayer().system().mode() == gpu::ExecutionMode::kFunctional) {
+    model.topMlp().materialize();
+    model.bottomMlp().materialize();
+  }
 }
 
 float DlrmTrainer::label(std::uint64_t seed, std::int64_t sample) {
@@ -33,7 +36,6 @@ TrainStepResult DlrmTrainer::step(const DenseBatch& dense,
   auto& layer = model_.embLayer();
   auto& system = layer.system();
   const auto& sharding = layer.sharding();
-  const auto& cm = system.costModel();
   const int p = system.numGpus();
   const int dim = layer.dim();
   const std::int64_t tables = layer.spec().total_tables;
@@ -49,11 +51,12 @@ TrainStepResult DlrmTrainer::step(const DenseBatch& dense,
   result.emb_forward = fwd.emb;
 
   // ---- Functional backprop through bottom MLP / interaction / top MLP ----
-  auto& top = const_cast<Mlp&>(model_.topMlp());
-  auto& bottom = const_cast<Mlp&>(model_.bottomMlp());
-  auto top_grads = top.zeroGradients();
-  auto bottom_grads = bottom.zeroGradients();
+  auto& top = model_.topMlp();
+  auto& bottom = model_.bottomMlp();
+  Mlp::Gradients top_grads, bottom_grads;
   if (functional) {
+    top_grads = top.zeroGradients();
+    bottom_grads = bottom.zeroGradients();
     emb_upstream_.assign(
         static_cast<std::size_t>(sparse.batchSize() * tables * dim), 0.0f);
     double loss_sum = 0.0;
@@ -124,7 +127,6 @@ TrainStepResult DlrmTrainer::step(const DenseBatch& dense,
   auto allreduce = comm_.allReduce(mlp_param_bytes);
   allreduce.wait(system);
   result.mlp_backward_time = system.hostNow() - t1;
-  (void)cm;
 
   // ---- EMB backward with the REAL upstream gradients ----------------------
   EmbBackwardEngine::UpstreamGradFn upstream;

@@ -9,7 +9,10 @@
 // and applied.
 //
 // Functional mode trains for real: the loss decreases and both backward
-// schemes produce bit-identical parameters (see dlrm tests).
+// schemes produce bit-identical parameters (see dlrm tests). The MLP
+// weights and gradients are data plane, so a TimingOnly trainer never
+// builds them: its steps simulate the same kernels, all-reduce and EMB
+// backward without touching dense-model state.
 #pragma once
 
 #include <memory>

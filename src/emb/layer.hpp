@@ -67,6 +67,7 @@ class ShardedEmbeddingLayer {
   const EmbLayerSpec& spec() const { return spec_; }
   const Sharding& sharding() const { return sharding_; }
   gpu::MultiGpuSystem& system() { return system_; }
+  const gpu::MultiGpuSystem& system() const { return system_; }
   int dim() const { return spec_.dim; }
 
   EmbeddingTable& table(std::int64_t global_table);

@@ -7,8 +7,7 @@ namespace pgasemb::emb {
 
 SimTime lookupComputeTime(const ShardedEmbeddingLayer& layer,
                           const GpuLookupWork& work) {
-  const auto& cm =
-      const_cast<ShardedEmbeddingLayer&>(layer).system().costModel();
+  const auto& cm = layer.system().costModel();
   const double dim = static_cast<double>(layer.dim());
   const double outputs = static_cast<double>(work.totalOutputs());
   // CSR offsets + raw indices + gathered rows + pooled output writes.

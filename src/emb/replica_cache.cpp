@@ -201,8 +201,7 @@ bool CacheFilter::bagServed(std::int64_t table, std::int64_t sample) const {
 
 gpu::KernelDesc buildCacheProbeKernel(const ShardedEmbeddingLayer& layer,
                                       const CacheFilter& filter, int gpu) {
-  const auto& cm =
-      const_cast<ShardedEmbeddingLayer&>(layer).system().costModel();
+  const auto& cm = layer.system().costModel();
   gpu::KernelDesc desc;
   desc.name = "emb_cache_probe.gpu" + std::to_string(gpu);
   desc.duration = cm.cacheProbeTime(filter.probedIndices(gpu));

@@ -1,15 +1,18 @@
 // Tests for the full training path: MLP backprop verified against
 // numerical finite-difference gradients, interaction backward, loss
-// decrease over SGD steps, and bit-identical training under both EMB
-// backward schemes.
+// decrease over SGD steps, bit-identical training under both EMB
+// backward schemes, and TimingOnly steps that build no dense-model
+// state.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
 #include "collective/communicator.hpp"
+#include "core/collective_retriever.hpp"
 #include "core/pgas_retriever.hpp"
 #include "dlrm/trainer.hpp"
+#include "emb/workload.hpp"
 #include "fabric/fabric.hpp"
 #include "pgas/runtime.hpp"
 #include "util/expect.hpp"
@@ -211,9 +214,28 @@ TEST(TrainerTest, LossDecreasesOverSgdSteps) {
   EXPECT_LT(losses.back(), losses.front() * 0.95);
 }
 
+// Every bias and weight of `mlp`, layer-major.
+std::vector<float> mlpParameters(const Mlp& mlp) {
+  std::vector<float> params;
+  const auto& dims = mlp.config().layer_dims;
+  for (int l = 0; l < static_cast<int>(dims.size()); ++l) {
+    for (int i = 0; i < dims[static_cast<std::size_t>(l)]; ++i) {
+      params.push_back(mlp.bias(l, i));
+      for (int j = 0; j < mlp.inputDim(l); ++j) {
+        params.push_back(mlp.weight(l, i, j));
+      }
+    }
+  }
+  return params;
+}
+
 TEST(TrainerTest, BothBackwardSchemesTrainIdentically) {
+  // The loss of each of the 3 steps, the same for both schemes. Pinned,
+  // so a change that moves the dense numerics of both schemes alike
+  // still fails.
+  const std::vector<double> kLosses = {
+      0.64771717600524426, 0.63391505740582943, 0.62139321304857731};
   std::vector<float> final_weights[2];
-  double final_loss[2] = {0.0, 0.0};
   for (const auto scheme :
        {BackwardScheme::kCollective, BackwardScheme::kPgasAtomics}) {
     TrainRig rig(3);
@@ -223,10 +245,12 @@ TEST(TrainerTest, BothBackwardSchemesTrainIdentically) {
     const auto sparse = emb::SparseBatch::generateUniform(
         TrainRig::layerSpec().batchSpec(), rng);
     const auto dense = DenseBatch::generateUniform(16, 4, rng);
-    TrainStepResult last;
-    for (int step = 0; step < 3; ++step) last = trainer.step(dense, sparse);
+    std::vector<double> losses;
+    for (int step = 0; step < 3; ++step) {
+      losses.push_back(trainer.step(dense, sparse).loss);
+    }
+    EXPECT_EQ(losses, kLosses);
     const int idx = scheme == BackwardScheme::kPgasAtomics ? 1 : 0;
-    final_loss[idx] = last.loss;
     auto& w = final_weights[idx];
     const auto spec = TrainRig::layerSpec();
     for (std::int64_t t = 0; t < spec.total_tables; ++t) {
@@ -236,13 +260,71 @@ TEST(TrainerTest, BothBackwardSchemesTrainIdentically) {
         }
       }
     }
-    for (int l = 0; l < 2; ++l) {
-      w.push_back(rig.model.topMlp().weight(l, 0, 0));
-      w.push_back(rig.model.bottomMlp().weight(l, 0, 0));
+    for (const Mlp* mlp : {&rig.model.topMlp(), &rig.model.bottomMlp()}) {
+      const auto params = mlpParameters(*mlp);
+      w.insert(w.end(), params.begin(), params.end());
     }
   }
   EXPECT_EQ(final_weights[0], final_weights[1]);
-  EXPECT_EQ(final_loss[0], final_loss[1]);
+}
+
+TEST(TrainerTest, TimingOnlyStepBuildsNoDenseModelState) {
+  // bench_training's 4-GPU shape, each backward scheme paired with its
+  // forward retriever. The MLP weights and gradients are data plane, so
+  // a TimingOnly trainer builds neither, and every simulated time stays
+  // at its pinned SimTime count (picoseconds; both steps take the same).
+  struct Pin {
+    BackwardScheme scheme;
+    std::int64_t total, emb_forward, emb_backward, mlp_backward;
+  };
+  const Pin pins[] = {
+      {BackwardScheme::kCollective, 283592847508, 61751273389, 171662288253,
+       36359540952},
+      {BackwardScheme::kPgasAtomics, 224242908762, 35506388282, 138557234614,
+       36359540952},
+  };
+  constexpr int kGpus = 4;
+  const emb::EmbLayerSpec spec = emb::weakScalingLayerSpec(kGpus);
+  DlrmConfig model_cfg;
+  model_cfg.dense_dim = 13;
+  model_cfg.top_mlp = {512, 256, spec.dim};
+  model_cfg.bottom_mlp = {512, 256, 1};
+  const auto sparse = emb::SparseBatch::statistical(spec.batchSpec());
+  Rng rng(1);
+  const auto dense =
+      DenseBatch::generateUniform(spec.batch_size, model_cfg.dense_dim, rng);
+  for (const auto& pin : pins) {
+    const bool pgas = pin.scheme == BackwardScheme::kPgasAtomics;
+    SCOPED_TRACE(pgas ? "pgas_fused + atomics" : "collective + rounds");
+    gpu::SystemConfig sys_cfg;
+    sys_cfg.num_gpus = kGpus;
+    sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
+    gpu::MultiGpuSystem system(sys_cfg);
+    fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+        kGpus, fabric::LinkParams{}));
+    collective::Communicator comm(system, fabric);
+    pgas::PgasRuntime runtime(system, fabric);
+    emb::ShardedEmbeddingLayer layer(system, spec);
+    DlrmModel model(model_cfg, layer);
+    std::unique_ptr<core::EmbeddingRetriever> retriever;
+    if (pgas) {
+      retriever = std::make_unique<core::PgasFusedRetriever>(
+          layer, runtime, core::PgasRetrieverOptions{});
+    } else {
+      retriever = std::make_unique<core::CollectiveRetriever>(layer, comm);
+    }
+    DlrmTrainer trainer(model, *retriever, comm, runtime, 0.01f,
+                        pin.scheme);
+    for (int step = 0; step < 2; ++step) {
+      const auto r = trainer.step(dense, sparse);
+      EXPECT_EQ(r.total.count(), pin.total);
+      EXPECT_EQ(r.emb_forward.total.count(), pin.emb_forward);
+      EXPECT_EQ(r.emb_backward.total.count(), pin.emb_backward);
+      EXPECT_EQ(r.mlp_backward_time.count(), pin.mlp_backward);
+    }
+    EXPECT_FALSE(model.topMlp().materialized());
+    EXPECT_FALSE(model.bottomMlp().materialized());
+  }
 }
 
 TEST(TrainerTest, StepReportsAllTimingComponents) {
