@@ -14,9 +14,9 @@ static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
   CliParser cli("Batch-size ablation (4 GPUs, weak-style config).");
   cli.addInt("batches", 20, "batches per configuration");
-  bench::addRetrieversFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers);
   if (!cli.parseOrExit(argc, argv)) return 0;
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = flags.retrievers();
 
   bench::printHeader("Ablation: batch size vs latency-limited overheads");
 

@@ -13,9 +13,9 @@ static int benchMain(int argc, char** argv) {
   CliParser cli("Pooling-factor ablation (4 GPUs, weak config).");
   cli.addInt("batches", 20, "batches per configuration");
   cli.addInt("gpus", 4, "GPU count");
-  bench::addRetrieversFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers);
   if (!cli.parseOrExit(argc, argv)) return 0;
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = flags.retrievers();
 
   bench::printHeader("Ablation: pooling factor vs overlap headroom");
 

@@ -27,12 +27,10 @@ static int benchMain(int argc, char** argv) {
     cfg.layer = emb::weakScalingLayerSpec(4);
     cfg.layer.total_tables = 64;  // moderate size for the sweep
     cfg.num_gpus = 4;
-    cfg.num_nodes = 2;
     cfg.num_batches = static_cast<int>(cli.getInt("batches"));
+    bench::applyInterNodeLink(cfg, 2);
     cfg.inter_node_link.bandwidth_bytes_per_sec =
         cli.getDouble("nic-gbps") * 1e9;
-    cfg.inter_node_link.latency = SimTime::us(5.0);
-    cfg.inter_node_link.header_bytes = 64;
     cfg.inter_node_link.max_messages_per_sec =
         cli.getDouble("nic-msg-rate");
     cfg.use_aggregator = use_agg;

@@ -7,10 +7,7 @@
 // (a) backward volume is ~pooling-factor larger and (b) the multi-round
 // synchronization disappears.
 #include "bench_common.hpp"
-#include "collective/communicator.hpp"
 #include "dlrm/backward.hpp"
-#include "fabric/fabric.hpp"
-#include "pgas/runtime.hpp"
 #include "util/table.hpp"
 
 static int benchMain(int argc, char** argv) {
@@ -19,33 +16,27 @@ static int benchMain(int argc, char** argv) {
                 "rounds (paper SV future work).");
   cli.addInt("max-gpus", 4, "largest GPU count to sweep");
   cli.addInt("batches", 20, "batches per configuration");
-  bench::addCoalesceFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kCoalesce);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
   bench::printHeader(
       "EMB backward pass (future-work extension): gradient push + "
       "aggregation");
 
-  emb::EmbLayerSpec spec = emb::weakScalingLayerSpec(1);
-  spec.total_tables = 64;  // fixed total; strong-scaling style sweep
   const int batches = static_cast<int>(cli.getInt("batches"));
 
   ConsoleTable table({"GPUs", "collective (ms)", "pgas atomics (ms)",
                       "speedup", "rounds removed"});
   for (int gpus = 2; gpus <= cli.getInt("max-gpus"); ++gpus) {
-    gpu::SystemConfig sys_cfg;
-    sys_cfg.num_gpus = gpus;
-    sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
-    gpu::MultiGpuSystem system(sys_cfg);
-    fabric::Fabric fabric(
-        std::make_unique<fabric::NvlinkAllToAllTopology>(
-            gpus, fabric::LinkParams{}));
-    collective::Communicator comm(system, fabric);
-    pgas::PgasRuntime runtime(system, fabric);
-    runtime.setCoalescingEnabled(!cli.getBool("no-coalesce"));
-    emb::ShardedEmbeddingLayer layer(system, spec);
-    dlrm::EmbBackwardEngine engine(layer, comm, runtime, 0.01f);
-    const auto batch = emb::SparseBatch::statistical(spec.batchSpec());
+    engine::ExperimentConfig cfg;
+    cfg.num_gpus = gpus;
+    cfg.layer = emb::weakScalingLayerSpec(1);
+    cfg.layer.total_tables = 64;  // fixed total; strong-scaling style sweep
+    flags.apply(cfg);
+    engine::SystemBuilder rig(cfg);
+    dlrm::EmbBackwardEngine engine(rig.layer(), rig.comm(), rig.runtime(),
+                                   0.01f);
+    const auto batch = emb::SparseBatch::statistical(cfg.layer.batchSpec());
 
     SimTime collective = SimTime::zero(), pgas_t = SimTime::zero();
     for (int b = 0; b < batches; ++b) {

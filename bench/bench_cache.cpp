@@ -21,14 +21,13 @@ static int benchMain(int argc, char** argv) {
   cli.addInt("gpus", 4, "GPU count");
   cli.addInt("batches", 20, "inference batches per configuration");
   cli.addString("csv", "cache_sweep.csv", "output CSV path (empty = none)");
-  bench::addRetrieversFlag(
-      cli, "nccl_collective,pgas_fused,nccl_pipelined");
-  bench::addCoalesceFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers | bench::kCoalesce,
+                                 "nccl_collective,pgas_fused,nccl_pipelined");
   if (!cli.parseOrExit(argc, argv)) return 0;
 
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const int batches = static_cast<int>(cli.getInt("batches"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = flags.retrievers();
 
   const double alphas[] = {0.0, 0.6, 0.9, 1.1};
   // Capacities as fractions of the raw-index domain; 0 = cache off.
@@ -61,7 +60,7 @@ static int benchMain(int argc, char** argv) {
       cfg.layer.zipf_alpha = alpha;
       cfg.cache_rows =
           static_cast<std::int64_t>(frac * static_cast<double>(rows));
-      bench::applyCoalesceFlag(cli, cfg);
+      flags.apply(cfg);
       engine::ScenarioRunner runner(cfg);
       const auto runs = runner.runAll(retrievers);
       for (std::size_t r = 0; r < runs.size(); ++r) {

@@ -110,18 +110,15 @@ static int benchMain(int argc, char** argv) {
       "Communication volume over time (paper Figures 7 and 10).");
   cli.addString("csv-fig7", "comm_volume_fig7.csv", "Fig 7 CSV path");
   cli.addString("csv-fig10", "comm_volume_fig10.csv", "Fig 10 CSV path");
-  bench::addRetrieversFlag(cli);
-  bench::addCacheFlags(cli);
-  bench::addCoalesceFlag(cli);
+  const bench::ConfigFlags flags(
+      cli, bench::kRetrievers | bench::kCache | bench::kCoalesce);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = flags.retrievers();
   auto fig7 = engine::weakScalingConfig(2);
   auto fig10 = engine::strongScalingConfig(4);
-  bench::applyCacheFlags(cli, fig7);
-  bench::applyCacheFlags(cli, fig10);
-  bench::applyCoalesceFlag(cli, fig7);
-  bench::applyCoalesceFlag(cli, fig10);
+  flags.apply(fig7);
+  flags.apply(fig10);
   runFigure("Figure 7: comm volume over time — weak scaling, 2 GPUs",
             fig7, retrievers, cli.getString("csv-fig7"));
   runFigure("Figure 10: comm volume over time — strong scaling, 4 GPUs",

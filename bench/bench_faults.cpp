@@ -19,6 +19,7 @@
 // for the scripts/check_perf.py gate.
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "bench_common.hpp"
 #include "engine/serving_runner.hpp"
@@ -75,17 +76,6 @@ std::string midRunFlap(double start_ms, double width_ms) {
   return buf;
 }
 
-/// IB-like inter-node links (the bench_multinode parameters): 25 GB/s,
-/// 5 us, 64 B headers, 10 M msg/s.
-void applyInterNodeLink(engine::ExperimentConfig& cfg, int nodes) {
-  if (nodes <= 1) return;
-  cfg.num_nodes = nodes;
-  cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;
-  cfg.inter_node_link.latency = SimTime::us(5.0);
-  cfg.inter_node_link.header_bytes = 64;
-  cfg.inter_node_link.max_messages_per_sec = 10e6;
-}
-
 /// Serving goodput under overload: offered load far past the 2-GPU knee
 /// with the full admission stack armed (bounded queue + shed-oldest,
 /// queue-wait deadlines, sliding-window controller against a 2 ms SLO).
@@ -102,7 +92,6 @@ double overloadGoodputQps(const std::string& retriever) {
   cfg.serving.shed_policy = engine::ShedPolicy::kShedOldest;
   cfg.serving.query_deadline_ms = 4.0;
   cfg.serving.admit_window = 50;
-  bench::validateOrExit(cfg);
   engine::ServingRunner runner(cfg);
   const auto result = runner.run(retriever);
   return result.serving ? result.serving->goodput_qps : 0.0;
@@ -129,23 +118,21 @@ static int benchMain(int argc, char** argv) {
                 "write the tracked resilience metrics (recovery ms, "
                 "degraded-mode fraction, serving goodput under overload) "
                 "to this path; empty = off");
-  bench::addRetrieversFlag(cli);
-  bench::addSimsanFlag(cli);
-  bench::addCoalesceFlag(cli);
+  const bench::ConfigFlags flags(
+      cli, bench::kRetrievers | bench::kSimsan | bench::kCoalesce);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const int batches = static_cast<int>(cli.getInt("batches"));
   const int nodes = static_cast<int>(cli.getInt("nodes"));
   const auto seed = static_cast<std::uint64_t>(cli.getInt("fault-seed"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = flags.retrievers();
   const bool node_mode = nodes > 1;
   if (node_mode && (gpus % nodes != 0 || gpus / nodes < 2)) {
-    fprintf(stderr,
-            "--nodes %d needs --gpus divisible by it with >= 2 GPUs per "
-            "node (got %d)\n",
-            nodes, gpus);
-    return 2;
+    throw InvalidArgumentError(
+        "--nodes " + std::to_string(nodes) +
+        " needs --gpus divisible by it with >= 2 GPUs per node (got " +
+        std::to_string(gpus) + ")");
   }
 
   if (node_mode) {
@@ -195,20 +182,16 @@ static int benchMain(int argc, char** argv) {
   SimTime horizon = SimTime::ms(10.0);
   double flap_start_ms = 1.0;
   double flap_width_ms = 2.0;
-  const auto severities =
-      node_mode ? std::vector<Severity>(std::begin(kNodeSeverities),
-                                        std::end(kNodeSeverities))
-                : std::vector<Severity>(std::begin(kSeverities),
-                                        std::end(kSeverities));
+  const std::span<const Severity> severities =
+      node_mode ? std::span<const Severity>(kNodeSeverities) : kSeverities;
   for (const Severity& sev : severities) {
     engine::ExperimentConfig cfg = engine::weakScalingConfig(gpus);
     if (node_mode) {
       cfg.layer = emb::multinodeServingLayerSpec(gpus);
-      applyInterNodeLink(cfg, nodes);
+      bench::applyInterNodeLink(cfg, nodes);
       cfg.hierarchical_a2a = true;
     }
     cfg.num_batches = batches;
-    bench::applySimsanFlags(cli, cfg);
     if (sev.spec[0] != '\0') {
       std::string spec = sev.spec;
       const auto marker = spec.find("+flap");
@@ -219,8 +202,7 @@ static int benchMain(int argc, char** argv) {
       }
       cfg.faults = fault::FaultPlan::parse(spec, seed, horizon);
     }
-    bench::applyCoalesceFlag(cli, cfg);
-    bench::validateOrExit(cfg);
+    flags.apply(cfg);
     engine::ScenarioRunner runner(cfg);
     trace::ScalingPoint point;
     point.gpus = gpus;
@@ -311,36 +293,22 @@ static int benchMain(int argc, char** argv) {
     for (std::size_t r = 0; r < retrievers.size(); ++r) {
       goodput[r] = overloadGoodputQps(retrievers[r]);
     }
-    FILE* out = fopen(bench_json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr, "--bench-json: cannot open " + bench_json);
-    const auto field = [&](const char* key, auto emit) {
-      fprintf(out, "  \"%s\": {", key);
-      for (std::size_t r = 0; r < retrievers.size(); ++r) {
-        fprintf(out, "%s\"%s\": ", r == 0 ? "" : ", ",
-                retrievers[r].c_str());
-        emit(r);
+    std::vector<double> degraded_fraction(retrievers.size(), 0.0);
+    for (std::size_t r = 0; r < retrievers.size(); ++r) {
+      if (faulted_total_ms[r] > 0.0) {
+        degraded_fraction[r] = degraded_ms[r] / faulted_total_ms[r];
       }
-      fprintf(out, "}");
-    };
-    fprintf(out, "{\n  \"bench\": \"resilience\",\n");
-    fprintf(out, "  \"nodes\": %d,\n  \"gpus\": %d,\n  \"batches\": %d,\n",
-            node_mode ? nodes : 1, gpus, batches);
-    fprintf(out, "  \"fault_seed\": %llu,\n",
-            static_cast<unsigned long long>(seed));
-    field("resilience_recovery_ms",
-          [&](std::size_t r) { fprintf(out, "%.4f", recovery_ms[r]); });
-    fprintf(out, ",\n");
-    field("resilience_degraded_fraction", [&](std::size_t r) {
-      fprintf(out, "%.6f",
-              faulted_total_ms[r] > 0.0 ? degraded_ms[r] / faulted_total_ms[r]
-                                        : 0.0);
-    });
-    fprintf(out, ",\n");
-    field("serving_goodput_qps",
-          [&](std::size_t r) { fprintf(out, "%.1f", goodput[r]); });
-    fprintf(out, "\n}\n");
-    fclose(out);
-    printf("wrote %s\n", bench_json.c_str());
+    }
+    bench::BenchRecord record("resilience");
+    record.field("nodes", std::to_string(node_mode ? nodes : 1));
+    record.field("gpus", std::to_string(gpus));
+    record.field("batches", std::to_string(batches));
+    record.field("fault_seed", std::to_string(seed));
+    record.metric("resilience_recovery_ms", retrievers, recovery_ms, "%.4f");
+    record.metric("resilience_degraded_fraction", retrievers,
+                  degraded_fraction, "%.6f");
+    record.metric("serving_goodput_qps", retrievers, goodput, "%.1f");
+    record.write(bench_json);
   }
   return 0;
 }

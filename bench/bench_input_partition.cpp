@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "emb/input_partition.hpp"
 #include "emb/lookup_kernel.hpp"
-#include "fabric/fabric.hpp"
 #include "util/table.hpp"
 
 using namespace pgasemb;
@@ -22,11 +21,8 @@ static int benchMain(int argc, char** argv) {
 
   bench::printHeader("Ablation: sparse-input partitioning (paper SV)");
 
-  const auto spec = emb::weakScalingLayerSpec(gpus);
-  gpu::SystemConfig sys_cfg;
-  sys_cfg.num_gpus = gpus;
-  sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
-  const auto batch = emb::SparseBatch::statistical(spec.batchSpec());
+  engine::ExperimentConfig cfg = engine::weakScalingConfig(gpus);
+  const auto batch = emb::SparseBatch::statistical(cfg.layer.batchSpec());
 
   ConsoleTable table({"scheme", "host partition", "extra kernel read",
                       "share of EMB batch"});
@@ -41,16 +37,17 @@ static int benchMain(int argc, char** argv) {
                             emb::ShardingScheme::kRowWise, false},
                        Case{"row-wise,  fused",
                             emb::ShardingScheme::kRowWise, true}}) {
-    gpu::MultiGpuSystem system(sys_cfg);
-    emb::ShardedEmbeddingLayer layer(system, spec, c.scheme);
+    cfg.sharding = c.scheme;
+    engine::SystemBuilder rig(cfg);
+    const auto& layer = rig.layer();
+    const auto& cost_model = rig.system().costModel();
     const auto cost = emb::inputPartitionCost(layer, batch, c.fused);
     // EMB batch time reference: lookup compute on GPU 0.
     const auto work = layer.lookupWork(batch, 0);
     const SimTime emb_time = emb::lookupComputeTime(layer, work);
     const double extra_ms =
         cost.extra_kernel_bytes_per_gpu /
-        (system.costModel().hbm_bandwidth *
-         system.costModel().gather_efficiency) *
+        (cost_model.hbm_bandwidth * cost_model.gather_efficiency) *
         1e3;
     table.addRow(
         {c.name, cost.host_time.toString(),

@@ -12,59 +12,16 @@
 // small Functional-mode run per compression mode so the reported
 // quantization error is measured, not estimated. Results land in
 // multinode_sweep.csv and (opt-in) the BENCH_multinode.json perf record.
-#include <cmath>
+#include <climits>
 
 #include "bench_common.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace pgasemb;
 
 namespace {
-
-/// Comma-separated node counts ("1,2,4"); operator errors exit 2.
-std::vector<int> parseNodeList(const std::string& spec) {
-  std::vector<int> out;
-  std::string current;
-  const auto flush = [&] {
-    if (current.empty()) return;
-    try {
-      std::size_t pos = 0;
-      const int v = std::stoi(current, &pos);
-      if (pos != current.size() || v < 1) throw std::invalid_argument("");
-      out.push_back(v);
-    } catch (const std::exception&) {
-      fprintf(stderr, "--sweep-nodes: bad count '%s' (want positive ints)\n",
-              current.c_str());
-      std::exit(2);
-    }
-    current.clear();
-  };
-  for (const char c : spec) {
-    if (c == ',') {
-      flush();
-    } else if (c != ' ') {
-      current += c;
-    }
-  }
-  flush();
-  if (out.empty()) {
-    fprintf(stderr, "--sweep-nodes needs at least one node count\n");
-    std::exit(2);
-  }
-  return out;
-}
-
-/// IB-like inter-node links shared by both bench modes (and pinned by
-/// tests/multinode_test.cpp): 25 GB/s, 5 us, 64 B headers, 10 M msg/s.
-void applyInterNodeLink(engine::ExperimentConfig& cfg, int nodes) {
-  if (nodes <= 1) return;
-  cfg.num_nodes = nodes;
-  cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;
-  cfg.inter_node_link.latency = SimTime::us(5.0);
-  cfg.inter_node_link.header_bytes = 64;
-  cfg.inter_node_link.max_messages_per_sec = 10e6;
-}
 
 /// One sweep cell: routing scheme x compression mode.
 struct SweepMode {
@@ -84,24 +41,41 @@ constexpr SweepMode kModes[] = {
     {"hier", "adaptive", true, true, true},
 };
 
-int runSweep(const CliParser& cli) {
+/// A run's batch count as the divisor of its per-batch averages (1 when
+/// no batch ran).
+double batchesOf(const engine::ExperimentResult& result) {
+  return result.stats.batches > 0 ? static_cast<double>(result.stats.batches)
+                                  : 1.0;
+}
+
+int runSweep(const CliParser& cli, const bench::ConfigFlags& flags) {
   const int per_node = static_cast<int>(cli.getInt("gpus-per-node"));
   const int batches = static_cast<int>(cli.getInt("batches"));
   const double bound = cli.getDouble("bound");
-  const auto node_list = parseNodeList(cli.getString("sweep-nodes"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto node_list = bench::splitList(
+      cli, "sweep-nodes", "node count", [](const std::string& item) {
+        const std::int64_t nodes = parseIntStrict(item, "--sweep-nodes");
+        if (nodes < 1 || nodes > INT_MAX) {
+          throw InvalidArgumentError("--sweep-nodes: bad count '" + item +
+                                     "' (want positive ints)");
+        }
+        return static_cast<int>(nodes);
+      });
+  const auto retrievers = flags.retrievers();
 
+  // The grid owns routing and compression; of the multi-node flags only
+  // --nic-shared-queue carries over.
   const auto make_cfg = [&](int nodes, const SweepMode& mode) {
     engine::ExperimentConfig cfg =
         engine::weakScalingConfig(nodes * per_node);
     cfg.layer = emb::multinodeServingLayerSpec(nodes * per_node);
     cfg.num_batches = batches;
-    applyInterNodeLink(cfg, nodes);
-    bench::applyMultinodeFlags(cli, cfg);
+    bench::applyInterNodeLink(cfg, nodes);
+    cfg.nic_shared_queue = cli.getBool("nic-shared-queue");
     cfg.hierarchical_a2a = mode.hierarchical;
     cfg.compress_bound = mode.compress ? bound : 0.0;
     cfg.compress_adaptive = mode.adaptive;
-    bench::validateOrExit(cfg);
+    cfg.validate();
     return cfg;
   };
 
@@ -137,9 +111,7 @@ int runSweep(const CliParser& cli) {
                       "ms/batch", "inter MB/batch", "inter msgs/batch",
                       "ratio"});
   for (const auto& row : rows) {
-    const double b = row.result.stats.batches > 0
-                         ? static_cast<double>(row.result.stats.batches)
-                         : 1.0;
+    const double b = batchesOf(row.result);
     const auto& in = row.result.inter_node;
     table.addRow(
         {std::to_string(row.nodes), std::to_string(row.nodes * per_node),
@@ -180,12 +152,12 @@ int runSweep(const CliParser& cli) {
       cfg.layer.min_pooling = 1;
       cfg.layer.max_pooling = 8;
       cfg.num_batches = 2;
-      applyInterNodeLink(cfg, 2);
+      bench::applyInterNodeLink(cfg, 2);
       cfg.mode = gpu::ExecutionMode::kFunctional;
       cfg.hierarchical_a2a = true;
       cfg.compress_bound = bound;
       cfg.compress_adaptive = adaptive;
-      bench::validateOrExit(cfg);
+      cfg.validate();
       engine::ScenarioRunner runner(cfg);
       for (auto& run : runner.runAll(functional_retrievers)) {
         accuracy.push_back(std::move(run));
@@ -207,9 +179,7 @@ int runSweep(const CliParser& cli) {
                    "inter_wire_bytes_per_batch", "inter_msgs_per_batch",
                    "compress_ratio", "max_abs_err", "mean_abs_err"});
     for (const auto& row : rows) {
-      const double b = row.result.stats.batches > 0
-                           ? static_cast<double>(row.result.stats.batches)
-                           : 1.0;
+      const double b = batchesOf(row.result);
       const auto& in = row.result.inter_node;
       const auto& cr = row.result.compression;
       out.addRow(
@@ -258,55 +228,35 @@ int runSweep(const CliParser& cli) {
     constexpr Tracked kTracked[] = {{"flat", "off", "flat"},
                                     {"hier", "off", "hier"},
                                     {"hier", "fixed", "hier_comp"}};
-    const auto find_row = [&](const std::string& retriever,
-                              const Tracked& t) -> const Row* {
-      for (const auto& row : rows) {
-        if (row.nodes == max_nodes && row.retriever == retriever &&
-            row.mode->routing == std::string(t.routing) &&
-            row.mode->compression == std::string(t.compression)) {
-          return &row;
+    std::vector<std::string> keys;
+    std::vector<double> ms_per_batch, inter_bytes;
+    for (const auto& retriever : retrievers) {
+      for (const auto& t : kTracked) {
+        for (const auto& row : rows) {
+          if (row.nodes != max_nodes || row.retriever != retriever ||
+              row.mode->routing != std::string(t.routing) ||
+              row.mode->compression != std::string(t.compression)) {
+            continue;
+          }
+          const auto& in = row.result.inter_node;
+          keys.push_back(retriever + "." + t.suffix);
+          ms_per_batch.push_back(row.result.avgBatchMs());
+          inter_bytes.push_back(
+              in ? in->inter_wire_equivalent_bytes / batchesOf(row.result)
+                 : 0.0);
+          break;
         }
       }
-      return nullptr;
-    };
-    FILE* out = fopen(bench_json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr, "--bench-json: cannot open " + bench_json);
-    const auto field = [&](const char* key, auto emit) {
-      fprintf(out, "  \"%s\": {", key);
-      bool first = true;
-      for (const auto& retriever : retrievers) {
-        for (const auto& t : kTracked) {
-          const Row* row = find_row(retriever, t);
-          if (row == nullptr) continue;
-          fprintf(out, "%s\"%s.%s\": ", first ? "" : ", ",
-                  retriever.c_str(), t.suffix);
-          emit(*row);
-          first = false;
-        }
-      }
-      fprintf(out, "}");
-    };
-    fprintf(out, "{\n  \"bench\": \"multinode\",\n");
-    fprintf(out, "  \"gpus_per_node\": %d,\n  \"batches\": %d,\n", per_node,
-            batches);
-    fprintf(out, "  \"max_nodes\": %d,\n  \"bound\": %g,\n", max_nodes,
-            bound);
-    field("multinode_ms_per_batch", [&](const Row& row) {
-      fprintf(out, "%.4f", row.result.avgBatchMs());
-    });
-    fprintf(out, ",\n");
-    field("multinode_inter_bytes_per_batch", [&](const Row& row) {
-      const double b = row.result.stats.batches > 0
-                           ? static_cast<double>(row.result.stats.batches)
-                           : 1.0;
-      fprintf(out, "%.1f",
-              row.result.inter_node
-                  ? row.result.inter_node->inter_wire_equivalent_bytes / b
-                  : 0.0);
-    });
-    fprintf(out, "\n}\n");
-    fclose(out);
-    printf("wrote %s\n", bench_json.c_str());
+    }
+    bench::BenchRecord record("multinode");
+    record.field("gpus_per_node", std::to_string(per_node));
+    record.field("batches", std::to_string(batches));
+    record.field("max_nodes", std::to_string(max_nodes));
+    record.field("bound", bench::BenchRecord::number("%g", bound));
+    record.metric("multinode_ms_per_batch", keys, ms_per_batch, "%.4f");
+    record.metric("multinode_inter_bytes_per_batch", keys, inter_bytes,
+                  "%.1f");
+    record.write(bench_json);
   }
   return 0;
 }
@@ -332,13 +282,12 @@ static int benchMain(int argc, char** argv) {
                 "write the tracked multi-node metrics (ms/batch and "
                 "inter-node bytes/batch at the largest swept node count) "
                 "to this path; empty = off");
-  bench::addRetrieversFlag(cli,
-                           "nccl_collective,pgas_fused,nccl_pipelined");
-  bench::addMultinodeFlags(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers | bench::kMultinode,
+                                 "nccl_collective,pgas_fused,nccl_pipelined");
   if (!cli.parseOrExit(argc, argv)) return 0;
   const int per_node = static_cast<int>(cli.getInt("gpus-per-node"));
 
-  if (cli.getBool("sweep")) return runSweep(cli);
+  if (cli.getBool("sweep")) return runSweep(cli, flags);
 
   bench::printHeader(
       "Multi-node weak scaling (4 GPUs/node, IB-like inter-node links)");
@@ -347,12 +296,11 @@ static int benchMain(int argc, char** argv) {
     engine::ExperimentConfig cfg =
         engine::weakScalingConfig(nodes * per_node);
     cfg.num_batches = static_cast<int>(cli.getInt("batches"));
-    applyInterNodeLink(cfg, nodes);
-    bench::applyMultinodeFlags(cli, cfg);
+    bench::applyInterNodeLink(cfg, nodes);
     cfg.use_aggregator = agg;
     cfg.aggregator.aggregation_bytes = 64 * 1024;
     cfg.aggregator.max_wait = SimTime::us(50.0);
-    bench::validateOrExit(cfg);
+    flags.apply(cfg);
     return cfg;
   };
 

@@ -21,9 +21,8 @@ static int benchMain(int argc, char** argv) {
   cli.addInt("batches", 50, "batches per configuration");
   cli.addInt("gpus", 4, "GPU count");
   cli.addInt("depth", 2, "pipeline depth (in-flight batches)");
-  bench::addRetrieversFlag(cli,
-                           "nccl_collective,nccl_pipelined,pgas_fused");
-  bench::addSimsanFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers | bench::kSimsan,
+                                 "nccl_collective,nccl_pipelined,pgas_fused");
   if (!cli.parseOrExit(argc, argv)) return 0;
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const int depth = static_cast<int>(cli.getInt("depth"));
@@ -36,10 +35,10 @@ static int benchMain(int argc, char** argv) {
   cfg.layer.total_tables = 48LL * gpus;
   cfg.num_batches = static_cast<int>(cli.getInt("batches"));
   cfg.pipeline_depth = depth;
-  bench::applySimsanFlags(cli, cfg);
+  flags.apply(cfg);
 
   engine::ScenarioRunner runner(cfg);
-  const auto runs = runner.runAll(bench::retrieverList(cli));
+  const auto runs = runner.runAll(flags.retrievers());
 
   const std::string ref_key = trace::runKey(runs.front().retriever);
   ConsoleTable table(

@@ -14,86 +14,9 @@
 // --slo-ms the per-query sliding-window p95 drives the SLO fallback
 // policy, so a mid-run link degrade shows up as a retriever switch and
 // a recovery in the p95 timeline.
-#include <cstdio>
-#include <cstdlib>
-
 #include "bench_common.hpp"
 #include "engine/serving_runner.hpp"
-
-namespace {
-
-using namespace pgasemb;
-
-/// Comma-separated doubles ("500,1000,2000"); operator errors exit 2.
-std::vector<double> parseQpsList(const std::string& spec) {
-  std::vector<double> out;
-  std::string current;
-  const auto flush = [&] {
-    if (current.empty()) return;
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(current, &pos);
-      if (pos != current.size() || v <= 0.0) throw std::invalid_argument("");
-      out.push_back(v);
-    } catch (const std::exception&) {
-      fprintf(stderr, "--qps-list: bad rate '%s' (want positive numbers)\n",
-              current.c_str());
-      std::exit(2);
-    }
-    current.clear();
-  };
-  for (const char c : spec) {
-    if (c == ',') {
-      flush();
-    } else if (c != ' ') {
-      current += c;
-    }
-  }
-  flush();
-  if (out.empty()) {
-    fprintf(stderr, "--qps-list needs at least one rate\n");
-    std::exit(2);
-  }
-  return out;
-}
-
-/// Comma-separated arrival patterns; operator errors exit 2.
-std::vector<engine::ArrivalPattern> parseArrivals(const std::string& spec) {
-  std::vector<engine::ArrivalPattern> out;
-  std::string current;
-  const auto flush = [&] {
-    if (current.empty()) return;
-    try {
-      out.push_back(engine::parseArrivalPattern(current));
-    } catch (const Error& e) {
-      fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
-      std::exit(2);
-    }
-    current.clear();
-  };
-  for (const char c : spec) {
-    if (c == ',') {
-      flush();
-    } else if (c != ' ') {
-      current += c;
-    }
-  }
-  flush();
-  if (out.empty()) {
-    fprintf(stderr, "--arrivals needs at least one pattern\n");
-    std::exit(2);
-  }
-  return out;
-}
-
-/// The knee rule shared with trace::renderServingSummary: the largest
-/// offered QPS whose point kept up (and met the tail SLO when set).
-bool sustained(const engine::ServingResult& sv, double slo_ms) {
-  if (sv.achieved_qps < 0.95 * sv.offered_qps) return false;
-  return slo_ms <= 0.0 || sv.p99_ms <= slo_ms;
-}
-
-}  // namespace
+#include "util/parse.hpp"
 
 static int benchMain(int argc, char** argv) {
   using namespace pgasemb;
@@ -121,34 +44,33 @@ static int benchMain(int argc, char** argv) {
   cli.addString("bench-json", "",
                 "write the tracked serving metrics (p99 ms at the lowest "
                 "swept load, max sustainable QPS) to this path; empty = off");
-  bench::addRetrieversFlag(cli);
-  bench::addSimsanFlag(cli);
-  bench::addCacheFlags(cli);
-  bench::addFaultFlags(cli);
-  bench::addAdmissionFlags(cli);
-  bench::addCoalesceFlag(cli);
+  const bench::ConfigFlags flags(
+      cli, bench::kRetrievers | bench::kSimsan | bench::kCache |
+               bench::kFaults | bench::kAdmission | bench::kCoalesce);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const std::int64_t max_batch = cli.getInt("max-batch");
-  const auto qps_list = parseQpsList(cli.getString("qps-list"));
-  const auto arrivals = parseArrivals(cli.getString("arrivals"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto qps_list =
+      bench::splitList(cli, "qps-list", "rate", [](const std::string& item) {
+        const double qps = parseDoubleStrict(item, "--qps-list rate");
+        if (qps <= 0.0) {
+          throw InvalidArgumentError("--qps-list: bad rate '" + item +
+                                     "' (want positive numbers)");
+        }
+        return qps;
+      });
+  const auto arrivals = bench::splitList(cli, "arrivals", "pattern",
+                                         engine::parseArrivalPattern);
+  const auto retrievers = flags.retrievers();
   const double slo_ms = cli.getDouble("slo-ms");
-
-  emb::QuerySizeSpec query_size;
-  try {
-    query_size = emb::parseQuerySizeSpec(cli.getString("query-sizes"));
-  } catch (const Error& e) {
-    fprintf(stderr, "%s\n(run with --help for usage)\n", e.what());
-    std::exit(2);
-  }
+  const emb::QuerySizeSpec query_size =
+      emb::parseQuerySizeSpec(cli.getString("query-sizes"));
 
   const auto make_config = [&](engine::ArrivalPattern arrival, double qps) {
     engine::ExperimentConfig cfg;
     cfg.num_gpus = gpus;
     cfg.layer = emb::servingLayerSpec(gpus, max_batch);
-    bench::applySimsanFlags(cli, cfg);
     cfg.serving.num_queries = cli.getInt("queries");
     cfg.serving.qps = qps;
     cfg.serving.arrival = arrival;
@@ -157,11 +79,7 @@ static int benchMain(int argc, char** argv) {
     cfg.serving.query_size = query_size;
     cfg.serving.max_wait_ms = cli.getDouble("max-wait-ms");
     cfg.serving.slo_ms = slo_ms;
-    bench::applyCacheFlags(cli, cfg);
-    bench::applyFaultFlags(cli, cfg);
-    bench::applyAdmissionFlags(cli, cfg);
-    bench::applyCoalesceFlag(cli, cfg);
-    bench::validateOrExit(cfg);
+    flags.apply(cfg);
     return cfg;
   };
 
@@ -197,16 +115,22 @@ static int benchMain(int argc, char** argv) {
   const std::string resilience = trace::renderServingResilienceTable(points);
   if (!resilience.empty()) printf("\n%s\n", resilience.c_str());
 
+  // The highest swept load of one arrival pattern (null when none ran).
+  const auto top_point = [&](const std::string& arrival) {
+    const trace::ServingPoint* top = nullptr;
+    for (const auto& p : points) {
+      if (p.arrival == arrival && (top == nullptr || p.qps > top->qps)) {
+        top = &p;
+      }
+    }
+    return top;
+  };
+
   // p95-over-time at each arrival pattern's highest swept load — the
   // regime where batching, backlog, and any brownout actually bite.
   for (const auto arrival : arrivals) {
     const std::string name = engine::formatArrivalPattern(arrival);
-    const trace::ServingPoint* top = nullptr;
-    for (const auto& p : points) {
-      if (p.arrival == name && (top == nullptr || p.qps > top->qps)) {
-        top = &p;
-      }
-    }
+    const trace::ServingPoint* top = top_point(name);
     if (top == nullptr) continue;
     char title[128];
     snprintf(title, sizeof(title), "p95 timeline (%s, %.0f qps)",
@@ -218,12 +142,7 @@ static int benchMain(int argc, char** argv) {
   // first arrival pattern's highest load.
   {
     const std::string name = engine::formatArrivalPattern(arrivals.front());
-    const trace::ServingPoint* top = nullptr;
-    for (const auto& p : points) {
-      if (p.arrival == name && (top == nullptr || p.qps > top->qps)) {
-        top = &p;
-      }
-    }
+    const trace::ServingPoint* top = top_point(name);
     if (top != nullptr && !top->runs.empty()) {
       const auto& run = top->runs.back();
       char title[128];
@@ -271,36 +190,19 @@ static int benchMain(int argc, char** argv) {
         if (run == nullptr || !run->result.serving) continue;
         const auto& sv = *run->result.serving;
         if (p.qps == low_qps) p99_ms[r] = sv.p99_ms;
-        if (sustained(sv, slo_ms) && p.qps > knee_qps[r]) {
+        if (trace::sustained(sv, slo_ms) && p.qps > knee_qps[r]) {
           knee_qps[r] = p.qps;
         }
       }
     }
-    FILE* out = fopen(bench_json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr,
-                  "--bench-json: cannot open " + bench_json);
-    const auto field = [&](const char* key, auto emit) {
-      fprintf(out, "  \"%s\": {", key);
-      for (std::size_t r = 0; r < retrievers.size(); ++r) {
-        fprintf(out, "%s\"%s\": ", r == 0 ? "" : ", ",
-                retrievers[r].c_str());
-        emit(r);
-      }
-      fprintf(out, "}");
-    };
-    fprintf(out, "{\n  \"bench\": \"serving\",\n");
-    fprintf(out, "  \"gpus\": %d,\n  \"queries\": %lld,\n", gpus,
-            static_cast<long long>(cli.getInt("queries")));
-    fprintf(out, "  \"arrival\": \"%s\",\n  \"low_qps\": %.1f,\n",
-            first_arrival.c_str(), low_qps);
-    field("serving_p99_ms",
-          [&](std::size_t r) { fprintf(out, "%.4f", p99_ms[r]); });
-    fprintf(out, ",\n");
-    field("max_sustainable_qps",
-          [&](std::size_t r) { fprintf(out, "%.1f", knee_qps[r]); });
-    fprintf(out, "\n}\n");
-    fclose(out);
-    printf("wrote %s\n", bench_json.c_str());
+    bench::BenchRecord record("serving");
+    record.field("gpus", std::to_string(gpus));
+    record.field("queries", std::to_string(cli.getInt("queries")));
+    record.field("arrival", "\"" + first_arrival + "\"");
+    record.field("low_qps", bench::BenchRecord::number("%.1f", low_qps));
+    record.metric("serving_p99_ms", retrievers, p99_ms, "%.4f");
+    record.metric("max_sustainable_qps", retrievers, knee_qps, "%.1f");
+    record.write(bench_json);
   }
   return 0;
 }

@@ -14,7 +14,6 @@
 //
 // All times are host wall-clock; nothing here changes simulated time.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -26,11 +25,7 @@
 namespace {
 
 using pgasemb::SimTime;
-
-double secondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using pgasemb::bench::secondsSince;
 
 /// scheduleAt + run() over `n` events at seeded pseudo-random times;
 /// returns events/sec. The callback is trivial so the heap dominates.
@@ -171,26 +166,21 @@ static int benchMain(int argc, char** argv) {
 
   const std::string json = cli.getString("json");
   if (!json.empty()) {
-    FILE* out = fopen(json.c_str(), "w");
-    PGASEMB_CHECK(out != nullptr, "--json: cannot open " + json);
-    fprintf(out, "{\n  \"bench\": \"simcore\",\n");
-    fprintf(out, "  \"gpus\": %d,\n  \"batches\": %d,\n", gpus, batches);
-    fprintf(out,
-            "  \"sim_wall_ms_per_batch\": {\"pgas_coalesced\": %.4f, "
-            "\"pgas_per_message\": %.4f},\n",
-            co.wall_ms_per_batch, per.wall_ms_per_batch);
-    fprintf(out,
-            "  \"events_per_sec\": {\"push_pop\": %.1f, "
-            "\"schedule_batch\": %.1f, \"pgas_coalesced\": %.1f, "
-            "\"pgas_per_message\": %.1f},\n",
-            push_pop, batched, co.events_per_sec, per.events_per_sec);
-    fprintf(out,
-            "  \"events_processed\": {\"pgas_coalesced\": %llu, "
-            "\"pgas_per_message\": %llu}\n}\n",
-            static_cast<unsigned long long>(co.events_processed),
-            static_cast<unsigned long long>(per.events_processed));
-    fclose(out);
-    printf("wrote %s\n", json.c_str());
+    const std::vector<std::string> flows{"pgas_coalesced", "pgas_per_message"};
+    bench::BenchRecord record("simcore");
+    record.field("gpus", std::to_string(gpus));
+    record.field("batches", std::to_string(batches));
+    record.metric("sim_wall_ms_per_batch", flows,
+                  {co.wall_ms_per_batch, per.wall_ms_per_batch}, "%.4f");
+    record.metric("events_per_sec",
+                  {"push_pop", "schedule_batch", flows[0], flows[1]},
+                  {push_pop, batched, co.events_per_sec, per.events_per_sec},
+                  "%.1f");
+    record.metric("events_processed", flows,
+                  {static_cast<double>(co.events_processed),
+                   static_cast<double>(per.events_processed)},
+                  "%.0f");
+    record.write(json);
   }
   return 0;
 }

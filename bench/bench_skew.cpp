@@ -15,10 +15,10 @@ static int benchMain(int argc, char** argv) {
   CliParser cli("Skewed-pooling ablation: naive vs balanced table-wise "
                 "sharding (4 GPUs).");
   cli.addInt("batches", 10, "batches per configuration");
-  bench::addRetrieversFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers);
   if (!cli.parseOrExit(argc, argv)) return 0;
   const int batches = static_cast<int>(cli.getInt("batches"));
-  const auto retrievers = bench::retrieverList(cli);
+  const auto retrievers = flags.retrievers();
 
   bench::printHeader(
       "Ablation: power-law feature skew + RecShard-style balancing");
@@ -45,11 +45,8 @@ static int benchMain(int argc, char** argv) {
     const auto pgas = runner.run(retrievers.back());
 
     // Imbalance metric straight from the workload descriptors.
-    gpu::SystemConfig sys_cfg;
-    sys_cfg.num_gpus = 4;
-    sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
-    gpu::MultiGpuSystem system(sys_cfg);
-    emb::ShardedEmbeddingLayer layer(system, cfg.layer);
+    engine::SystemBuilder rig(cfg);
+    const auto& layer = rig.layer();
     const auto batch = emb::SparseBatch::statistical(cfg.layer.batchSpec());
     double max_rows = 0, min_rows = 1e30;
     for (int g = 0; g < 4; ++g) {

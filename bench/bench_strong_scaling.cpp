@@ -16,11 +16,9 @@ static int benchMain(int argc, char** argv) {
   cli.addInt("max-gpus", 4, "largest GPU count to sweep");
   cli.addInt("batches", 100, "inference batches per configuration");
   cli.addString("csv", "strong_scaling.csv", "output CSV path (empty = none)");
-  bench::addRetrieversFlag(cli);
-  bench::addSimsanFlag(cli);
-  bench::addCacheFlags(cli);
-  bench::addFaultFlags(cli);
-  bench::addCoalesceFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers | bench::kSimsan |
+                                          bench::kCache | bench::kFaults |
+                                          bench::kCoalesce);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
   bench::printHeader(
@@ -28,27 +26,12 @@ static int benchMain(int argc, char** argv) {
       "pooling U(1,32)");
   const auto points = bench::sweepScaling(
       /*weak=*/false, static_cast<int>(cli.getInt("max-gpus")),
-      static_cast<int>(cli.getInt("batches")), bench::retrieverList(cli),
-      cli.getBool("simsan"), cli.getInt("cache-rows"),
-      cli.getDouble("zipf-alpha"),
-      [&](engine::ExperimentConfig& cfg) {
-        bench::applyFaultFlags(cli, cfg);
-        bench::applyCoalesceFlag(cli, cfg);
-      },
-      cli.getBool("simsan-strict"));
+      static_cast<int>(cli.getInt("batches")), flags);
 
-  printf("\n%s\n", trace::renderSpeedupTable(points).c_str());
-  printf("(paper: 2.95x / 2.55x / 2.44x, geo-mean 2.63x)\n");
-  bench::printPerGpuRuntimes(points);
-  printf("\n%s\n",
-         trace::renderScalingChart(points, /*weak=*/false).c_str());
-  printf("(paper Fig 8: baseline < 1.0 for 2-4 GPUs; PGAS ~1.6 at 2 GPUs, "
-         "declining beyond)\n");
-  const std::string cache_table = trace::renderCacheTable(points);
-  if (!cache_table.empty()) printf("\n%s\n", cache_table.c_str());
-  const std::string resilience = trace::renderResilienceTable(points);
-  if (!resilience.empty()) printf("\n%s\n", resilience.c_str());
-  bench::printSimsanReports(points);
+  bench::printScalingReport(
+      points, /*weak=*/false, "(paper: 2.95x / 2.55x / 2.44x, geo-mean 2.63x)",
+      "(paper Fig 8: baseline < 1.0 for 2-4 GPUs; PGAS ~1.6 at 2 GPUs, "
+      "declining beyond)");
 
   for (const auto& p : points) {
     if (p.gpus == 2) {
@@ -59,11 +42,7 @@ static int benchMain(int argc, char** argv) {
     }
   }
 
-  const std::string csv = cli.getString("csv");
-  if (!csv.empty()) {
-    trace::writeScalingCsv(csv, points);
-    printf("\nwrote %s\n", csv.c_str());
-  }
+  bench::writeScalingCsv(cli, points);
   return 0;
 }
 

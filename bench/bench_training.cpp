@@ -9,7 +9,6 @@
 #include "core/collective_retriever.hpp"
 #include "core/pgas_retriever.hpp"
 #include "dlrm/trainer.hpp"
-#include "fabric/fabric.hpp"
 #include "pgas/runtime.hpp"
 #include "util/table.hpp"
 
@@ -20,14 +19,16 @@ static int benchMain(int argc, char** argv) {
                 "forward and backward EMB paths (4 GPUs, weak config).");
   cli.addInt("batches", 10, "steps per configuration");
   cli.addInt("gpus", 4, "GPU count");
-  bench::addCoalesceFlag(cli);
+  const bench::ConfigFlags flags(cli, bench::kCoalesce);
   if (!cli.parseOrExit(argc, argv)) return 0;
   const int gpus = static_cast<int>(cli.getInt("gpus"));
   const int steps = static_cast<int>(cli.getInt("batches"));
 
   bench::printHeader("Full training step (paper SV realized end-to-end)");
 
-  emb::EmbLayerSpec spec = emb::weakScalingLayerSpec(gpus);
+  engine::ExperimentConfig cfg = engine::weakScalingConfig(gpus);
+  flags.apply(cfg);
+  const emb::EmbLayerSpec& spec = cfg.layer;
   dlrm::DlrmConfig model_cfg;
   model_cfg.dense_dim = 13;
   model_cfg.top_mlp = {512, 256, spec.dim};
@@ -38,17 +39,10 @@ static int benchMain(int argc, char** argv) {
   double base_ms = 0.0;
   for (const bool pgas_fwd : {false, true}) {
     for (const bool pgas_bwd : {false, true}) {
-      gpu::SystemConfig sys_cfg;
-      sys_cfg.num_gpus = gpus;
-      sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
-      gpu::MultiGpuSystem system(sys_cfg);
-      fabric::Fabric fabric(
-          std::make_unique<fabric::NvlinkAllToAllTopology>(
-              gpus, fabric::LinkParams{}));
-      collective::Communicator comm(system, fabric);
-      pgas::PgasRuntime runtime(system, fabric);
-      runtime.setCoalescingEnabled(!cli.getBool("no-coalesce"));
-      emb::ShardedEmbeddingLayer layer(system, spec);
+      engine::SystemBuilder rig(cfg);
+      auto& layer = rig.layer();
+      auto& comm = rig.comm();
+      auto& runtime = rig.runtime();
       dlrm::DlrmModel model(model_cfg, layer);
       std::unique_ptr<core::EmbeddingRetriever> retriever;
       if (pgas_fwd) {

@@ -12,16 +12,13 @@ static int benchMain(int argc, char** argv) {
   cli.addInt("max-gpus", 4, "largest GPU count to sweep");
   cli.addInt("batches", 100, "inference batches per configuration");
   cli.addString("csv", "weak_breakdown.csv", "output CSV path");
-  bench::addRetrieversFlag(cli);
-  bench::addCacheFlags(cli);
+  const bench::ConfigFlags flags(cli, bench::kRetrievers | bench::kCache);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
   bench::printHeader("Weak-scaling runtime breakdown (Figure 6)");
   const auto points = bench::sweepScaling(
       /*weak=*/true, static_cast<int>(cli.getInt("max-gpus")),
-      static_cast<int>(cli.getInt("batches")), bench::retrieverList(cli),
-      /*simsan=*/false, cli.getInt("cache-rows"),
-      cli.getDouble("zipf-alpha"));
+      static_cast<int>(cli.getInt("batches")), flags);
 
   printf("\n%s\n",
          trace::renderBreakdownBars(points,
@@ -32,16 +29,7 @@ static int benchMain(int argc, char** argv) {
   printf("Expected paper shapes: computation flat; communication "
          "decreases\nwith more GPUs; sync+unpack increases; PGAS total "
          "~= baseline computation.\n\n");
-  const std::string total_col =
-      trace::runKey(points[0].treatment().retriever) + " total";
-  printf("%-6s %-12s %-14s %-14s %-12s\n", "GPUs", "compute", "comm",
-         "sync+unpack", total_col.c_str());
-  for (const auto& p : points) {
-    const auto& ref = p.reference().result;
-    printf("%-6d %-12.3f %-14.3f %-14.3f %-12.3f\n", p.gpus,
-           ref.avgComputeMs(), ref.avgCommunicationMs(),
-           ref.avgSyncUnpackMs(), p.treatment().result.avgBatchMs());
-  }
+  bench::printBreakdownTable(points);
 
   // The paper's measurement method (§IV-A2a): the communication time is
   // estimated by re-running the communication phase with a single float
@@ -59,11 +47,7 @@ static int benchMain(int argc, char** argv) {
            phase, direct, phase - direct);
   }
 
-  const std::string csv = cli.getString("csv");
-  if (!csv.empty()) {
-    trace::writeScalingCsv(csv, points);
-    printf("\nwrote %s\n", csv.c_str());
-  }
+  bench::writeScalingCsv(cli, points);
   return 0;
 }
 

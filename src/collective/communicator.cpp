@@ -23,8 +23,8 @@ fabric::Fabric::Delivery Communicator::xfer(int src, int dst,
   }
   std::int64_t wire_bytes = payload_bytes;
   auto& topo = fabric_.topology();
-  // Only fp32 payloads compress; control messages (e.g. barrier flags)
-  // pass through.
+  // Only fp32 payloads compress; sizes that are not whole floats pass
+  // through.
   if (hier_.codec != nullptr && payload_bytes > 0 && payload_bytes % 4 == 0 &&
       topo.routeClass(src, dst) == fabric::LinkClass::kInter) {
     const int src_node = topo.nodeOf(src);
@@ -625,45 +625,6 @@ Request Communicator::allToAllSingle(
       std::move(on_complete), streams, memory);
 }
 
-Request Communicator::allGather(std::int64_t bytes_per_rank,
-                                std::function<void()> on_complete) {
-  PGASEMB_CHECK(bytes_per_rank >= 0, "negative all-gather size");
-  const int n = system_.numGpus();
-  // Ring: p-1 steps; in each step every rank forwards one rank's block to
-  // its successor. Steps on a rank chain on their own deliveries.
-  return launch(
-      "all_gather",
-      [this, bytes_per_rank, n](int src, SimTime start, detail::CollectiveState&) {
-        const int next = (src + 1) % n;
-        SimTime t = start;
-        for (int step = 0; step < n - 1; ++step) {
-          const auto d = xfer(src, next, bytes_per_rank, 1, t);
-          t = d.delivered;
-        }
-        return t;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::reduceScatter(std::int64_t total_bytes,
-                                    std::function<void()> on_complete) {
-  PGASEMB_CHECK(total_bytes >= 0, "negative reduce-scatter size");
-  const int n = system_.numGpus();
-  const std::int64_t block = n > 0 ? total_bytes / n : 0;
-  return launch(
-      "reduce_scatter",
-      [this, block, n](int src, SimTime start, detail::CollectiveState&) {
-        const int next = (src + 1) % n;
-        SimTime t = start;
-        for (int step = 0; step < n - 1; ++step) {
-          const auto d = xfer(src, next, block, 1, t);
-          t = d.delivered;
-        }
-        return t;
-      },
-      std::move(on_complete));
-}
-
 Request Communicator::allReduce(std::int64_t total_bytes,
                                 std::function<void()> on_complete) {
   PGASEMB_CHECK(total_bytes >= 0, "negative all-reduce size");
@@ -680,72 +641,6 @@ Request Communicator::allReduce(std::int64_t total_bytes,
           t = d.delivered;
         }
         return t;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::broadcast(int root, std::int64_t bytes,
-                                std::function<void()> on_complete) {
-  PGASEMB_CHECK(root >= 0 && root < system_.numGpus(), "bad broadcast root");
-  PGASEMB_CHECK(bytes >= 0, "negative broadcast size");
-  return launch(
-      "broadcast",
-      [this, root, bytes](int src, SimTime start, detail::CollectiveState&) {
-        if (src != root) return start;
-        SimTime last = start;
-        for (int dst = 0; dst < system_.numGpus(); ++dst) {
-          if (dst == root) continue;
-          const auto d = xfer(root, dst, bytes, 1, start);
-          last = std::max(last, d.delivered);
-        }
-        return last;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::gather(int root, std::int64_t bytes_per_rank,
-                             std::function<void()> on_complete) {
-  PGASEMB_CHECK(root >= 0 && root < system_.numGpus(), "bad gather root");
-  PGASEMB_CHECK(bytes_per_rank >= 0, "negative gather size");
-  return launch(
-      "gather",
-      [this, root, bytes_per_rank](int src, SimTime start, detail::CollectiveState&) {
-        if (src == root) return start;
-        const auto d = xfer(src, root, bytes_per_rank, 1, start);
-        return d.delivered;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::scatter(int root, std::int64_t bytes_per_rank,
-                              std::function<void()> on_complete) {
-  PGASEMB_CHECK(root >= 0 && root < system_.numGpus(), "bad scatter root");
-  PGASEMB_CHECK(bytes_per_rank >= 0, "negative scatter size");
-  return launch(
-      "scatter",
-      [this, root, bytes_per_rank](int src, SimTime start, detail::CollectiveState&) {
-        if (src != root) return start;
-        SimTime last = start;
-        for (int dst = 0; dst < system_.numGpus(); ++dst) {
-          if (dst == root) continue;
-          const auto d = xfer(root, dst, bytes_per_rank, 1, start);
-          last = std::max(last, d.delivered);
-        }
-        return last;
-      },
-      std::move(on_complete));
-}
-
-Request Communicator::barrier(std::function<void()> on_complete) {
-  // Modeled as a flag exchange with the ring neighbor: one header-sized
-  // message each way dominates by link latency, plus the control path.
-  return launch(
-      "barrier",
-      [this](int src, SimTime start, detail::CollectiveState&) {
-        const int next = (src + 1) % system_.numGpus();
-        if (next == src) return start;
-        const auto d = xfer(src, next, 1, 1, start);
-        return d.delivered;
       },
       std::move(on_complete));
 }

@@ -110,35 +110,10 @@ class Communicator {
       const std::vector<gpu::Stream*>* streams = nullptr,
       const CollectiveMemory* memory = nullptr);
 
-  /// Each GPU contributes `bytes_per_rank`; all GPUs end with all
-  /// contributions (ring algorithm, p-1 steps).
-  Request allGather(std::int64_t bytes_per_rank,
-                    std::function<void()> on_complete = nullptr);
-
-  /// Ring reduce-scatter of a `total_bytes` buffer (p-1 steps of
-  /// total/p-sized transfers, reductions overlapped with transfer).
-  Request reduceScatter(std::int64_t total_bytes,
-                        std::function<void()> on_complete = nullptr);
-
-  /// Ring all-reduce = reduce-scatter + all-gather, 2(p-1) steps.
+  /// Ring all-reduce = reduce-scatter + all-gather: 2(p-1) chained steps
+  /// of total/p-sized transfers, reductions overlapped with transfer.
   Request allReduce(std::int64_t total_bytes,
                     std::function<void()> on_complete = nullptr);
-
-  /// Root sends `bytes` to every other GPU (flat tree).
-  Request broadcast(int root, std::int64_t bytes,
-                    std::function<void()> on_complete = nullptr);
-
-  /// Every GPU sends `bytes_per_rank` to `root` (flat fan-in).
-  Request gather(int root, std::int64_t bytes_per_rank,
-                 std::function<void()> on_complete = nullptr);
-
-  /// `root` sends a distinct `bytes_per_rank` block to every other GPU.
-  Request scatter(int root, std::int64_t bytes_per_rank,
-                  std::function<void()> on_complete = nullptr);
-
-  /// Synchronization only: zero-byte all-to-all (costs the control path
-  /// and one latency).
-  Request barrier(std::function<void()> on_complete = nullptr);
 
   /// `rounds` rounds in which every GPU ships `bytes_per_round` to its
   /// ring successor, with a full synchronization between rounds.  This is

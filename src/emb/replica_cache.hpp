@@ -87,7 +87,6 @@ class CacheFilter {
 
   double lookups() const { return lookups_; }  ///< total raw indices
   double hits() const { return hits_; }        ///< indices served locally
-  double hitRate() const { return lookups_ > 0.0 ? hits_ / lookups_ : 0.0; }
 
   /// Exchange payload bytes the served bags would have put on the wire.
   double savedWireBytes() const { return saved_wire_bytes_; }

@@ -63,13 +63,11 @@ class Sharding {
   std::int64_t batchSize() const { return batch_.count(); }
 
   // Model-parallel side (table-wise).
-  const BlockPartition& tablePartition() const { return tables_; }
   int tableOwner(std::int64_t table) const { return tables_.ownerOf(table); }
   std::int64_t tablesOn(int gpu) const { return tables_.size(gpu); }
   std::int64_t firstTableOn(int gpu) const { return tables_.begin(gpu); }
 
   // Data-parallel side.
-  const BlockPartition& batchPartition() const { return batch_; }
   int sampleOwner(std::int64_t sample) const { return batch_.ownerOf(sample); }
   std::int64_t miniBatchSize(int gpu) const { return batch_.size(gpu); }
   std::int64_t miniBatchBegin(int gpu) const { return batch_.begin(gpu); }

@@ -50,7 +50,6 @@ struct SparseBatchSpec {
     if (per_table_max_pooling.empty()) return max_pooling;
     return per_table_max_pooling[static_cast<std::size_t>(table)];
   }
-  double avgPooling() const { return (min_pooling + max_pooling) / 2.0; }
   double avgPoolingOf(std::int64_t table) const {
     return (min_pooling + maxPoolingOf(table)) / 2.0;
   }

@@ -58,9 +58,6 @@ class AdmissionController {
   /// Completed-query feedback for the sliding-window controller.
   void onCompletion(SimTime latency);
 
-  /// Incoming queries currently shed per unit by the controller (0 when
-  /// the window p95 has been at or under the SLO long enough).
-  double shedFraction() const { return shed_fraction_; }
 
   std::int64_t shedQueue() const { return shed_queue_; }
   std::int64_t shedOverload() const { return shed_overload_; }

@@ -59,7 +59,6 @@ class BatchExecutor {
 
   const std::string& activeName() const { return active_; }
   std::int64_t fallbackSwitches() const { return fallback_switches_; }
-  int batchesRun() const { return batches_run_; }
   const core::SloTracker& slo() const { return slo_; }
 
  private:

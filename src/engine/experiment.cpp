@@ -47,7 +47,7 @@ void ExperimentConfig::validate() const {
                       serving.admit_window == 0,
                   "admission-control knobs (--admit-queue / "
                   "--query-deadline-ms / --admit-window) need serving "
-                  "mode (--serving-queries > 0)");
+                  "mode (--queries > 0)");
     return;
   }
   PGASEMB_CHECK(serving.qps > 0.0, "serving qps must be positive");
@@ -64,7 +64,7 @@ void ExperimentConfig::validate() const {
                 "admit-window must be >= 0 (0 = off)");
   PGASEMB_CHECK(serving.admit_window == 0 || serving.slo_ms > 0.0,
                 "the admission controller (--admit-window) sheds "
-                "against the SLO; set --serving-slo-ms > 0");
+                "against the SLO; set --slo-ms > 0");
   if (serving.arrival == ArrivalPattern::kBursty) {
     PGASEMB_CHECK(serving.burst_on_ms > 0.0 && serving.burst_off_ms >= 0.0,
                   "bursty arrivals need burst-on > 0 and burst-off >= 0");

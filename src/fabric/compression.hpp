@@ -62,7 +62,6 @@ class InterNodeCodec {
   std::int64_t numTables() const {
     return static_cast<std::int64_t>(tables_.size());
   }
-  int tableBits(std::int64_t table) const { return tables_[table].bits; }
 
   /// Mantissa width for an aggregated (multi-table) flow leaving `node`
   /// at `at`: the widest per-table minimal width (size-conservative), or

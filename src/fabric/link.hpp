@@ -91,10 +91,8 @@ class Link {
   // --- Fault injection (see fault::FaultInjector) -------------------------
 
   /// Install a degradation/flap window. Windows survive reset() (they
-  /// describe the scenario, not run state); clearFaultWindows() removes
-  /// them.
+  /// describe the scenario, not run state).
   void addFaultWindow(const LinkFaultWindow& window);
-  void clearFaultWindows() { fault_windows_.clear(); }
   bool hasFaultWindows() const { return !fault_windows_.empty(); }
 
   /// Achieved-bandwidth multiplier at `at` (min over overlapping

@@ -22,11 +22,6 @@ double TimeSeriesCounter::bucket(std::size_t i) const {
   return i < buckets_.size() ? buckets_[i] : 0.0;
 }
 
-SimTime TimeSeriesCounter::bucketCenter(std::size_t i) const {
-  return SimTime(bucket_width_.count() * static_cast<std::int64_t>(i) +
-                 bucket_width_.count() / 2);
-}
-
 std::vector<double> TimeSeriesCounter::cumulative() const {
   std::vector<double> out(buckets_.size());
   double run = 0.0;

@@ -25,9 +25,6 @@ class TimeSeriesCounter {
   /// Value accumulated in bucket `i` (time range [i*w, (i+1)*w)).
   double bucket(std::size_t i) const;
 
-  /// Center time of bucket `i`.
-  SimTime bucketCenter(std::size_t i) const;
-
   /// Cumulative totals over time (prefix sums), one entry per bucket.
   std::vector<double> cumulative() const;
 

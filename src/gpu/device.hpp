@@ -110,7 +110,6 @@ class Device {
   /// [start, end) run `factor`x slower.  An empty window list keeps the
   /// kernel path identical to a fault-free build.
   void addSlowdownWindow(SimTime start, SimTime end, double factor);
-  void clearSlowdownWindows() { slowdown_windows_.clear(); }
   bool hasSlowdownWindows() const { return !slowdown_windows_.empty(); }
 
   /// Compute slowdown factor at `at` (max over overlapping windows;

@@ -72,19 +72,6 @@ SimTime MultiGpuSystem::launchKernelOn(Stream& stream, KernelDesc desc) {
   return host_now_;
 }
 
-SimTime MultiGpuSystem::syncDevice(int id) {
-  simulator_.run();
-  if (config_.sanitizer != nullptr) {
-    // cudaStreamSynchronize edge: the synced stream's history is now
-    // visible to the host.
-    config_.sanitizer->joinActor(simsan::Checker::kHost,
-                                 stream(id).sanitizerActor());
-  }
-  host_now_ = std::max(host_now_, stream(id).lastCompletion()) +
-              config_.cost_model.stream_sync_overhead;
-  return host_now_;
-}
-
 SimTime MultiGpuSystem::syncAll() {
   simulator_.run();
   if (config_.sanitizer != nullptr) {

@@ -81,10 +81,6 @@ class MultiGpuSystem {
     launch_fault_hook_ = std::move(hook);
   }
 
-  /// Block the host until device `id`'s default stream drains; charges
-  /// the sync overhead. Returns host time after the call.
-  SimTime syncDevice(int id);
-
   /// cudaDeviceSynchronize loop over all devices (paper Listing 2).
   SimTime syncAll();
 
@@ -99,7 +95,6 @@ class MultiGpuSystem {
       std::function<void(int device, const std::string& name,
                          SimTime start, SimTime end, SimTime completion)>;
   void setKernelObserver(KernelObserver observer);
-  const KernelObserver& kernelObserver() const { return kernel_observer_; }
 
  private:
   KernelObserver kernel_observer_;

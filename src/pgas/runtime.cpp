@@ -316,16 +316,4 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   };
 }
 
-SimTime PgasRuntime::put(int src, int dst, std::int64_t payload_bytes,
-                         std::int64_t n_messages) {
-  if (injector_ != nullptr) {
-    return injector_
-        ->reliablePut(src, dst, payload_bytes, n_messages, system_.hostNow())
-        .acked;
-  }
-  const auto d = fabric_.transfer(src, dst, payload_bytes, n_messages,
-                                  system_.hostNow());
-  return d.delivered;
-}
-
 }  // namespace pgasemb::pgas

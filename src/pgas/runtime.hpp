@@ -81,7 +81,6 @@ class PgasRuntime {
   /// counter, and Fabric::coalescingSafe() (dedicated pair links, no
   /// flow observer, no armed fault windows). Default on.
   void setCoalescingEnabled(bool enabled) { coalesce_enabled_ = enabled; }
-  bool coalescingEnabled() const { return coalesce_enabled_; }
 
   /// Wire `desc` so its slices emit `plan`'s flows from GPU `src` and its
   /// completion implements quiet (waits for the last delivery).  If
@@ -101,11 +100,6 @@ class PgasRuntime {
                          CommCounter* counter = nullptr,
                          const AggregatorParams* aggregator = nullptr,
                          std::vector<simsan::MemEffect> remote_writes = {});
-
-  /// Host-initiated blocking one-sided put (control-plane uses; the data
-  /// plane goes through kernels). Returns the delivery time.
-  SimTime put(int src, int dst, std::int64_t payload_bytes,
-              std::int64_t n_messages);
 
  private:
   /// Tracks the last remote delivery of one kernel's writes for quiet.

@@ -142,12 +142,6 @@ class Checker {
               AccessKind kind, SimTime start, SimTime finish,
               const std::string& label);
 
-  void logEffect(ActorId actor, const MemEffect& effect, SimTime start,
-                 SimTime finish) {
-    access(actor, effect.device, effect.range, effect.kind, start, finish,
-           effect.label);
-  }
-
   // --- Results ------------------------------------------------------------
 
   bool clean() const {

@@ -25,7 +25,7 @@
 //   3. Collectives: per-rank transfer bytes are checked against the
 //      declared CollectiveMemory send/recv ranges; a payload-bearing
 //      collective with no declared memory at all is itself a finding.
-//      Control-plane transfers (<= kControlPlaneBytes, e.g. barrier
+//      Control-plane transfers (<= kControlPlaneBytes, e.g. sync
 //      flags) are exempt.
 //
 // Violations surface through the owning Checker's Summary as
@@ -105,8 +105,8 @@ class StrictCollectiveTracker {
 
 class StrictEffects {
  public:
-  /// Transfers at or below this payload are control-plane (barrier
-  /// flags, doorbells) and carry no declared memory.
+  /// Transfers at or below this payload are control-plane (sync flags,
+  /// doorbells) and carry no declared memory.
   static constexpr std::int64_t kControlPlaneBytes = 8;
 
   // --- recorder #1: kernel functional-body scope -------------------------

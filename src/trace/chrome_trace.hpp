@@ -26,7 +26,6 @@ class ChromeTraceRecorder {
 
   std::size_t kernelSpanCount() const { return kernels_.size(); }
   std::size_t flowCount() const { return flows_.size(); }
-  std::size_t faultSpanCount() const { return faults_.size(); }
 
   /// Add marker spans for an armed fault plan (one lane, one span per
   /// materialized window) so degradation windows line up visually with

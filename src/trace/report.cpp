@@ -410,14 +410,12 @@ const engine::ServingResult& servingOf(const engine::NamedResult& run) {
   return *run.result.serving;
 }
 
-/// Sustained = the system kept up with the offered load (achieved
-/// within 5% of offered) and, when an SLO is set, met it at the tail.
+}  // namespace
+
 bool sustained(const engine::ServingResult& sv, double slo_ms) {
   if (sv.achieved_qps < 0.95 * sv.offered_qps) return false;
   return slo_ms <= 0.0 || sv.p99_ms <= slo_ms;
 }
-
-}  // namespace
 
 std::string renderServingTable(const std::vector<ServingPoint>& points) {
   // Admission columns appear only when some run armed an admission

@@ -121,9 +121,14 @@ std::string renderServingTable(const std::vector<ServingPoint>& points);
 std::string renderServingResilienceTable(
     const std::vector<ServingPoint>& points);
 
+/// The knee rule: a serving point is sustained when the system kept up
+/// with the offered load (achieved within 5% of offered) and, when an
+/// SLO is set (slo_ms > 0), met it at the tail (p99 <= slo_ms).
+bool sustained(const engine::ServingResult& sv, double slo_ms);
+
 /// Knee-of-the-curve summary: per (arrival, retriever), the largest
-/// offered QPS the system sustains — achieved >= 95% of offered and
-/// (when slo_ms > 0) p99 <= slo_ms. "-" when no point qualifies.
+/// offered QPS the system sustains (see sustained()). "-" when no point
+/// qualifies.
 std::string renderServingSummary(const std::vector<ServingPoint>& points,
                                  double slo_ms);
 

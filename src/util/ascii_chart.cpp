@@ -25,13 +25,6 @@ void AsciiLineChart::setAxisLabels(std::string x_label, std::string y_label) {
   y_label_ = std::move(y_label);
 }
 
-void AsciiLineChart::setYRange(double y_min, double y_max) {
-  PGASEMB_CHECK(y_max > y_min, "invalid y range");
-  has_y_range_ = true;
-  y_min_ = y_min;
-  y_max_ = y_max;
-}
-
 std::string AsciiLineChart::render() const {
   double x_min = 0, x_max = 1, y_min = 0, y_max = 1;
   bool first = true;
@@ -50,10 +43,6 @@ std::string AsciiLineChart::render() const {
     }
   }
   y_min = std::min(y_min, 0.0);
-  if (has_y_range_) {
-    y_min = y_min_;
-    y_max = y_max_;
-  }
   if (x_max == x_min) x_max = x_min + 1;
   if (y_max == y_min) y_max = y_min + 1;
 

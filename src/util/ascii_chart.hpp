@@ -25,9 +25,6 @@ class AsciiLineChart {
   void addSeries(ChartSeries series);
   void setAxisLabels(std::string x_label, std::string y_label);
 
-  /// Force y-axis bounds (otherwise auto-fit to the data, floored at 0).
-  void setYRange(double y_min, double y_max);
-
   std::string render() const;
 
  private:
@@ -36,9 +33,6 @@ class AsciiLineChart {
   std::string y_label_;
   int width_;
   int height_;
-  bool has_y_range_ = false;
-  double y_min_ = 0.0;
-  double y_max_ = 0.0;
   std::vector<ChartSeries> series_;
 };
 

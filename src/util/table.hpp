@@ -23,8 +23,6 @@ class ConsoleTable {
   /// Render the whole table (trailing newline included).
   std::string render() const;
 
-  std::size_t rowCount() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -314,12 +314,6 @@ TEST(PgasRuntimeTest, CounterRecordsPaperUnits) {
   EXPECT_DOUBLE_EQ(counter.totalUnits(), (1 << 20) / 256.0);
 }
 
-TEST(PgasRuntimeTest, HostPutDelivers) {
-  Rig rig(2);
-  const SimTime t = rig.runtime.put(0, 1, 4096, 16);
-  EXPECT_GT(t, rig.system.hostNow());
-}
-
 TEST(PgasRuntimeTest, BadSourcePeThrows) {
   Rig rig(2);
   gpu::KernelDesc desc;

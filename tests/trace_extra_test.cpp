@@ -1,5 +1,5 @@
 // Tests for the observability layer (kernel/flow observers, Chrome-trace
-// export) and the newer fabric topologies / collectives.
+// export) and the newer fabric topologies.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -189,50 +189,6 @@ TEST(RingTest, MultiHopIsSlowerThanNeighbor) {
   // 1 -> 0 takes 3 hops on a unidirectional ring.
   EXPECT_GT(far.delivered - far.injected,
             (near.delivered - near.injected) * 2);
-}
-
-// --- New collectives -----------------------------------------------------------
-
-struct CommRig {
-  gpu::MultiGpuSystem system;
-  fabric::Fabric fabric;
-  collective::Communicator comm;
-  explicit CommRig(int gpus)
-      : system(timingConfig(gpus)),
-        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
-            gpus, fabric::LinkParams{})),
-        comm(system, fabric) {}
-};
-
-TEST(CollectiveExtraTest, GatherOnlyNonRootsSend) {
-  CommRig rig(4);
-  auto req = rig.comm.gather(2, 1 << 20);
-  req.wait(rig.system);
-  EXPECT_EQ(rig.fabric.totalPayloadBytes(), 3LL << 20);
-}
-
-TEST(CollectiveExtraTest, ScatterOnlyRootSends) {
-  CommRig rig(4);
-  auto req = rig.comm.scatter(0, 1 << 20);
-  req.wait(rig.system);
-  EXPECT_EQ(rig.fabric.totalPayloadBytes(), 3LL << 20);
-}
-
-TEST(CollectiveExtraTest, BarrierIsCheapButNotFree) {
-  CommRig rig(4);
-  const SimTime before = rig.system.hostNow();
-  auto req = rig.comm.barrier();
-  const SimTime after = req.wait(rig.system);
-  EXPECT_GT(after, before);
-  EXPECT_LT(after - before, SimTime::ms(1));
-  EXPECT_EQ(rig.fabric.totalPayloadBytes(), 4);  // 4 one-byte flags
-}
-
-TEST(CollectiveExtraTest, SingleGpuBarrierCompletes) {
-  CommRig rig(1);
-  auto req = rig.comm.barrier();
-  req.wait(rig.system);
-  EXPECT_TRUE(req.completed());
 }
 
 }  // namespace
