@@ -5,6 +5,7 @@
 #include "fabric/fabric.hpp"
 #include "fault/injector.hpp"
 #include "simsan/strict.hpp"
+#include "util/expect.hpp"
 
 namespace pgasemb::engine {
 
@@ -113,6 +114,19 @@ void finalizeResult(SystemBuilder& builder, BatchExecutor& exec,
       // goes false when any kernel or transfer escaped its declaration).
       strict->mergeInto(*result.sanitizer);
     }
+  }
+
+  // Fabric conservation, on every run: each injected payload byte was
+  // either delivered or swallowed by a link flap.
+  {
+    const auto& fabric = builder.fabric();
+    const double injected = fabric.injectionCounter().total();
+    const double delivered = fabric.deliveryCounter().total();
+    const double dropped = static_cast<double>(fabric.droppedPayloadBytes());
+    PGASEMB_ASSERT(injected == delivered + dropped,
+                   "fabric lost payload: injected ", injected,
+                   " B != delivered ", delivered, " B + dropped ", dropped,
+                   " B");
   }
 
   // Delivery (wire-occupancy) counter: for PGAS this matches the paper's

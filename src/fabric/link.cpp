@@ -42,10 +42,17 @@ sim::FifoResource::Grant Link::occupy(SimTime at, std::int64_t payload_bytes,
     const double factor = bandwidthFactorAt(wire_->nextFreeTime(at));
     if (factor < 1.0) fraction = bandwidth_fraction * factor;
   }
-  const SimTime wire_time =
-      serializationTime(payload_bytes, n_messages, fraction);
-  wire_equivalent_bytes_ += wire_time.toSec() * params_.bandwidth_bytes_per_sec;
-  return wire_->acquire(at, wire_time);
+  // Slices of one kernel repeat the same flow shape, so the last
+  // serialization is reused whenever a flow repeats it exactly.
+  if (payload_bytes != memo_.payload_bytes ||
+      n_messages != memo_.n_messages || fraction != memo_.fraction) {
+    const SimTime wire_time =
+        serializationTime(payload_bytes, n_messages, fraction);
+    memo_ = {payload_bytes, n_messages, fraction, wire_time,
+             wire_time.toSec() * params_.bandwidth_bytes_per_sec};
+  }
+  wire_equivalent_bytes_ += memo_.wire_equivalent_bytes;
+  return wire_->acquire(at, memo_.wire_time);
 }
 
 void Link::addFaultWindow(const LinkFaultWindow& window) {

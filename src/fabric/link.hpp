@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,17 @@ class Link {
   std::int64_t total_payload_bytes_ = 0;
   std::int64_t total_messages_ = 0;
   double wire_equivalent_bytes_ = 0.0;
+  /// The last flow shape occupy() serialized and what it cost the wire.
+  /// A pure function of its key and params_, so it survives reset().
+  struct SerializationMemo {
+    std::int64_t payload_bytes = 0;
+    std::int64_t n_messages = 0;
+    /// NaN equals no fraction, so the first flow always computes.
+    double fraction = std::numeric_limits<double>::quiet_NaN();
+    SimTime wire_time;
+    double wire_equivalent_bytes = 0.0;
+  };
+  SerializationMemo memo_;
   std::vector<LinkFaultWindow> fault_windows_;
   std::int64_t dropped_flows_ = 0;
   std::int64_t dropped_payload_bytes_ = 0;

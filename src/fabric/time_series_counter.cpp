@@ -9,13 +9,15 @@ TimeSeriesCounter::TimeSeriesCounter(SimTime bucket_width)
   PGASEMB_CHECK(bucket_width.count() > 0, "bucket width must be positive");
 }
 
-void TimeSeriesCounter::add(SimTime at, double amount) {
-  PGASEMB_CHECK(at >= SimTime::zero(), "negative sample time");
-  const std::size_t idx =
-      static_cast<std::size_t>(at.count() / bucket_width_.count());
-  if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0.0);
-  buckets_[idx] += amount;
-  total_ += amount;
+void TimeSeriesCounter::moveWindow(std::int64_t t) {
+  PGASEMB_CHECK(t >= 0, "negative sample time");
+  const std::int64_t width = bucket_width_.count();
+  window_bucket_ = static_cast<std::size_t>(t / width);
+  if (window_bucket_ >= buckets_.size()) {
+    buckets_.resize(window_bucket_ + 1, 0.0);
+  }
+  window_begin_ = static_cast<std::int64_t>(window_bucket_) * width;
+  window_end_ = window_begin_ + width;
 }
 
 double TimeSeriesCounter::bucket(std::size_t i) const {
@@ -35,6 +37,8 @@ std::vector<double> TimeSeriesCounter::cumulative() const {
 void TimeSeriesCounter::reset() {
   buckets_.clear();
   total_ = 0.0;
+  window_begin_ = window_end_ = 0;
+  window_bucket_ = 0;
 }
 
 }  // namespace pgasemb::fabric

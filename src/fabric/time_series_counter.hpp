@@ -16,8 +16,14 @@ class TimeSeriesCounter {
  public:
   explicit TimeSeriesCounter(SimTime bucket_width = SimTime::us(5.0));
 
-  /// Add `amount` at simulated time `at`.
-  void add(SimTime at, double amount);
+  /// Add `amount` at simulated time `at` (>= 0). Divides only when the
+  /// sample falls outside the bucket the previous one landed in.
+  void add(SimTime at, double amount) {
+    const std::int64_t t = at.count();
+    if (t < window_begin_ || t >= window_end_) moveWindow(t);
+    buckets_[window_bucket_] += amount;
+    total_ += amount;
+  }
 
   SimTime bucketWidth() const { return bucket_width_; }
   std::size_t numBuckets() const { return buckets_.size(); }
@@ -33,9 +39,18 @@ class TimeSeriesCounter {
   void reset();
 
  private:
+  /// Point the window at the bucket holding `t`, growing the buckets to
+  /// reach it.
+  void moveWindow(std::int64_t t);
+
   SimTime bucket_width_;
   std::vector<double> buckets_;
   double total_ = 0.0;
+  /// Bucket `window_bucket_` covers [window_begin_, window_end_); the
+  /// window is empty until the first sample and after reset().
+  std::int64_t window_begin_ = 0;
+  std::int64_t window_end_ = 0;
+  std::size_t window_bucket_ = 0;
 };
 
 }  // namespace pgasemb::fabric

@@ -24,10 +24,10 @@ struct AggregatorParams {
   SimTime max_wait = SimTime::us(50.0);
 };
 
-/// Rewrite `plan` (whose slices span `kernel_duration`) as the flows the
-/// aggregator would emit. Payload bytes are conserved; message counts
-/// drop to one per flush. A final flush at the last slice models quiet
-/// draining the aggregation buffers.
+/// Rewrite `plan` (whose slices span `kernel_duration`) as the explicit
+/// plan of flows the aggregator would emit. Payload bytes are conserved;
+/// message counts drop to one per flush. A final flush at the last slice
+/// models quiet draining the aggregation buffers.
 MessagePlan aggregatePlan(const MessagePlan& plan, SimTime kernel_duration,
                           const AggregatorParams& params);
 

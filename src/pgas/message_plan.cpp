@@ -7,8 +7,19 @@
 namespace pgasemb::pgas {
 
 bool MessagePlan::wellFormed() const {
-  return slice_begin.size() >= 2 && slice_begin.front() == 0 &&
-         slice_begin.back() == flows.size() &&
+  if (slices < 1) return false;
+  if (closedForm()) {
+    // Each destination's whole-message count must match its payload, or
+    // stepping the split would not conserve bytes.
+    return slice_begin.empty() &&
+           std::all_of(flows.begin(), flows.end(), [&](const SliceFlow& f) {
+             return f.payload_bytes > 0 &&
+                    f.n_messages ==
+                        (f.payload_bytes + message_bytes - 1) / message_bytes;
+           });
+  }
+  return slice_begin.size() == static_cast<std::size_t>(slices) + 1 &&
+         slice_begin.front() == 0 && slice_begin.back() == flows.size() &&
          std::is_sorted(slice_begin.begin(), slice_begin.end());
 }
 
@@ -29,60 +40,64 @@ MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
                             std::int64_t message_bytes) {
   PGASEMB_CHECK(slices >= 1, "plan needs >= 1 slice");
   PGASEMB_CHECK(message_bytes >= 1, "message size must be positive");
-  // One destination's split, stepped slice by slice without dividing:
-  // `upto` = floor(total_msgs * (s + 1) / slices) = step * (s + 1) +
-  // floor(rem * (s + 1) / slices), with `acc` = rem * (s + 1) mod slices.
-  struct Share {
-    int dst;
-    std::int64_t total;
-    std::int64_t step;
-    std::int64_t rem;
-    std::int64_t upto = 0;
-    std::int64_t acc = 0;
-  };
-  std::vector<Share> shares;
-  shares.reserve(payload_bytes.size());
-  // A destination with T whole messages appears in min(T, slices)
-  // slices, so the plan's size is known before anything is emitted.
-  std::size_t n_flows = 0;
+  MessagePlan plan;
+  plan.slices = slices;
+  plan.message_bytes = message_bytes;
+  plan.flows.reserve(payload_bytes.size());
   for (int dst = 0; dst < static_cast<int>(payload_bytes.size()); ++dst) {
     if (dst == self) continue;
     const std::int64_t total = payload_bytes[static_cast<std::size_t>(dst)];
     PGASEMB_CHECK(total >= 0, "negative payload for dst ", dst);
     if (total == 0) continue;
-    const std::int64_t total_msgs =
-        (total + message_bytes - 1) / message_bytes;
-    shares.push_back(Share{dst, total, total_msgs / slices,
-                           total_msgs % slices});
-    n_flows += static_cast<std::size_t>(
-        std::min<std::int64_t>(total_msgs, slices));
+    plan.flows.push_back(
+        SliceFlow{dst, total, (total + message_bytes - 1) / message_bytes});
   }
-  MessagePlan plan;
-  plan.flows.reserve(n_flows);
-  plan.slice_begin.reserve(static_cast<std::size_t>(slices) + 1);
-  for (int s = 0; s < slices; ++s) {
-    plan.slice_begin.push_back(plan.flows.size());
-    for (Share& sh : shares) {
-      const std::int64_t before = sh.upto;
-      sh.upto += sh.step;
-      sh.acc += sh.rem;
-      if (sh.acc >= slices) {
-        sh.acc -= slices;
-        ++sh.upto;
-      }
-      if (sh.upto == before) continue;
-      // Whole messages carry whole bytes; only a destination's final
-      // message may be partial.
-      plan.flows.push_back(
-          SliceFlow{sh.dst,
-                    std::min(sh.upto * message_bytes, sh.total) -
-                        std::min(before * message_bytes, sh.total),
-                    sh.upto - before});
-    }
-  }
-  plan.slice_begin.push_back(plan.flows.size());
-  PGASEMB_ASSERT(plan.flows.size() == n_flows, "uniform plan miscounted");
   return plan;
+}
+
+SliceCursor::SliceCursor(MessagePlan plan) : plan_(std::move(plan)) {
+  PGASEMB_CHECK(plan_.wellFormed(), "malformed message plan");
+  if (!plan_.closedForm()) return;
+  splits_.reserve(plan_.flows.size());
+  for (const auto& f : plan_.flows) {
+    splits_.push_back(
+        Split{f.n_messages / plan_.slices, f.n_messages % plan_.slices});
+  }
+  current_.reserve(plan_.flows.size());
+}
+
+std::span<const SliceFlow> SliceCursor::slice(int s) {
+  PGASEMB_CHECK(s == next_ && s < plan_.slices, "slice ", s,
+                " read out of order: next unread slice is ", next_, " of ",
+                plan_.slices);
+  ++next_;
+  if (!plan_.closedForm()) {
+    const auto i = static_cast<std::size_t>(s);
+    return {plan_.flows.data() + plan_.slice_begin[i],
+            plan_.slice_begin[i + 1] - plan_.slice_begin[i]};
+  }
+  current_.clear();
+  const std::int64_t mb = plan_.message_bytes;
+  for (std::size_t i = 0; i < splits_.size(); ++i) {
+    Split& sp = splits_[i];
+    const std::int64_t before = sp.upto;
+    sp.upto += sp.step;
+    sp.acc += sp.rem;
+    if (sp.acc >= plan_.slices) {
+      sp.acc -= plan_.slices;
+      ++sp.upto;
+    }
+    if (sp.upto == before) continue;
+    // Whole messages carry whole bytes; only a destination's final
+    // message may be partial.
+    const SliceFlow& row = plan_.flows[i];
+    current_.push_back(
+        SliceFlow{row.dst,
+                  std::min(sp.upto * mb, row.payload_bytes) -
+                      std::min(before * mb, row.payload_bytes),
+                  sp.upto - before});
+  }
+  return current_;
 }
 
 }  // namespace pgasemb::pgas

@@ -26,22 +26,29 @@ struct SliceFlow {
   std::int64_t n_messages = 0;
 };
 
-/// Every flow of a kernel in one slice-major array: slice s owns
-/// flows[slice_begin[s], slice_begin[s + 1]). The builders size both
-/// arrays exactly up front, so each is allocated once however many
-/// slices the plan has.
+/// A kernel's flows, in one of two forms.
+///
+/// Closed form (`message_bytes` > 0, built by makeUniformPlan): `flows`
+/// holds one kernel-total flow per remote destination, in destination
+/// order, and each slice's share is computed as the slice fires.
+///
+/// Explicit (`message_bytes` == 0, built by aggregatePlan): `flows` holds
+/// every flow slice-major, and slice s owns flows[slice_begin[s],
+/// slice_begin[s + 1]).
+///
+/// Either way the slices are read through a SliceCursor, and the flow
+/// totals are the sums over `flows`.
 struct MessagePlan {
+  int slices = 1;
+  std::int64_t message_bytes = 0;
   std::vector<SliceFlow> flows;
-  /// slices() + 1 ascending offsets into `flows`, from 0 to flows.size().
+  /// Explicit plans only: slices + 1 ascending offsets into `flows`,
+  /// from 0 to flows.size().
   std::vector<std::size_t> slice_begin;
 
-  int slices() const { return static_cast<int>(slice_begin.size()) - 1; }
-  std::span<const SliceFlow> slice(int s) const {
-    const auto i = static_cast<std::size_t>(s);
-    return {flows.data() + slice_begin[i],
-            slice_begin[i + 1] - slice_begin[i]};
-  }
-  /// At least one slice, and offsets that tile `flows` in order.
+  bool closedForm() const { return message_bytes > 0; }
+  /// At least one slice; an explicit plan's offsets tile `flows` in
+  /// order, and a closed-form plan has none.
   bool wellFormed() const;
 
   std::int64_t totalPayloadBytes() const;
@@ -55,9 +62,43 @@ struct MessagePlan {
 /// Whole messages are split by largest remainder (slice s ends after
 /// floor(total_msgs * (s + 1) / slices) messages); only a destination's
 /// final message may be partial. Within a slice, flows are in
-/// destination order.
+/// destination order. The plan is closed-form: O(destinations) however
+/// many slices it has.
 MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
                             int self, int slices,
                             std::int64_t message_bytes);
+
+/// Reads a plan's slices in firing order: 0, 1, ..., slices - 1, each
+/// once. A closed-form slice is stepped from the one before it (the
+/// largest-remainder split without division), so any other order throws
+/// instead of emitting wrong flows. Owns its plan, so a copy reads on
+/// independently.
+class SliceCursor {
+ public:
+  explicit SliceCursor(MessagePlan plan);
+
+  const MessagePlan& plan() const { return plan_; }
+
+  /// The flows of slice `s`, which must be the next unread slice. Valid
+  /// until the next call.
+  std::span<const SliceFlow> slice(int s);
+
+ private:
+  /// One closed-form destination's split: after slice s, `upto` =
+  /// floor(n_messages * (s + 1) / slices) = step * (s + 1) +
+  /// floor(rem * (s + 1) / slices), with `acc` = rem * (s + 1) mod
+  /// slices.
+  struct Split {
+    std::int64_t step = 0;
+    std::int64_t rem = 0;
+    std::int64_t upto = 0;
+    std::int64_t acc = 0;
+  };
+
+  MessagePlan plan_;
+  int next_ = 0;
+  std::vector<Split> splits_;         ///< closed form: one per flow
+  std::vector<SliceFlow> current_;    ///< closed form: the slice just read
+};
 
 }  // namespace pgasemb::pgas

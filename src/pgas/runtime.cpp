@@ -20,37 +20,46 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
 namespace {
 
 /// One slice's flows grouped by destination node, each group in plan
-/// order. Sized once per plan; regrouping a slice is one counting pass
-/// over its flows, so forwarding is linear in the flows however many
-/// nodes there are, and allocates nothing.
+/// order. Regrouping a slice is one counting pass over its flows, so
+/// forwarding is linear in the flows however many nodes there are. A
+/// slice already in node order (every closed-form slice is) is grouped
+/// in place; any other is scattered into scratch that grows to the
+/// widest slice once and is then reused.
 class NodeGroups {
  public:
   NodeGroups() = default;
-  NodeGroups(const MessagePlan& plan, int nodes, int gpus_per_node)
+  NodeGroups(int nodes, int gpus_per_node)
       : gpus_per_node_(gpus_per_node),
         begin_(static_cast<std::size_t>(nodes) + 1),
-        cursor_(static_cast<std::size_t>(nodes)) {
-    std::size_t widest = 0;
-    for (int s = 0; s < plan.slices(); ++s) {
-      widest = std::max(widest, plan.slice(s).size());
-    }
-    flows_.resize(widest);
-  }
+        cursor_(static_cast<std::size_t>(nodes)) {}
 
   int nodes() const { return static_cast<int>(cursor_.size()); }
 
   void regroup(std::span<const SliceFlow> flows) {
     std::fill(begin_.begin(), begin_.end(), 0);
-    for (const auto& f : flows) ++begin_[nodeOf(f) + 1];
+    bool in_order = true;
+    std::size_t prev = 0;
+    for (const auto& f : flows) {
+      const std::size_t node = nodeOf(f);
+      in_order = in_order && node >= prev;
+      prev = node;
+      ++begin_[node + 1];
+    }
     std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+    if (in_order) {
+      grouped_ = flows;
+      return;
+    }
+    if (scratch_.size() < flows.size()) scratch_.resize(flows.size());
     std::copy(begin_.begin(), begin_.end() - 1, cursor_.begin());
-    for (const auto& f : flows) flows_[cursor_[nodeOf(f)]++] = &f;
+    for (const auto& f : flows) scratch_[cursor_[nodeOf(f)]++] = f;
+    grouped_ = {scratch_.data(), flows.size()};
   }
 
   /// The current slice's flows to `node`.
-  std::span<const SliceFlow* const> to(int node) const {
+  std::span<const SliceFlow> to(int node) const {
     const auto n = static_cast<std::size_t>(node);
-    return {flows_.data() + begin_[n], begin_[n + 1] - begin_[n]};
+    return grouped_.subspan(begin_[n], begin_[n + 1] - begin_[n]);
   }
 
  private:
@@ -59,8 +68,10 @@ class NodeGroups {
   }
 
   int gpus_per_node_ = 1;
-  std::vector<const SliceFlow*> flows_;
-  /// Node n's flows are flows_[begin_[n], begin_[n + 1]).
+  /// The current slice in node order: the slice itself or `scratch_`.
+  std::span<const SliceFlow> grouped_;
+  std::vector<SliceFlow> scratch_;
+  /// Node n's flows are grouped_[begin_[n], begin_[n + 1]).
   std::vector<std::size_t> begin_;
   std::vector<std::size_t> cursor_;  ///< fill position per node
 };
@@ -75,9 +86,9 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   if (aggregator != nullptr) {
     plan = aggregatePlan(plan, desc.duration, *aggregator);
   }
-  PGASEMB_CHECK(plan.wellFormed(), "malformed message plan");
+  SliceCursor cursor(std::move(plan));
 
-  desc.slices = plan.slices();
+  desc.slices = cursor.plan().slices;
 
   // Slice-coalescing eligibility: every condition under which running
   // the slice callbacks synchronously at kernel start (with their
@@ -119,11 +130,11 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   // (per-pair degraded mode — see DESIGN.md §13).
   const bool hier = hierarchical_ && topo.numNodes() > 1;
   NodeGroups groups;  // forwarding scratch, sized only when forwarding
-  if (hier) groups = NodeGroups(plan, topo.numNodes(), gpn);
+  if (hier) groups = NodeGroups(topo.numNodes(), gpn);
 
   desc.on_slice = [this, src, gpn, src_node, hier, counter, quiet,
                    strict_puts, remote_writes = std::move(remote_writes),
-                   plan = std::move(plan), groups = std::move(groups)](
+                   cursor = std::move(cursor), groups = std::move(groups)](
                       int slice, SimTime at) mutable {
     auto* san = system_.sanitizer();
     if (san != nullptr && quiet->side_actor < 0) {
@@ -142,7 +153,7 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                     const fabric::Fabric::Delivery&) {
           if (counter != nullptr) counter->record(attempt_at, attempt_payload);
         };
-    const auto flows = plan.slice(slice);
+    const auto flows = cursor.slice(slice);
     // Common put bookkeeping once the *final* delivery time is known:
     // quiet latches it, the comm counter records the original payload at
     // injection time, and the simsan window spans injection -> landing
@@ -227,8 +238,8 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
       return;
     }
     groups.regroup(flows);
-    for (const SliceFlow* f : groups.to(src_node)) {
-      direct(*f);  // intra-node: NVLink, never forwarded
+    for (const SliceFlow& f : groups.to(src_node)) {
+      direct(f);  // intra-node: NVLink, never forwarded
     }
     // Hierarchical forwarding (DESIGN.md §12): per destination node,
     // this slice's inter-node puts ride three hops —
@@ -263,19 +274,19 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
         // one retransmit domain) and goes direct, flow by flow. Every
         // healthy pair below keeps the hierarchy.
         SimTime last = at;
-        for (const SliceFlow* f : group) last = std::max(last, direct(*f));
+        for (const SliceFlow& f : group) last = std::max(last, direct(f));
         if (!group.empty()) injector_->recordHierFallback(at, last);
         continue;
       }
       std::int64_t to_node = 0;
       std::int64_t msgs = 0;
-      for (const SliceFlow* f : group) {
-        to_node += f->payload_bytes;
-        msgs += f->n_messages;
+      for (const SliceFlow& f : group) {
+        to_node += f.payload_bytes;
+        msgs += f.n_messages;
       }
       if (to_node == 0) {
         // Nothing to ship; empty puts complete at injection.
-        for (const SliceFlow* f : group) log_put(*f, at);
+        for (const SliceFlow& f : group) log_put(f, at);
         continue;
       }
       SimTime staged = at;
@@ -293,13 +304,12 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                ? injector_->leaderAt(node, staged)
                                : node * gpn;
       const SimTime landed = hop(leader_s, leader_d, wire_bytes, 1, staged);
-      for (const SliceFlow* f : group) {
+      for (const SliceFlow& f : group) {
         SimTime done = landed;
-        if (f->dst != leader_d) {
-          done = hop(leader_d, f->dst, f->payload_bytes, f->n_messages,
-                     landed);
+        if (f.dst != leader_d) {
+          done = hop(leader_d, f.dst, f.payload_bytes, f.n_messages, landed);
         }
-        log_put(*f, done);
+        log_put(f, done);
       }
     }
   };

@@ -368,8 +368,15 @@ TEST(KernelTest, FusedPlanVolumeMatchesRemoteOutputs) {
   const auto batch = SparseBatch::generateUniform(spec.batchSpec(), rng);
   auto fused = buildFusedLookupKernel(layer, batch, 0, nullptr, 8);
   const auto work = layer.lookupWork(batch, 0);
-  EXPECT_EQ(fused.plan.totalPayloadBytes(),
-            work.remoteOutputs(0) * spec.dim * 4);
+  const std::int64_t remote_bytes = work.remoteOutputs(0) * spec.dim * 4;
+  EXPECT_EQ(fused.plan.totalPayloadBytes(), remote_bytes);
+  // The flows the runtime emits, slice by slice, carry the same volume.
+  pgas::SliceCursor cursor(fused.plan);
+  std::int64_t sent = 0;
+  for (int s = 0; s < fused.plan.slices; ++s) {
+    for (const auto& f : cursor.slice(s)) sent += f.payload_bytes;
+  }
+  EXPECT_EQ(sent, remote_bytes);
 }
 
 TEST(KernelTest, ComputeTimeGrowsWithPooling) {

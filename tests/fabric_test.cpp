@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 #include "fabric/link.hpp"
@@ -56,6 +58,102 @@ TEST(LinkTest, OccupyQueuesFifo) {
 TEST(LinkTest, NegativeFlowRejected) {
   Link link("l", testLink());
   EXPECT_THROW(link.serializationTime(-1, 0), InvalidArgumentError);
+}
+
+TEST(LinkTest, OccupyMatchesFreshSerializationEveryFlow) {
+  // occupy() reuses its last serialization when a flow repeats its shape.
+  // Two links that share one NIC wire queue get a seeded sequence of
+  // repeated, alternating and fresh (payload, messages, fraction) shapes,
+  // then, after a reset(), one shape repeated straight through both edges
+  // of a degrade window that changes the fraction mid-sequence. Every
+  // grant and the wire-equivalent bytes must equal a reference that
+  // serializes every flow afresh through a plain FIFO.
+  LinkParams nic = testLink();
+  nic.bandwidth_bytes_per_sec = 25e9;
+  nic.header_bytes = 64;
+  nic.max_messages_per_sec = 50e6;
+  Link up("nic.up", nic);
+  Link down("nic.down", nic);
+  down.setWireQueue(&up.fifo());
+  const SimTime degrade_start = SimTime::us(20);
+  const SimTime degrade_end = SimTime::us(60);
+  up.addFaultWindow({degrade_start, degrade_end, 0.5, SimTime::zero(), false});
+
+  struct Shape {
+    std::int64_t payload_bytes;
+    std::int64_t n_messages;
+    double fraction;
+  };
+  sim::FifoResource ref_wire("ref.wire");
+  double ref_wire_bytes[2] = {0.0, 0.0};
+  int degraded = 0;
+  int flows = 0;
+  const auto step = [&](int which, const Shape& shape, SimTime at) {
+    Link& link = which == 0 ? up : down;
+    double fraction = shape.fraction;
+    const SimTime wire_at = ref_wire.nextFreeTime(at);
+    if (which == 0 && wire_at >= degrade_start && wire_at < degrade_end) {
+      fraction *= 0.5;
+      ++degraded;
+    }
+    const SimTime wire_time = link.serializationTime(
+        shape.payload_bytes, shape.n_messages, fraction);
+    const auto want = ref_wire.acquire(at, wire_time);
+    ref_wire_bytes[which] += wire_time.toSec() * nic.bandwidth_bytes_per_sec;
+
+    const auto got = link.occupy(at, shape.payload_bytes, shape.n_messages,
+                                 shape.fraction);
+    ASSERT_EQ(got.start.count(), want.start.count()) << "flow " << flows;
+    ASSERT_EQ(got.end.count(), want.end.count()) << "flow " << flows;
+    ASSERT_EQ(up.wireEquivalentBytes(), ref_wire_bytes[0]) << "flow " << flows;
+    ASSERT_EQ(down.wireEquivalentBytes(), ref_wire_bytes[1])
+        << "flow " << flows;
+    ++flows;
+  };
+
+  std::mt19937_64 rng(0x11'4c'9d);
+  const std::int64_t payloads[] = {0, 256, 4096, 65536};
+  const std::int64_t messages[] = {0, 1, 16, 256};
+  const double fractions[] = {1.0, 0.8, 0.5, 0.37};
+  const auto pick = [&rng](const auto& options) {
+    return options[std::uniform_int_distribution<std::size_t>(
+        0, std::size(options) - 1)(rng)];
+  };
+  std::vector<Shape> recent = {{4096, 16, 1.0}, {256, 1, 1.0}};
+  SimTime at = SimTime::zero();
+  for (int i = 0; i < 3000; ++i) {
+    Shape shape;
+    switch (std::uniform_int_distribution<int>(0, 9)(rng)) {
+      case 0: case 1: case 2: case 3: shape = recent.back(); break;
+      case 4: case 5: shape = recent[recent.size() - 2]; break;
+      default:
+        shape = {pick(payloads), pick(messages), pick(fractions)};
+        if (shape.payload_bytes > 0 && rng() % 2 == 0) {
+          shape.payload_bytes += static_cast<std::int64_t>(rng() % 1000);
+        }
+    }
+    recent.push_back(shape);
+    at += SimTime(std::uniform_int_distribution<std::int64_t>(
+        0, 40'000)(rng));
+    step(static_cast<int>(rng() % 2), shape, at);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(degraded, 0);
+
+  up.reset();
+  down.reset();
+  ref_wire.reset();
+  ref_wire_bytes[0] = ref_wire_bytes[1] = 0.0;
+  degraded = 0;
+  // 400 flows of one shape, 0.3 us apart: their wire starts sweep from
+  // before the window, through it, to after it.
+  for (int i = 0; i < 400; ++i) {
+    step(0, {4096, 16, 1.0}, SimTime::ns(300.0 * i));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(degraded, 0);
+  EXPECT_LT(degraded, 400);
+  EXPECT_GT(up.fifo().freeAt(), degrade_end);
 }
 
 // --- Topologies --------------------------------------------------------------
@@ -125,6 +223,68 @@ TEST(CounterTest, CumulativePrefixSums) {
   EXPECT_DOUBLE_EQ(cum[2], 3.0);
 }
 
+TEST(TimeSeriesCounterTest, WindowMatchesDividingReference) {
+  // add() divides only when a sample leaves the last bucket it touched.
+  // Samples on both sides of bucket edges, far jumps ahead and back, and
+  // a reset() must land exactly where dividing every sample puts them.
+  const SimTime width = SimTime::us(5);
+  const std::int64_t w = width.count();
+  TimeSeriesCounter counter(width);
+  std::vector<double> ref;
+  double ref_total = 0.0;
+  const auto add = [&](std::int64_t t, double amount) {
+    counter.add(SimTime(t), amount);
+    const auto idx = static_cast<std::size_t>(t / w);
+    if (idx >= ref.size()) ref.resize(idx + 1, 0.0);
+    ref[idx] += amount;
+    ref_total += amount;
+  };
+  const auto expectMatches = [&](const char* when) {
+    ASSERT_EQ(counter.numBuckets(), ref.size()) << when;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(counter.bucket(i), ref[i]) << when << " bucket " << i;
+    }
+    EXPECT_EQ(counter.total(), ref_total) << when;
+  };
+
+  std::mt19937_64 rng(0x7e'57);
+  std::uniform_real_distribution<double> amount(0.0, 1e6);
+  for (std::int64_t k = 1; k <= 6; ++k) {
+    add(k * w - 1, amount(rng));
+    add(k * w, amount(rng));
+    add(k * w, amount(rng));
+  }
+  add(1000 * w + 3, amount(rng));  // far ahead...
+  add(2 * w + 7, amount(rng));      // ...and back
+  add(0, amount(rng));
+  add(w - 1, amount(rng));
+  add(1000 * w - 1, amount(rng));
+  for (int i = 0; i < 2000; ++i) {
+    add(std::uniform_int_distribution<std::int64_t>(0, 40 * w)(rng),
+        amount(rng));
+  }
+  expectMatches("before reset");
+
+  counter.reset();
+  ref.clear();
+  ref_total = 0.0;
+  EXPECT_EQ(counter.numBuckets(), 0u);
+  add(3 * w - 1, amount(rng));
+  add(3 * w - 1, amount(rng));
+  add(w, amount(rng));
+  add(0, amount(rng));
+  expectMatches("after reset");
+}
+
+TEST(TimeSeriesCounterTest, NegativeTimeThrowsAfterWindowMoves) {
+  TimeSeriesCounter counter(SimTime::us(5));
+  counter.add(SimTime::us(17), 2.0);  // window on bucket 3
+  EXPECT_THROW(counter.add(SimTime(-1), 1.0), InvalidArgumentError);
+  counter.add(SimTime::us(1), 1.0);  // window on bucket 0
+  EXPECT_THROW(counter.add(SimTime(-1), 1.0), InvalidArgumentError);
+  EXPECT_DOUBLE_EQ(counter.total(), 3.0);
+}
+
 // --- Fabric -------------------------------------------------------------------
 
 TEST(FabricTest, DeliveryAddsSerializationAndLatency) {
@@ -156,6 +316,29 @@ TEST(FabricTest, CountersConserveBytes) {
                    static_cast<double>(sent));
   EXPECT_DOUBLE_EQ(fabric.deliveryCounter().total(),
                    static_cast<double>(sent));
+}
+
+TEST(FabricTest, CountersConserveBytesWhenFlapsDrop) {
+  // A flap window on 0 -> 1 swallows the flows that overlap it: every
+  // injected byte is then either delivered or counted as dropped.
+  Fabric fabric(std::make_unique<NvlinkAllToAllTopology>(2, testLink()));
+  fabric.topology().route(0, 1)[0]->addFaultWindow(
+      {SimTime::us(10), SimTime::us(20), 1.0, SimTime::zero(), true});
+  std::int64_t sent = 0;
+  for (int i = 0; i < 30; ++i) {
+    fabric.transfer(0, 1, 1000 + 100 * i, 4, SimTime::us(i));
+    fabric.transfer(1, 0, 500, 1, SimTime::us(i));
+    sent += 1000 + 100 * i + 500;
+  }
+  EXPECT_GT(fabric.droppedFlows(), 0);
+  EXPECT_LT(fabric.droppedFlows(), 30);
+  EXPECT_EQ(fabric.totalPayloadBytes(), sent);
+  EXPECT_DOUBLE_EQ(fabric.injectionCounter().total(),
+                   static_cast<double>(sent));
+  EXPECT_EQ(fabric.injectionCounter().total(),
+            fabric.deliveryCounter().total() +
+                static_cast<double>(fabric.droppedPayloadBytes()));
+  EXPECT_LT(fabric.deliveryCounter().total(), static_cast<double>(sent));
 }
 
 TEST(FabricTest, DisjointPairsDoNotContend) {

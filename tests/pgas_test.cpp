@@ -81,12 +81,42 @@ using Slices = std::vector<std::vector<SliceFlow>>;
 
 MessagePlan planFromSlices(const Slices& slices) {
   MessagePlan plan;
+  plan.slices = static_cast<int>(slices.size());
   for (const auto& slice : slices) {
     plan.slice_begin.push_back(plan.flows.size());
     plan.flows.insert(plan.flows.end(), slice.begin(), slice.end());
   }
   plan.slice_begin.push_back(plan.flows.size());
   return plan;
+}
+
+/// Every slice of `plan`, read in firing order through the cursor the
+/// runtime reads it with.
+Slices readSlices(const MessagePlan& plan) {
+  SliceCursor cursor(plan);
+  Slices out;
+  for (int s = 0; s < plan.slices; ++s) {
+    const auto flows = cursor.slice(s);
+    out.emplace_back(flows.begin(), flows.end());
+  }
+  return out;
+}
+
+struct Totals {
+  std::int64_t payload_bytes = 0;
+  std::int64_t messages = 0;
+};
+
+/// Payload and messages summed over every flow of every slice.
+Totals totalsOf(const Slices& slices) {
+  Totals t;
+  for (const auto& slice : slices) {
+    for (const auto& f : slice) {
+      t.payload_bytes += f.payload_bytes;
+      t.messages += f.n_messages;
+    }
+  }
+  return t;
 }
 
 /// Reference uniform split: per destination, whole messages are dealt
@@ -161,9 +191,10 @@ Slices referenceAggregate(const Slices& in, SimTime kernel_duration,
 void expectSameSlices(const MessagePlan& plan, const Slices& ref,
                       const std::string& what) {
   ASSERT_TRUE(plan.wellFormed()) << what;
-  ASSERT_EQ(plan.slices(), static_cast<int>(ref.size())) << what;
-  for (int s = 0; s < plan.slices(); ++s) {
-    const auto got = plan.slice(s);
+  ASSERT_EQ(plan.slices, static_cast<int>(ref.size())) << what;
+  const Slices slices = readSlices(plan);
+  for (int s = 0; s < plan.slices; ++s) {
+    const auto& got = slices[static_cast<std::size_t>(s)];
     const auto& want = ref[static_cast<std::size_t>(s)];
     ASSERT_EQ(got.size(), want.size()) << what << " slice " << s;
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -220,23 +251,33 @@ TEST(MessagePlanTest, BuildersMatchReferenceSliceBySlice) {
 
 TEST(MessagePlanTest, UniformPlanConservesBytes) {
   const auto plan = makeUniformPlan({0, 1000, 2000, 3000}, 0, 7, 256);
-  EXPECT_EQ(plan.slices(), 7);
+  EXPECT_EQ(plan.slices, 7);
   EXPECT_EQ(plan.totalPayloadBytes(), 6000);
+  const Totals sent = totalsOf(readSlices(plan));
+  EXPECT_EQ(sent.payload_bytes, 6000);
+  EXPECT_EQ(sent.messages, plan.totalMessages());
   // ceil(per-slice bytes / 256) summed >= 6000/256.
-  EXPECT_GE(plan.totalMessages(), 24);
+  EXPECT_GE(sent.messages, 24);
 }
 
 TEST(MessagePlanTest, SelfTrafficExcluded) {
   const auto plan = makeUniformPlan({500, 500}, 1, 4, 256);
-  EXPECT_EQ(plan.totalPayloadBytes(), 500);
-  for (const auto& f : plan.flows) EXPECT_EQ(f.dst, 0);
+  const Slices slices = readSlices(plan);
+  EXPECT_EQ(totalsOf(slices).payload_bytes, 500);
+  std::size_t flows = 0;
+  for (const auto& slice : slices) {
+    for (const auto& f : slice) {
+      EXPECT_EQ(f.dst, 0);
+      ++flows;
+    }
+  }
+  EXPECT_EQ(flows, 2u);  // 500 B = two 256-byte messages
 }
 
 TEST(MessagePlanTest, SpreadIsEven) {
   const auto plan = makeUniformPlan({0, 100000}, 0, 10, 256);
   std::int64_t total = 0;
-  for (int s = 0; s < plan.slices(); ++s) {
-    const auto slice = plan.slice(s);
+  for (const auto& slice : readSlices(plan)) {
     ASSERT_EQ(slice.size(), 1u);
     // Whole-message granularity: each slice within one message of even.
     EXPECT_NEAR(static_cast<double>(slice[0].payload_bytes), 10000.0, 256.0);
@@ -247,8 +288,38 @@ TEST(MessagePlanTest, SpreadIsEven) {
 
 TEST(MessagePlanTest, TinyPayloadStillDelivered) {
   const auto plan = makeUniformPlan({0, 3}, 0, 8, 256);
-  EXPECT_EQ(plan.totalPayloadBytes(), 3);
-  EXPECT_EQ(plan.totalMessages(), 1);
+  const Totals sent = totalsOf(readSlices(plan));
+  EXPECT_EQ(sent.payload_bytes, 3);
+  EXPECT_EQ(sent.messages, 1);
+}
+
+TEST(MessagePlanTest, ClosedFormSlicesReadOutOfOrderThrow) {
+  // A closed-form slice is stepped from the one before it, so the cursor
+  // must refuse any read but the next unread slice instead of emitting
+  // the wrong flows.
+  const auto plan = makeUniformPlan({0, 100000, 3000}, 0, 8, 256);
+  ASSERT_TRUE(plan.closedForm());
+  const Slices ref = referenceUniform({0, 100000, 3000}, 0, 8, 256);
+  const auto expectSlice = [&](SliceCursor& cursor, int s) {
+    const auto got = cursor.slice(s);
+    const auto& want = ref[static_cast<std::size_t>(s)];
+    ASSERT_EQ(got.size(), want.size()) << "slice " << s;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].dst, want[i].dst) << "slice " << s;
+      EXPECT_EQ(got[i].payload_bytes, want[i].payload_bytes) << "slice " << s;
+      EXPECT_EQ(got[i].n_messages, want[i].n_messages) << "slice " << s;
+    }
+  };
+
+  SliceCursor skipped(plan);
+  EXPECT_THROW(skipped.slice(1), InvalidArgumentError);  // 1 before 0
+  expectSlice(skipped, 0);  // a refused read consumes nothing
+
+  SliceCursor repeated(plan);
+  expectSlice(repeated, 0);
+  EXPECT_THROW(repeated.slice(0), InvalidArgumentError);  // 0 twice
+  for (int s = 1; s < plan.slices; ++s) expectSlice(repeated, s);
+  EXPECT_THROW(repeated.slice(plan.slices), InvalidArgumentError);
 }
 
 // --- In-kernel injection + quiet ---------------------------------------------
@@ -332,7 +403,11 @@ TEST(AggregatorTest, ConservesBytesAndReducesMessages) {
   params.aggregation_bytes = 64 * 1024;
   const auto agg = aggregatePlan(plan, SimTime::ms(1), params);
   EXPECT_EQ(agg.totalPayloadBytes(), plan.totalPayloadBytes());
-  EXPECT_LT(agg.totalMessages(), plan.totalMessages() / 10);
+  const Totals sent = totalsOf(readSlices(plan));
+  const Totals aggregated = totalsOf(readSlices(agg));
+  EXPECT_EQ(sent.payload_bytes, 1 << 20);
+  EXPECT_EQ(aggregated.payload_bytes, sent.payload_bytes);
+  EXPECT_LT(aggregated.messages, sent.messages / 10);
 }
 
 TEST(AggregatorTest, SizeTriggeredFlushesAreFullBuffers) {
@@ -343,11 +418,13 @@ TEST(AggregatorTest, SizeTriggeredFlushesAreFullBuffers) {
   const auto agg = aggregatePlan(plan, SimTime::ms(1), params);
   // All but the final quiet flush are exactly aggregation_bytes.
   std::int64_t full = 0, partial = 0;
-  for (const auto& f : agg.flows) {
-    if (f.payload_bytes == params.aggregation_bytes) {
-      ++full;
-    } else {
-      ++partial;
+  for (const auto& slice : readSlices(agg)) {
+    for (const auto& f : slice) {
+      if (f.payload_bytes == params.aggregation_bytes) {
+        ++full;
+      } else {
+        ++partial;
+      }
     }
   }
   EXPECT_EQ(full, (1 << 20) / params.aggregation_bytes);
@@ -379,7 +456,7 @@ TEST(AggregatorTest, QuietDrainsRemainder) {
   const auto agg = aggregatePlan(plan, SimTime::ms(1), params);
   EXPECT_EQ(agg.totalPayloadBytes(), 100);
   // Drained at the last slice.
-  EXPECT_FALSE(agg.slice(3).empty());
+  EXPECT_FALSE(readSlices(agg)[3].empty());
 }
 
 TEST(AggregatorTest, AggregatedKernelFasterOnMessageRateLimitedLink) {
