@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,22 +189,24 @@ Slices referenceAggregate(const Slices& in, SimTime kernel_duration,
   return out;
 }
 
+void expectSameFlows(std::span<const SliceFlow> got,
+                     const std::vector<SliceFlow>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].dst, want[i].dst) << what;
+    EXPECT_EQ(got[i].payload_bytes, want[i].payload_bytes) << what;
+    EXPECT_EQ(got[i].n_messages, want[i].n_messages) << what;
+  }
+}
+
 void expectSameSlices(const MessagePlan& plan, const Slices& ref,
                       const std::string& what) {
   ASSERT_TRUE(plan.wellFormed()) << what;
   ASSERT_EQ(plan.slices, static_cast<int>(ref.size())) << what;
   const Slices slices = readSlices(plan);
-  for (int s = 0; s < plan.slices; ++s) {
-    const auto& got = slices[static_cast<std::size_t>(s)];
-    const auto& want = ref[static_cast<std::size_t>(s)];
-    ASSERT_EQ(got.size(), want.size()) << what << " slice " << s;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].dst, want[i].dst) << what << " slice " << s;
-      EXPECT_EQ(got[i].payload_bytes, want[i].payload_bytes)
-          << what << " slice " << s;
-      EXPECT_EQ(got[i].n_messages, want[i].n_messages)
-          << what << " slice " << s;
-    }
+  for (std::size_t s = 0; s < ref.size(); ++s) {
+    expectSameFlows(slices[s], ref[s], what + " slice " + std::to_string(s));
   }
 }
 
@@ -301,14 +304,8 @@ TEST(MessagePlanTest, ClosedFormSlicesReadOutOfOrderThrow) {
   ASSERT_TRUE(plan.closedForm());
   const Slices ref = referenceUniform({0, 100000, 3000}, 0, 8, 256);
   const auto expectSlice = [&](SliceCursor& cursor, int s) {
-    const auto got = cursor.slice(s);
-    const auto& want = ref[static_cast<std::size_t>(s)];
-    ASSERT_EQ(got.size(), want.size()) << "slice " << s;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].dst, want[i].dst) << "slice " << s;
-      EXPECT_EQ(got[i].payload_bytes, want[i].payload_bytes) << "slice " << s;
-      EXPECT_EQ(got[i].n_messages, want[i].n_messages) << "slice " << s;
-    }
+    expectSameFlows(cursor.slice(s), ref[static_cast<std::size_t>(s)],
+                    "slice " + std::to_string(s));
   };
 
   SliceCursor skipped(plan);
