@@ -1,5 +1,7 @@
 #include "core/pipelined_retriever.hpp"
 
+#include <algorithm>
+
 #include "core/registry.hpp"
 #include "emb/lookup_kernel.hpp"
 #include "emb/unpack_kernel.hpp"
@@ -36,6 +38,7 @@ PipelinedCollectiveRetriever::PipelinedCollectiveRetriever(
   for (int g = 0; g < p; ++g) {
     comm_streams_.push_back(&system.createStream(g, "comm"));
   }
+  slot_free_.resize(static_cast<std::size_t>(p));
 }
 
 PipelinedCollectiveRetriever::~PipelinedCollectiveRetriever() {
@@ -77,14 +80,14 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
   // the send buffer before the new lookup overwrites it.  Batches whose
   // events were released at a drain() are fully complete — their slot
   // needs no wait.
-  gpu::GpuEvent* slot_free[64] = {};
+  std::fill(slot_free_.begin(), slot_free_.end(), nullptr);
   if (submitted_ >= depth_ && submitted_ - depth_ >= events_base_batch_) {
     const std::size_t old_base =
         static_cast<std::size_t>(submitted_ - depth_ - events_base_batch_) *
         2 * static_cast<std::size_t>(p);
     for (int g = 0; g < p; ++g) {
-      slot_free[g] = events_[old_base + static_cast<std::size_t>(p + g)]
-                         .get();
+      slot_free_[static_cast<std::size_t>(g)] =
+          events_[old_base + static_cast<std::size_t>(p + g)].get();
     }
   }
 
@@ -125,8 +128,8 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
       }
     }
     auto& stream = system.stream(g);
-    if (slot_free[g] != nullptr) {
-      stream.enqueueWaitEvent(system.hostNow(), *slot_free[g]);
+    if (gpu::GpuEvent* slot_free = slot_free_[static_cast<std::size_t>(g)]) {
+      stream.enqueueWaitEvent(system.hostNow(), *slot_free);
     }
     if (f != nullptr) {
       system.launchKernel(g, emb::buildCacheProbeKernel(layer_, *f, g));

@@ -71,6 +71,10 @@ class PipelinedCollectiveRetriever final : public EmbeddingRetriever {
   std::unique_ptr<emb::CacheFilter> pending_filter_;
   std::vector<Slot> slots_;
   std::vector<gpu::Stream*> comm_streams_;  // one per GPU
+  // Per GPU, the all-to-all-done event of the batch that last used this
+  // batch's slot (null when that batch is known complete); rewritten by
+  // every runBatch().
+  std::vector<gpu::GpuEvent*> slot_free_;
   // Events live until drain (the simulator may still reference them).
   // A full drain() retires every reference, so the table is released
   // there (see events_base_batch_) instead of growing for the whole run.

@@ -153,6 +153,13 @@ ExperimentResult ServingRunner::run(const std::string& retriever_name) {
       sv.batches > 0 ? queue_depth_sum / static_cast<double>(sv.batches)
                      : 0.0;
 
+  // Query conservation, on every run: each generated query was served or
+  // shed (by the queue limit, overload control or its deadline).
+  PGASEMB_ASSERT(sv.queries + sv.totalShed() == config.serving.num_queries,
+                 "serving lost queries: ", sv.queries, " served + ",
+                 sv.totalShed(), " shed != ", config.serving.num_queries,
+                 " generated");
+
   // The throughput probe uses the full-shape batch (capacity, not the
   // run's average fill).
   const emb::SparseBatch full =

@@ -32,6 +32,8 @@ InterNodeCodec::InterNodeCodec(std::vector<double> table_ranges, double bound,
   }
   egress_.reserve(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) egress_.emplace_back(window);
+  const double capacity = nic_bandwidth_ * window.toSec();
+  hot_bytes_ = kHotUtilization * capacity;
 }
 
 int InterNodeCodec::minBitsFor(double range, double bound) {
@@ -65,8 +67,7 @@ int InterNodeCodec::aggregateBits(int node, SimTime at) const {
       bucket < static_cast<std::int64_t>(counter.numBuckets())) {
     observed = counter.bucket(static_cast<std::size_t>(bucket));
   }
-  const double capacity = nic_bandwidth_ * counter.bucketWidth().toSec();
-  if (observed >= kHotUtilization * capacity) {
+  if (observed >= hot_bytes_) {
     ++hot_decisions_;
     return min_bits_all_;
   }

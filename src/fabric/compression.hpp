@@ -104,6 +104,8 @@ class InterNodeCodec {
   std::vector<TableStats> tables_;
   int min_bits_all_ = 2;  ///< widest per-table minimal width
   std::vector<TimeSeriesCounter> egress_;  ///< per-node compressed egress
+  /// Egress per window above which a node counts as hot.
+  double hot_bytes_ = 0.0;
   std::int64_t raw_bytes_ = 0;
   std::int64_t wire_bytes_ = 0;
   mutable std::int64_t hot_decisions_ = 0;

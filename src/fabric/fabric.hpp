@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "fabric/time_series_counter.hpp"
 #include "fabric/topology.hpp"
+#include "util/expect.hpp"
 #include "util/time.hpp"
 
 namespace pgasemb::fabric {
@@ -36,6 +38,18 @@ class Fabric {
     bool dropped = false;
   };
 
+  /// A resolved src -> dst route: the links a flow traverses, in order
+  /// (none when src == dst). A caller that sends many flows over one
+  /// pair resolves it once and keeps the lookup out of its inner loop.
+  struct Route {
+    int src = 0;
+    int dst = 0;
+    std::span<Link* const> links;
+  };
+  Route route(int src, int dst) const {
+    return Route{src, dst, topology_->route(src, dst)};
+  }
+
   /// Inject a flow of `n_messages` messages totalling `payload_bytes`
   /// from GPU `src` to GPU `dst` at time `at`, and return its eagerly
   /// computed delivery time: the flow occupies each link of the
@@ -44,7 +58,50 @@ class Fabric {
   /// (collective protocol efficiency vs. raw one-sided stores).
   Delivery transfer(int src, int dst, std::int64_t payload_bytes,
                     std::int64_t n_messages, SimTime at,
-                    double bandwidth_fraction = 1.0);
+                    double bandwidth_fraction = 1.0) {
+    return send(route(src, dst), payload_bytes, n_messages, at,
+                bandwidth_fraction);
+  }
+
+  /// transfer() over a resolved route: the one hop routine every flow
+  /// takes. Inline, since a PGAS batch sends hundreds of thousands.
+  Delivery send(const Route& route, std::int64_t payload_bytes,
+                std::int64_t n_messages, SimTime at,
+                double bandwidth_fraction = 1.0) {
+    PGASEMB_CHECK(payload_bytes >= 0 && n_messages >= 0, "negative flow");
+    Delivery d{at, at, false};
+    if (route.links.empty() || payload_bytes + n_messages == 0) return d;
+    SimTime cursor = at;
+    SimTime wire_start = at;
+    for (std::size_t hop = 0; hop < route.links.size(); ++hop) {
+      Link& link = *route.links[hop];
+      // Store-and-forward at flow granularity per hop.
+      const auto grant =
+          link.occupy(cursor, payload_bytes, n_messages, bandwidth_fraction);
+      if (hop == 0) wire_start = grant.start;
+      SimTime hop_latency = link.params().latency;
+      if (link.hasFaultWindows() &&
+          faultHop(link, grant, payload_bytes, hop_latency)) {
+        // The flow is lost on this hop; later hops never see it.
+        d.dropped = true;
+        d.delivered = grant.end;
+        break;
+      }
+      cursor = grant.end + hop_latency;
+    }
+    if (!d.dropped) d.delivered = cursor;
+    if (flow_observer_) {
+      flow_observer_(route.src, route.dst, payload_bytes, n_messages,
+                     wire_start, d.delivered);
+    }
+    injected_.add(at, static_cast<double>(payload_bytes));
+    if (!d.dropped) {
+      delivered_.add(d.delivered, static_cast<double>(payload_bytes));
+    }
+    total_payload_bytes_ += payload_bytes;
+    total_messages_ += n_messages;
+    return d;
+  }
 
   /// Bytes put on the wire over time (payload only), all flows.
   const TimeSeriesCounter& injectionCounter() const { return injected_; }
@@ -96,6 +153,12 @@ class Fabric {
   void reset();
 
  private:
+  /// Applies `link`'s fault windows to a hop granted `grant`: adds the
+  /// extra latency in force to `hop_latency`, and returns true (counting
+  /// the drop) when a flap window swallows the flow.
+  bool faultHop(Link& link, const sim::FifoResource::Grant& grant,
+                std::int64_t payload_bytes, SimTime& hop_latency);
+
   std::unique_ptr<Topology> topology_;
   TimeSeriesCounter injected_;
   TimeSeriesCounter delivered_;

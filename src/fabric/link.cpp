@@ -30,29 +30,12 @@ SimTime Link::serializationTime(std::int64_t payload_bytes,
   return SimTime::sec(seconds);
 }
 
-sim::FifoResource::Grant Link::occupy(SimTime at, std::int64_t payload_bytes,
-                                      std::int64_t n_messages,
-                                      double bandwidth_fraction) {
-  total_payload_bytes_ += payload_bytes;
-  total_messages_ += n_messages;
-  double fraction = bandwidth_fraction;
-  if (!fault_windows_.empty()) {
-    // Sample the degradation at the time the flow actually reaches the
-    // wire (deterministic: FIFO order fixes it).
-    const double factor = bandwidthFactorAt(wire_->nextFreeTime(at));
-    if (factor < 1.0) fraction = bandwidth_fraction * factor;
-  }
-  // Slices of one kernel repeat the same flow shape, so the last
-  // serialization is reused whenever a flow repeats it exactly.
-  if (payload_bytes != memo_.payload_bytes ||
-      n_messages != memo_.n_messages || fraction != memo_.fraction) {
-    const SimTime wire_time =
-        serializationTime(payload_bytes, n_messages, fraction);
-    memo_ = {payload_bytes, n_messages, fraction, wire_time,
-             wire_time.toSec() * params_.bandwidth_bytes_per_sec};
-  }
-  wire_equivalent_bytes_ += memo_.wire_equivalent_bytes;
-  return wire_->acquire(at, memo_.wire_time);
+void Link::serialize(std::int64_t payload_bytes, std::int64_t n_messages,
+                     double fraction) {
+  const SimTime wire_time =
+      serializationTime(payload_bytes, n_messages, fraction);
+  memo_ = {payload_bytes, n_messages, fraction, wire_time,
+           wire_time.toSec() * params_.bandwidth_bytes_per_sec};
 }
 
 void Link::addFaultWindow(const LinkFaultWindow& window) {

@@ -58,10 +58,29 @@ class Link {
 
   /// Occupy the link for one flow arriving at `at`; returns the grant
   /// from the FIFO queue (start/end of wire occupancy; delivery adds
-  /// `params().latency`).
+  /// `params().latency`). The one place a flow is serialized and queued:
+  /// inline, since every fabric hop calls it.
   sim::FifoResource::Grant occupy(SimTime at, std::int64_t payload_bytes,
                                   std::int64_t n_messages,
-                                  double bandwidth_fraction = 1.0);
+                                  double bandwidth_fraction = 1.0) {
+    total_payload_bytes_ += payload_bytes;
+    total_messages_ += n_messages;
+    double fraction = bandwidth_fraction;
+    if (!fault_windows_.empty()) {
+      // Sample the degradation at the time the flow actually reaches the
+      // wire (deterministic: FIFO order fixes it).
+      const double factor = bandwidthFactorAt(wire_->nextFreeTime(at));
+      if (factor < 1.0) fraction = bandwidth_fraction * factor;
+    }
+    // Slices of one kernel repeat the same flow shape, so the last
+    // serialization is reused whenever a flow repeats it exactly.
+    if (payload_bytes != memo_.payload_bytes ||
+        n_messages != memo_.n_messages || fraction != memo_.fraction) {
+      serialize(payload_bytes, n_messages, fraction);
+    }
+    wire_equivalent_bytes_ += memo_.wire_equivalent_bytes;
+    return wire_->acquire(at, memo_.wire_time);
+  }
 
   const LinkParams& params() const { return params_; }
   const std::string& name() const { return name_; }
@@ -134,6 +153,9 @@ class Link {
     double wire_equivalent_bytes = 0.0;
   };
   SerializationMemo memo_;
+  /// Refill memo_ for a new flow shape.
+  void serialize(std::int64_t payload_bytes, std::int64_t n_messages,
+                 double fraction);
   std::vector<LinkFaultWindow> fault_windows_;
   std::int64_t dropped_flows_ = 0;
   std::int64_t dropped_payload_bytes_ = 0;

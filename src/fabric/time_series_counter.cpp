@@ -12,16 +12,22 @@ TimeSeriesCounter::TimeSeriesCounter(SimTime bucket_width)
 void TimeSeriesCounter::moveWindow(std::int64_t t) {
   PGASEMB_CHECK(t >= 0, "negative sample time");
   const std::int64_t width = bucket_width_.count();
-  window_bucket_ = static_cast<std::size_t>(t / width);
+  const bool open = window_end_ > window_begin_;
+  if (open && t >= window_end_ && t - window_end_ < width) {
+    // A flow's delivery, or the next hop's injection, usually lands in
+    // the bucket after its injection's, and the next flow's injection
+    // back in the one before: step instead of dividing.
+    ++window_bucket_;
+  } else if (open && t < window_begin_ && window_begin_ - t <= width) {
+    --window_bucket_;
+  } else {
+    window_bucket_ = static_cast<std::size_t>(t / width);
+  }
   if (window_bucket_ >= buckets_.size()) {
     buckets_.resize(window_bucket_ + 1, 0.0);
   }
   window_begin_ = static_cast<std::int64_t>(window_bucket_) * width;
   window_end_ = window_begin_ + width;
-}
-
-double TimeSeriesCounter::bucket(std::size_t i) const {
-  return i < buckets_.size() ? buckets_[i] : 0.0;
 }
 
 std::vector<double> TimeSeriesCounter::cumulative() const {

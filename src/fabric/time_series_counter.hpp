@@ -17,7 +17,8 @@ class TimeSeriesCounter {
   explicit TimeSeriesCounter(SimTime bucket_width = SimTime::us(5.0));
 
   /// Add `amount` at simulated time `at` (>= 0). Divides only when the
-  /// sample falls outside the bucket the previous one landed in.
+  /// sample falls outside the bucket the previous one landed in and its
+  /// two neighbours.
   void add(SimTime at, double amount) {
     const std::int64_t t = at.count();
     if (t < window_begin_ || t >= window_end_) moveWindow(t);
@@ -29,7 +30,9 @@ class TimeSeriesCounter {
   std::size_t numBuckets() const { return buckets_.size(); }
 
   /// Value accumulated in bucket `i` (time range [i*w, (i+1)*w)).
-  double bucket(std::size_t i) const;
+  double bucket(std::size_t i) const {
+    return i < buckets_.size() ? buckets_[i] : 0.0;
+  }
 
   /// Cumulative totals over time (prefix sums), one entry per bucket.
   std::vector<double> cumulative() const;

@@ -18,6 +18,20 @@
 
 namespace pgasemb::gpu {
 
+/// When each slice of one launch ends: slice `s` of a kernel whose
+/// compute starts at `start` and lasts `duration` ends at
+/// start + duration * (s + 1) / slices (whole picoseconds), so the last
+/// slice ends exactly at compute end.
+struct SliceClock {
+  SimTime start;
+  SimTime duration;
+  int slices = 1;
+
+  SimTime at(int s) const {
+    return start + SimTime(duration.count() * (s + 1) / slices);
+  }
+};
+
 struct KernelDesc {
   std::string name;
 
@@ -27,18 +41,19 @@ struct KernelDesc {
   /// Number of timeline subdivisions; `on_slice` fires at the end of each.
   int slices = 1;
 
-  /// Called at the end of slice `i` (0-based) at simulated time `at`.
-  /// Slice `slices - 1` fires exactly at compute end.
+  /// Called at the end of slice `i` (0-based) at simulated time `at`,
+  /// one simulator event per slice. Slice `slices - 1` fires exactly at
+  /// compute end.
   std::function<void(int slice, SimTime at)> on_slice;
 
-  /// Fast path (set by the PGAS runtime when provably safe): run every
-  /// slice callback synchronously at kernel start, passing each slice
-  /// its original future timestamp, instead of scheduling one simulator
-  /// event per slice. Timing-identical only when nothing else can
-  /// interleave with this kernel's flows between kernel start and
+  /// Fast path, replacing on_slice's events when set (the PGAS runtime
+  /// sets it only when provably safe): called once when compute starts
+  /// with the launch's slice clock, it emits every slice itself, each at
+  /// its original future time. Timing-identical only when nothing else
+  /// can interleave with this kernel's flows between kernel start and
   /// compute end (dedicated pair links, no simsan/faults/counters — see
   /// PgasRuntime::attachMessagePlan).
-  bool coalesce_slices = false;
+  std::function<void(const SliceClock& clock)> on_launch;
 
   /// Host-side functional data-plane work, run once when the kernel
   /// starts. Null in timing-only mode.

@@ -123,29 +123,19 @@ void Stream::enqueueKernel(SimTime ready, KernelDesc desc) {
                 d.functional_body();
               }
             }
-            if (d.on_slice) {
-              const std::int64_t dur = duration.count();
-              if (d.coalesce_slices) {
-                // Fast path: emit every slice synchronously with its
-                // original timestamp. The flows land on the fabric in
-                // the same order at the same times, so link grants —
-                // and therefore every simulated result — are identical
-                // (see KernelDesc::coalesce_slices for the safety
-                // conditions).
-                for (int i = 0; i < d.slices; ++i) {
-                  d.on_slice(i, grant.start +
-                                    SimTime(dur * (i + 1) / d.slices));
-                }
-              } else {
-                slice_batch_.reserve(static_cast<std::size_t>(d.slices));
-                for (int i = 0; i < d.slices; ++i) {
-                  const SimTime at =
-                      grant.start + SimTime(dur * (i + 1) / d.slices);
-                  slice_batch_.push_back(
-                      {at, [state, i, at] { state->desc.on_slice(i, at); }});
-                }
-                simulator_.scheduleBatch(slice_batch_);
+            const SliceClock clock{grant.start, duration, d.slices};
+            if (d.on_launch) {
+              // Fast path: the whole launch in one call, each slice at
+              // its original time (see KernelDesc::on_launch).
+              d.on_launch(clock);
+            } else if (d.on_slice) {
+              slice_batch_.reserve(static_cast<std::size_t>(d.slices));
+              for (int i = 0; i < d.slices; ++i) {
+                const SimTime at = clock.at(i);
+                slice_batch_.push_back(
+                    {at, [state, i, at] { state->desc.on_slice(i, at); }});
               }
+              simulator_.scheduleBatch(slice_batch_);
             }
             state->done = std::move(done);
             simulator_.scheduleAt(grant.end, [this, state] {

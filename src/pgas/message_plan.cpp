@@ -16,7 +16,11 @@ bool MessagePlan::wellFormed() const {
              return f.payload_bytes > 0 &&
                     f.n_messages ==
                         (f.payload_bytes + message_bytes - 1) / message_bytes;
-           });
+           }) &&
+           std::adjacent_find(flows.begin(), flows.end(),
+                              [](const SliceFlow& a, const SliceFlow& b) {
+                                return a.dst >= b.dst;
+                              }) == flows.end();
   }
   return slice_begin.size() == static_cast<std::size_t>(slices) + 1 &&
          slice_begin.front() == 0 && slice_begin.back() == flows.size() &&
@@ -59,10 +63,7 @@ SliceCursor::SliceCursor(MessagePlan plan) : plan_(std::move(plan)) {
   PGASEMB_CHECK(plan_.wellFormed(), "malformed message plan");
   if (!plan_.closedForm()) return;
   splits_.reserve(plan_.flows.size());
-  for (const auto& f : plan_.flows) {
-    splits_.push_back(
-        Split{f.n_messages / plan_.slices, f.n_messages % plan_.slices});
-  }
+  for (const auto& row : plan_.flows) splits_.emplace_back(row, plan_.slices);
   current_.reserve(plan_.flows.size());
 }
 
@@ -77,25 +78,10 @@ std::span<const SliceFlow> SliceCursor::slice(int s) {
             plan_.slice_begin[i + 1] - plan_.slice_begin[i]};
   }
   current_.clear();
-  const std::int64_t mb = plan_.message_bytes;
   for (std::size_t i = 0; i < splits_.size(); ++i) {
-    Split& sp = splits_[i];
-    const std::int64_t before = sp.upto;
-    sp.upto += sp.step;
-    sp.acc += sp.rem;
-    if (sp.acc >= plan_.slices) {
-      sp.acc -= plan_.slices;
-      ++sp.upto;
-    }
-    if (sp.upto == before) continue;
-    // Whole messages carry whole bytes; only a destination's final
-    // message may be partial.
-    const SliceFlow& row = plan_.flows[i];
-    current_.push_back(
-        SliceFlow{row.dst,
-                  std::min(sp.upto * mb, row.payload_bytes) -
-                      std::min(before * mb, row.payload_bytes),
-                  sp.upto - before});
+    const SliceFlow share =
+        splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
+    if (share.n_messages > 0) current_.push_back(share);
   }
   return current_;
 }

@@ -12,6 +12,7 @@
 // completion.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -29,8 +30,9 @@ struct SliceFlow {
 /// A kernel's flows, in one of two forms.
 ///
 /// Closed form (`message_bytes` > 0, built by makeUniformPlan): `flows`
-/// holds one kernel-total flow per remote destination, in destination
-/// order, and each slice's share is computed as the slice fires.
+/// holds one kernel-total flow (a row) per remote destination, in
+/// ascending destination order, and each slice's share is computed as
+/// the slice fires (RowSplit).
 ///
 /// Explicit (`message_bytes` == 0, built by aggregatePlan): `flows` holds
 /// every flow slice-major, and slice s owns flows[slice_begin[s],
@@ -48,7 +50,8 @@ struct MessagePlan {
 
   bool closedForm() const { return message_bytes > 0; }
   /// At least one slice; an explicit plan's offsets tile `flows` in
-  /// order, and a closed-form plan has none.
+  /// order, and a closed-form plan has none and one row per destination
+  /// in ascending order.
   bool wellFormed() const;
 
   std::int64_t totalPayloadBytes() const;
@@ -68,6 +71,41 @@ MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
                             int self, int slices,
                             std::int64_t message_bytes);
 
+/// One closed-form row's largest-remainder split, stepped one slice at a
+/// time without division: after slice s, `upto` = floor(n_messages *
+/// (s + 1) / slices) = step * (s + 1) + floor(rem * (s + 1) / slices),
+/// with `acc` = rem * (s + 1) mod slices.
+class RowSplit {
+ public:
+  RowSplit() = default;
+  RowSplit(const SliceFlow& row, int slices)
+      : step_(row.n_messages / slices), rem_(row.n_messages % slices) {}
+
+  /// The next slice's share of `row` (the row this split was built
+  /// for); zero messages when the slice gets none. Whole messages carry
+  /// whole bytes; only the row's final message may be partial.
+  SliceFlow next(const SliceFlow& row, std::int64_t message_bytes,
+                 int slices) {
+    const std::int64_t before = upto_;
+    upto_ += step_;
+    acc_ += rem_;
+    if (acc_ >= slices) {
+      acc_ -= slices;
+      ++upto_;
+    }
+    return SliceFlow{row.dst,
+                     std::min(upto_ * message_bytes, row.payload_bytes) -
+                         std::min(before * message_bytes, row.payload_bytes),
+                     upto_ - before};
+  }
+
+ private:
+  std::int64_t step_ = 0;
+  std::int64_t rem_ = 0;
+  std::int64_t upto_ = 0;
+  std::int64_t acc_ = 0;
+};
+
 /// Reads a plan's slices in firing order: 0, 1, ..., slices - 1, each
 /// once. A closed-form slice is stepped from the one before it (the
 /// largest-remainder split without division), so any other order throws
@@ -84,20 +122,9 @@ class SliceCursor {
   std::span<const SliceFlow> slice(int s);
 
  private:
-  /// One closed-form destination's split: after slice s, `upto` =
-  /// floor(n_messages * (s + 1) / slices) = step * (s + 1) +
-  /// floor(rem * (s + 1) / slices), with `acc` = rem * (s + 1) mod
-  /// slices.
-  struct Split {
-    std::int64_t step = 0;
-    std::int64_t rem = 0;
-    std::int64_t upto = 0;
-    std::int64_t acc = 0;
-  };
-
   MessagePlan plan_;
   int next_ = 0;
-  std::vector<Split> splits_;         ///< closed form: one per flow
+  std::vector<RowSplit> splits_;      ///< closed form: one per row
   std::vector<SliceFlow> current_;    ///< closed form: the slice just read
 };
 

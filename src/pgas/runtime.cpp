@@ -17,66 +17,469 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
                 "fabric topology smaller than the GPU system");
 }
 
-namespace {
-
-/// One slice's flows grouped by destination node, each group in plan
-/// order. Regrouping a slice is one counting pass over its flows, so
-/// forwarding is linear in the flows however many nodes there are. A
-/// slice already in node order (every closed-form slice is) is grouped
-/// in place; any other is scattered into scratch that grows to the
-/// widest slice once and is then reused.
-class NodeGroups {
+/// One launch's one-sided puts (DESIGN.md §9). Every per-kernel decision
+/// is made once, at attach: the plan's rows, each destination's resolved
+/// last-hop route, and for hierarchical forwarding the gather and
+/// leader -> leader routes. A slice steps a closed-form plan's rows in
+/// place and sends their shares straight over those routes, in the
+/// order the links must see them; the fault injector, simsan, the comm
+/// counter, the strict put tracker and the codec are branches on
+/// per-kernel constants. A coalesced launch steps each row's dedicated
+/// route over every slice instead.
+class PgasRuntime::PutEmitter {
  public:
-  NodeGroups() = default;
-  NodeGroups(int nodes, int gpus_per_node)
-      : gpus_per_node_(gpus_per_node),
-        begin_(static_cast<std::size_t>(nodes) + 1),
-        cursor_(static_cast<std::size_t>(nodes)) {}
+  PutEmitter(PgasRuntime& runtime, int src, MessagePlan plan,
+             CommCounter* counter,
+             std::shared_ptr<simsan::StrictPutTracker> strict,
+             std::vector<simsan::MemEffect> remote_writes);
 
-  int nodes() const { return static_cast<int>(cursor_.size()); }
+  int slices() const { return plan_.slices; }
 
-  void regroup(std::span<const SliceFlow> flows) {
-    std::fill(begin_.begin(), begin_.end(), 0);
-    bool in_order = true;
-    std::size_t prev = 0;
-    for (const auto& f : flows) {
-      const std::size_t node = nodeOf(f);
-      in_order = in_order && node >= prev;
-      prev = node;
-      ++begin_[node + 1];
-    }
-    std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
-    if (in_order) {
-      grouped_ = flows;
-      return;
-    }
-    if (scratch_.size() < flows.size()) scratch_.resize(flows.size());
-    std::copy(begin_.begin(), begin_.end() - 1, cursor_.begin());
-    for (const auto& f : flows) scratch_[cursor_[nodeOf(f)]++] = f;
-    grouped_ = {scratch_.data(), flows.size()};
-  }
+  /// Emits slice `s`, which must be the next one, at `at`.
+  void slice(int s, SimTime at);
 
-  /// The current slice's flows to `node`.
-  std::span<const SliceFlow> to(int node) const {
-    const auto n = static_cast<std::size_t>(node);
-    return grouped_.subspan(begin_[n], begin_[n + 1] - begin_[n]);
-  }
+  /// Emits every slice of a coalesced launch, each at its clock time.
+  void launch(const gpu::SliceClock& clock);
+
+  /// nvshmem_quiet: kernel completion waits for remote-write delivery,
+  /// and (for simsan) the put engine's writes are published to the
+  /// stream.
+  SimTime quiet(SimTime compute_end);
 
  private:
-  std::size_t nodeOf(const SliceFlow& f) const {
-    return static_cast<std::size_t>(f.dst / gpus_per_node_);
+  using Route = fabric::Fabric::Route;
+
+  /// A closed-form row with no messages in the current slice sends
+  /// nothing; an explicit plan's flows are always sent.
+  bool idle(const SliceFlow& f) const {
+    return closed_ && f.n_messages == 0;
+  }
+  std::span<const SliceFlow> sliceOf(const std::vector<SliceFlow>& flows,
+                                     int s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return {flows.data() + plan_.slice_begin[i],
+            plan_.slice_begin[i + 1] - plan_.slice_begin[i]};
+  }
+  /// Points node_begin_ at `flows`, which are in node order.
+  void countNodes(std::span<const SliceFlow> flows);
+  std::span<const SliceFlow> toNode(std::span<const SliceFlow> flows,
+                                    int node) const {
+    const auto n = static_cast<std::size_t>(node);
+    return flows.subspan(node_begin_[n], node_begin_[n + 1] - node_begin_[n]);
   }
 
-  int gpus_per_node_ = 1;
-  /// The current slice in node order: the slice itself or `scratch_`.
-  std::span<const SliceFlow> grouped_;
-  std::vector<SliceFlow> scratch_;
-  /// Node n's flows are grouped_[begin_[n], begin_[n + 1]).
-  std::vector<std::size_t> begin_;
-  std::vector<std::size_t> cursor_;  ///< fill position per node
+  void forward(std::span<const SliceFlow> flows, SimTime at);
+  void forwardToNode(int node, std::span<const SliceFlow> group, SimTime at,
+                     int leader_s);
+  SimTime direct(const SliceFlow& f, SimTime at);
+  SimTime reliableDirect(const SliceFlow& f, std::int64_t wire_bytes,
+                         SimTime at);
+  SimTime hop(const Route& route, std::int64_t bytes, std::int64_t msgs,
+              SimTime at);
+  std::int64_t encode(std::int64_t payload_bytes, SimTime at);
+  void logPut(const SliceFlow& f, SimTime at, SimTime delivered);
+
+  gpu::MultiGpuSystem& system_;
+  fabric::Fabric& fabric_;
+  fault::FaultInjector* const injector_;
+  fabric::InterNodeCodec* const codec_;
+  CommCounter* const counter_;
+  const std::shared_ptr<simsan::StrictPutTracker> strict_;
+  const std::vector<simsan::MemEffect> remote_writes_;
+  const int src_;
+  /// Node structure: on every topology GPU g sits on node g / gpn_, and
+  /// a node's default leader is its first GPU.
+  const int gpn_;
+  const int src_node_;
+  /// Hierarchical forwarding stays on under an armed injector: the
+  /// leader hops are delivery-tracked reliable puts, and only node pairs
+  /// inside a NIC fault window fall back to direct per-flow puts
+  /// (per-pair degraded mode — see DESIGN.md §13).
+  const bool hier_;
+  const bool closed_;
+  const MessagePlan plan_;
+  int next_ = 0;
+
+  /// Closed form: each row's split and its share of the current slice,
+  /// in row order.
+  std::vector<RowSplit> splits_;
+  std::vector<SliceFlow> shares_;
+  /// Forwarded explicit plan: each slice's flows grouped by destination
+  /// node (plan order within a node), at plan_.slice_begin's offsets.
+  std::vector<SliceFlow> grouped_;
+  /// Forwarding: the current slice's flows to node n are
+  /// [node_begin_[n], node_begin_[n + 1]) of its node-ordered flows;
+  /// fixed for a closed-form plan, whose rows are in destination order.
+  std::vector<std::size_t> node_begin_;
+
+  /// The resolved fault-free routes. to_[d] is the last hop to GPU d: the
+  /// direct route from src, or for a forwarded destination the scatter
+  /// from its node's leader. Under an armed injector the leaders are
+  /// elected per put, so forwarding hops are routed as they are sent.
+  std::vector<Route> to_;
+  Route gather_;                  ///< src -> own node's leader
+  std::vector<Route> leader_to_;  ///< own leader -> each node's leader
+
+  SimTime last_delivery_ = SimTime::zero();  ///< quiet waits for it
+  simsan::ActorId side_actor_ = -1;          ///< this kernel's put engine
+  /// One delivery-tracking callback per launch: a put retargets
+  /// `attempt_payload_` instead of materializing a fresh std::function.
+  std::int64_t attempt_payload_ = 0;
+  fault::FaultInjector::AttemptFn on_attempt_;
 };
 
-}  // namespace
+PgasRuntime::PutEmitter::PutEmitter(
+    PgasRuntime& runtime, int src, MessagePlan plan, CommCounter* counter,
+    std::shared_ptr<simsan::StrictPutTracker> strict,
+    std::vector<simsan::MemEffect> remote_writes)
+    : system_(runtime.system_),
+      fabric_(runtime.fabric_),
+      injector_(runtime.injector_),
+      codec_(runtime.codec_),
+      counter_(counter),
+      strict_(std::move(strict)),
+      remote_writes_(std::move(remote_writes)),
+      src_(src),
+      gpn_(runtime.fabric_.topology().gpusPerNode()),
+      src_node_(src / gpn_),
+      hier_(runtime.hierarchical_ &&
+            runtime.fabric_.topology().numNodes() > 1),
+      closed_(plan.closedForm()),
+      plan_(std::move(plan)) {
+  const int gpus = fabric_.numGpus();
+  for (const SliceFlow& f : plan_.flows) {
+    PGASEMB_CHECK(f.dst >= 0 && f.dst < gpus, "bad destination PE ", f.dst);
+  }
+  if (closed_) {
+    splits_.reserve(plan_.flows.size());
+    shares_.reserve(plan_.flows.size());
+    for (const SliceFlow& row : plan_.flows) {
+      splits_.emplace_back(row, plan_.slices);
+      shares_.push_back(SliceFlow{row.dst, 0, 0});
+    }
+  }
+  to_.reserve(static_cast<std::size_t>(gpus));
+  for (int dst = 0; dst < gpus; ++dst) {
+    const int node = dst / gpn_;
+    to_.push_back(fabric_.route(
+        hier_ && node != src_node_ ? node * gpn_ : src_, dst));
+  }
+  if (injector_ != nullptr) {
+    on_attempt_ = [this](SimTime attempt_at,
+                         const fabric::Fabric::Delivery&) {
+      if (counter_ != nullptr) counter_->record(attempt_at, attempt_payload_);
+    };
+  }
+  if (!hier_) return;
+
+  const int nodes = fabric_.topology().numNodes();
+  gather_ = fabric_.route(src_, src_node_ * gpn_);
+  leader_to_.reserve(static_cast<std::size_t>(nodes));
+  for (int node = 0; node < nodes; ++node) {
+    leader_to_.push_back(fabric_.route(src_node_ * gpn_, node * gpn_));
+  }
+  node_begin_.resize(static_cast<std::size_t>(nodes) + 1);
+  if (closed_) {
+    countNodes(plan_.flows);
+    return;
+  }
+  // Group each explicit slice by node once, here, instead of per firing.
+  grouped_.resize(plan_.flows.size());
+  std::vector<std::size_t> fill(static_cast<std::size_t>(nodes));
+  for (int s = 0; s < plan_.slices; ++s) {
+    const auto flows = sliceOf(plan_.flows, s);
+    countNodes(flows);
+    const std::size_t base = plan_.slice_begin[static_cast<std::size_t>(s)];
+    for (std::size_t n = 0; n < fill.size(); ++n) {
+      fill[n] = base + node_begin_[n];
+    }
+    for (const SliceFlow& f : flows) {
+      grouped_[fill[static_cast<std::size_t>(f.dst / gpn_)]++] = f;
+    }
+  }
+}
+
+void PgasRuntime::PutEmitter::countNodes(std::span<const SliceFlow> flows) {
+  std::fill(node_begin_.begin(), node_begin_.end(), 0);
+  for (const SliceFlow& f : flows) {
+    ++node_begin_[static_cast<std::size_t>(f.dst / gpn_) + 1];
+  }
+  std::partial_sum(node_begin_.begin(), node_begin_.end(),
+                   node_begin_.begin());
+}
+
+void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
+  PGASEMB_CHECK(s == next_ && s < plan_.slices, "slice ", s,
+                " emitted out of order: next slice is ", next_, " of ",
+                plan_.slices);
+  ++next_;
+  if (auto* san = system_.sanitizer(); san != nullptr && side_actor_ < 0) {
+    // The in-kernel put engine: inherits what the launching stream had
+    // observed, then runs concurrently with everything until quiet.
+    side_actor_ = san->forkActor("gpu" + std::to_string(src_) + ".pgas_put",
+                                 system_.stream(src_).sanitizerActor());
+  }
+  // This slice's flows in plan order: a closed-form plan's rows are
+  // stepped in place, an explicit plan's slice is read where it lies.
+  std::span<const SliceFlow> flows;
+  if (closed_) {
+    for (std::size_t i = 0; i < shares_.size(); ++i) {
+      shares_[i] =
+          splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
+    }
+    flows = shares_;
+  } else {
+    flows = sliceOf(plan_.flows, s);
+  }
+  if (strict_ != nullptr) {
+    // Strict effects total each launch's *logical* flows per destination
+    // against the declared footprint (a retransmitted put re-sends the
+    // same logical flow, so attempts are not re-counted).
+    for (const SliceFlow& f : flows) {
+      if (!idle(f)) strict_->flow(f.dst, f.payload_bytes);
+    }
+  }
+  if (!hier_) {
+    for (const SliceFlow& f : flows) {
+      if (!idle(f)) direct(f, at);
+    }
+    return;
+  }
+  if (!closed_) {
+    flows = sliceOf(grouped_, s);
+    countNodes(flows);
+  }
+  forward(flows, at);
+}
+
+void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
+  PGASEMB_ASSERT(clock.slices == plan_.slices && next_ == 0,
+                 "a coalesced launch emits every slice of a fresh plan");
+  if (!closed_) {
+    for (int s = 0; s < clock.slices; ++s) slice(s, clock.at(s));
+    return;
+  }
+  // Coalescing guarantees flat routing over links no other pair uses and
+  // nothing that observes the order of flows across links (no counter,
+  // codec, simsan, injector or strict tracker). So stepping one row over
+  // every slice hands its links the same flows, in the same order and at
+  // the same times, as slice by slice: Link::occupy steps each link's
+  // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
+  for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
+    const SliceFlow& row = plan_.flows[i];
+    const Route& route = to_[static_cast<std::size_t>(row.dst)];
+    RowSplit& split = splits_[i];
+    for (int s = 0; s < plan_.slices; ++s) {
+      const SliceFlow share = split.next(row, plan_.message_bytes,
+                                         plan_.slices);
+      if (share.n_messages == 0) continue;
+      last_delivery_ = std::max(
+          last_delivery_, fabric_.send(route, share.payload_bytes,
+                                       share.n_messages, clock.at(s))
+                              .delivered);
+    }
+  }
+  next_ = plan_.slices;
+}
+
+SimTime PgasRuntime::PutEmitter::quiet(SimTime compute_end) {
+  auto* san = system_.sanitizer();
+  if (san != nullptr && side_actor_ >= 0) {
+    san->joinActor(system_.stream(src_).sanitizerActor(), side_actor_);
+  }
+  return std::max(compute_end, last_delivery_);
+}
+
+// Hierarchical forwarding (DESIGN.md §12) of one slice's `flows`, which
+// are in node order.
+void PgasRuntime::PutEmitter::forward(std::span<const SliceFlow> flows,
+                                      SimTime at) {
+  // Intra-node flows go first, direct over NVLink and never forwarded: a
+  // non-leader's flow to its own leader shares the NVLink that this
+  // slice's gathers take, so it is granted before them.
+  for (const SliceFlow& f : toNode(flows, src_node_)) {
+    if (!idle(f)) direct(f, at);
+  }
+  // Under a leader-fail window the injector's fault domains re-elect
+  // the next healthy GPU on the node (counted as a failover).
+  const int leader_s = injector_ != nullptr
+                           ? injector_->leaderAt(src_node_, at)
+                           : src_node_ * gpn_;
+  const int nodes = static_cast<int>(node_begin_.size()) - 1;
+  for (int node = 0; node < nodes; ++node) {
+    if (node != src_node_) {
+      forwardToNode(node, toNode(flows, node), at, leader_s);
+    }
+  }
+}
+
+// Per destination node, a slice's inter-node puts ride three hops —
+//   1. NVLink gather: src -> own node leader (summed payload, the
+//      original message count; free when src IS the leader);
+//   2. one aggregated bulk message leader -> leader over the NIC
+//      (n_messages = 1 kills the per-256-byte rate padding; the codec,
+//      when attached, encodes this hop);
+//   3. NVLink scatter: remote leader -> each destination GPU.
+void PgasRuntime::PutEmitter::forwardToNode(int node,
+                                            std::span<const SliceFlow> group,
+                                            SimTime at, int leader_s) {
+  if (injector_ != nullptr && injector_->pairDegraded(src_node_, node, at)) {
+    // Per-pair degraded mode: a NIC fault window covers one of the
+    // endpoint nodes, so this pair's traffic skips the leader staging (a
+    // dropped aggregate would couple the whole node into one retransmit
+    // domain) and goes direct, flow by flow. Every healthy pair keeps
+    // the hierarchy.
+    SimTime last = at;
+    bool sent = false;
+    for (const SliceFlow& f : group) {
+      if (idle(f)) continue;
+      sent = true;
+      last = std::max(last, direct(f, at));
+    }
+    if (sent) injector_->recordHierFallback(at, last);
+    return;
+  }
+  std::int64_t to_node = 0;
+  std::int64_t msgs = 0;
+  bool sent = false;
+  for (const SliceFlow& f : group) {
+    if (idle(f)) continue;
+    sent = true;
+    to_node += f.payload_bytes;
+    msgs += f.n_messages;
+  }
+  if (!sent) return;
+  if (to_node == 0) {
+    // Nothing to ship; empty puts complete at injection.
+    for (const SliceFlow& f : group) {
+      if (!idle(f)) logPut(f, at, at);
+    }
+    return;
+  }
+  const bool routed = injector_ == nullptr;
+  const SimTime staged = hop(routed ? gather_ : fabric_.route(src_, leader_s),
+                             to_node, msgs, at);
+  std::int64_t wire_bytes = to_node;
+  if (codec_ != nullptr && to_node % 4 == 0) {
+    wire_bytes = encode(to_node, staged);
+  }
+  const int leader_d =
+      routed ? node * gpn_ : injector_->leaderAt(node, staged);
+  const SimTime landed =
+      hop(routed ? leader_to_[static_cast<std::size_t>(node)]
+                 : fabric_.route(leader_s, leader_d),
+          wire_bytes, 1, staged);
+  for (const SliceFlow& f : group) {
+    if (idle(f)) continue;
+    const SimTime done =
+        hop(routed ? to_[static_cast<std::size_t>(f.dst)]
+                   : fabric_.route(leader_d, f.dst),
+            f.payload_bytes, f.n_messages, landed);
+    logPut(f, at, done);
+  }
+}
+
+// Direct one-sided put: the flat path, intra-node flows, and degraded
+// node pairs. A flow that leaves the node is encoded on its way out when
+// a codec is attached (the 256-byte messages shrink but their count —
+// and hence the NIC message-rate padding — does not), with or without an
+// armed injector. Returns the (acked) delivery.
+SimTime PgasRuntime::PutEmitter::direct(const SliceFlow& f, SimTime at) {
+  std::int64_t wire_bytes = f.payload_bytes;
+  if (codec_ != nullptr && f.payload_bytes > 0 && f.payload_bytes % 4 == 0 &&
+      f.dst / gpn_ != src_node_) {
+    wire_bytes = encode(f.payload_bytes, at);
+  }
+  if (injector_ != nullptr) return reliableDirect(f, wire_bytes, at);
+  const SimTime delivered =
+      fabric_.send(to_[static_cast<std::size_t>(f.dst)], wire_bytes,
+                   f.n_messages, at)
+          .delivered;
+  logPut(f, at, delivered);
+  return delivered;
+}
+
+// Delivery-tracked direct put (under faults): flap-dropped attempts are
+// retransmitted after timeout + backoff at the same wire size, every
+// injection counts its original payload toward comm volume, and quiet
+// waits on the *acknowledged* delivery. Returns the acked delivery time.
+SimTime PgasRuntime::PutEmitter::reliableDirect(const SliceFlow& f,
+                                                std::int64_t wire_bytes,
+                                                SimTime at) {
+  attempt_payload_ = f.payload_bytes;
+  const auto r = injector_->reliablePut(src_, f.dst, wire_bytes,
+                                        f.n_messages, at, on_attempt_);
+  const bool buggy =
+      injector_->plan().bug_retransmit_without_quiet && r.retransmitted();
+  // Seeded bug (simsan certification): quiet latches the loss time of
+  // the dropped attempt instead of the acked retransmit, so kernel
+  // completion no longer covers the recovered write.
+  last_delivery_ = std::max(last_delivery_, buggy ? r.first_loss : r.acked);
+  if (auto* san = system_.sanitizer()) {
+    for (const auto& effect : remote_writes_) {
+      if (effect.device != f.dst) continue;
+      if (!buggy) {
+        san->access(side_actor_, effect.device, effect.range, effect.kind,
+                    at, r.acked, effect.label);
+        continue;
+      }
+      // The original attempt dies at the flap...
+      san->access(side_actor_, effect.device, effect.range, effect.kind, at,
+                  r.first_loss, effect.label);
+      // ...and the retransmit engine lands the write without being
+      // re-armed under quiet: its actor is never joined, so the landing
+      // races with whoever consumes the destination.
+      const auto rogue = san->forkActor(
+          "gpu" + std::to_string(src_) + ".pgas_put.retransmit",
+          side_actor_);
+      san->access(rogue, effect.device, effect.range, effect.kind,
+                  r.first_loss, r.acked, effect.label + ".retransmit");
+    }
+  }
+  return r.acked;
+}
+
+// One forwarding hop: over its resolved route when fault-free, as a
+// delivery-tracked reliable put (retransmitted on drop) under an armed
+// injector. A hop that stays on its GPU is free.
+SimTime PgasRuntime::PutEmitter::hop(const Route& route, std::int64_t bytes,
+                                     std::int64_t msgs, SimTime at) {
+  if (route.links.empty()) return at;
+  if (injector_ == nullptr) {
+    return fabric_.send(route, bytes, msgs, at).delivered;
+  }
+  return injector_->reliablePut(route.src, route.dst, bytes, msgs, at).acked;
+}
+
+// Encodes an inter-node flow leaving src's node at `at`; returns its
+// wire size.
+std::int64_t PgasRuntime::PutEmitter::encode(std::int64_t payload_bytes,
+                                             SimTime at) {
+  const std::int64_t wire_bytes = fabric::InterNodeCodec::compressedBytes(
+      payload_bytes, codec_->aggregateBits(src_node_, at));
+  codec_->recordFlow(payload_bytes, wire_bytes);
+  codec_->recordEgress(src_node_, at, wire_bytes);
+  return wire_bytes;
+}
+
+// Common put bookkeeping once the *final* delivery time is known: quiet
+// latches it, the comm counter records the original payload at injection
+// time, and the simsan window spans injection -> landing (for forwarded
+// puts the leader staging hops are timing-only; the collective
+// retriever's staging buffers are where simsan certifies the
+// gather/scatter interleavings).
+void PgasRuntime::PutEmitter::logPut(const SliceFlow& f, SimTime at,
+                                     SimTime delivered) {
+  last_delivery_ = std::max(last_delivery_, delivered);
+  if (counter_ != nullptr) counter_->record(at, f.payload_bytes);
+  if (auto* san = system_.sanitizer()) {
+    for (const auto& effect : remote_writes_) {
+      if (effect.device != f.dst) continue;
+      san->access(side_actor_, effect.device, effect.range, effect.kind, at,
+                  delivered, effect.label);
+    }
+  }
+}
 
 void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
                                     MessagePlan plan, CommCounter* counter,
@@ -86,244 +489,43 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   if (aggregator != nullptr) {
     plan = aggregatePlan(plan, desc.duration, *aggregator);
   }
-  SliceCursor cursor(std::move(plan));
-
-  desc.slices = cursor.plan().slices;
-
-  // Slice-coalescing eligibility: every condition under which running
-  // the slice callbacks synchronously at kernel start (with their
-  // original timestamps) is provably result-identical to one simulator
-  // event per slice.  Anything that observes per-message *event order*
-  // — the simsan checker, fault drop windows (via the injector or armed
-  // links), per-injection comm counters, flow observers — re-arms the
-  // per-message path; so does a shared-resource topology, where another
-  // source's flow could interleave on the same link.
-  desc.coalesce_slices = coalesce_enabled_ &&
-                         system_.mode() == gpu::ExecutionMode::kTimingOnly &&
-                         system_.sanitizer() == nullptr &&
-                         injector_ == nullptr && counter == nullptr &&
-                         codec_ == nullptr && !hierarchical_ &&
-                         fabric_.coalescingSafe();
-
-  auto quiet = quiet_pool_.make();
+  PGASEMB_CHECK(plan.wellFormed(), "malformed message plan");
 
   // The declared put footprint rides on the descriptor so strict mode
   // can treat remote output ranges as declared while the functional
   // body runs (the body writes them directly; the flows model timing).
   desc.put_effects = remote_writes;
-  // Strict-effects put tracker: totals each launch's *logical* flows
-  // per destination against the declared footprint (a retransmitted
-  // put re-sends the same logical flow, so attempts are not re-counted).
   std::shared_ptr<simsan::StrictPutTracker> strict_puts;
   if (auto* strict = system_.strictEffects()) {
     strict_puts = strict->trackPuts(desc.name, remote_writes);
   }
-
-  // Node structure, read once per plan: on every topology GPU g sits on
-  // node g / gpusPerNode(), and a node's default leader is its first GPU.
-  const auto& topo = fabric_.topology();
-  const int gpn = topo.gpusPerNode();
-  const int src_node = src / gpn;
-  // Hierarchical forwarding stays on under an armed injector: the
-  // leader hops are delivery-tracked reliable puts, and only node
-  // pairs inside a NIC fault window fall back to direct per-flow puts
-  // (per-pair degraded mode — see DESIGN.md §13).
-  const bool hier = hierarchical_ && topo.numNodes() > 1;
-  NodeGroups groups;  // forwarding scratch, sized only when forwarding
-  if (hier) groups = NodeGroups(topo.numNodes(), gpn);
-
-  desc.on_slice = [this, src, gpn, src_node, hier, counter, quiet,
-                   strict_puts, remote_writes = std::move(remote_writes),
-                   cursor = std::move(cursor), groups = std::move(groups)](
-                      int slice, SimTime at) mutable {
-    auto* san = system_.sanitizer();
-    if (san != nullptr && quiet->side_actor < 0) {
-      // The in-kernel put engine: inherits what the launching stream had
-      // observed, then runs concurrently with everything until quiet.
-      quiet->side_actor = san->forkActor(
-          "gpu" + std::to_string(src) + ".pgas_put",
-          system_.stream(src).sanitizerActor());
-    }
-    // One delivery-tracking callback per slice, not per put: the flow
-    // loop retargets `attempt_payload` instead of materializing a fresh
-    // std::function for every transfer.
-    std::int64_t attempt_payload = 0;
-    const fault::FaultInjector::AttemptFn on_attempt =
-        [counter, &attempt_payload](SimTime attempt_at,
-                                    const fabric::Fabric::Delivery&) {
-          if (counter != nullptr) counter->record(attempt_at, attempt_payload);
-        };
-    const auto flows = cursor.slice(slice);
-    // Common put bookkeeping once the *final* delivery time is known:
-    // quiet latches it, the comm counter records the original payload at
-    // injection time, and the simsan window spans injection -> landing
-    // (for forwarded puts the leader staging hops are timing-only; the
-    // collective retriever's staging buffers are where simsan certifies
-    // the gather/scatter interleavings).
-    const auto log_put = [&](const SliceFlow& f, SimTime delivered) {
-      quiet->last_delivery = std::max(quiet->last_delivery, delivered);
-      if (counter != nullptr) counter->record(at, f.payload_bytes);
-      if (san != nullptr) {
-        for (const auto& effect : remote_writes) {
-          if (effect.device != f.dst) continue;
-          san->access(quiet->side_actor, effect.device, effect.range,
-                      effect.kind, at, delivered, effect.label);
-        }
-      }
-    };
-    // Delivery-tracked direct put (under faults): flap-dropped attempts
-    // are retransmitted after timeout + backoff at the same wire size,
-    // every injection counts its original payload toward comm volume,
-    // and quiet waits on the *acknowledged* delivery. Returns the acked
-    // delivery time.
-    const auto reliable_direct = [&](const SliceFlow& f,
-                                     std::int64_t wire_bytes) {
-      attempt_payload = f.payload_bytes;
-      const auto r = injector_->reliablePut(src, f.dst, wire_bytes,
-                                            f.n_messages, at, on_attempt);
-      const bool buggy = injector_->plan().bug_retransmit_without_quiet &&
-                         r.retransmitted();
-      // Seeded bug (simsan certification): quiet latches the loss time of
-      // the dropped attempt instead of the acked retransmit, so kernel
-      // completion no longer covers the recovered write.
-      quiet->last_delivery = std::max(quiet->last_delivery,
-                                      buggy ? r.first_loss : r.acked);
-      if (san != nullptr) {
-        for (const auto& effect : remote_writes) {
-          if (effect.device != f.dst) continue;
-          if (!buggy) {
-            san->access(quiet->side_actor, effect.device, effect.range,
-                        effect.kind, at, r.acked, effect.label);
-            continue;
-          }
-          // The original attempt dies at the flap...
-          san->access(quiet->side_actor, effect.device, effect.range,
-                      effect.kind, at, r.first_loss, effect.label);
-          // ...and the retransmit engine lands the write without being
-          // re-armed under quiet: its actor is never joined, so the
-          // landing races with whoever consumes the destination.
-          const auto rogue = san->forkActor(
-              "gpu" + std::to_string(src) + ".pgas_put.retransmit",
-              quiet->side_actor);
-          san->access(rogue, effect.device, effect.range, effect.kind,
-                      r.first_loss, r.acked, effect.label + ".retransmit");
-        }
-      }
-      return r.acked;
-    };
-    // Direct one-sided put: the flat path, intra-node flows, and
-    // degraded node pairs. A flow that leaves the node is encoded on its
-    // way out when a codec is attached (the 256-byte messages shrink but
-    // their count — and hence the NIC message-rate padding — does not),
-    // with or without an armed injector. Returns the (acked) delivery.
-    const auto direct = [&](const SliceFlow& f) {
-      std::int64_t wire_bytes = f.payload_bytes;
-      if (codec_ != nullptr && f.payload_bytes > 0 &&
-          f.payload_bytes % 4 == 0 && f.dst / gpn != src_node) {
-        wire_bytes = fabric::InterNodeCodec::compressedBytes(
-            f.payload_bytes, codec_->aggregateBits(src_node, at));
-        codec_->recordFlow(f.payload_bytes, wire_bytes);
-        codec_->recordEgress(src_node, at, wire_bytes);
-      }
-      if (injector_ != nullptr) return reliable_direct(f, wire_bytes);
-      const auto d = fabric_.transfer(src, f.dst, wire_bytes, f.n_messages, at);
-      log_put(f, d.delivered);
-      return d.delivered;
-    };
-    if (strict_puts != nullptr) {
-      for (const auto& f : flows) strict_puts->flow(f.dst, f.payload_bytes);
-    }
-    if (!hier) {
-      for (const auto& f : flows) direct(f);
-      return;
-    }
-    groups.regroup(flows);
-    for (const SliceFlow& f : groups.to(src_node)) {
-      direct(f);  // intra-node: NVLink, never forwarded
-    }
-    // Hierarchical forwarding (DESIGN.md §12): per destination node,
-    // this slice's inter-node puts ride three hops —
-    //   1. NVLink gather: src -> own node leader (summed payload, the
-    //      original message count; free when src IS the leader);
-    //   2. one aggregated bulk message leader -> leader over the NIC
-    //      (n_messages = 1 kills the per-256-byte rate padding; the
-    //      codec, when attached, encodes this hop);
-    //   3. NVLink scatter: remote leader -> each destination GPU.
-    // Forwarding hop: plain transfer when fault-free, delivery-tracked
-    // reliable put (retransmitted on drop) when an injector is armed.
-    const auto hop = [&](int a, int b, std::int64_t bytes,
-                         std::int64_t msgs, SimTime t) {
-      if (injector_ == nullptr) {
-        return fabric_.transfer(a, b, bytes, msgs, t).delivered;
-      }
-      return injector_->reliablePut(a, b, bytes, msgs, t).acked;
-    };
-    // Under a leader-fail window the injector's fault domains re-elect
-    // the next healthy GPU on the node (counted as a failover).
-    const int leader_s = injector_ != nullptr
-                             ? injector_->leaderAt(src_node, at)
-                             : src_node * gpn;
-    for (int node = 0; node < groups.nodes(); ++node) {
-      if (node == src_node) continue;
-      const auto group = groups.to(node);
-      if (injector_ != nullptr &&
-          injector_->pairDegraded(src_node, node, at)) {
-        // Per-pair degraded mode: a NIC fault window covers one of the
-        // endpoint nodes, so this pair's traffic skips the leader
-        // staging (a dropped aggregate would couple the whole node into
-        // one retransmit domain) and goes direct, flow by flow. Every
-        // healthy pair below keeps the hierarchy.
-        SimTime last = at;
-        for (const SliceFlow& f : group) last = std::max(last, direct(f));
-        if (!group.empty()) injector_->recordHierFallback(at, last);
-        continue;
-      }
-      std::int64_t to_node = 0;
-      std::int64_t msgs = 0;
-      for (const SliceFlow& f : group) {
-        to_node += f.payload_bytes;
-        msgs += f.n_messages;
-      }
-      if (to_node == 0) {
-        // Nothing to ship; empty puts complete at injection.
-        for (const SliceFlow& f : group) log_put(f, at);
-        continue;
-      }
-      SimTime staged = at;
-      if (src != leader_s) {
-        staged = hop(src, leader_s, to_node, msgs, at);
-      }
-      std::int64_t wire_bytes = to_node;
-      if (codec_ != nullptr && to_node % 4 == 0) {
-        wire_bytes = fabric::InterNodeCodec::compressedBytes(
-            to_node, codec_->aggregateBits(src_node, staged));
-        codec_->recordFlow(to_node, wire_bytes);
-        codec_->recordEgress(src_node, staged, wire_bytes);
-      }
-      const int leader_d = injector_ != nullptr
-                               ? injector_->leaderAt(node, staged)
-                               : node * gpn;
-      const SimTime landed = hop(leader_s, leader_d, wire_bytes, 1, staged);
-      for (const SliceFlow& f : group) {
-        SimTime done = landed;
-        if (f.dst != leader_d) {
-          done = hop(leader_d, f.dst, f.payload_bytes, f.n_messages, landed);
-        }
-        log_put(f, done);
-      }
-    }
+  auto emitter =
+      emitter_pool_.make(*this, src, std::move(plan), counter,
+                         std::move(strict_puts), std::move(remote_writes));
+  desc.slices = emitter->slices();
+  desc.on_slice = [emitter](int s, SimTime at) { emitter->slice(s, at); };
+  desc.finalize = [emitter](SimTime compute_end) {
+    return emitter->quiet(compute_end);
   };
 
-  desc.finalize = [this, src, quiet](SimTime compute_end) {
-    // nvshmem_quiet: kernel completion waits for remote-write delivery,
-    // and (for simsan) publishes the put engine's writes to the stream.
-    auto* san = system_.sanitizer();
-    if (san != nullptr && quiet->side_actor >= 0) {
-      san->joinActor(system_.stream(src).sanitizerActor(),
-                     quiet->side_actor);
-    }
-    return std::max(compute_end, quiet->last_delivery);
-  };
+  // Slice-coalescing eligibility: every condition under which emitting
+  // the whole launch at kernel start (each slice at its original time)
+  // is provably result-identical to one simulator event per slice.
+  // Anything that observes per-message *event order* — the simsan
+  // checker, the strict put tracker, fault drop windows (via the
+  // injector or armed links), per-injection comm counters, the codec's
+  // egress history, flow observers — re-arms the per-message path; so
+  // does forwarding or a shared-resource topology, where another
+  // source's flow could interleave on the same link.
+  if (coalesce_enabled_ &&
+      system_.mode() == gpu::ExecutionMode::kTimingOnly &&
+      system_.sanitizer() == nullptr && system_.strictEffects() == nullptr &&
+      injector_ == nullptr && counter == nullptr && codec_ == nullptr &&
+      !hierarchical_ && fabric_.coalescingSafe()) {
+    desc.on_launch = [emitter](const gpu::SliceClock& clock) {
+      emitter->launch(clock);
+    };
+  }
 }
 
 }  // namespace pgasemb::pgas

@@ -77,16 +77,18 @@ class PgasRuntime {
   /// Master switch for the TimingOnly slice-coalescing fast path
   /// (--no-coalesce escape hatch). Even when enabled, a kernel's slices
   /// are only coalesced when it is provably result-identical: TimingOnly
-  /// mode, no simsan checker, no fault injector, no per-injection
-  /// counter, and Fabric::coalescingSafe() (dedicated pair links, no
-  /// flow observer, no armed fault windows). Default on.
+  /// mode, no simsan checker or strict put tracker, no fault injector,
+  /// no per-injection counter, no codec, flat routing, and
+  /// Fabric::coalescingSafe() (dedicated pair links, no flow observer,
+  /// no armed fault windows). Default on.
   void setCoalescingEnabled(bool enabled) { coalesce_enabled_ = enabled; }
 
   /// Wire `desc` so its slices emit `plan`'s flows from GPU `src` and its
   /// completion implements quiet (waits for the last delivery).  If
   /// `counter` is non-null every injection is recorded (paper Figs 7/10).
   /// If `aggregator` is non-null the plan is first rewritten through the
-  /// async aggregator model.
+  /// async aggregator model. The kernel's puts are emitted by one
+  /// per-launch PutEmitter that resolves every route here, once.
   ///
   /// `remote_writes` declares the destination-memory footprint of the
   /// kernel's one-sided puts for simsan (one effect per destination GPU;
@@ -102,11 +104,7 @@ class PgasRuntime {
                          std::vector<simsan::MemEffect> remote_writes = {});
 
  private:
-  /// Tracks the last remote delivery of one kernel's writes for quiet.
-  struct QuietState {
-    SimTime last_delivery = SimTime::zero();
-    simsan::ActorId side_actor = -1;  ///< this kernel's put engine
-  };
+  class PutEmitter;
 
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
@@ -115,9 +113,9 @@ class PgasRuntime {
   fabric::InterNodeCodec* codec_ = nullptr;
   bool hierarchical_ = false;
   bool coalesce_enabled_ = true;
-  /// Recycles the per-kernel quiet records (one per attachMessagePlan'd
-  /// launch) instead of hitting the allocator each time.
-  util::SharedPool<QuietState> quiet_pool_;
+  /// Recycles the per-launch emitters instead of hitting the allocator
+  /// for each one.
+  util::SharedPool<PutEmitter> emitter_pool_;
 };
 
 }  // namespace pgasemb::pgas

@@ -2,18 +2,7 @@
 
 #include <algorithm>
 
-#include "util/expect.hpp"
-
 namespace pgasemb::sim {
-
-FifoResource::Grant FifoResource::acquire(SimTime arrival, SimTime duration) {
-  PGASEMB_ASSERT(duration >= SimTime::zero(), "negative service duration");
-  const SimTime start = std::max(arrival, free_at_);
-  const SimTime end = start + duration;
-  free_at_ = end;
-  busy_ += duration;
-  return Grant{start, end};
-}
 
 SimTime FifoResource::nextFreeTime(SimTime at) const {
   return std::max(at, free_at_);
