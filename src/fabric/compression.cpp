@@ -44,37 +44,6 @@ int InterNodeCodec::minBitsFor(double range, double bound) {
   return kIncompressibleBits;
 }
 
-std::int64_t InterNodeCodec::compressedBytes(std::int64_t payload_bytes,
-                                             int bits) {
-  PGASEMB_CHECK(payload_bytes >= 0, "negative payload");
-  PGASEMB_CHECK(payload_bytes % 4 == 0,
-                "compressed payloads are fp32 arrays: ", payload_bytes);
-  if (bits >= kIncompressibleBits) return payload_bytes;
-  if (payload_bytes == 0) return 0;
-  const std::int64_t elements = payload_bytes / 4;
-  return (elements * bits + 7) / 8 + kFlowHeaderBytes;
-}
-
-int InterNodeCodec::aggregateBits(int node, SimTime at) const {
-  if (!adaptive_) return min_bits_all_;
-  // Look at the last *completed* egress window: the in-progress bucket
-  // under-counts by construction and would flap the decision.
-  const auto& counter = egress_[static_cast<std::size_t>(node)];
-  const std::int64_t bucket =
-      at.count() / counter.bucketWidth().count() - 1;
-  double observed = 0.0;
-  if (bucket >= 0 &&
-      bucket < static_cast<std::int64_t>(counter.numBuckets())) {
-    observed = counter.bucket(static_cast<std::size_t>(bucket));
-  }
-  if (observed >= hot_bytes_) {
-    ++hot_decisions_;
-    return min_bits_all_;
-  }
-  ++cool_decisions_;
-  return std::max(min_bits_all_, kLightBits);
-}
-
 float InterNodeCodec::transcode(std::int64_t table, float v) {
   TableStats& t = tables_[static_cast<std::size_t>(table)];
   float decoded = v;
@@ -90,18 +59,6 @@ float InterNodeCodec::transcode(std::int64_t table, float v) {
   t.sum_abs_error += err;
   ++t.samples;
   return decoded;
-}
-
-void InterNodeCodec::recordFlow(std::int64_t raw_bytes,
-                                std::int64_t wire_bytes) {
-  raw_bytes_ += raw_bytes;
-  wire_bytes_ += wire_bytes;
-}
-
-void InterNodeCodec::recordEgress(int node, SimTime at,
-                                  std::int64_t wire_bytes) {
-  egress_[static_cast<std::size_t>(node)].add(at,
-                                              static_cast<double>(wire_bytes));
 }
 
 void InterNodeCodec::reset() {

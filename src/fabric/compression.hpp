@@ -20,10 +20,12 @@
 // and the codec accumulates measured per-table max/mean absolute error.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "fabric/time_series_counter.hpp"
+#include "util/expect.hpp"
 #include "util/time.hpp"
 
 namespace pgasemb::fabric {
@@ -55,7 +57,15 @@ class InterNodeCodec {
   /// Exact wire size of a compressed flow: one sign+mantissa word of
   /// `bits` per fp32 element, bit-packed, plus the flow header.  Raw
   /// payload passes through unchanged for incompressible tables.
-  static std::int64_t compressedBytes(std::int64_t payload_bytes, int bits);
+  static std::int64_t compressedBytes(std::int64_t payload_bytes, int bits) {
+    PGASEMB_CHECK(payload_bytes >= 0, "negative payload");
+    PGASEMB_CHECK(payload_bytes % 4 == 0,
+                  "compressed payloads are fp32 arrays: ", payload_bytes);
+    if (bits >= kIncompressibleBits) return payload_bytes;
+    if (payload_bytes == 0) return 0;
+    const std::int64_t elements = payload_bytes / 4;
+    return (elements * bits + 7) / 8 + kFlowHeaderBytes;
+  }
 
   double bound() const { return bound_; }
   bool adaptive() const { return adaptive_; }
@@ -67,17 +77,38 @@ class InterNodeCodec {
   /// at `at`: the widest per-table minimal width (size-conservative), or
   /// the light width while the node's observed egress is below the hot
   /// threshold in adaptive mode.
-  int aggregateBits(int node, SimTime at) const;
+  int aggregateBits(int node, SimTime at) const {
+    if (!adaptive_) return min_bits_all_;
+    // Look at the last *completed* egress window: the in-progress bucket
+    // under-counts by construction and would flap the decision.
+    const auto& counter = egress_[static_cast<std::size_t>(node)];
+    const std::int64_t bucket =
+        static_cast<std::int64_t>(counter.bucketOf(at)) - 1;
+    const double observed =
+        bucket >= 0 ? counter.bucket(static_cast<std::size_t>(bucket)) : 0.0;
+    if (observed >= hot_bytes_) {
+      ++hot_decisions_;
+      return min_bits_all_;
+    }
+    ++cool_decisions_;
+    return std::max(min_bits_all_, kLightBits);
+  }
 
   /// Quantize-dequantize one value of `table` at the table's minimal
   /// width and record the measured absolute error (Functional mode).
   float transcode(std::int64_t table, float v);
 
   /// Account one compressed inter-node flow (raw vs on-wire bytes).
-  void recordFlow(std::int64_t raw_bytes, std::int64_t wire_bytes);
+  void recordFlow(std::int64_t raw_bytes, std::int64_t wire_bytes) {
+    raw_bytes_ += raw_bytes;
+    wire_bytes_ += wire_bytes;
+  }
 
   /// Feed the adaptive controller's per-node egress observation.
-  void recordEgress(int node, SimTime at, std::int64_t wire_bytes);
+  void recordEgress(int node, SimTime at, std::int64_t wire_bytes) {
+    egress_[static_cast<std::size_t>(node)].add(
+        at, static_cast<double>(wire_bytes));
+  }
 
   struct TableStats {
     double range = 0.0;

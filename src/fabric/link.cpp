@@ -7,7 +7,7 @@
 namespace pgasemb::fabric {
 
 Link::Link(std::string name, const LinkParams& params)
-    : name_(std::move(name)), params_(params), fifo_(name_ + ".wire") {
+    : params_(params), fifo_(name + ".wire"), name_(std::move(name)) {
   PGASEMB_CHECK(params.bandwidth_bytes_per_sec > 0.0,
                 "link bandwidth must be positive");
   PGASEMB_CHECK(params.header_bytes >= 0, "negative header size");

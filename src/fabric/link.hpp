@@ -44,7 +44,7 @@ struct LinkFaultWindow {
   bool flap = false;                   ///< drop overlapping flows
 };
 
-class Link {
+class alignas(64) Link {
  public:
   Link(std::string name, const LinkParams& params);
 
@@ -134,14 +134,9 @@ class Link {
   void reset();
 
  private:
-  std::string name_;
-  LinkParams params_;
-  sim::FifoResource fifo_;
-  sim::FifoResource* wire_ = &fifo_;
-  LinkClass link_class_ = LinkClass::kIntra;
-  std::int64_t total_payload_bytes_ = 0;
-  std::int64_t total_messages_ = 0;
-  double wire_equivalent_bytes_ = 0.0;
+  // What occupy() touches on every flow leads the object, so a hop reads
+  // as few cache lines as it can: the memo, the totals, the queue
+  // pointer, the parameters, the fault windows and the private queue.
   /// The last flow shape occupy() serialized and what it cost the wire.
   /// A pure function of its key and params_, so it survives reset().
   struct SerializationMemo {
@@ -153,12 +148,21 @@ class Link {
     double wire_equivalent_bytes = 0.0;
   };
   SerializationMemo memo_;
+  std::int64_t total_payload_bytes_ = 0;
+  std::int64_t total_messages_ = 0;
+  double wire_equivalent_bytes_ = 0.0;
+  sim::FifoResource* wire_ = &fifo_;
+  LinkParams params_;
+  std::vector<LinkFaultWindow> fault_windows_;
+  sim::FifoResource fifo_;
+  std::string name_;
+  LinkClass link_class_ = LinkClass::kIntra;
+  std::int64_t dropped_flows_ = 0;
+  std::int64_t dropped_payload_bytes_ = 0;
+
   /// Refill memo_ for a new flow shape.
   void serialize(std::int64_t payload_bytes, std::int64_t n_messages,
                  double fraction);
-  std::vector<LinkFaultWindow> fault_windows_;
-  std::int64_t dropped_flows_ = 0;
-  std::int64_t dropped_payload_bytes_ = 0;
 };
 
 }  // namespace pgasemb::fabric

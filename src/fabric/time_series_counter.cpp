@@ -12,22 +12,20 @@ TimeSeriesCounter::TimeSeriesCounter(SimTime bucket_width)
 void TimeSeriesCounter::moveWindow(std::int64_t t) {
   PGASEMB_CHECK(t >= 0, "negative sample time");
   const std::int64_t width = bucket_width_.count();
-  const bool open = window_end_ > window_begin_;
-  if (open && t >= window_end_ && t - window_end_ < width) {
-    // A flow's delivery, or the next hop's injection, usually lands in
-    // the bucket after its injection's, and the next flow's injection
-    // back in the one before: step instead of dividing.
-    ++window_bucket_;
-  } else if (open && t < window_begin_ && window_begin_ - t <= width) {
-    --window_bucket_;
+  const Window last = window_;
+  std::size_t bucket = 0;
+  if (last.end > last.begin && t >= last.end && t - last.end < width) {
+    bucket = last.bucket + 1;
+  } else if (last.end > last.begin && t < last.begin &&
+             last.begin - t <= width) {
+    bucket = last.bucket - 1;
   } else {
-    window_bucket_ = static_cast<std::size_t>(t / width);
+    bucket = static_cast<std::size_t>(t / width);
   }
-  if (window_bucket_ >= buckets_.size()) {
-    buckets_.resize(window_bucket_ + 1, 0.0);
-  }
-  window_begin_ = static_cast<std::int64_t>(window_bucket_) * width;
-  window_end_ = window_begin_ + width;
+  if (bucket >= buckets_.size()) buckets_.resize(bucket + 1, 0.0);
+  const std::int64_t begin = static_cast<std::int64_t>(bucket) * width;
+  previous_ = last;
+  window_ = Window{begin, begin + width, bucket};
 }
 
 std::vector<double> TimeSeriesCounter::cumulative() const {
@@ -43,8 +41,7 @@ std::vector<double> TimeSeriesCounter::cumulative() const {
 void TimeSeriesCounter::reset() {
   buckets_.clear();
   total_ = 0.0;
-  window_begin_ = window_end_ = 0;
-  window_bucket_ = 0;
+  window_ = previous_ = Window{};
 }
 
 }  // namespace pgasemb::fabric

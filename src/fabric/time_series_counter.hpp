@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -16,14 +17,30 @@ class TimeSeriesCounter {
  public:
   explicit TimeSeriesCounter(SimTime bucket_width = SimTime::us(5.0));
 
-  /// Add `amount` at simulated time `at` (>= 0). Divides only when the
-  /// sample falls outside the bucket the previous one landed in and its
-  /// two neighbours.
+  /// Add `amount` at simulated time `at` (>= 0). Samples alternate
+  /// between a few buckets — a flow's injection and its hops'
+  /// deliveries, often far apart on a congested link — so the last two
+  /// buckets samples landed in are tried first, then the last one's
+  /// neighbours, and only then a division.
   void add(SimTime at, double amount) {
     const std::int64_t t = at.count();
-    if (t < window_begin_ || t >= window_end_) moveWindow(t);
-    buckets_[window_bucket_] += amount;
+    if (t < window_.begin || t >= window_.end) {
+      if (t >= previous_.begin && t < previous_.end) {
+        std::swap(window_, previous_);
+      } else {
+        moveWindow(t);
+      }
+    }
+    buckets_[window_.bucket] += amount;
     total_ += amount;
+  }
+
+  /// Index of the bucket holding `at` (>= 0).
+  std::size_t bucketOf(SimTime at) const {
+    const std::int64_t t = at.count();
+    if (t >= window_.begin && t < window_.end) return window_.bucket;
+    if (t >= previous_.begin && t < previous_.end) return previous_.bucket;
+    return static_cast<std::size_t>(t / bucket_width_.count());
   }
 
   SimTime bucketWidth() const { return bucket_width_; }
@@ -42,18 +59,24 @@ class TimeSeriesCounter {
   void reset();
 
  private:
-  /// Point the window at the bucket holding `t`, growing the buckets to
-  /// reach it.
+  /// Bucket `bucket` covers [begin, end); empty (begin == end) until
+  /// the first sample and after reset().
+  struct Window {
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+    std::size_t bucket = 0;
+  };
+
+  /// Point the window at the bucket holding `t` (outside both windows),
+  /// growing the buckets to reach it; the old window becomes previous_.
   void moveWindow(std::int64_t t);
 
   SimTime bucket_width_;
   std::vector<double> buckets_;
   double total_ = 0.0;
-  /// Bucket `window_bucket_` covers [window_begin_, window_end_); the
-  /// window is empty until the first sample and after reset().
-  std::int64_t window_begin_ = 0;
-  std::int64_t window_end_ = 0;
-  std::size_t window_bucket_ = 0;
+  /// The bucket the last sample landed in, and the one before that.
+  Window window_;
+  Window previous_;
 };
 
 }  // namespace pgasemb::fabric

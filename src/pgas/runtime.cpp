@@ -17,10 +17,26 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
                 "fabric topology smaller than the GPU system");
 }
 
+const PgasRuntime::ForwardingRoutes& PgasRuntime::forwardingRoutes() {
+  if (!forwarding_.scatter.empty()) return forwarding_;
+  const auto& topo = fabric_.topology();
+  const int gpn = topo.gpusPerNode();
+  const int nodes = topo.numNodes();
+  for (int dst = 0; dst < fabric_.numGpus(); ++dst) {
+    forwarding_.scatter.push_back(fabric_.route(dst / gpn * gpn, dst));
+  }
+  for (int a = 0; a < nodes; ++a) {
+    for (int b = 0; b < nodes; ++b) {
+      forwarding_.leader.push_back(fabric_.route(a * gpn, b * gpn));
+    }
+  }
+  return forwarding_;
+}
+
 /// One launch's one-sided puts (DESIGN.md §9). Every per-kernel decision
-/// is made once, at attach: the plan's rows, each destination's resolved
-/// last-hop route, and for hierarchical forwarding the gather and
-/// leader -> leader routes. A slice steps a closed-form plan's rows in
+/// is made once, at attach: the plan's rows and every fault-free route
+/// (direct per destination; gather, leader -> leader and scatter for
+/// hierarchical forwarding). A slice steps a closed-form plan's rows in
 /// place and sends their shares straight over those routes, in the
 /// order the links must see them; the fault injector, simsan, the comm
 /// counter, the strict put tracker and the codec are branches on
@@ -71,16 +87,73 @@ class PgasRuntime::PutEmitter {
   void forward(std::span<const SliceFlow> flows, SimTime at);
   void forwardToNode(int node, std::span<const SliceFlow> group, SimTime at,
                      int leader_s);
-  SimTime direct(const SliceFlow& f, SimTime at);
   SimTime reliableDirect(const SliceFlow& f, std::int64_t wire_bytes,
                          SimTime at);
+
+  // Direct one-sided put: the flat path, intra-node flows, and degraded
+  // node pairs. A flow that leaves the node is encoded on its way out
+  // when a codec is attached (the 256-byte messages shrink but their
+  // count — and hence the NIC message-rate padding — does not), with or
+  // without an armed injector. Returns the (acked) delivery.
+  SimTime direct(const SliceFlow& f, SimTime at) {
+    std::int64_t wire_bytes = f.payload_bytes;
+    if (codec_ != nullptr && f.payload_bytes > 0 &&
+        f.payload_bytes % 4 == 0 && f.dst / gpn_ != src_node_) {
+      wire_bytes = encode(f.payload_bytes, at);
+    }
+    if (injector_ != nullptr) return reliableDirect(f, wire_bytes, at);
+    const SimTime delivered =
+        fabric_.send(direct_[static_cast<std::size_t>(f.dst - direct_base_)],
+                     wire_bytes, f.n_messages, at)
+            .delivered;
+    logPut(f, at, delivered);
+    return delivered;
+  }
+
+  // One forwarding hop: over its resolved route when fault-free, as a
+  // delivery-tracked reliable put (retransmitted on drop) under an armed
+  // injector. A hop that stays on its GPU is free.
   SimTime hop(const Route& route, std::int64_t bytes, std::int64_t msgs,
-              SimTime at);
-  std::int64_t encode(std::int64_t payload_bytes, SimTime at);
-  void logPut(const SliceFlow& f, SimTime at, SimTime delivered);
+              SimTime at) {
+    if (route.links.empty()) return at;
+    if (injector_ == nullptr) {
+      return fabric_.send(route, bytes, msgs, at).delivered;
+    }
+    return injector_->reliablePut(route.src, route.dst, bytes, msgs, at)
+        .acked;
+  }
+
+  // Encodes an inter-node flow leaving src's node at `at`; returns its
+  // wire size.
+  std::int64_t encode(std::int64_t payload_bytes, SimTime at) {
+    const std::int64_t wire_bytes = fabric::InterNodeCodec::compressedBytes(
+        payload_bytes, codec_->aggregateBits(src_node_, at));
+    codec_->recordFlow(payload_bytes, wire_bytes);
+    codec_->recordEgress(src_node_, at, wire_bytes);
+    return wire_bytes;
+  }
+
+  // Common put bookkeeping once the *final* delivery time is known: quiet
+  // latches it, the comm counter records the original payload at
+  // injection time, and the simsan window spans injection -> landing
+  // (for forwarded puts the leader staging hops are timing-only; the
+  // collective retriever's staging buffers are where simsan certifies
+  // the gather/scatter interleavings).
+  void logPut(const SliceFlow& f, SimTime at, SimTime delivered) {
+    last_delivery_ = std::max(last_delivery_, delivered);
+    if (counter_ != nullptr) counter_->record(at, f.payload_bytes);
+    if (san_ != nullptr) {
+      for (const auto& effect : remote_writes_) {
+        if (effect.device != f.dst) continue;
+        san_->access(side_actor_, effect.device, effect.range, effect.kind,
+                     at, delivered, effect.label);
+      }
+    }
+  }
 
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
+  simsan::Checker* const san_;
   fault::FaultInjector* const injector_;
   fabric::InterNodeCodec* const codec_;
   CommCounter* const counter_;
@@ -112,13 +185,16 @@ class PgasRuntime::PutEmitter {
   /// fixed for a closed-form plan, whose rows are in destination order.
   std::vector<std::size_t> node_begin_;
 
-  /// The resolved fault-free routes. to_[d] is the last hop to GPU d: the
-  /// direct route from src, or for a forwarded destination the scatter
-  /// from its node's leader. Under an armed injector the leaders are
-  /// elected per put, so forwarding hops are routed as they are sent.
-  std::vector<Route> to_;
-  Route gather_;                  ///< src -> own node's leader
-  std::vector<Route> leader_to_;  ///< own leader -> each node's leader
+  /// Resolved fault-free routes. direct_[d - direct_base_] is the route
+  /// from src to GPU d for every d it sends to directly: every GPU, or
+  /// only its own node's when forwarding. Under an armed injector the
+  /// leaders are elected per put, so forwarding hops are routed as they
+  /// are sent.
+  std::vector<Route> direct_;
+  int direct_base_ = 0;
+  Route gather_;                      ///< src -> own node's leader
+  const Route* leader_to_ = nullptr;  ///< own leader -> node n's leader
+  const Route* scatter_ = nullptr;    ///< node leader -> GPU d
 
   SimTime last_delivery_ = SimTime::zero();  ///< quiet waits for it
   simsan::ActorId side_actor_ = -1;          ///< this kernel's put engine
@@ -134,6 +210,7 @@ PgasRuntime::PutEmitter::PutEmitter(
     std::vector<simsan::MemEffect> remote_writes)
     : system_(runtime.system_),
       fabric_(runtime.fabric_),
+      san_(runtime.system_.sanitizer()),
       injector_(runtime.injector_),
       codec_(runtime.codec_),
       counter_(counter),
@@ -146,9 +223,9 @@ PgasRuntime::PutEmitter::PutEmitter(
             runtime.fabric_.topology().numNodes() > 1),
       closed_(plan.closedForm()),
       plan_(std::move(plan)) {
-  const int gpus = fabric_.numGpus();
   for (const SliceFlow& f : plan_.flows) {
-    PGASEMB_CHECK(f.dst >= 0 && f.dst < gpus, "bad destination PE ", f.dst);
+    PGASEMB_CHECK(f.dst >= 0 && f.dst < fabric_.numGpus(),
+                  "bad destination PE ", f.dst);
   }
   if (closed_) {
     splits_.reserve(plan_.flows.size());
@@ -158,26 +235,26 @@ PgasRuntime::PutEmitter::PutEmitter(
       shares_.push_back(SliceFlow{row.dst, 0, 0});
     }
   }
-  to_.reserve(static_cast<std::size_t>(gpus));
-  for (int dst = 0; dst < gpus; ++dst) {
-    const int node = dst / gpn_;
-    to_.push_back(fabric_.route(
-        hier_ && node != src_node_ ? node * gpn_ : src_, dst));
-  }
   if (injector_ != nullptr) {
     on_attempt_ = [this](SimTime attempt_at,
                          const fabric::Fabric::Delivery&) {
       if (counter_ != nullptr) counter_->record(attempt_at, attempt_payload_);
     };
   }
+  const int direct_count = hier_ ? gpn_ : fabric_.numGpus();
+  direct_base_ = hier_ ? src_node_ * gpn_ : 0;
+  direct_.reserve(static_cast<std::size_t>(direct_count));
+  for (int d = direct_base_; d < direct_base_ + direct_count; ++d) {
+    direct_.push_back(fabric_.route(src_, d));
+  }
   if (!hier_) return;
 
   const int nodes = fabric_.topology().numNodes();
+  const ForwardingRoutes& shared = runtime.forwardingRoutes();
   gather_ = fabric_.route(src_, src_node_ * gpn_);
-  leader_to_.reserve(static_cast<std::size_t>(nodes));
-  for (int node = 0; node < nodes; ++node) {
-    leader_to_.push_back(fabric_.route(src_node_ * gpn_, node * gpn_));
-  }
+  leader_to_ = shared.leader.data() + static_cast<std::size_t>(src_node_) *
+                                          static_cast<std::size_t>(nodes);
+  scatter_ = shared.scatter.data();
   node_begin_.resize(static_cast<std::size_t>(nodes) + 1);
   if (closed_) {
     countNodes(plan_.flows);
@@ -213,11 +290,11 @@ void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
                 " emitted out of order: next slice is ", next_, " of ",
                 plan_.slices);
   ++next_;
-  if (auto* san = system_.sanitizer(); san != nullptr && side_actor_ < 0) {
+  if (san_ != nullptr && side_actor_ < 0) {
     // The in-kernel put engine: inherits what the launching stream had
     // observed, then runs concurrently with everything until quiet.
-    side_actor_ = san->forkActor("gpu" + std::to_string(src_) + ".pgas_put",
-                                 system_.stream(src_).sanitizerActor());
+    side_actor_ = san_->forkActor("gpu" + std::to_string(src_) + ".pgas_put",
+                                  system_.stream(src_).sanitizerActor());
   }
   // This slice's flows in plan order: a closed-form plan's rows are
   // stepped in place, an explicit plan's slice is read where it lies.
@@ -267,7 +344,7 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
   // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
   for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
     const SliceFlow& row = plan_.flows[i];
-    const Route& route = to_[static_cast<std::size_t>(row.dst)];
+    const Route& route = direct_[static_cast<std::size_t>(row.dst)];
     RowSplit& split = splits_[i];
     for (int s = 0; s < plan_.slices; ++s) {
       const SliceFlow share = split.next(row, plan_.message_bytes,
@@ -283,9 +360,8 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
 }
 
 SimTime PgasRuntime::PutEmitter::quiet(SimTime compute_end) {
-  auto* san = system_.sanitizer();
-  if (san != nullptr && side_actor_ >= 0) {
-    san->joinActor(system_.stream(src_).sanitizerActor(), side_actor_);
+  if (san_ != nullptr && side_actor_ >= 0) {
+    san_->joinActor(system_.stream(src_).sanitizerActor(), side_actor_);
   }
   return std::max(compute_end, last_delivery_);
 }
@@ -357,8 +433,9 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
     return;
   }
   const bool routed = injector_ == nullptr;
-  const SimTime staged = hop(routed ? gather_ : fabric_.route(src_, leader_s),
-                             to_node, msgs, at);
+  const SimTime staged =
+      hop(routed ? gather_ : fabric_.route(src_, leader_s), to_node, msgs,
+          at);
   std::int64_t wire_bytes = to_node;
   if (codec_ != nullptr && to_node % 4 == 0) {
     wire_bytes = encode(to_node, staged);
@@ -366,37 +443,15 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
   const int leader_d =
       routed ? node * gpn_ : injector_->leaderAt(node, staged);
   const SimTime landed =
-      hop(routed ? leader_to_[static_cast<std::size_t>(node)]
-                 : fabric_.route(leader_s, leader_d),
+      hop(routed ? leader_to_[node] : fabric_.route(leader_s, leader_d),
           wire_bytes, 1, staged);
   for (const SliceFlow& f : group) {
     if (idle(f)) continue;
     const SimTime done =
-        hop(routed ? to_[static_cast<std::size_t>(f.dst)]
-                   : fabric_.route(leader_d, f.dst),
+        hop(routed ? scatter_[f.dst] : fabric_.route(leader_d, f.dst),
             f.payload_bytes, f.n_messages, landed);
     logPut(f, at, done);
   }
-}
-
-// Direct one-sided put: the flat path, intra-node flows, and degraded
-// node pairs. A flow that leaves the node is encoded on its way out when
-// a codec is attached (the 256-byte messages shrink but their count —
-// and hence the NIC message-rate padding — does not), with or without an
-// armed injector. Returns the (acked) delivery.
-SimTime PgasRuntime::PutEmitter::direct(const SliceFlow& f, SimTime at) {
-  std::int64_t wire_bytes = f.payload_bytes;
-  if (codec_ != nullptr && f.payload_bytes > 0 && f.payload_bytes % 4 == 0 &&
-      f.dst / gpn_ != src_node_) {
-    wire_bytes = encode(f.payload_bytes, at);
-  }
-  if (injector_ != nullptr) return reliableDirect(f, wire_bytes, at);
-  const SimTime delivered =
-      fabric_.send(to_[static_cast<std::size_t>(f.dst)], wire_bytes,
-                   f.n_messages, at)
-          .delivered;
-  logPut(f, at, delivered);
-  return delivered;
 }
 
 // Delivery-tracked direct put (under faults): flap-dropped attempts are
@@ -415,70 +470,28 @@ SimTime PgasRuntime::PutEmitter::reliableDirect(const SliceFlow& f,
   // the dropped attempt instead of the acked retransmit, so kernel
   // completion no longer covers the recovered write.
   last_delivery_ = std::max(last_delivery_, buggy ? r.first_loss : r.acked);
-  if (auto* san = system_.sanitizer()) {
+  if (san_ != nullptr) {
     for (const auto& effect : remote_writes_) {
       if (effect.device != f.dst) continue;
       if (!buggy) {
-        san->access(side_actor_, effect.device, effect.range, effect.kind,
-                    at, r.acked, effect.label);
+        san_->access(side_actor_, effect.device, effect.range, effect.kind,
+                     at, r.acked, effect.label);
         continue;
       }
       // The original attempt dies at the flap...
-      san->access(side_actor_, effect.device, effect.range, effect.kind, at,
-                  r.first_loss, effect.label);
+      san_->access(side_actor_, effect.device, effect.range, effect.kind, at,
+                   r.first_loss, effect.label);
       // ...and the retransmit engine lands the write without being
       // re-armed under quiet: its actor is never joined, so the landing
       // races with whoever consumes the destination.
-      const auto rogue = san->forkActor(
+      const auto rogue = san_->forkActor(
           "gpu" + std::to_string(src_) + ".pgas_put.retransmit",
           side_actor_);
-      san->access(rogue, effect.device, effect.range, effect.kind,
-                  r.first_loss, r.acked, effect.label + ".retransmit");
+      san_->access(rogue, effect.device, effect.range, effect.kind,
+                   r.first_loss, r.acked, effect.label + ".retransmit");
     }
   }
   return r.acked;
-}
-
-// One forwarding hop: over its resolved route when fault-free, as a
-// delivery-tracked reliable put (retransmitted on drop) under an armed
-// injector. A hop that stays on its GPU is free.
-SimTime PgasRuntime::PutEmitter::hop(const Route& route, std::int64_t bytes,
-                                     std::int64_t msgs, SimTime at) {
-  if (route.links.empty()) return at;
-  if (injector_ == nullptr) {
-    return fabric_.send(route, bytes, msgs, at).delivered;
-  }
-  return injector_->reliablePut(route.src, route.dst, bytes, msgs, at).acked;
-}
-
-// Encodes an inter-node flow leaving src's node at `at`; returns its
-// wire size.
-std::int64_t PgasRuntime::PutEmitter::encode(std::int64_t payload_bytes,
-                                             SimTime at) {
-  const std::int64_t wire_bytes = fabric::InterNodeCodec::compressedBytes(
-      payload_bytes, codec_->aggregateBits(src_node_, at));
-  codec_->recordFlow(payload_bytes, wire_bytes);
-  codec_->recordEgress(src_node_, at, wire_bytes);
-  return wire_bytes;
-}
-
-// Common put bookkeeping once the *final* delivery time is known: quiet
-// latches it, the comm counter records the original payload at injection
-// time, and the simsan window spans injection -> landing (for forwarded
-// puts the leader staging hops are timing-only; the collective
-// retriever's staging buffers are where simsan certifies the
-// gather/scatter interleavings).
-void PgasRuntime::PutEmitter::logPut(const SliceFlow& f, SimTime at,
-                                     SimTime delivered) {
-  last_delivery_ = std::max(last_delivery_, delivered);
-  if (counter_ != nullptr) counter_->record(at, f.payload_bytes);
-  if (auto* san = system_.sanitizer()) {
-    for (const auto& effect : remote_writes_) {
-      if (effect.device != f.dst) continue;
-      san->access(side_actor_, effect.device, effect.range, effect.kind, at,
-                  delivered, effect.label);
-    }
-  }
 }
 
 void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,

@@ -106,6 +106,16 @@ class PgasRuntime {
  private:
   class PutEmitter;
 
+  /// The fault-free forwarding hops every source shares: `scatter[d]` is
+  /// the route from GPU d's node leader to d, and `leader[a * nodes + b]`
+  /// node a's leader's route to node b's. Resolved once, at the first
+  /// forwarded attach, and never changed after.
+  struct ForwardingRoutes {
+    std::vector<fabric::Fabric::Route> scatter;
+    std::vector<fabric::Fabric::Route> leader;
+  };
+  const ForwardingRoutes& forwardingRoutes();
+
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
   SymmetricHeap heap_;
@@ -116,6 +126,7 @@ class PgasRuntime {
   /// Recycles the per-launch emitters instead of hitting the allocator
   /// for each one.
   util::SharedPool<PutEmitter> emitter_pool_;
+  ForwardingRoutes forwarding_;
 };
 
 }  // namespace pgasemb::pgas

@@ -51,9 +51,10 @@ class FifoResource {
   void reset();
 
  private:
-  std::string name_;
+  // The queue state leads: every fabric hop reads and writes it.
   SimTime free_at_ = SimTime::zero();
   SimTime busy_ = SimTime::zero();
+  std::string name_;
 };
 
 }  // namespace pgasemb::sim
