@@ -12,6 +12,14 @@ Fabric::Fabric(std::unique_ptr<Topology> topology,
   PGASEMB_CHECK(topology_ != nullptr, "fabric needs a topology");
 }
 
+Fabric::Delivery Fabric::transfer(int src, int dst,
+                                  std::int64_t payload_bytes,
+                                  std::int64_t n_messages, SimTime at,
+                                  double bandwidth_fraction) {
+  return send(route(src, dst), payload_bytes, n_messages, at,
+              bandwidth_fraction);
+}
+
 bool Fabric::faultHop(Link& link, const sim::FifoResource::Grant& grant,
                       std::int64_t payload_bytes, SimTime& hop_latency) {
   hop_latency += link.extraLatencyAt(grant.end);

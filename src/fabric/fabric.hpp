@@ -58,13 +58,12 @@ class Fabric {
   /// (collective protocol efficiency vs. raw one-sided stores).
   Delivery transfer(int src, int dst, std::int64_t payload_bytes,
                     std::int64_t n_messages, SimTime at,
-                    double bandwidth_fraction = 1.0) {
-    return send(route(src, dst), payload_bytes, n_messages, at,
-                bandwidth_fraction);
-  }
+                    double bandwidth_fraction = 1.0);
 
   /// transfer() over a resolved route: the one hop routine every flow
-  /// takes. Inline, since a PGAS batch sends hundreds of thousands.
+  /// takes. Inline for the PGAS put emitter, which sends hundreds of
+  /// thousands of flows per batch; transfer() keeps one copy for every
+  /// other caller.
   Delivery send(const Route& route, std::int64_t payload_bytes,
                 std::int64_t n_messages, SimTime at,
                 double bandwidth_fraction = 1.0) {

@@ -48,6 +48,9 @@ class PgasRuntime::PutEmitter {
              CommCounter* counter,
              std::shared_ptr<simsan::StrictPutTracker> strict,
              std::vector<simsan::MemEffect> remote_writes);
+  // on_attempt_ holds this emitter's address.
+  PutEmitter(const PutEmitter&) = delete;
+  PutEmitter& operator=(const PutEmitter&) = delete;
 
   int slices() const { return plan_.slices; }
 
@@ -91,10 +94,12 @@ class PgasRuntime::PutEmitter {
                          SimTime at);
 
   // Direct one-sided put: the flat path, intra-node flows, and degraded
-  // node pairs. A flow that leaves the node is encoded on its way out
-  // when a codec is attached (the 256-byte messages shrink but their
-  // count — and hence the NIC message-rate padding — does not), with or
-  // without an armed injector. Returns the (acked) delivery.
+  // node pairs (which exist only under an armed injector, so a forwarded
+  // source sends only its own node's flows over direct_). A flow that
+  // leaves the node is encoded on its way out when a codec is attached
+  // (the 256-byte messages shrink but their count — and hence the NIC
+  // message-rate padding — does not), with or without an armed
+  // injector. Returns the (acked) delivery.
   SimTime direct(const SliceFlow& f, SimTime at) {
     std::int64_t wire_bytes = f.payload_bytes;
     if (codec_ != nullptr && f.payload_bytes > 0 &&
@@ -173,10 +178,12 @@ class PgasRuntime::PutEmitter {
   const MessagePlan plan_;
   int next_ = 0;
 
-  /// Closed form: each row's split and its share of the current slice,
-  /// in row order.
+  /// Closed form: each row's split, in row order.
   std::vector<RowSplit> splits_;
-  std::vector<SliceFlow> shares_;
+  /// The runtime's scratch for the rows' shares of the slice being
+  /// emitted: only one slice is emitted at a time, so every launch
+  /// shares it.
+  std::vector<SliceFlow>& shares_;
   /// Forwarded explicit plan: each slice's flows grouped by destination
   /// node (plan order within a node), at plan_.slice_begin's offsets.
   std::vector<SliceFlow> grouped_;
@@ -222,17 +229,16 @@ PgasRuntime::PutEmitter::PutEmitter(
       hier_(runtime.hierarchical_ &&
             runtime.fabric_.topology().numNodes() > 1),
       closed_(plan.closedForm()),
-      plan_(std::move(plan)) {
+      plan_(std::move(plan)),
+      shares_(runtime.shares_) {
   for (const SliceFlow& f : plan_.flows) {
     PGASEMB_CHECK(f.dst >= 0 && f.dst < fabric_.numGpus(),
                   "bad destination PE ", f.dst);
   }
   if (closed_) {
     splits_.reserve(plan_.flows.size());
-    shares_.reserve(plan_.flows.size());
     for (const SliceFlow& row : plan_.flows) {
       splits_.emplace_back(row, plan_.slices);
-      shares_.push_back(SliceFlow{row.dst, 0, 0});
     }
   }
   if (injector_ != nullptr) {
@@ -300,7 +306,8 @@ void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
   // stepped in place, an explicit plan's slice is read where it lies.
   std::span<const SliceFlow> flows;
   if (closed_) {
-    for (std::size_t i = 0; i < shares_.size(); ++i) {
+    shares_.resize(splits_.size());
+    for (std::size_t i = 0; i < splits_.size(); ++i) {
       shares_[i] =
           splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
     }

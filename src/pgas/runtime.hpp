@@ -127,6 +127,8 @@ class PgasRuntime {
   /// for each one.
   util::SharedPool<PutEmitter> emitter_pool_;
   ForwardingRoutes forwarding_;
+  /// Scratch for the closed-form shares of the slice being emitted.
+  std::vector<SliceFlow> shares_;
 };
 
 }  // namespace pgasemb::pgas
