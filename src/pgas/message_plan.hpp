@@ -77,7 +77,6 @@ MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
 /// with `acc` = rem * (s + 1) mod slices.
 class RowSplit {
  public:
-  RowSplit() = default;
   RowSplit(const SliceFlow& row, int slices)
       : step_(row.n_messages / slices), rem_(row.n_messages % slices) {}
 

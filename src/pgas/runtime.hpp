@@ -87,8 +87,8 @@ class PgasRuntime {
   /// completion implements quiet (waits for the last delivery).  If
   /// `counter` is non-null every injection is recorded (paper Figs 7/10).
   /// If `aggregator` is non-null the plan is first rewritten through the
-  /// async aggregator model. The kernel's puts are emitted by one
-  /// per-launch PutEmitter that resolves every route here, once.
+  /// async aggregator model. One PutEmitter per launch emits the
+  /// kernel's puts over routes resolved before its first slice fires.
   ///
   /// `remote_writes` declares the destination-memory footprint of the
   /// kernel's one-sided puts for simsan (one effect per destination GPU;
