@@ -44,7 +44,7 @@ struct CellRun {
 };
 
 CellRun runAtScale(const std::string& retriever, bool hierarchical,
-               double compress_bound) {
+                   double compress_bound) {
   ScenarioRunner runner(scaleConfig(hierarchical, compress_bound));
   CellRun run{runner.run(retriever)};
   const auto& fabric = runner.builder().fabric();
