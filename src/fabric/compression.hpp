@@ -83,7 +83,7 @@ class InterNodeCodec {
     // under-counts by construction and would flap the decision.
     const auto& counter = egress_[static_cast<std::size_t>(node)];
     const std::int64_t bucket =
-        static_cast<std::int64_t>(counter.bucketOf(at)) - 1;
+        at.count() / counter.bucketWidth().count() - 1;
     const double observed =
         bucket >= 0 ? counter.bucket(static_cast<std::size_t>(bucket)) : 0.0;
     if (observed >= hot_bytes_) {

@@ -12,20 +12,16 @@ TimeSeriesCounter::TimeSeriesCounter(SimTime bucket_width)
 void TimeSeriesCounter::moveWindow(std::int64_t t) {
   PGASEMB_CHECK(t >= 0, "negative sample time");
   const std::int64_t width = bucket_width_.count();
-  const Window last = window_;
-  std::size_t bucket = 0;
-  if (last.end > last.begin && t >= last.end && t - last.end < width) {
-    bucket = last.bucket + 1;
-  } else if (last.end > last.begin && t < last.begin &&
-             last.begin - t <= width) {
-    bucket = last.bucket - 1;
-  } else {
-    bucket = static_cast<std::size_t>(t / width);
+  window_bucket_ = static_cast<std::size_t>(t / width);
+  if (window_bucket_ >= buckets_.size()) {
+    buckets_.resize(window_bucket_ + 1, 0.0);
   }
-  if (bucket >= buckets_.size()) buckets_.resize(bucket + 1, 0.0);
-  const std::int64_t begin = static_cast<std::int64_t>(bucket) * width;
-  previous_ = last;
-  window_ = Window{begin, begin + width, bucket};
+  window_begin_ = static_cast<std::int64_t>(window_bucket_) * width;
+  window_end_ = window_begin_ + width;
+}
+
+double TimeSeriesCounter::bucket(std::size_t i) const {
+  return i < buckets_.size() ? buckets_[i] : 0.0;
 }
 
 std::vector<double> TimeSeriesCounter::cumulative() const {
@@ -41,7 +37,8 @@ std::vector<double> TimeSeriesCounter::cumulative() const {
 void TimeSeriesCounter::reset() {
   buckets_.clear();
   total_ = 0.0;
-  window_ = previous_ = Window{};
+  window_begin_ = window_end_ = 0;
+  window_bucket_ = 0;
 }
 
 }  // namespace pgasemb::fabric

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -17,39 +16,20 @@ class TimeSeriesCounter {
  public:
   explicit TimeSeriesCounter(SimTime bucket_width = SimTime::us(5.0));
 
-  /// Add `amount` at simulated time `at` (>= 0). Samples alternate
-  /// between a few buckets — a flow's injection and its hops'
-  /// deliveries, often far apart on a congested link — so the last two
-  /// buckets samples landed in are tried first, then the last one's
-  /// neighbours, and only then a division.
+  /// Add `amount` at simulated time `at` (>= 0). Divides only when the
+  /// sample falls outside the bucket the previous one landed in.
   void add(SimTime at, double amount) {
     const std::int64_t t = at.count();
-    if (t < window_.begin || t >= window_.end) {
-      if (t >= previous_.begin && t < previous_.end) {
-        std::swap(window_, previous_);
-      } else {
-        moveWindow(t);
-      }
-    }
-    buckets_[window_.bucket] += amount;
+    if (t < window_begin_ || t >= window_end_) moveWindow(t);
+    buckets_[window_bucket_] += amount;
     total_ += amount;
-  }
-
-  /// Index of the bucket holding `at` (>= 0).
-  std::size_t bucketOf(SimTime at) const {
-    const std::int64_t t = at.count();
-    if (t >= window_.begin && t < window_.end) return window_.bucket;
-    if (t >= previous_.begin && t < previous_.end) return previous_.bucket;
-    return static_cast<std::size_t>(t / bucket_width_.count());
   }
 
   SimTime bucketWidth() const { return bucket_width_; }
   std::size_t numBuckets() const { return buckets_.size(); }
 
   /// Value accumulated in bucket `i` (time range [i*w, (i+1)*w)).
-  double bucket(std::size_t i) const {
-    return i < buckets_.size() ? buckets_[i] : 0.0;
-  }
+  double bucket(std::size_t i) const;
 
   /// Cumulative totals over time (prefix sums), one entry per bucket.
   std::vector<double> cumulative() const;
@@ -59,24 +39,18 @@ class TimeSeriesCounter {
   void reset();
 
  private:
-  /// Bucket `bucket` covers [begin, end); empty (begin == end) until
-  /// the first sample and after reset().
-  struct Window {
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-    std::size_t bucket = 0;
-  };
-
-  /// Point the window at the bucket holding `t` (outside both windows),
-  /// growing the buckets to reach it; the old window becomes previous_.
+  /// Point the window at the bucket holding `t`, growing the buckets to
+  /// reach it.
   void moveWindow(std::int64_t t);
 
   SimTime bucket_width_;
   std::vector<double> buckets_;
   double total_ = 0.0;
-  /// The bucket the last sample landed in, and the one before that.
-  Window window_;
-  Window previous_;
+  /// Bucket `window_bucket_` covers [window_begin_, window_end_); the
+  /// window is empty until the first sample and after reset().
+  std::int64_t window_begin_ = 0;
+  std::int64_t window_end_ = 0;
+  std::size_t window_bucket_ = 0;
 };
 
 }  // namespace pgasemb::fabric

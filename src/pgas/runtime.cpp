@@ -17,29 +17,11 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
                 "fabric topology smaller than the GPU system");
 }
 
-const PgasRuntime::ForwardingRoutes& PgasRuntime::forwardingRoutes() {
-  if (!forwarding_.scatter.empty()) return forwarding_;
-  const auto& topo = fabric_.topology();
-  const int gpn = topo.gpusPerNode();
-  const int nodes = topo.numNodes();
-  for (int dst = 0; dst < fabric_.numGpus(); ++dst) {
-    forwarding_.scatter.push_back(fabric_.route(dst / gpn * gpn, dst));
-  }
-  for (int a = 0; a < nodes; ++a) {
-    for (int b = 0; b < nodes; ++b) {
-      forwarding_.leader.push_back(fabric_.route(a * gpn, b * gpn));
-    }
-  }
-  return forwarding_;
-}
-
 /// One launch's one-sided puts (DESIGN.md §9). Every per-kernel decision
-/// is made once, at attach: the plan's rows and every fault-free route
-/// (direct per destination; gather, leader -> leader and scatter for
-/// hierarchical forwarding). A slice steps a closed-form plan's rows in
-/// place and sends their shares straight over those routes, in the
-/// order the links must see them; the fault injector, simsan, the comm
-/// counter, the strict put tracker and the codec are branches on
+/// is made once, at attach. A slice steps a closed-form plan's rows in
+/// place and sends their shares over the topology's precomputed routes,
+/// in the order the links must see them; the fault injector, simsan, the
+/// comm counter, the strict put tracker and the codec are branches on
 /// per-kernel constants. A coalesced launch steps each row's dedicated
 /// route over every slice instead.
 class PgasRuntime::PutEmitter {
@@ -66,21 +48,22 @@ class PgasRuntime::PutEmitter {
   SimTime quiet(SimTime compute_end);
 
  private:
-  using Route = fabric::Fabric::Route;
-
   /// A closed-form row with no messages in the current slice sends
   /// nothing; an explicit plan's flows are always sent.
   bool idle(const SliceFlow& f) const {
     return closed_ && f.n_messages == 0;
   }
-  std::span<const SliceFlow> sliceOf(const std::vector<SliceFlow>& flows,
-                                     int s) const {
+  /// An explicit plan's slice `s`, in plan order.
+  std::span<const SliceFlow> sliceOf(int s) const {
     const auto i = static_cast<std::size_t>(s);
-    return {flows.data() + plan_.slice_begin[i],
+    return {plan_.flows.data() + plan_.slice_begin[i],
             plan_.slice_begin[i + 1] - plan_.slice_begin[i]};
   }
-  /// Points node_begin_ at `flows`, which are in node order.
+  /// Points node_begin_ at `flows` grouped by destination node.
   void countNodes(std::span<const SliceFlow> flows);
+  /// Groups an explicit slice's `flows` by destination node, plan order
+  /// within a node, into the runtime's slice scratch.
+  std::span<const SliceFlow> groupByNode(std::span<const SliceFlow> flows);
   std::span<const SliceFlow> toNode(std::span<const SliceFlow> flows,
                                     int node) const {
     const auto n = static_cast<std::size_t>(node);
@@ -94,12 +77,10 @@ class PgasRuntime::PutEmitter {
                          SimTime at);
 
   // Direct one-sided put: the flat path, intra-node flows, and degraded
-  // node pairs (which exist only under an armed injector, so a forwarded
-  // source sends only its own node's flows over direct_). A flow that
-  // leaves the node is encoded on its way out when a codec is attached
-  // (the 256-byte messages shrink but their count — and hence the NIC
-  // message-rate padding — does not), with or without an armed
-  // injector. Returns the (acked) delivery.
+  // node pairs. A flow that leaves the node is encoded on its way out
+  // when a codec is attached (the 256-byte messages shrink but their
+  // count — and hence the NIC message-rate padding — does not), with or
+  // without an armed injector. Returns the (acked) delivery.
   SimTime direct(const SliceFlow& f, SimTime at) {
     std::int64_t wire_bytes = f.payload_bytes;
     if (codec_ != nullptr && f.payload_bytes > 0 &&
@@ -108,24 +89,22 @@ class PgasRuntime::PutEmitter {
     }
     if (injector_ != nullptr) return reliableDirect(f, wire_bytes, at);
     const SimTime delivered =
-        fabric_.send(direct_[static_cast<std::size_t>(f.dst - direct_base_)],
-                     wire_bytes, f.n_messages, at)
+        fabric_.send(fabric_.route(src_, f.dst), wire_bytes, f.n_messages, at)
             .delivered;
     logPut(f, at, delivered);
     return delivered;
   }
 
-  // One forwarding hop: over its resolved route when fault-free, as a
-  // delivery-tracked reliable put (retransmitted on drop) under an armed
-  // injector. A hop that stays on its GPU is free.
-  SimTime hop(const Route& route, std::int64_t bytes, std::int64_t msgs,
+  // One forwarding hop from GPU a to GPU b: a plain send when fault-free,
+  // a delivery-tracked reliable put (retransmitted on drop) under an
+  // armed injector. A hop that stays on its GPU is free.
+  SimTime hop(int a, int b, std::int64_t bytes, std::int64_t msgs,
               SimTime at) {
-    if (route.links.empty()) return at;
+    if (a == b) return at;
     if (injector_ == nullptr) {
-      return fabric_.send(route, bytes, msgs, at).delivered;
+      return fabric_.send(fabric_.route(a, b), bytes, msgs, at).delivered;
     }
-    return injector_->reliablePut(route.src, route.dst, bytes, msgs, at)
-        .acked;
+    return injector_->reliablePut(a, b, bytes, msgs, at).acked;
   }
 
   // Encodes an inter-node flow leaving src's node at `at`; returns its
@@ -180,28 +159,15 @@ class PgasRuntime::PutEmitter {
 
   /// Closed form: each row's split, in row order.
   std::vector<RowSplit> splits_;
-  /// The runtime's scratch for the rows' shares of the slice being
-  /// emitted: only one slice is emitted at a time, so every launch
-  /// shares it.
-  std::vector<SliceFlow>& shares_;
-  /// Forwarded explicit plan: each slice's flows grouped by destination
-  /// node (plan order within a node), at plan_.slice_begin's offsets.
-  std::vector<SliceFlow> grouped_;
+  /// The runtime's scratch for the slice being emitted (a closed-form
+  /// plan's shares, or a forwarded explicit slice grouped by node): only
+  /// one slice is emitted at a time, so every launch shares it.
+  std::vector<SliceFlow>& scratch_;
   /// Forwarding: the current slice's flows to node n are
   /// [node_begin_[n], node_begin_[n + 1]) of its node-ordered flows;
   /// fixed for a closed-form plan, whose rows are in destination order.
   std::vector<std::size_t> node_begin_;
-
-  /// Resolved fault-free routes. direct_[d - direct_base_] is the route
-  /// from src to GPU d for every d it sends to directly: every GPU, or
-  /// only its own node's when forwarding. Under an armed injector the
-  /// leaders are elected per put, so forwarding hops are routed as they
-  /// are sent.
-  std::vector<Route> direct_;
-  int direct_base_ = 0;
-  Route gather_;                      ///< src -> own node's leader
-  const Route* leader_to_ = nullptr;  ///< own leader -> node n's leader
-  const Route* scatter_ = nullptr;    ///< node leader -> GPU d
+  std::vector<std::size_t> fill_;  ///< groupByNode's position per node
 
   SimTime last_delivery_ = SimTime::zero();  ///< quiet waits for it
   simsan::ActorId side_actor_ = -1;          ///< this kernel's put engine
@@ -230,7 +196,7 @@ PgasRuntime::PutEmitter::PutEmitter(
             runtime.fabric_.topology().numNodes() > 1),
       closed_(plan.closedForm()),
       plan_(std::move(plan)),
-      shares_(runtime.shares_) {
+      scratch_(runtime.slice_scratch_) {
   for (const SliceFlow& f : plan_.flows) {
     PGASEMB_CHECK(f.dst >= 0 && f.dst < fabric_.numGpus(),
                   "bad destination PE ", f.dst);
@@ -247,38 +213,14 @@ PgasRuntime::PutEmitter::PutEmitter(
       if (counter_ != nullptr) counter_->record(attempt_at, attempt_payload_);
     };
   }
-  const int direct_count = hier_ ? gpn_ : fabric_.numGpus();
-  direct_base_ = hier_ ? src_node_ * gpn_ : 0;
-  direct_.reserve(static_cast<std::size_t>(direct_count));
-  for (int d = direct_base_; d < direct_base_ + direct_count; ++d) {
-    direct_.push_back(fabric_.route(src_, d));
-  }
   if (!hier_) return;
-
-  const int nodes = fabric_.topology().numNodes();
-  const ForwardingRoutes& shared = runtime.forwardingRoutes();
-  gather_ = fabric_.route(src_, src_node_ * gpn_);
-  leader_to_ = shared.leader.data() + static_cast<std::size_t>(src_node_) *
-                                          static_cast<std::size_t>(nodes);
-  scatter_ = shared.scatter.data();
-  node_begin_.resize(static_cast<std::size_t>(nodes) + 1);
+  const auto nodes =
+      static_cast<std::size_t>(fabric_.topology().numNodes());
+  node_begin_.resize(nodes + 1);
   if (closed_) {
     countNodes(plan_.flows);
-    return;
-  }
-  // Group each explicit slice by node once, here, instead of per firing.
-  grouped_.resize(plan_.flows.size());
-  std::vector<std::size_t> fill(static_cast<std::size_t>(nodes));
-  for (int s = 0; s < plan_.slices; ++s) {
-    const auto flows = sliceOf(plan_.flows, s);
-    countNodes(flows);
-    const std::size_t base = plan_.slice_begin[static_cast<std::size_t>(s)];
-    for (std::size_t n = 0; n < fill.size(); ++n) {
-      fill[n] = base + node_begin_[n];
-    }
-    for (const SliceFlow& f : flows) {
-      grouped_[fill[static_cast<std::size_t>(f.dst / gpn_)]++] = f;
-    }
+  } else {
+    fill_.resize(nodes);
   }
 }
 
@@ -289,6 +231,17 @@ void PgasRuntime::PutEmitter::countNodes(std::span<const SliceFlow> flows) {
   }
   std::partial_sum(node_begin_.begin(), node_begin_.end(),
                    node_begin_.begin());
+}
+
+std::span<const SliceFlow> PgasRuntime::PutEmitter::groupByNode(
+    std::span<const SliceFlow> flows) {
+  countNodes(flows);
+  std::copy(node_begin_.begin(), node_begin_.end() - 1, fill_.begin());
+  scratch_.resize(flows.size());
+  for (const SliceFlow& f : flows) {
+    scratch_[fill_[static_cast<std::size_t>(f.dst / gpn_)]++] = f;
+  }
+  return scratch_;
 }
 
 void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
@@ -306,14 +259,14 @@ void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
   // stepped in place, an explicit plan's slice is read where it lies.
   std::span<const SliceFlow> flows;
   if (closed_) {
-    shares_.resize(splits_.size());
+    scratch_.resize(splits_.size());
     for (std::size_t i = 0; i < splits_.size(); ++i) {
-      shares_[i] =
+      scratch_[i] =
           splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
     }
-    flows = shares_;
+    flows = scratch_;
   } else {
-    flows = sliceOf(plan_.flows, s);
+    flows = sliceOf(s);
   }
   if (strict_ != nullptr) {
     // Strict effects total each launch's *logical* flows per destination
@@ -329,11 +282,7 @@ void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
     }
     return;
   }
-  if (!closed_) {
-    flows = sliceOf(grouped_, s);
-    countNodes(flows);
-  }
-  forward(flows, at);
+  forward(closed_ ? flows : groupByNode(flows), at);
 }
 
 void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
@@ -351,7 +300,7 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
   // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
   for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
     const SliceFlow& row = plan_.flows[i];
-    const Route& route = direct_[static_cast<std::size_t>(row.dst)];
+    const auto route = fabric_.route(src_, row.dst);
     RowSplit& split = splits_[i];
     for (int s = 0; s < plan_.slices; ++s) {
       const SliceFlow share = split.next(row, plan_.message_bytes,
@@ -439,24 +388,18 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
     }
     return;
   }
-  const bool routed = injector_ == nullptr;
-  const SimTime staged =
-      hop(routed ? gather_ : fabric_.route(src_, leader_s), to_node, msgs,
-          at);
+  const SimTime staged = hop(src_, leader_s, to_node, msgs, at);
   std::int64_t wire_bytes = to_node;
   if (codec_ != nullptr && to_node % 4 == 0) {
     wire_bytes = encode(to_node, staged);
   }
   const int leader_d =
-      routed ? node * gpn_ : injector_->leaderAt(node, staged);
-  const SimTime landed =
-      hop(routed ? leader_to_[node] : fabric_.route(leader_s, leader_d),
-          wire_bytes, 1, staged);
+      injector_ != nullptr ? injector_->leaderAt(node, staged) : node * gpn_;
+  const SimTime landed = hop(leader_s, leader_d, wire_bytes, 1, staged);
   for (const SliceFlow& f : group) {
     if (idle(f)) continue;
     const SimTime done =
-        hop(routed ? scatter_[f.dst] : fabric_.route(leader_d, f.dst),
-            f.payload_bytes, f.n_messages, landed);
+        hop(leader_d, f.dst, f.payload_bytes, f.n_messages, landed);
     logPut(f, at, done);
   }
 }
