@@ -17,11 +17,29 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
                 "fabric topology smaller than the GPU system");
 }
 
+const PgasRuntime::ForwardingRoutes& PgasRuntime::forwardingRoutes() {
+  if (!forwarding_.scatter.empty()) return forwarding_;
+  const auto& topo = fabric_.topology();
+  const int gpn = topo.gpusPerNode();
+  const int nodes = topo.numNodes();
+  for (int dst = 0; dst < fabric_.numGpus(); ++dst) {
+    forwarding_.scatter.push_back(fabric_.route(dst / gpn * gpn, dst));
+  }
+  for (int a = 0; a < nodes; ++a) {
+    for (int b = 0; b < nodes; ++b) {
+      forwarding_.leader.push_back(fabric_.route(a * gpn, b * gpn));
+    }
+  }
+  return forwarding_;
+}
+
 /// One launch's one-sided puts (DESIGN.md §9). Every per-kernel decision
-/// is made once, at attach. A slice steps a closed-form plan's rows in
-/// place and sends their shares over the topology's precomputed routes,
-/// in the order the links must see them; the fault injector, simsan, the
-/// comm counter, the strict put tracker and the codec are branches on
+/// is made once, at attach: the plan's rows and every fault-free route
+/// (direct per destination; gather, leader -> leader and scatter for
+/// hierarchical forwarding). A slice steps a closed-form plan's rows in
+/// place and sends their shares straight over those routes, in the
+/// order the links must see them; the fault injector, simsan, the comm
+/// counter, the strict put tracker and the codec are branches on
 /// per-kernel constants. A coalesced launch steps each row's dedicated
 /// route over every slice instead.
 class PgasRuntime::PutEmitter {
@@ -48,6 +66,8 @@ class PgasRuntime::PutEmitter {
   SimTime quiet(SimTime compute_end);
 
  private:
+  using Route = fabric::Fabric::Route;
+
   /// A closed-form row with no messages in the current slice sends
   /// nothing; an explicit plan's flows are always sent.
   bool idle(const SliceFlow& f) const {
@@ -77,10 +97,12 @@ class PgasRuntime::PutEmitter {
                          SimTime at);
 
   // Direct one-sided put: the flat path, intra-node flows, and degraded
-  // node pairs. A flow that leaves the node is encoded on its way out
-  // when a codec is attached (the 256-byte messages shrink but their
-  // count — and hence the NIC message-rate padding — does not), with or
-  // without an armed injector. Returns the (acked) delivery.
+  // node pairs (which exist only under an armed injector, so a forwarded
+  // source sends only its own node's flows over direct_). A flow that
+  // leaves the node is encoded on its way out when a codec is attached
+  // (the 256-byte messages shrink but their count — and hence the NIC
+  // message-rate padding — does not), with or without an armed
+  // injector. Returns the (acked) delivery.
   SimTime direct(const SliceFlow& f, SimTime at) {
     std::int64_t wire_bytes = f.payload_bytes;
     if (codec_ != nullptr && f.payload_bytes > 0 &&
@@ -89,20 +111,23 @@ class PgasRuntime::PutEmitter {
     }
     if (injector_ != nullptr) return reliableDirect(f, wire_bytes, at);
     const SimTime delivered =
-        fabric_.send(fabric_.route(src_, f.dst), wire_bytes, f.n_messages, at)
+        fabric_.send(direct_[static_cast<std::size_t>(f.dst - direct_base_)],
+                     wire_bytes, f.n_messages, at)
             .delivered;
     logPut(f, at, delivered);
     return delivered;
   }
 
-  // One forwarding hop from GPU a to GPU b: a plain send when fault-free,
-  // a delivery-tracked reliable put (retransmitted on drop) under an
-  // armed injector. A hop that stays on its GPU is free.
-  SimTime hop(int a, int b, std::int64_t bytes, std::int64_t msgs,
-              SimTime at) {
+  // One forwarding hop from GPU a to GPU b. Fault-free, a and b are the
+  // default leaders and the flow takes `route`, their resolved route.
+  // Under an armed injector, which elects the leaders per put, it is a
+  // delivery-tracked reliable put (retransmitted on drop) from a to b. A
+  // hop that stays on its GPU is free.
+  SimTime hop(const Route& route, int a, int b, std::int64_t bytes,
+              std::int64_t msgs, SimTime at) {
     if (a == b) return at;
     if (injector_ == nullptr) {
-      return fabric_.send(fabric_.route(a, b), bytes, msgs, at).delivered;
+      return fabric_.send(route, bytes, msgs, at).delivered;
     }
     return injector_->reliablePut(a, b, bytes, msgs, at).acked;
   }
@@ -169,6 +194,15 @@ class PgasRuntime::PutEmitter {
   std::vector<std::size_t> node_begin_;
   std::vector<std::size_t> fill_;  ///< groupByNode's position per node
 
+  /// Resolved fault-free routes. direct_[d - direct_base_] is the route
+  /// from src to GPU d for every d it sends to directly: every GPU, or
+  /// only its own node's when forwarding.
+  std::vector<Route> direct_;
+  int direct_base_ = 0;
+  Route gather_;                      ///< src -> own node's leader
+  const Route* leader_to_ = nullptr;  ///< own leader -> node n's leader
+  const Route* scatter_ = nullptr;    ///< node leader -> GPU d
+
   SimTime last_delivery_ = SimTime::zero();  ///< quiet waits for it
   simsan::ActorId side_actor_ = -1;          ///< this kernel's put engine
   /// One delivery-tracking callback per launch: a put retargets
@@ -213,9 +247,21 @@ PgasRuntime::PutEmitter::PutEmitter(
       if (counter_ != nullptr) counter_->record(attempt_at, attempt_payload_);
     };
   }
+  const int direct_count = hier_ ? gpn_ : fabric_.numGpus();
+  direct_base_ = hier_ ? src_node_ * gpn_ : 0;
+  direct_.reserve(static_cast<std::size_t>(direct_count));
+  for (int d = direct_base_; d < direct_base_ + direct_count; ++d) {
+    direct_.push_back(fabric_.route(src_, d));
+  }
   if (!hier_) return;
+
   const auto nodes =
       static_cast<std::size_t>(fabric_.topology().numNodes());
+  const ForwardingRoutes& shared = runtime.forwardingRoutes();
+  gather_ = fabric_.route(src_, src_node_ * gpn_);
+  leader_to_ =
+      shared.leader.data() + static_cast<std::size_t>(src_node_) * nodes;
+  scatter_ = shared.scatter.data();
   node_begin_.resize(nodes + 1);
   if (closed_) {
     countNodes(plan_.flows);
@@ -300,7 +346,7 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
   // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
   for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
     const SliceFlow& row = plan_.flows[i];
-    const auto route = fabric_.route(src_, row.dst);
+    const Route& route = direct_[static_cast<std::size_t>(row.dst)];
     RowSplit& split = splits_[i];
     for (int s = 0; s < plan_.slices; ++s) {
       const SliceFlow share = split.next(row, plan_.message_bytes,
@@ -388,18 +434,19 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
     }
     return;
   }
-  const SimTime staged = hop(src_, leader_s, to_node, msgs, at);
+  const SimTime staged = hop(gather_, src_, leader_s, to_node, msgs, at);
   std::int64_t wire_bytes = to_node;
   if (codec_ != nullptr && to_node % 4 == 0) {
     wire_bytes = encode(to_node, staged);
   }
   const int leader_d =
       injector_ != nullptr ? injector_->leaderAt(node, staged) : node * gpn_;
-  const SimTime landed = hop(leader_s, leader_d, wire_bytes, 1, staged);
+  const SimTime landed =
+      hop(leader_to_[node], leader_s, leader_d, wire_bytes, 1, staged);
   for (const SliceFlow& f : group) {
     if (idle(f)) continue;
-    const SimTime done =
-        hop(leader_d, f.dst, f.payload_bytes, f.n_messages, landed);
+    const SimTime done = hop(scatter_[f.dst], leader_d, f.dst,
+                             f.payload_bytes, f.n_messages, landed);
     logPut(f, at, done);
   }
 }

@@ -88,7 +88,7 @@ class PgasRuntime {
   /// `counter` is non-null every injection is recorded (paper Figs 7/10).
   /// If `aggregator` is non-null the plan is first rewritten through the
   /// async aggregator model. One PutEmitter per launch emits the
-  /// kernel's puts.
+  /// kernel's puts over routes resolved before its first slice fires.
   ///
   /// `remote_writes` declares the destination-memory footprint of the
   /// kernel's one-sided puts for simsan (one effect per destination GPU;
@@ -106,6 +106,16 @@ class PgasRuntime {
  private:
   class PutEmitter;
 
+  /// The fault-free forwarding hops every source shares: `scatter[d]` is
+  /// the route from GPU d's node leader to d, and `leader[a * nodes + b]`
+  /// node a's leader's route to node b's. Resolved once, at the first
+  /// forwarded attach, and never changed after.
+  struct ForwardingRoutes {
+    std::vector<fabric::Fabric::Route> scatter;
+    std::vector<fabric::Fabric::Route> leader;
+  };
+  const ForwardingRoutes& forwardingRoutes();
+
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
   SymmetricHeap heap_;
@@ -116,6 +126,7 @@ class PgasRuntime {
   /// Recycles the per-launch emitters instead of hitting the allocator
   /// for each one.
   util::SharedPool<PutEmitter> emitter_pool_;
+  ForwardingRoutes forwarding_;
   /// Scratch for the slice being emitted: a closed-form plan's shares, or
   /// a forwarded explicit slice grouped by destination node.
   std::vector<SliceFlow> slice_scratch_;

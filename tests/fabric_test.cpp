@@ -254,17 +254,6 @@ TEST(TimeSeriesCounterTest, WindowMatchesDividingReference) {
     add(k * w, amount(rng));
     add(k * w, amount(rng));
   }
-  // A move to a neighbouring bucket steps instead of dividing: land on
-  // the edges one and two buckets away, in both directions.
-  for (std::int64_t k = 10; k <= 14; ++k) {
-    add(k * w, amount(rng));
-    add((k + 2) * w, amount(rng));      // two ahead, on its first tick
-    add((k + 1) * w, amount(rng));      // one back
-    add((k + 1) * w - 1, amount(rng));  // one back, on its last tick
-    add((k - 1) * w - 1, amount(rng));  // two back, on its last tick
-    add((k - 1) * w, amount(rng));      // one ahead, on its first tick
-    add(k * w + w / 2, amount(rng));    // one ahead
-  }
   add(1000 * w + 3, amount(rng));  // far ahead...
   add(2 * w + 7, amount(rng));      // ...and back
   add(0, amount(rng));
