@@ -118,11 +118,12 @@ class PgasRuntime::PutEmitter {
     return delivered;
   }
 
-  // One forwarding hop from GPU a to GPU b. Fault-free, a and b are the
-  // default leaders and the flow takes `route`, their resolved route.
-  // Under an armed injector, which elects the leaders per put, it is a
-  // delivery-tracked reliable put (retransmitted on drop) from a to b. A
-  // hop that stays on its GPU is free.
+  // One forwarding hop from GPU a to GPU b. Fault-free, the leaders are
+  // the nodes' first GPUs and the flow takes `route`, the resolved
+  // a -> b route. Under an armed injector, which elects the leaders per
+  // put, it is a delivery-tracked reliable put (retransmitted on drop)
+  // from a to b and `route` is unused. A hop that stays on its GPU is
+  // free.
   SimTime hop(const Route& route, int a, int b, std::int64_t bytes,
               std::int64_t msgs, SimTime at) {
     if (a == b) return at;
