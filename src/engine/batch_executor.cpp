@@ -4,6 +4,7 @@
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
 #include "fault/injector.hpp"
+#include "pgas/runtime.hpp"
 #include "simsan/strict.hpp"
 #include "util/expect.hpp"
 
@@ -127,6 +128,18 @@ void finalizeResult(SystemBuilder& builder, BatchExecutor& exec,
                    "fabric lost payload: injected ", injected,
                    " B != delivered ", delivered, " B + dropped ", dropped,
                    " B");
+  }
+
+  // PGAS put conservation, on every run: every payload byte an attached
+  // plan declared had its delivery latched by a quiet. A leader message
+  // that is never shipped is never injected, so fabric conservation
+  // cannot see it.
+  {
+    const auto& runtime = builder.runtime();
+    PGASEMB_ASSERT(runtime.declaredPutBytes() == runtime.latchedPutBytes(),
+                   "PGAS lost puts: plans declared ",
+                   runtime.declaredPutBytes(), " B, quiet latched ",
+                   runtime.latchedPutBytes(), " B");
   }
 
   // Delivery (wire-occupancy) counter: for PGAS this matches the paper's

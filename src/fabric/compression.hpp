@@ -79,19 +79,20 @@ class InterNodeCodec {
   /// threshold in adaptive mode.
   int aggregateBits(int node, SimTime at) const {
     if (!adaptive_) return min_bits_all_;
-    // Look at the last *completed* egress window: the in-progress bucket
-    // under-counts by construction and would flap the decision.
-    const auto& counter = egress_[static_cast<std::size_t>(node)];
-    const std::int64_t bucket =
-        at.count() / counter.bucketWidth().count() - 1;
-    const double observed =
-        bucket >= 0 ? counter.bucket(static_cast<std::size_t>(bucket)) : 0.0;
-    if (observed >= hot_bytes_) {
+    if (hot(node, at)) {
       ++hot_decisions_;
       return min_bits_all_;
     }
     ++cool_decisions_;
     return std::max(min_bits_all_, kLightBits);
+  }
+
+  /// The width aggregateBits would pick, without counting a decision: a
+  /// node leader asks it whether a held message would clear the NIC
+  /// rate floor yet, and only the encoding it ships is a decision.
+  int peekBits(int node, SimTime at) const {
+    return !adaptive_ || hot(node, at) ? min_bits_all_
+                                       : std::max(min_bits_all_, kLightBits);
   }
 
   /// Quantize-dequantize one value of `table` at the table's minimal
@@ -129,6 +130,18 @@ class InterNodeCodec {
   void reset();
 
  private:
+  /// True while `node`'s observed egress is above the hot threshold.
+  /// Looks at the last *completed* egress window: the in-progress bucket
+  /// under-counts by construction and would flap the decision.
+  bool hot(int node, SimTime at) const {
+    const auto& counter = egress_[static_cast<std::size_t>(node)];
+    const std::int64_t bucket =
+        at.count() / counter.bucketWidth().count() - 1;
+    const double observed =
+        bucket >= 0 ? counter.bucket(static_cast<std::size_t>(bucket)) : 0.0;
+    return observed >= hot_bytes_;
+  }
+
   double bound_;
   bool adaptive_;
   double nic_bandwidth_;

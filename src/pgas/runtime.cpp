@@ -1,6 +1,7 @@
 #include "pgas/runtime.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <span>
 #include <string>
@@ -17,6 +18,28 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
                 "fabric topology smaller than the GPU system");
 }
 
+namespace {
+
+// The wire bytes one message on `route` needs before no link's
+// message-rate ceiling pads it: Link::serializationTime charges a message
+// max((wire + header) / bandwidth, 1 / rate), so the largest, over the
+// route's links, of bandwidth / rate - header. Zero when no link has a
+// ceiling.
+std::int64_t rateFloor(const fabric::Fabric::Route& route) {
+  double floor = 0.0;
+  for (const fabric::Link* link : route.links) {
+    const fabric::LinkParams& p = link->params();
+    if (p.max_messages_per_sec > 0.0) {
+      floor = std::max(floor, p.bandwidth_bytes_per_sec /
+                                      p.max_messages_per_sec -
+                                  static_cast<double>(p.header_bytes));
+    }
+  }
+  return static_cast<std::int64_t>(std::ceil(floor));
+}
+
+}  // namespace
+
 const PgasRuntime::ForwardingRoutes& PgasRuntime::forwardingRoutes() {
   if (!forwarding_.scatter.empty()) return forwarding_;
   const auto& topo = fabric_.topology();
@@ -28,6 +51,7 @@ const PgasRuntime::ForwardingRoutes& PgasRuntime::forwardingRoutes() {
   for (int a = 0; a < nodes; ++a) {
     for (int b = 0; b < nodes; ++b) {
       forwarding_.leader.push_back(fabric_.route(a * gpn, b * gpn));
+      forwarding_.floor.push_back(rateFloor(forwarding_.leader.back()));
     }
   }
   return forwarding_;
@@ -36,12 +60,14 @@ const PgasRuntime::ForwardingRoutes& PgasRuntime::forwardingRoutes() {
 /// One launch's one-sided puts (DESIGN.md §9). Every per-kernel decision
 /// is made once, at attach: the plan's rows and every fault-free route
 /// (direct per destination; gather, leader -> leader and scatter for
-/// hierarchical forwarding). A slice steps a closed-form plan's rows in
-/// place and sends their shares straight over those routes, in the
-/// order the links must see them; the fault injector, simsan, the comm
-/// counter, the strict put tracker and the codec are branches on
-/// per-kernel constants. A coalesced launch steps each row's dedicated
-/// route over every slice instead.
+/// hierarchical forwarding, with each leader route's rate floor). A
+/// slice steps a closed-form plan's rows in place and sends their shares
+/// straight over those routes, in the order the links must see them; a
+/// forwarded share is held at the source leader until its node's
+/// message clears the floor (DESIGN.md §12). The fault injector, simsan,
+/// the comm counter, the strict put tracker and the codec are branches
+/// on per-kernel constants. A coalesced launch steps each row's
+/// dedicated route over every slice instead.
 class PgasRuntime::PutEmitter {
  public:
   PutEmitter(PgasRuntime& runtime, int src, MessagePlan plan,
@@ -90,9 +116,11 @@ class PgasRuntime::PutEmitter {
     return flows.subspan(node_begin_[n], node_begin_[n + 1] - node_begin_[n]);
   }
 
-  void forward(std::span<const SliceFlow> flows, SimTime at);
+  void forward(std::span<const SliceFlow> flows, SimTime at, bool last);
   void forwardToNode(int node, std::span<const SliceFlow> group, SimTime at,
-                     int leader_s);
+                     int leader_s, bool last);
+  /// Ships node `node`'s held message from its leader at `at`.
+  void ship(int node, SimTime at);
   SimTime reliableDirect(const SliceFlow& f, std::int64_t wire_bytes,
                          SimTime at);
 
@@ -133,6 +161,14 @@ class PgasRuntime::PutEmitter {
     return injector_->reliablePut(a, b, bytes, msgs, at).acked;
   }
 
+  // The wire size a held message of `payload_bytes` would ship at `at`,
+  // without counting a codec decision.
+  std::int64_t heldWire(std::int64_t payload_bytes, SimTime at) const {
+    if (codec_ == nullptr || payload_bytes % 4 != 0) return payload_bytes;
+    return fabric::InterNodeCodec::compressedBytes(
+        payload_bytes, codec_->peekBits(src_node_, at));
+  }
+
   // Encodes an inter-node flow leaving src's node at `at`; returns its
   // wire size.
   std::int64_t encode(std::int64_t payload_bytes, SimTime at) {
@@ -151,6 +187,7 @@ class PgasRuntime::PutEmitter {
   // the gather/scatter interleavings).
   void logPut(const SliceFlow& f, SimTime at, SimTime delivered) {
     last_delivery_ = std::max(last_delivery_, delivered);
+    latched_bytes_ += f.payload_bytes;
     if (counter_ != nullptr) counter_->record(at, f.payload_bytes);
     if (san_ != nullptr) {
       for (const auto& effect : remote_writes_) {
@@ -203,6 +240,32 @@ class PgasRuntime::PutEmitter {
   Route gather_;                      ///< src -> own node's leader
   const Route* leader_to_ = nullptr;  ///< own leader -> node n's leader
   const Route* scatter_ = nullptr;    ///< node leader -> GPU d
+  /// Wire bytes a leader message to node n needs to clear the rate floor.
+  const std::int64_t* floor_ = nullptr;
+
+  /// Forwarding only: node n's gathered, not yet shipped slices. All of
+  /// them reached one source leader, outside any degraded period.
+  struct HeldPut {
+    SliceFlow flow;
+    SimTime at;  ///< its injection, for quiet, the counter and simsan
+  };
+  struct Hold {
+    std::int64_t bytes = 0;  ///< payload gathered, before the codec
+    int leader = -1;         ///< the source leader it was gathered to
+    SimTime staged;          ///< when its last slice reached that leader
+    std::vector<HeldPut> puts;
+  };
+  std::vector<Hold> holds_;
+  /// A ship's combined flow per destination GPU on the node, and when
+  /// its scatter delivered.
+  struct Scatter {
+    std::int64_t bytes = 0;
+    std::int64_t messages = 0;
+    SimTime done;
+  };
+  std::vector<Scatter> scatters_;
+
+  std::int64_t& latched_bytes_;  ///< the runtime's put-conservation total
 
   SimTime last_delivery_ = SimTime::zero();  ///< quiet waits for it
   simsan::ActorId side_actor_ = -1;          ///< this kernel's put engine
@@ -231,7 +294,8 @@ PgasRuntime::PutEmitter::PutEmitter(
             runtime.fabric_.topology().numNodes() > 1),
       closed_(plan.closedForm()),
       plan_(std::move(plan)),
-      scratch_(runtime.slice_scratch_) {
+      scratch_(runtime.slice_scratch_),
+      latched_bytes_(runtime.latched_put_bytes_) {
   for (const SliceFlow& f : plan_.flows) {
     PGASEMB_CHECK(f.dst >= 0 && f.dst < fabric_.numGpus(),
                   "bad destination PE ", f.dst);
@@ -262,7 +326,10 @@ PgasRuntime::PutEmitter::PutEmitter(
   gather_ = fabric_.route(src_, src_node_ * gpn_);
   leader_to_ =
       shared.leader.data() + static_cast<std::size_t>(src_node_) * nodes;
+  floor_ = shared.floor.data() + static_cast<std::size_t>(src_node_) * nodes;
   scatter_ = shared.scatter.data();
+  holds_.resize(nodes);
+  scatters_.resize(static_cast<std::size_t>(gpn_));
   node_begin_.resize(nodes + 1);
   if (closed_) {
     countNodes(plan_.flows);
@@ -329,7 +396,7 @@ void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
     }
     return;
   }
-  forward(closed_ ? flows : groupByNode(flows), at);
+  forward(closed_ ? flows : groupByNode(flows), at, next_ == plan_.slices);
 }
 
 void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
@@ -353,6 +420,7 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
       const SliceFlow share = split.next(row, plan_.message_bytes,
                                          plan_.slices);
       if (share.n_messages == 0) continue;
+      latched_bytes_ += share.payload_bytes;
       last_delivery_ = std::max(
           last_delivery_, fabric_.send(route, share.payload_bytes,
                                        share.n_messages, clock.at(s))
@@ -363,6 +431,10 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
 }
 
 SimTime PgasRuntime::PutEmitter::quiet(SimTime compute_end) {
+  for (const Hold& hold : holds_) {
+    PGASEMB_ASSERT(hold.puts.empty(), "quiet on GPU ", src_, " with ",
+                  hold.bytes, " B still held at its node leader");
+  }
   if (san_ != nullptr && side_actor_ >= 0) {
     san_->joinActor(system_.stream(src_).sanitizerActor(), side_actor_);
   }
@@ -370,9 +442,9 @@ SimTime PgasRuntime::PutEmitter::quiet(SimTime compute_end) {
 }
 
 // Hierarchical forwarding (DESIGN.md §12) of one slice's `flows`, which
-// are in node order.
+// are in node order; `last` is the kernel's last slice.
 void PgasRuntime::PutEmitter::forward(std::span<const SliceFlow> flows,
-                                      SimTime at) {
+                                      SimTime at, bool last) {
   // Intra-node flows go first, direct over NVLink and never forwarded: a
   // non-leader's flow to its own leader shares the NVLink that this
   // slice's gathers take, so it is granted before them.
@@ -387,35 +459,44 @@ void PgasRuntime::PutEmitter::forward(std::span<const SliceFlow> flows,
   const int nodes = static_cast<int>(node_begin_.size()) - 1;
   for (int node = 0; node < nodes; ++node) {
     if (node != src_node_) {
-      forwardToNode(node, toNode(flows, node), at, leader_s);
+      forwardToNode(node, toNode(flows, node), at, leader_s, last);
     }
   }
 }
 
 // Per destination node, a slice's inter-node puts ride three hops —
 //   1. NVLink gather: src -> own node leader (summed payload, the
-//      original message count; free when src IS the leader);
-//   2. one aggregated bulk message leader -> leader over the NIC
-//      (n_messages = 1 kills the per-256-byte rate padding; the codec,
-//      when attached, encodes this hop);
-//   3. NVLink scatter: remote leader -> each destination GPU.
+//      original message count; free when src IS the leader), as the
+//      slice is computed;
+//   2. one bulk message leader -> leader over the NIC, once the leader
+//      holds enough of the node's slices for its wire size (after the
+//      codec) to clear the route's message-rate floor, or at the
+//      kernel's last slice;
+//   3. NVLink scatter: remote leader -> one combined flow per
+//      destination GPU.
+// Without a rate ceiling, or when one slice clears the floor, every
+// slice ships as it is gathered.
 void PgasRuntime::PutEmitter::forwardToNode(int node,
                                             std::span<const SliceFlow> group,
-                                            SimTime at, int leader_s) {
+                                            SimTime at, int leader_s,
+                                            bool last) {
+  Hold& hold = holds_[static_cast<std::size_t>(node)];
   if (injector_ != nullptr && injector_->pairDegraded(src_node_, node, at)) {
     // Per-pair degraded mode: a NIC fault window covers one of the
     // endpoint nodes, so this pair's traffic skips the leader staging (a
     // dropped aggregate would couple the whole node into one retransmit
     // domain) and goes direct, flow by flow. Every healthy pair keeps
-    // the hierarchy.
-    SimTime last = at;
+    // the hierarchy. What the leader held from before the window ships
+    // first, so no message spans a degraded period.
+    if (!hold.puts.empty()) ship(node, hold.staged);
+    SimTime last_done = at;
     bool sent = false;
     for (const SliceFlow& f : group) {
       if (idle(f)) continue;
       sent = true;
-      last = std::max(last, direct(f, at));
+      last_done = std::max(last_done, direct(f, at));
     }
-    if (sent) injector_->recordHierFallback(at, last);
+    if (sent) injector_->recordHierFallback(at, last_done);
     return;
   }
   std::int64_t to_node = 0;
@@ -427,29 +508,66 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
     to_node += f.payload_bytes;
     msgs += f.n_messages;
   }
-  if (!sent) return;
-  if (to_node == 0) {
+  if (sent && to_node == 0) {
     // Nothing to ship; empty puts complete at injection.
     for (const SliceFlow& f : group) {
       if (!idle(f)) logPut(f, at, at);
     }
-    return;
+  } else if (sent) {
+    // A message leaves from one leader: what the old leader held ships
+    // before a slice is gathered to a re-elected one.
+    if (!hold.puts.empty() && hold.leader != leader_s) {
+      ship(node, hold.staged);
+    }
+    const SimTime staged = hop(gather_, src_, leader_s, to_node, msgs, at);
+    hold.bytes += to_node;
+    hold.leader = leader_s;
+    hold.staged = std::max(hold.staged, staged);
+    for (const SliceFlow& f : group) {
+      if (!idle(f)) hold.puts.push_back(HeldPut{f, at});
+    }
   }
-  const SimTime staged = hop(gather_, src_, leader_s, to_node, msgs, at);
-  std::int64_t wire_bytes = to_node;
-  if (codec_ != nullptr && to_node % 4 == 0) {
-    wire_bytes = encode(to_node, staged);
+  if (hold.puts.empty()) return;
+  const std::int64_t floor = floor_[node];
+  if (last) {
+    ship(node, std::max(hold.staged, at));
+  } else if (floor == 0 || heldWire(hold.bytes, hold.staged) >= floor) {
+    ship(node, hold.staged);
+  }
+}
+
+void PgasRuntime::PutEmitter::ship(int node, SimTime at) {
+  Hold& hold = holds_[static_cast<std::size_t>(node)];
+  std::int64_t wire_bytes = hold.bytes;
+  if (codec_ != nullptr && hold.bytes % 4 == 0) {
+    wire_bytes = encode(hold.bytes, at);
   }
   const int leader_d =
-      injector_ != nullptr ? injector_->leaderAt(node, staged) : node * gpn_;
+      injector_ != nullptr ? injector_->leaderAt(node, at) : node * gpn_;
   const SimTime landed =
-      hop(leader_to_[node], leader_s, leader_d, wire_bytes, 1, staged);
-  for (const SliceFlow& f : group) {
-    if (idle(f)) continue;
-    const SimTime done = hop(scatter_[f.dst], leader_d, f.dst,
-                             f.payload_bytes, f.n_messages, landed);
-    logPut(f, at, done);
+      hop(leader_to_[node], hold.leader, leader_d, wire_bytes, 1, at);
+  const int base = node * gpn_;
+  for (const HeldPut& p : hold.puts) {
+    Scatter& to = scatters_[static_cast<std::size_t>(p.flow.dst - base)];
+    to.bytes += p.flow.payload_bytes;
+    to.messages += p.flow.n_messages;
   }
+  for (int i = 0; i < gpn_; ++i) {
+    Scatter& to = scatters_[static_cast<std::size_t>(i)];
+    to.done = to.bytes + to.messages == 0
+                  ? landed
+                  : hop(scatter_[base + i], leader_d, base + i, to.bytes,
+                        to.messages, landed);
+    to.bytes = 0;
+    to.messages = 0;
+  }
+  for (const HeldPut& p : hold.puts) {
+    logPut(p.flow, p.at,
+           scatters_[static_cast<std::size_t>(p.flow.dst - base)].done);
+  }
+  hold.bytes = 0;
+  hold.staged = SimTime::zero();
+  hold.puts.clear();
 }
 
 // Delivery-tracked direct put (under faults): flap-dropped attempts are
@@ -468,6 +586,7 @@ SimTime PgasRuntime::PutEmitter::reliableDirect(const SliceFlow& f,
   // the dropped attempt instead of the acked retransmit, so kernel
   // completion no longer covers the recovered write.
   last_delivery_ = std::max(last_delivery_, buggy ? r.first_loss : r.acked);
+  latched_bytes_ += f.payload_bytes;
   if (san_ != nullptr) {
     for (const auto& effect : remote_writes_) {
       if (effect.device != f.dst) continue;
@@ -501,6 +620,7 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
     plan = aggregatePlan(plan, desc.duration, *aggregator);
   }
   PGASEMB_CHECK(plan.wellFormed(), "malformed message plan");
+  declared_put_bytes_ += plan.totalPayloadBytes();
 
   // The declared put footprint rides on the descriptor so strict mode
   // can treat remote output ranges as declared while the functional

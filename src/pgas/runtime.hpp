@@ -49,16 +49,20 @@ class PgasRuntime {
 
   /// Route one-sided traffic hierarchically on multi-node topologies
   /// (DESIGN.md §12): a slice's inter-node flows are forwarded
-  /// src -> node leader -> remote leader -> dst, with the
-  /// leader->leader hop aggregated per (slice, destination node) into a
-  /// single bulk message — eliminating the NIC's per-256-byte
-  /// message-rate padding.  quiet() covers the forwarded hops: kernel
-  /// completion waits for the final scatter delivery.  Ignored on
-  /// single-node topologies.  Under an armed fault injector the hops
-  /// are delivery-tracked reliable puts, leaders are elected through
-  /// the injector's node fault domains (leader-fail failover), and node
-  /// pairs inside a NIC fault window fall back to direct per-flow puts
-  /// — per-pair degraded mode, counted in ResilienceStats.
+  /// src -> node leader -> remote leader -> dst. The source leader holds
+  /// each remote node's gathered slices and ships them as one bulk
+  /// leader->leader message once its wire size clears the NIC's
+  /// message-rate floor, or at the kernel's last slice — so no leader
+  /// message pays the NIC's per-message rate padding unless the whole
+  /// kernel sends that node less than the floor.  quiet() covers the
+  /// forwarded hops: kernel completion waits for the final scatter
+  /// delivery.  Ignored on single-node topologies.  Under an armed
+  /// fault injector the hops are delivery-tracked reliable puts, leaders
+  /// are elected through the injector's node fault domains (leader-fail
+  /// failover; a held message ships before a slice goes to a new
+  /// leader), and node pairs inside a NIC fault window fall back to
+  /// direct per-flow puts — per-pair degraded mode, counted in
+  /// ResilienceStats.
   void setHierarchical(bool enabled) { hierarchical_ = enabled; }
   bool hierarchical() const { return hierarchical_; }
 
@@ -66,8 +70,8 @@ class PgasRuntime {
   /// crosses nodes ships InterNodeCodec::compressedBytes(payload,
   /// aggregateBits(src node)) on the wire — per flow on direct puts
   /// (flat mode and degraded node pairs, with or without an armed
-  /// injector; a retransmit re-sends the compressed size), on the
-  /// aggregated leader->leader hop in hierarchical mode.  Comm
+  /// injector; a retransmit re-sends the compressed size), on each
+  /// shipped leader->leader message in hierarchical mode.  Comm
   /// counters and strict effects keep accounting the original payload
   /// (compression is a wire-format concern, not a protocol one).  Not
   /// owned; must outlive the runtime.
@@ -103,16 +107,26 @@ class PgasRuntime {
                          const AggregatorParams* aggregator = nullptr,
                          std::vector<simsan::MemEffect> remote_writes = {});
 
+  /// Put conservation: the payload every attached plan declared, and the
+  /// payload whose delivery a quiet latched. Equal once every launched
+  /// kernel has completed; a put that is never sent (or a held message
+  /// that is never shipped) leaves them apart.
+  std::int64_t declaredPutBytes() const { return declared_put_bytes_; }
+  std::int64_t latchedPutBytes() const { return latched_put_bytes_; }
+
  private:
   class PutEmitter;
 
   /// The fault-free forwarding hops every source shares: `scatter[d]` is
-  /// the route from GPU d's node leader to d, and `leader[a * nodes + b]`
-  /// node a's leader's route to node b's. Resolved once, at the first
-  /// forwarded attach, and never changed after.
+  /// the route from GPU d's node leader to d, `leader[a * nodes + b]`
+  /// node a's leader's route to node b's, and `floor[a * nodes + b]` the
+  /// wire bytes a message on that route needs to clear its message-rate
+  /// floor. Resolved once, at the first forwarded attach, and never
+  /// changed after.
   struct ForwardingRoutes {
     std::vector<fabric::Fabric::Route> scatter;
     std::vector<fabric::Fabric::Route> leader;
+    std::vector<std::int64_t> floor;
   };
   const ForwardingRoutes& forwardingRoutes();
 
@@ -127,6 +141,8 @@ class PgasRuntime {
   /// for each one.
   util::SharedPool<PutEmitter> emitter_pool_;
   ForwardingRoutes forwarding_;
+  std::int64_t declared_put_bytes_ = 0;
+  std::int64_t latched_put_bytes_ = 0;
   /// Scratch for the slice being emitted: a closed-form plan's shares, or
   /// a forwarded explicit slice grouped by destination node.
   std::vector<SliceFlow> slice_scratch_;

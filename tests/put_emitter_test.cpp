@@ -5,13 +5,16 @@
 // as an oracle: each slice is read through a SliceCursor, grouped by
 // destination node, and sent with plain Fabric::transfer(src, dst, ...)
 // calls — intra-node flows first, then per remote node a gather to the
-// own leader, one leader -> leader message (encoded when a codec is
-// attached) and a scatter per destination. Seeded random small systems
+// own leader into a plain pending list. The list ships as one leader ->
+// leader message (encoded when a codec is attached) and one scatter per
+// destination GPU once its wire size reaches the NIC's rate floor, or at
+// the kernel's last slice (DESIGN.md §12). Seeded random small systems
 // run the same kernels through both, and every link, fabric counter,
 // codec statistic and kernel completion must agree exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -20,11 +23,14 @@
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/topology.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "gpu/system.hpp"
 #include "pgas/aggregator.hpp"
 #include "pgas/comm_counter.hpp"
 #include "pgas/message_plan.hpp"
 #include "pgas/runtime.hpp"
+#include "simsan/checker.hpp"
 #include "util/rng.hpp"
 
 namespace pgasemb::pgas {
@@ -42,6 +48,9 @@ struct Shape {
   bool counter = false;
   /// A single NVLink node with every condition for coalesced launches.
   bool coalesced = false;
+  /// The NIC's message-rate ceiling; without one no leader message is
+  /// padded, so every slice ships as it is gathered.
+  bool rate_ceiling = true;
 
   int gpus() const { return nodes * gpus_per_node; }
   std::string describe() const {
@@ -52,18 +61,22 @@ struct Shape {
                                         : "") +
            (aggregate ? " aggregated" : " closed-form") +
            (counter ? " counter" : "") +
-           (coalesced ? " coalesced" : " per-event");
+           (coalesced ? " coalesced" : " per-event") +
+           (rate_ceiling ? "" : " no-rate-ceiling");
   }
 };
 
-fabric::LinkParams interLink() {
+/// The IB-like NIC: 25 GB/s at 10 M msg/s with 64-byte headers, so a
+/// leader message needs 2,500 - 64 wire bytes to clear the rate floor.
+fabric::LinkParams interLink(bool rate_ceiling = true) {
   fabric::LinkParams p;
   p.bandwidth_bytes_per_sec = 25e9;
   p.latency = SimTime::us(5.0);
   p.header_bytes = 64;
-  p.max_messages_per_sec = 10e6;
+  p.max_messages_per_sec = rate_ceiling ? 10e6 : 0.0;
   return p;
 }
+constexpr std::int64_t kIbFloor = 2436;
 
 struct Flow {
   int src = 0;
@@ -83,9 +96,11 @@ struct Rig {
   CommCounter counter{SimTime::us(2.0)};
   std::vector<Flow> flows;                ///< in injection order
   std::vector<std::int64_t> completions;  ///< per kernel, in launch order
+  /// Reference only: leader messages that carried more than one slice.
+  int multi_slice_ships = 0;
 
-  explicit Rig(const Shape& shape)
-      : system(systemConfig(shape.gpus())),
+  explicit Rig(const Shape& shape, simsan::Checker* san = nullptr)
+      : system(systemConfig(shape.gpus(), san)),
         fabric(topology(shape), SimTime::us(3.0)),
         runtime(system, fabric) {
     runtime.setHierarchical(shape.hierarchical);
@@ -109,10 +124,11 @@ struct Rig {
     }
   }
 
-  static gpu::SystemConfig systemConfig(int gpus) {
+  static gpu::SystemConfig systemConfig(int gpus, simsan::Checker* san) {
     gpu::SystemConfig cfg;
     cfg.num_gpus = gpus;
     cfg.memory_capacity_bytes = 1 << 30;
+    cfg.sanitizer = san;
     return cfg;
   }
 
@@ -122,8 +138,8 @@ struct Rig {
           shape.gpus(), fabric::LinkParams{});
     }
     return std::make_unique<fabric::MultiNodeTopology>(
-        shape.nodes, shape.gpus_per_node, fabric::LinkParams{}, interLink(),
-        shape.shared_nic);
+        shape.nodes, shape.gpus_per_node, fabric::LinkParams{},
+        interLink(shape.rate_ceiling), shape.shared_nic);
   }
 
   /// Launches `desc` on `gpu`'s stream, recording its completion.
@@ -137,24 +153,53 @@ struct Rig {
   }
 };
 
+/// The smallest leader -> leader wire size that no link of the a -> b
+/// route pads: a message costs max((wire + header) / bandwidth, 1 / rate).
+std::int64_t rateFloor(fabric::Fabric& fabric, int a, int b) {
+  std::int64_t floor = 0;
+  for (const fabric::Link* link : fabric.topology().route(a, b)) {
+    const fabric::LinkParams& p = link->params();
+    if (p.max_messages_per_sec <= 0.0) continue;
+    const auto per_message = static_cast<std::int64_t>(
+        std::ceil(p.bandwidth_bytes_per_sec / p.max_messages_per_sec));
+    floor = std::max(floor, per_message - p.header_bytes);
+  }
+  return floor;
+}
+
 /// The slice-by-slice emission the emitter replaced (fault-free): every
-/// slice read through a SliceCursor and sent with Fabric::transfer.
+/// slice read through a SliceCursor and sent with Fabric::transfer, and
+/// per remote node a plain pending list at the source leader.
 void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
                      MessagePlan plan, bool hierarchical, bool counter) {
+  struct Held {
+    SliceFlow flow;
+    SimTime at;
+  };
+  struct Pending {
+    std::vector<Held> puts;
+    std::int64_t bytes = 0;
+    SimTime staged = SimTime::zero();  ///< its last slice's gather
+    int slices = 0;
+  };
   auto cursor = std::make_shared<SliceCursor>(std::move(plan));
   auto last = std::make_shared<SimTime>(SimTime::zero());
+  auto pending = std::make_shared<std::vector<Pending>>(
+      static_cast<std::size_t>(rig.fabric.topology().numNodes()));
   desc.slices = cursor->plan().slices;
-  desc.on_slice = [&rig, src, hierarchical, counter, cursor, last](
+  desc.on_slice = [&rig, src, hierarchical, counter, cursor, last, pending](
                       int s, SimTime at) {
     fabric::Fabric& fabric = rig.fabric;
     fabric::InterNodeCodec* codec = rig.codec.get();
     const int gpn = fabric.topology().gpusPerNode();
     const int nodes = fabric.topology().numNodes();
     const int src_node = src / gpn;
+    const bool final_slice = s + 1 == cursor->plan().slices;
     const auto flows = cursor->slice(s);
-    const auto put = [&](const SliceFlow& f, SimTime delivered) {
+    const auto put = [&](const SliceFlow& f, SimTime injected,
+                         SimTime delivered) {
       *last = std::max(*last, delivered);
-      if (counter) rig.counter.record(at, f.payload_bytes);
+      if (counter) rig.counter.record(injected, f.payload_bytes);
     };
     const auto encode = [&](std::int64_t payload, SimTime t) {
       const std::int64_t wire = fabric::InterNodeCodec::compressedBytes(
@@ -169,7 +214,8 @@ void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
           f.payload_bytes % 4 == 0 && f.dst / gpn != src_node) {
         wire = encode(f.payload_bytes, at);
       }
-      put(f, fabric.transfer(src, f.dst, wire, f.n_messages, at).delivered);
+      put(f, at,
+          fabric.transfer(src, f.dst, wire, f.n_messages, at).delivered);
     };
     if (!hierarchical || nodes == 1) {
       for (const SliceFlow& f : flows) direct(f);
@@ -185,36 +231,62 @@ void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
     }
     const int leader_s = src_node * gpn;
     for (int node = 0; node < nodes; ++node) {
+      if (node == src_node) continue;
       const auto& group = by_node[static_cast<std::size_t>(node)];
-      if (node == src_node || group.empty()) continue;
+      Pending& held = (*pending)[static_cast<std::size_t>(node)];
       std::int64_t to_node = 0;
       std::int64_t msgs = 0;
       for (const SliceFlow& f : group) {
         to_node += f.payload_bytes;
         msgs += f.n_messages;
       }
-      if (to_node == 0) {
-        for (const SliceFlow& f : group) put(f, at);
+      if (!group.empty() && to_node == 0) {
+        for (const SliceFlow& f : group) put(f, at, at);
+      } else if (!group.empty()) {
+        SimTime staged = at;
+        if (src != leader_s) {
+          staged =
+              fabric.transfer(src, leader_s, to_node, msgs, at).delivered;
+        }
+        for (const SliceFlow& f : group) held.puts.push_back(Held{f, at});
+        held.bytes += to_node;
+        held.staged = std::max(held.staged, staged);
+        ++held.slices;
+      }
+      if (held.puts.empty()) continue;
+      const int leader_d = node * gpn;
+      const bool encoded = codec != nullptr && held.bytes % 4 == 0;
+      const std::int64_t peek =
+          encoded ? fabric::InterNodeCodec::compressedBytes(
+                        held.bytes, codec->peekBits(src_node, held.staged))
+                  : held.bytes;
+      if (!final_slice && peek < rateFloor(fabric, leader_s, leader_d)) {
         continue;
       }
-      SimTime staged = at;
-      if (src != leader_s) {
-        staged = fabric.transfer(src, leader_s, to_node, msgs, at).delivered;
-      }
-      std::int64_t wire = to_node;
-      if (codec != nullptr && to_node % 4 == 0) wire = encode(to_node, staged);
-      const int leader_d = node * gpn;
+      const SimTime ship_at =
+          final_slice ? std::max(held.staged, at) : held.staged;
+      const std::int64_t wire =
+          encoded ? encode(held.bytes, ship_at) : held.bytes;
       const SimTime landed =
-          fabric.transfer(leader_s, leader_d, wire, 1, staged).delivered;
-      for (const SliceFlow& f : group) {
-        SimTime done = landed;
-        if (f.dst != leader_d) {
-          done = fabric.transfer(leader_d, f.dst, f.payload_bytes,
-                                 f.n_messages, landed)
-                     .delivered;
+          fabric.transfer(leader_s, leader_d, wire, 1, ship_at).delivered;
+      std::vector<SimTime> done(static_cast<std::size_t>(gpn), landed);
+      for (int d = leader_d + 1; d < leader_d + gpn; ++d) {
+        std::int64_t bytes = 0;
+        std::int64_t n = 0;
+        for (const Held& h : held.puts) {
+          if (h.flow.dst != d) continue;
+          bytes += h.flow.payload_bytes;
+          n += h.flow.n_messages;
         }
-        put(f, done);
+        if (bytes + n == 0) continue;
+        done[static_cast<std::size_t>(d - leader_d)] =
+            fabric.transfer(leader_d, d, bytes, n, landed).delivered;
       }
+      for (const Held& h : held.puts) {
+        put(h.flow, h.at, done[static_cast<std::size_t>(h.flow.dst - leader_d)]);
+      }
+      if (held.slices > 1) ++rig.multi_slice_ships;
+      held = Pending{};
     }
   };
   desc.finalize = [last](SimTime compute_end) {
@@ -336,6 +408,7 @@ Shape randomShape(Rng& rng) {
   s.hierarchical = rng.uniformInt(0, 3) != 0;
   s.codec = static_cast<Shape::Codec>(rng.uniformInt(0, 2));
   s.counter = rng.uniformInt(0, 2) == 0;
+  s.rate_ceiling = rng.uniformInt(0, 3) != 0;
   return s;
 }
 
@@ -368,6 +441,7 @@ TEST(PutEmitterTest, MatchesSliceBySliceEmissionOnRandomSystems) {
   Rng rng(20261017);
   int coalesced = 0;
   int forwarded = 0;
+  int held = 0;
   for (int trial = 0; trial < 240; ++trial) {
     const Shape shape = randomShape(rng);
     const std::vector<Kernel> kernels = randomKernels(rng, shape);
@@ -381,10 +455,13 @@ TEST(PutEmitterTest, MatchesSliceBySliceEmissionOnRandomSystems) {
     if (HasFailure()) return;
     coalesced += shape.coalesced ? 1 : 0;
     forwarded += shape.hierarchical && shape.nodes > 1 ? 1 : 0;
+    held += reference.multi_slice_ships > 0 ? 1 : 0;
   }
-  // Both fast paths were exercised, not just the plain one.
+  // Both fast paths were exercised, not just the plain one, and leaders
+  // held slices back in many trials.
   EXPECT_GT(coalesced, 20);
   EXPECT_GT(forwarded, 60);
+  EXPECT_GT(held, 40);
 }
 
 TEST(PutEmitterTest, OwnLeaderFlowIsGrantedBeforeTheSlicesGathers) {
@@ -421,6 +498,169 @@ TEST(PutEmitterTest, OwnLeaderFlowIsGrantedBeforeTheSlicesGathers) {
   }
   // The gather queues behind the direct flow on the shared NVLink.
   EXPECT_GT(emitter.flows[1].wire_start_ps, emitter.flows[0].wire_start_ps);
+}
+
+TEST(PutEmitterTest, NicWithoutRateCeilingSendsOneLeaderMessagePerSlice) {
+  // GPU 1 sends each of node 1's GPUs two 256-byte messages per slice:
+  // 1 KiB per slice for the node, under the IB floor. Without a rate
+  // ceiling every slice ships as it is gathered. With one, the leader
+  // holds three slices per message and ships the last two with the
+  // kernel's last slice, and node 1's leader scatters one combined flow
+  // per message to GPU 3.
+  const std::vector<Kernel> kernels = {
+      Kernel{1, SimTime::us(40.0),
+             makeUniformPlan({0, 0, 4096, 4096}, 1, 8, 256)}};
+  for (const bool ceiling : {false, true}) {
+    Shape shape;
+    shape.nodes = 2;
+    shape.gpus_per_node = 2;
+    shape.hierarchical = true;
+    shape.rate_ceiling = ceiling;
+    Rig emitter(shape);
+    Rig reference(shape);
+    runEmitter(emitter, shape, kernels);
+    runReference(reference, shape, kernels);
+    expectSameRun(emitter, reference, shape.describe());
+
+    std::vector<std::int64_t> leader;
+    std::vector<std::int64_t> scatter;
+    for (const Flow& f : emitter.flows) {
+      if (f.src == 0 && f.dst == 2) {
+        EXPECT_EQ(f.n_messages, 1) << shape.describe();
+        leader.push_back(f.payload_bytes);
+      }
+      if (f.src == 2 && f.dst == 3) scatter.push_back(f.n_messages);
+    }
+    using Sizes = std::vector<std::int64_t>;
+    const Sizes want_leader =
+        ceiling ? Sizes{3072, 3072, 2048} : Sizes(8, 1024);
+    const Sizes want_scatter = ceiling ? Sizes{6, 6, 4} : Sizes(8, 2);
+    EXPECT_EQ(leader, want_leader) << shape.describe();
+    EXPECT_EQ(scatter, want_scatter) << shape.describe();
+    EXPECT_EQ(reference.multi_slice_ships, ceiling ? 3 : 0);
+  }
+}
+
+TEST(PutEmitterTest, RemainderShipsAtTheLastSliceWithNothingForTheNode) {
+  // An explicit plan from GPU 1: 600 B to GPU 2 in slice 0 and to GPU 3
+  // in slice 1, nothing in slice 2, and only an intra-node flow in the
+  // last slice. Node 1's 1,200 B never reach the IB floor, so the leader
+  // holds them until the last slice and ships them then, in one message.
+  MessagePlan plan;
+  plan.slices = 4;
+  plan.flows = {{2, 600, 1}, {3, 600, 1}, {0, 400, 1}};
+  plan.slice_begin = {0, 1, 2, 2, 3};
+  const std::vector<Kernel> kernels = {
+      Kernel{1, SimTime::us(40.0), plan}};
+  Shape shape;
+  shape.nodes = 2;
+  shape.gpus_per_node = 2;
+  shape.hierarchical = true;
+  Rig emitter(shape);
+  Rig reference(shape);
+  runEmitter(emitter, shape, kernels);
+  runReference(reference, shape, kernels);
+  expectSameRun(emitter, reference, "remainder case");
+
+  // Two gathers, the last slice's direct flow to GPU 0, then the held
+  // message and its scatter to GPU 3 (GPU 2 is node 1's leader).
+  const std::vector<Flow> want = {{1, 0, 600, 1},
+                                  {1, 0, 600, 1},
+                                  {1, 0, 400, 1},
+                                  {0, 2, 1200, 1},
+                                  {2, 3, 600, 1}};
+  ASSERT_EQ(emitter.flows.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Flow& f = emitter.flows[i];
+    EXPECT_EQ(std::tie(f.src, f.dst, f.payload_bytes, f.n_messages),
+              std::tie(want[i].src, want[i].dst, want[i].payload_bytes,
+                       want[i].n_messages))
+        << "flow " << i;
+  }
+  // The message leaves no earlier than the last slice.
+  EXPECT_GE(emitter.flows[3].wire_start_ps, emitter.flows[2].wire_start_ps);
+  EXPECT_EQ(emitter.runtime.declaredPutBytes(), 1600);
+  EXPECT_EQ(emitter.runtime.latchedPutBytes(), 1600);
+}
+
+TEST(PutEmitterTest, ArmedInjectorHoldsNoMessageAcrossLeadersOrDegradedPeriods) {
+  // 2 nodes x 3 GPUs. GPU 2 sends each of node 1's GPUs one 256-byte
+  // message per slice (768 B per slice for the node, under the IB
+  // floor), so its leader holds about four slices per message. Inside
+  // the kernel node 0's leader fails over from GPU 0 to GPU 1, and later
+  // node 1's NIC degrades, sending the pair direct for a while.
+  Shape shape;
+  shape.nodes = 2;
+  shape.gpus_per_node = 3;
+  shape.hierarchical = true;
+  simsan::Checker checker;
+  Rig rig(shape, &checker);
+  fault::FaultInjector injector(fault::FaultPlan::parse(
+      "leader-fail:0:0.03-0.05,nic-degrade:1:0.5:0.07-0.08", 7));
+  injector.arm(rig.system, rig.fabric);
+  rig.runtime.setFaultInjector(&injector);
+
+  constexpr std::int64_t kBytes = 50 * 256;
+  const auto out = simsan::StridedRange::contiguous(0, kBytes);
+  std::vector<simsan::MemEffect> writes;
+  for (int d = 3; d < 6; ++d) {
+    checker.onAlloc(d, 0, kBytes, "out.gpu" + std::to_string(d));
+    writes.push_back({d, out, simsan::AccessKind::kRemoteWrite, "fused.put"});
+  }
+  gpu::KernelDesc desc;
+  desc.name = "fused";
+  desc.duration = SimTime::us(100.0);
+  rig.runtime.attachMessagePlan(
+      desc, 2, makeUniformPlan({0, 0, 0, kBytes, kBytes, kBytes}, 2, 50, 256),
+      nullptr, nullptr, std::move(writes));
+  rig.launch(2, std::move(desc));
+  const SimTime now = rig.system.syncAll();
+  for (int d = 3; d < 6; ++d) {
+    checker.access(simsan::Checker::kHost, d, out, simsan::AccessKind::kRead,
+                   now, now, "host.read.gpu" + std::to_string(d));
+  }
+
+  // In injection order: GPU 2's gathers go to node 0's elected leader,
+  // each leader message carries exactly what its leader gathered since
+  // the last one, and the degraded pair's direct puts go out with
+  // nothing held.
+  std::int64_t held[2] = {0, 0};
+  int gathers[2] = {0, 0};
+  int multi_slice = 0;
+  int direct = 0;
+  for (const Flow& f : rig.flows) {
+    if (f.src == 2 && f.dst < 2) {
+      EXPECT_EQ(held[1 - f.dst], 0) << "a message spans two source leaders";
+      held[f.dst] += f.payload_bytes;
+      ++gathers[f.dst];
+    } else if (f.src < 2) {
+      EXPECT_EQ(f.dst, 3);
+      EXPECT_EQ(f.n_messages, 1);
+      EXPECT_EQ(f.payload_bytes, held[f.src]);
+      multi_slice += f.payload_bytes > 3 * 256 ? 1 : 0;
+      held[f.src] = 0;
+    } else if (f.src == 2) {
+      EXPECT_EQ(held[0] + held[1], 0) << "a message spans a degraded period";
+      ++direct;
+    }
+  }
+  EXPECT_EQ(held[0] + held[1], 0);
+  // The schedule reached every case it is meant to.
+  EXPECT_GT(gathers[0], 0);
+  EXPECT_GT(gathers[1], 0);
+  EXPECT_GT(direct, 0);
+  EXPECT_GT(multi_slice, 2);
+  EXPECT_EQ(injector.stats().leader_failovers, 1);
+  EXPECT_GT(injector.stats().hier_fallbacks, 0);
+
+  EXPECT_EQ(rig.fabric.injectionCounter().total(),
+            rig.fabric.deliveryCounter().total() +
+                static_cast<double>(rig.fabric.droppedPayloadBytes()));
+  EXPECT_EQ(rig.runtime.declaredPutBytes(), 3 * kBytes);
+  EXPECT_EQ(rig.runtime.latchedPutBytes(), 3 * kBytes);
+  const simsan::Summary summary = checker.summary();
+  EXPECT_TRUE(summary.clean()) << summary.report();
+  EXPECT_GT(summary.accesses_logged, 0u);
 }
 
 }  // namespace
