@@ -129,8 +129,9 @@ int runSweep(const CliParser& cli, const bench::ConfigFlags& flags) {
   printf("\n%s\n", table.render().c_str());
   printf("(inter MB/batch = wire-equivalent bytes crossing node "
          "boundaries, headers\n and message-rate padding included; "
-         "hierarchical routing ships one\n aggregated flow per node pair "
-         "and ratio is the codec's raw/wire ratio.)\n");
+         "hierarchical routing ships one\n collective flow per node pair, "
+         "and PGAS leaders hold slices until a\n message clears the NIC "
+         "rate floor; ratio is the codec's raw/wire ratio.)\n");
 
   // Functional-mode accuracy probe: a small 2-node layer actually
   // encodes/decodes every cross-node value, so the per-table error
