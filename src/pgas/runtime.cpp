@@ -412,6 +412,7 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
   // every slice hands its links the same flows, in the same order and at
   // the same times, as slice by slice: Link::occupy steps each link's
   // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
+  std::int64_t sent_bytes = 0;
   for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
     const SliceFlow& row = plan_.flows[i];
     const Route& route = direct_[static_cast<std::size_t>(row.dst)];
@@ -420,13 +421,14 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
       const SliceFlow share = split.next(row, plan_.message_bytes,
                                          plan_.slices);
       if (share.n_messages == 0) continue;
-      latched_bytes_ += share.payload_bytes;
+      sent_bytes += share.payload_bytes;
       last_delivery_ = std::max(
           last_delivery_, fabric_.send(route, share.payload_bytes,
                                        share.n_messages, clock.at(s))
                               .delivered);
     }
   }
+  latched_bytes_ += sent_bytes;
   next_ = plan_.slices;
 }
 

@@ -518,6 +518,7 @@ TEST(PutEmitterTest, NicWithoutRateCeilingSendsOneLeaderMessagePerSlice) {
     shape.rate_ceiling = ceiling;
     Rig emitter(shape);
     Rig reference(shape);
+    EXPECT_EQ(rateFloor(reference.fabric, 0, 2), ceiling ? kIbFloor : 0);
     runEmitter(emitter, shape, kernels);
     runReference(reference, shape, kernels);
     expectSameRun(emitter, reference, shape.describe());
