@@ -530,10 +530,9 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
     }
   }
   if (hold.puts.empty()) return;
-  const std::int64_t floor = floor_[node];
   if (last) {
     ship(node, std::max(hold.staged, at));
-  } else if (floor == 0 || heldWire(hold.bytes, hold.staged) >= floor) {
+  } else if (heldWire(hold.bytes, hold.staged) >= floor_[node]) {
     ship(node, hold.staged);
   }
 }

@@ -52,9 +52,9 @@ class PgasRuntime {
   /// src -> node leader -> remote leader -> dst. The source leader holds
   /// each remote node's gathered slices and ships them as one bulk
   /// leader->leader message once its wire size clears the NIC's
-  /// message-rate floor, or at the kernel's last slice — so no leader
-  /// message pays the NIC's per-message rate padding unless the whole
-  /// kernel sends that node less than the floor.  quiet() covers the
+  /// message-rate floor, or at the kernel's last slice — so only a
+  /// kernel's remainder (or a message an armed injector ships early)
+  /// can pay the NIC's per-message rate padding.  quiet() covers the
   /// forwarded hops: kernel completion waits for the final scatter
   /// delivery.  Ignored on single-node topologies.  Under an armed
   /// fault injector the hops are delivery-tracked reliable puts, leaders
