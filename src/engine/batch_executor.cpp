@@ -1,5 +1,7 @@
 #include "engine/batch_executor.hpp"
 
+#include <algorithm>
+
 #include "emb/lookup_kernel.hpp"
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
@@ -128,6 +130,17 @@ void finalizeResult(SystemBuilder& builder, BatchExecutor& exec,
                    "fabric lost payload: injected ", injected,
                    " B != delivered ", delivered, " B + dropped ", dropped,
                    " B");
+  }
+
+  // Degraded time is wall time, on every run: the union of the fallback
+  // spans fits inside the run, which starts at zero on a fresh clock.
+  if (const auto* injector = builder.faultInjector()) {
+    auto& system = builder.system();
+    const SimTime span =
+        std::max(system.hostNow(), system.simulator().now());
+    PGASEMB_ASSERT(injector->stats().degraded_time <= span,
+                   "degraded time ", injector->stats().degraded_time.toMs(),
+                   " ms exceeds the run's ", span.toMs(), " ms");
   }
 
   // PGAS put conservation, on every run: every payload byte an attached

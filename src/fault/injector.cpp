@@ -1,6 +1,7 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "fabric/topology.hpp"
@@ -33,6 +34,7 @@ void FaultInjector::arm(gpu::MultiGpuSystem& system, fabric::Fabric& fabric) {
   launch_faults_.clear();
   domains_.reset();
   counted_failovers_.clear();
+  degraded_spans_.clear();
   stats_ = ResilienceStats{};
   launch_retry_penalty_ = system.costModel().kernel_launch_overhead +
                           system.costModel().stream_sync_overhead;
@@ -196,6 +198,22 @@ int FaultInjector::leaderAt(int node, SimTime at) {
     }
   }
   return leader;
+}
+
+void FaultInjector::recordHierFallback(SimTime at, SimTime until) {
+  ++stats_.hier_fallbacks;
+  if (until <= at) return;
+  // Merge [at, until) with every recorded span it overlaps or touches.
+  auto it = degraded_spans_.upper_bound(at);
+  if (it != degraded_spans_.begin() && std::prev(it)->second >= at) --it;
+  while (it != degraded_spans_.end() && it->first <= until) {
+    at = std::min(at, it->first);
+    until = std::max(until, it->second);
+    stats_.degraded_time -= it->second - it->first;
+    it = degraded_spans_.erase(it);
+  }
+  degraded_spans_.emplace(at, until);
+  stats_.degraded_time += until - at;
 }
 
 SimTime FaultInjector::launchFaultDelay(int device, SimTime host_now) {

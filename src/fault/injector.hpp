@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -92,11 +93,10 @@ class FaultInjector {
   }
 
   /// Counts one per-node-pair flat fallback whose direct traffic spanned
-  /// [at, until] of simulated time.
-  void recordHierFallback(SimTime at, SimTime until) {
-    ++stats_.hier_fallbacks;
-    if (until > at) stats_.degraded_time += until - at;
-  }
+  /// [at, until] of simulated time. Fallbacks overlap (one per rank or
+  /// source slice and node pair), so degraded time grows only by the
+  /// part of the span no earlier fallback covered.
+  void recordHierFallback(SimTime at, SimTime until);
 
   /// Counts one standby staging rebuild.
   void recordStagingRebuild() { ++stats_.staging_rebuilds; }
@@ -130,6 +130,8 @@ class FaultInjector {
   std::unique_ptr<NodeFaultDomains> domains_;
   /// (node, fail-window index) pairs already counted as failovers.
   std::vector<std::pair<int, int>> counted_failovers_;
+  /// Disjoint degraded spans recorded so far: start -> end.
+  std::map<SimTime, SimTime> degraded_spans_;
 };
 
 }  // namespace pgasemb::fault

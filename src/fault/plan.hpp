@@ -132,8 +132,9 @@ struct ResilienceStats {
   std::int64_t fallback_switches = 0;
   std::string fallback_retriever;
   /// Hierarchical degraded mode: per-node-pair flat-a2a fallback events
-  /// (one per rank's traffic to one degraded node pair) and the summed
-  /// simulated time spent driving that traffic flat.
+  /// (one per rank's traffic to one degraded node pair) and the simulated
+  /// wall time during which any such traffic was in flight (the union of
+  /// the fallback spans, so it never exceeds the run).
   std::int64_t hier_fallbacks = 0;
   SimTime degraded_time = SimTime::zero();
   /// Leader failovers (one per node per fail window, counted when the

@@ -301,12 +301,12 @@ TEST(MultiNodeGoldenTest, HierarchicalUnderNodeFaultsIsPinned) {
   };
   const Pin pins[] = {
       {{"nccl_collective", 12932016642, 482869248, 345, 916235406.625},
-       11, 9, 4718592, 0, 4718592, 9, 3458065630, 24, 111809363365, 1, 1},
+       11, 9, 4718592, 0, 4718592, 9, 3458065630, 24, 7747946135, 1, 1},
       {{"pgas_fused", 13446718010, 482021376, 1291641, 1239488960.0},
-       12, 10, 102400, 10, 102400, 0, 3100508259, 2908, 18655381734275, 1,
+       12, 10, 102400, 10, 102400, 0, 3100508259, 2908, 11415470934, 1,
        0},
       {{"nccl_pipelined", 14722491249, 407896064, 394, 1396852216.875},
-       12, 10, 5242880, 0, 5242880, 10, 4258065630, 48, 212590698700, 1, 1},
+       12, 10, 5242880, 0, 5242880, 10, 4258065630, 48, 13702596040, 1, 1},
   };
   const ExperimentConfig cfg = faultedConfig(
       4, 4, "leader-fail:1:0.0-1000000.0,nic-flap:2:0.04-1.5");
