@@ -53,9 +53,9 @@ constexpr Severity kSeverities[] = {
 
 // Node-scoped ladder (--nodes > 1): one level per fault kind so the
 // counters attribute cleanly, then a combined heavy level. Seeded
-// windows are drawn over the calibrated horizon; the nic-flap width is
-// clamped by the plan to half the retry budget, so dropped inter-node
-// flows always recover.
+// windows are drawn over each retriever's calibrated horizon; the
+// nic-flap width is clamped by the plan to half the retry budget, so
+// dropped inter-node flows always recover.
 constexpr Severity kNodeSeverities[] = {
     {"none", ""},
     {"nic-degrade", "nic-degrade:0:0.5"},
@@ -176,42 +176,49 @@ static int benchMain(int argc, char** argv) {
   std::vector<double> faulted_total_ms(retrievers.size(), 0.0);
 
   std::vector<trace::ScalingPoint> points;
-  // The 'none' run (always first) calibrates the fault horizon: seeded
-  // windows are drawn across the measured fault-free run length, so the
-  // faults actually overlap the traffic whatever --gpus/--batches is.
-  SimTime horizon = SimTime::ms(10.0);
+  // The 'none' run (always first) calibrates each retriever's fault
+  // horizon: its seeded windows are drawn across its own measured
+  // fault-free run length, so the faults actually overlap its traffic
+  // whatever --gpus/--batches is (a fast retriever would otherwise
+  // finish before windows drawn over a slow reference's run open).
+  std::vector<SimTime> horizons(retrievers.size(), SimTime::ms(10.0));
   double flap_start_ms = 1.0;
   double flap_width_ms = 2.0;
   const std::span<const Severity> severities =
       node_mode ? std::span<const Severity>(kNodeSeverities) : kSeverities;
   for (const Severity& sev : severities) {
-    engine::ExperimentConfig cfg = engine::weakScalingConfig(gpus);
-    if (node_mode) {
-      cfg.layer = emb::multinodeServingLayerSpec(gpus);
-      bench::applyInterNodeLink(cfg, nodes);
-      cfg.hierarchical_a2a = true;
-    }
-    cfg.num_batches = batches;
-    if (sev.spec[0] != '\0') {
-      std::string spec = sev.spec;
-      const auto marker = spec.find("+flap");
-      if (marker != std::string::npos) {
-        spec.erase(marker);
-        const std::string flap = midRunFlap(flap_start_ms, flap_width_ms);
-        spec += spec.empty() ? flap.substr(1) : flap;
-      }
-      cfg.faults = fault::FaultPlan::parse(spec, seed, horizon);
-    }
-    flags.apply(cfg);
-    engine::ScenarioRunner runner(cfg);
     trace::ScalingPoint point;
     point.gpus = gpus;
-    point.runs = runner.runAll(retrievers);
+    for (std::size_t r = 0; r < retrievers.size(); ++r) {
+      engine::ExperimentConfig cfg = engine::weakScalingConfig(gpus);
+      if (node_mode) {
+        cfg.layer = emb::multinodeServingLayerSpec(gpus);
+        bench::applyInterNodeLink(cfg, nodes);
+        cfg.hierarchical_a2a = true;
+      }
+      cfg.num_batches = batches;
+      if (sev.spec[0] != '\0') {
+        std::string spec = sev.spec;
+        const auto marker = spec.find("+flap");
+        if (marker != std::string::npos) {
+          spec.erase(marker);
+          const std::string flap = midRunFlap(flap_start_ms, flap_width_ms);
+          spec += spec.empty() ? flap.substr(1) : flap;
+        }
+        cfg.faults = fault::FaultPlan::parse(spec, seed, horizons[r]);
+      }
+      flags.apply(cfg);
+      point.runs.push_back(
+          {retrievers[r], engine::ScenarioRunner(cfg).run(retrievers[r])});
+    }
     if (sev.spec[0] == '\0' && !point.runs.empty()) {
+      for (std::size_t r = 0; r < point.runs.size(); ++r) {
+        const double batch_ms = point.runs[r].result.avgBatchMs();
+        if (batch_ms > 0.0) horizons[r] = SimTime::ms(batch_ms * batches);
+      }
       const auto& ref = point.runs.front().result;
       const double batch_ms = ref.avgBatchMs();
       if (batch_ms > 0.0) {
-        horizon = SimTime::ms(batch_ms * batches);
         // Drop the flap into a middle batch's post-compute (wire) phase,
         // where the reference strategy has chunks in flight.
         const double comm_ms = batch_ms - ref.avgComputeMs();
