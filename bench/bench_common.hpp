@@ -178,8 +178,9 @@ inline const ConfigFlag kConfigFlags[] = {
      }},
     {kMultinode, "hierarchical-a2a", false,
      "route inter-node traffic hierarchically: NVLink gather to the node "
-     "leader, one aggregated flow per node pair, NVLink scatter (no "
-     "effect on a single node)",
+     "leader, leader-to-leader over the NIC (one aggregated flow per node "
+     "pair for collectives; PGAS leaders batch slices up to the NIC's "
+     "message-rate floor), NVLink scatter (no effect on a single node)",
      [](const CliParser& cli, engine::ExperimentConfig& cfg) {
        cfg.hierarchical_a2a = cli.getBool("hierarchical-a2a");
      }},

@@ -121,10 +121,13 @@ struct ExperimentConfig {
   /// cross-node traffic.
   int num_nodes = 0;
   fabric::LinkParams inter_node_link;
-  /// Hierarchical all-to-all (--hierarchical-a2a): stage inter-node
-  /// traffic at per-node leaders, ship one aggregated flow per node
-  /// pair, scatter on arrival. Requires num_nodes > 1 to do anything;
-  /// false keeps every path bit-identical to earlier builds.
+  /// Hierarchical routing (--hierarchical-a2a): inter-node traffic is
+  /// gathered at per-node leaders, crosses the NIC leader to leader and
+  /// is scattered on arrival. The collective ships one aggregated flow
+  /// per node pair; PGAS leaders hold a remote node's slices until one
+  /// message clears the NIC's message-rate floor. Requires num_nodes > 1
+  /// to do anything; false keeps every path bit-identical to earlier
+  /// builds.
   bool hierarchical_a2a = false;
   /// Error-bounded inter-node compression (--compress-bound): absolute
   /// per-value bound of the lossy codec; 0 = off (no codec is built and
