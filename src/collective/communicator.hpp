@@ -91,7 +91,6 @@ class Communicator {
   void setHierarchical(HierarchicalParams params) {
     hier_ = std::move(params);
   }
-  const HierarchicalParams& hierarchical() const { return hier_; }
 
   /// Asynchronous all-to-all: `send_bytes[src][dst]` payload bytes move
   /// from src to dst (diagonal = local, free). Equivalent of

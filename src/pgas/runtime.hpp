@@ -64,7 +64,6 @@ class PgasRuntime {
   /// direct per-flow puts — per-pair degraded mode, counted in
   /// ResilienceStats.
   void setHierarchical(bool enabled) { hierarchical_ = enabled; }
-  bool hierarchical() const { return hierarchical_; }
 
   /// Attach the inter-node compression codec: a flow whose route
   /// crosses nodes ships InterNodeCodec::compressedBytes(payload,
@@ -76,7 +75,6 @@ class PgasRuntime {
   /// (compression is a wire-format concern, not a protocol one).  Not
   /// owned; must outlive the runtime.
   void setCodec(fabric::InterNodeCodec* codec) { codec_ = codec; }
-  fabric::InterNodeCodec* codec() const { return codec_; }
 
   /// Master switch for the TimingOnly slice-coalescing fast path
   /// (--no-coalesce escape hatch). Even when enabled, a kernel's slices
