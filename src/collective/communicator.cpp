@@ -21,18 +21,10 @@ fabric::Fabric::Delivery Communicator::xfer(int src, int dst,
   if (strict_active_ != nullptr) {
     strict_active_->transfer(src, dst, payload_bytes);
   }
-  std::int64_t wire_bytes = payload_bytes;
-  auto& topo = fabric_.topology();
-  // Only fp32 payloads compress; sizes that are not whole floats pass
-  // through.
-  if (hier_.codec != nullptr && payload_bytes > 0 && payload_bytes % 4 == 0 &&
-      topo.routeClass(src, dst) == fabric::LinkClass::kInter) {
-    const int src_node = topo.nodeOf(src);
-    const int bits = hier_.codec->aggregateBits(src_node, at);
-    wire_bytes = fabric::InterNodeCodec::compressedBytes(payload_bytes, bits);
-    hier_.codec->recordFlow(payload_bytes, wire_bytes);
-    hier_.codec->recordEgress(src_node, at, wire_bytes);
-  }
+  const std::int64_t wire_bytes =
+      hier_.codec == nullptr
+          ? payload_bytes
+          : hier_.codec->encode(src, dst, payload_bytes, at);
   if (injector_ != nullptr) {
     return injector_->reliableCollective(src, dst, wire_bytes, n_messages,
                                          at, protoEff());
@@ -52,6 +44,21 @@ fabric::Fabric::Delivery Communicator::hierXfer(int src, int dst,
   }
   return fabric_.transfer(src, dst, payload_bytes, n_messages, at,
                           bandwidth_fraction);
+}
+
+SimTime Communicator::xferChunked(int src, int dst, std::int64_t bytes,
+                                  SimTime& at, const ChunkingParams& chunking,
+                                  SimTime chunk_overhead) {
+  SimTime done = at;
+  std::int64_t remaining = bytes;
+  while (remaining > 0) {
+    const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
+    at += chunk_overhead;  // proxy progression per chunk
+    const auto d = xfer(src, dst, chunk, /*n_messages=*/1, at);
+    done = std::max(done, d.delivered);
+    remaining -= chunk;
+  }
+  return done;
 }
 
 SimTime Communicator::sendChunked(int from, int to, std::int64_t bytes,
@@ -325,15 +332,10 @@ SimTime Communicator::hierarchicalInject(
   // charges the strict tracker, intra logical == physical).
   for (int dst = 0; dst < n; ++dst) {
     if (dst == src || topo.nodeOf(dst) != my_node) continue;
-    std::int64_t remaining = row(src)[static_cast<std::size_t>(dst)];
+    const std::int64_t bytes = row(src)[static_cast<std::size_t>(dst)];
     SimTime at = start;
-    while (remaining > 0) {
-      const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
-      at += chunk_overhead;
-      const auto d = xfer(src, dst, chunk, /*n_messages=*/1, at);
-      last = std::max(last, d.delivered);
-      remaining -= chunk;
-    }
+    last = std::max(
+        last, xferChunked(src, dst, bytes, at, chunking, chunk_overhead));
     inject_at = std::max(inject_at, at);
   }
   // Per-pair degraded mode (DESIGN.md §13): node pairs inside a NIC
@@ -348,16 +350,12 @@ SimTime Communicator::hierarchicalInject(
     SimTime fallback_last = start;
     bool any = false;
     for (int dst = base_d; dst < base_d + topo.gpusPerNode(); ++dst) {
-      std::int64_t remaining = row(src)[static_cast<std::size_t>(dst)];
+      const std::int64_t bytes = row(src)[static_cast<std::size_t>(dst)];
       SimTime at = start;
-      while (remaining > 0) {
-        const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
-        at += chunk_overhead;
-        const auto d = xfer(src, dst, chunk, /*n_messages=*/1, at);
-        fallback_last = std::max(fallback_last, d.delivered);
-        remaining -= chunk;
-        any = true;
-      }
+      fallback_last = std::max(
+          fallback_last,
+          xferChunked(src, dst, bytes, at, chunking, chunk_overhead));
+      any = any || bytes > 0;
     }
     last = std::max(last, fallback_last);
     if (any && injector_ != nullptr) {
@@ -433,14 +431,11 @@ SimTime Communicator::injectInterAndScatter(
   const bool log = system_.sanitizer() != nullptr && !state.actors.empty();
   // Compress the aggregated payload for the wire (the staged buffer is
   // contiguous, so the codec sees one flow per node pair).
-  std::int64_t wire_bytes = pair.raw_bytes;
-  if (hier_.codec != nullptr) {
-    const int bits = hier_.codec->aggregateBits(src_node, pair.ready);
-    wire_bytes =
-        fabric::InterNodeCodec::compressedBytes(pair.raw_bytes, bits);
-    hier_.codec->recordFlow(pair.raw_bytes, wire_bytes);
-    hier_.codec->recordEgress(src_node, pair.ready, wire_bytes);
-  }
+  const std::int64_t wire_bytes =
+      hier_.codec == nullptr
+          ? pair.raw_bytes
+          : hier_.codec->encode(leader_s, leader_d, pair.raw_bytes,
+                                pair.ready);
   // The aggregated flow is a one-sided bulk RDMA out of a pre-staged
   // contiguous buffer: no per-peer protocol staging, so it rides the NIC
   // at full fraction (contrast protoEff() on the flat path).
@@ -607,18 +602,12 @@ Request Communicator::allToAllSingle(
         SimTime last = start;
         for (int dst = 0; dst < system_.numGpus(); ++dst) {
           if (dst == src) continue;
-          std::int64_t remaining =
-              matrix[static_cast<std::size_t>(src)]
-                    [static_cast<std::size_t>(dst)];
-          SimTime inject_at = start;
-          while (remaining > 0) {
-            const std::int64_t chunk =
-                std::min(remaining, chunking.chunk_bytes);
-            inject_at += chunk_overhead;  // proxy progression per chunk
-            const auto d = xfer(src, dst, chunk, /*n_messages=*/1, inject_at);
-            last = std::max(last, d.delivered);
-            remaining -= chunk;
-          }
+          SimTime at = start;
+          last = std::max(
+              last, xferChunked(src, dst,
+                                matrix[static_cast<std::size_t>(src)]
+                                      [static_cast<std::size_t>(dst)],
+                                at, chunking, chunk_overhead));
         }
         return last;
       },

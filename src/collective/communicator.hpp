@@ -198,6 +198,13 @@ class Communicator {
   fabric::Fabric::Delivery xfer(int src, int dst, std::int64_t payload_bytes,
                                 std::int64_t n_messages, SimTime at);
 
+  /// Flat path of one (src, dst) payload: pipeline chunks through
+  /// xfer(), each injected one proxy overhead after the previous, the
+  /// first one after `at`. Advances `at` to the last injection; returns
+  /// the last delivery (`at` as given when `bytes` is 0).
+  SimTime xferChunked(int src, int dst, std::int64_t bytes, SimTime& at,
+                      const ChunkingParams& chunking, SimTime chunk_overhead);
+
   /// Physical hop of a hierarchical transfer: same fault handling as
   /// xfer(), but no strict charge (the logical (src, dst) transfer is
   /// charged once, separately — forwarded hops would otherwise blow the

@@ -69,9 +69,8 @@ void CollectiveRetriever::copyAllToAllPayload() {
           sh.miniBatchBegin(dst) * t_local * dim;
       const std::int64_t recv_base =
           sh.firstTableOn(src) * sh.miniBatchSize(dst) * dim;
-      const bool compress =
-          multinode_.codec != nullptr && multinode_.gpus_per_node > 0 &&
-          src / multinode_.gpus_per_node != dst / multinode_.gpus_per_node;
+      const bool compress = multinode_.codec != nullptr &&
+                            multinode_.codec->crossesNodes(src, dst);
       if (!compress) {
         std::copy_n(send.begin() + send_base, len,
                     recv.begin() + recv_base);

@@ -99,7 +99,7 @@ BatchTiming PgasFusedRetriever::runBatch(const emb::SparseBatch& batch) {
     }
     auto fused = emb::buildFusedLookupKernel(
         layer_, batch, g, &outputs_view_, options_.slices, f,
-        row_wise ? nullptr : options_.codec, options_.gpus_per_node);
+        row_wise ? nullptr : options_.codec);
     runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
                                options_.counter, options_.aggregator,
                                std::move(fused.remote_writes));
@@ -135,7 +135,6 @@ const RetrieverRegistrar kRegistrar{
       opts.aggregator = ctx.aggregator;
       opts.cache = ctx.cache;
       opts.codec = ctx.codec;
-      opts.gpus_per_node = ctx.gpus_per_node;
       return std::make_unique<PgasFusedRetriever>(ctx.layer, ctx.runtime,
                                                   opts);
     }};

@@ -31,9 +31,8 @@ struct PgasRetrieverOptions {
   emb::ReplicaCache* cache = nullptr;
   /// Optional inter-node codec: Functional mode really encodes/decodes
   /// values put across nodes, so the landed outputs carry the measured
-  /// compression error. Requires gpus_per_node > 0.
+  /// compression error.
   fabric::InterNodeCodec* codec = nullptr;
-  int gpus_per_node = 0;
 };
 
 class PgasFusedRetriever final : public EmbeddingRetriever {

@@ -94,18 +94,15 @@ BaselineLookupKernel buildBaselineLookupKernel(
 FusedLookupKernel buildFusedLookupKernel(
     ShardedEmbeddingLayer& layer, const SparseBatch& batch, int gpu,
     std::vector<gpu::DeviceBuffer>* outputs, int slices,
-    const CacheFilter* filter, fabric::InterNodeCodec* codec,
-    int gpus_per_node) {
+    const CacheFilter* filter, fabric::InterNodeCodec* codec) {
   PGASEMB_CHECK(slices >= 1, "need at least one slice");
   const auto& sharding = layer.sharding();
   PGASEMB_CHECK(filter == nullptr ||
                     sharding.scheme() == ShardingScheme::kTableWise,
                 "the replica cache is table-wise only");
   PGASEMB_CHECK(codec == nullptr ||
-                    (gpus_per_node > 0 &&
-                     sharding.scheme() == ShardingScheme::kTableWise),
-                "inter-node compression is table-wise only and needs the "
-                "node shape");
+                    sharding.scheme() == ShardingScheme::kTableWise,
+                "inter-node compression is table-wise only");
   const GpuLookupWork work =
       filter ? filter->missWork(gpu) : layer.lookupWork(batch, gpu);
   const int p = sharding.numGpus();
@@ -154,7 +151,7 @@ FusedLookupKernel buildFusedLookupKernel(
       (*outputs)[static_cast<std::size_t>(gpu)].backed() &&
       batch.materialized()) {
     out.desc.functional_body = [&layer, &batch, gpu, outputs, row_wise,
-                                filter, codec, gpus_per_node] {
+                                filter, codec] {
       const auto& sh = layer.sharding();
       const int dim2 = layer.dim();
       const std::int64_t first =
@@ -174,8 +171,7 @@ FusedLookupKernel buildFusedLookupKernel(
           // Puts leaving the node really go through the codec, so the
           // landed outputs carry the measured compression error.
           const bool compress =
-              codec != nullptr &&
-              dst / gpus_per_node != gpu / gpus_per_node;
+              codec != nullptr && codec->crossesNodes(gpu, dst);
           for (int c = 0; c < dim2; ++c) {
             const auto idx = static_cast<std::size_t>(
                 sh.outputIndex(b, t, c, dim2));

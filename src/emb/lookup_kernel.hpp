@@ -65,15 +65,15 @@ struct FusedLookupKernel {
 /// `filter` only the miss bags are computed and put — fewer one-sided
 /// messages AND fewer per-message headers, so a shorter quiet; the
 /// filter must outlive the kernel's execution.
-/// With a `codec` (and `gpus_per_node` > 0) the functional body really
-/// encodes/decodes values whose destination lies on another node, so the
-/// landed outputs carry the measured compression error (table-wise only;
-/// row-wise partial sums don't compose with per-value bounds).
+/// With a `codec` the functional body really encodes/decodes values
+/// whose destination lies on another node, so the landed outputs carry
+/// the measured compression error (table-wise only; row-wise partial
+/// sums don't compose with per-value bounds).
 FusedLookupKernel buildFusedLookupKernel(
     ShardedEmbeddingLayer& layer, const SparseBatch& batch, int gpu,
     std::vector<gpu::DeviceBuffer>* outputs, int slices,
     const CacheFilter* filter = nullptr,
-    fabric::InterNodeCodec* codec = nullptr, int gpus_per_node = 0);
+    fabric::InterNodeCodec* codec = nullptr);
 
 /// Compute cost shared by both kernels (gather + pool + output writes).
 SimTime lookupComputeTime(const ShardedEmbeddingLayer& layer,

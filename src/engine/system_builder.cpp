@@ -100,7 +100,7 @@ void SystemBuilder::build() {
     }
     codec_ = std::make_unique<fabric::InterNodeCodec>(
         std::move(ranges), config_.compress_bound, config_.compress_adaptive,
-        nodes, config_.inter_node_link.bandwidth_bytes_per_sec,
+        nodes, per_node, config_.inter_node_link.bandwidth_bytes_per_sec,
         config_.counter_bucket);
   }
   const bool hier = config_.hierarchical_a2a && nodes > 1;

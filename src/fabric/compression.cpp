@@ -9,13 +9,15 @@ namespace pgasemb::fabric {
 
 InterNodeCodec::InterNodeCodec(std::vector<double> table_ranges, double bound,
                                bool adaptive, int num_nodes,
+                               int gpus_per_node,
                                double nic_bandwidth_bytes_per_sec,
                                SimTime window)
-    : bound_(bound), adaptive_(adaptive),
+    : bound_(bound), adaptive_(adaptive), gpus_per_node_(gpus_per_node),
       nic_bandwidth_(nic_bandwidth_bytes_per_sec) {
   PGASEMB_CHECK(bound > 0.0, "compression bound must be positive: ", bound);
   PGASEMB_CHECK(!table_ranges.empty(), "codec needs at least one table");
-  PGASEMB_CHECK(num_nodes >= 1, "codec needs at least one node");
+  PGASEMB_CHECK(num_nodes >= 1 && gpus_per_node >= 1,
+                "codec needs the node shape");
   PGASEMB_CHECK(nic_bandwidth_bytes_per_sec > 0.0,
                 "codec needs the NIC bandwidth");
   tables_.reserve(table_ranges.size());

@@ -43,10 +43,11 @@ class InterNodeCodec {
   static constexpr double kHotUtilization = 0.5;
 
   /// `table_ranges[t]` bounds |value| for table t's pooled outputs.
+  /// GPU g sits on node g / `gpus_per_node`.
   /// `nic_bandwidth_bytes_per_sec` is the inter-node link bandwidth the
   /// utilization threshold is measured against.
   InterNodeCodec(std::vector<double> table_ranges, double bound,
-                 bool adaptive, int num_nodes,
+                 bool adaptive, int num_nodes, int gpus_per_node,
                  double nic_bandwidth_bytes_per_sec,
                  SimTime window = SimTime::us(20.0));
 
@@ -65,6 +66,31 @@ class InterNodeCodec {
     if (payload_bytes == 0) return 0;
     const std::int64_t elements = payload_bytes / 4;
     return (elements * bits + 7) / 8 + kFlowHeaderBytes;
+  }
+
+  /// True when GPUs `a` and `b` sit on different nodes.
+  bool crossesNodes(int a, int b) const {
+    return a / gpus_per_node_ != b / gpus_per_node_;
+  }
+
+  /// The one encoding entry point: a flow of `payload_bytes` from GPU
+  /// `src` to GPU `dst` leaving at `at` ships compressed when it crosses
+  /// nodes, and its width decision, raw and wire bytes and the source
+  /// node's egress are recorded. Returns the wire size. Same-node pairs,
+  /// empty payloads and sizes that are not whole fp32 arrays pass
+  /// through untouched.
+  std::int64_t encode(int src, int dst, std::int64_t payload_bytes,
+                      SimTime at) {
+    if (!crossesNodes(src, dst) || payload_bytes <= 0 ||
+        payload_bytes % 4 != 0) {
+      return payload_bytes;
+    }
+    const int node = src / gpus_per_node_;
+    const std::int64_t wire_bytes =
+        compressedBytes(payload_bytes, aggregateBits(node, at));
+    recordFlow(payload_bytes, wire_bytes);
+    recordEgress(node, at, wire_bytes);
+    return wire_bytes;
   }
 
   double bound() const { return bound_; }
@@ -144,6 +170,7 @@ class InterNodeCodec {
 
   double bound_;
   bool adaptive_;
+  int gpus_per_node_;
   double nic_bandwidth_;
   std::vector<TableStats> tables_;
   int min_bits_all_ = 2;  ///< widest per-table minimal width

@@ -132,11 +132,9 @@ class PgasRuntime::PutEmitter {
   // message-rate padding — does not), with or without an armed
   // injector. Returns the (acked) delivery.
   SimTime direct(const SliceFlow& f, SimTime at) {
-    std::int64_t wire_bytes = f.payload_bytes;
-    if (codec_ != nullptr && f.payload_bytes > 0 &&
-        f.payload_bytes % 4 == 0 && f.dst / gpn_ != src_node_) {
-      wire_bytes = encode(f.payload_bytes, at);
-    }
+    const std::int64_t wire_bytes =
+        codec_ == nullptr ? f.payload_bytes
+                          : codec_->encode(src_, f.dst, f.payload_bytes, at);
     if (injector_ != nullptr) return reliableDirect(f, wire_bytes, at);
     const SimTime delivered =
         fabric_.send(direct_[static_cast<std::size_t>(f.dst - direct_base_)],
@@ -167,16 +165,6 @@ class PgasRuntime::PutEmitter {
     if (codec_ == nullptr || payload_bytes % 4 != 0) return payload_bytes;
     return fabric::InterNodeCodec::compressedBytes(
         payload_bytes, codec_->peekBits(src_node_, at));
-  }
-
-  // Encodes an inter-node flow leaving src's node at `at`; returns its
-  // wire size.
-  std::int64_t encode(std::int64_t payload_bytes, SimTime at) {
-    const std::int64_t wire_bytes = fabric::InterNodeCodec::compressedBytes(
-        payload_bytes, codec_->aggregateBits(src_node_, at));
-    codec_->recordFlow(payload_bytes, wire_bytes);
-    codec_->recordEgress(src_node_, at, wire_bytes);
-    return wire_bytes;
   }
 
   // Common put bookkeeping once the *final* delivery time is known: quiet
@@ -539,12 +527,12 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
 
 void PgasRuntime::PutEmitter::ship(int node, SimTime at) {
   Hold& hold = holds_[static_cast<std::size_t>(node)];
-  std::int64_t wire_bytes = hold.bytes;
-  if (codec_ != nullptr && hold.bytes % 4 == 0) {
-    wire_bytes = encode(hold.bytes, at);
-  }
   const int leader_d =
       injector_ != nullptr ? injector_->leaderAt(node, at) : node * gpn_;
+  const std::int64_t wire_bytes =
+      codec_ == nullptr
+          ? hold.bytes
+          : codec_->encode(hold.leader, leader_d, hold.bytes, at);
   const SimTime landed =
       hop(leader_to_[node], hold.leader, leader_d, wire_bytes, 1, at);
   const int base = node * gpn_;

@@ -119,7 +119,8 @@ TEST(InterNodeCodecTest, RandomizedRoundTripWithinBound) {
   for (const double range : {1.0, 3.0, 42.0}) {
     for (const double bound : {1e-1, 1e-2, 1e-3}) {
       fabric::InterNodeCodec codec({range}, bound, /*adaptive=*/false,
-                                   /*num_nodes=*/2, 25e9);
+                                   /*num_nodes=*/2, /*gpus_per_node=*/1,
+                                   25e9);
       std::uniform_real_distribution<double> dist(-range, range);
       double max_err = 0.0;
       for (int i = 0; i < 2000; ++i) {
@@ -155,14 +156,14 @@ TEST(InterNodeCodecTest, AggregateBitsFixedVersusAdaptive) {
   // of the two minimal widths.
   const double bound = 1e-2;
   const int wide = fabric::InterNodeCodec::minBitsFor(8.0, bound);
-  fabric::InterNodeCodec fixed({1.0, 8.0}, bound, /*adaptive=*/false, 2,
+  fabric::InterNodeCodec fixed({1.0, 8.0}, bound, /*adaptive=*/false, 2, 1,
                                25e9);
   EXPECT_EQ(fixed.aggregateBits(0, SimTime::zero()), wide);
 
   // Adaptive with no observed egress: the NIC is cool, so flows ship at
   // the light width; after saturating egress the width tightens.
   fabric::InterNodeCodec adaptive({1.0, 8.0}, bound, /*adaptive=*/true, 2,
-                                  25e9, SimTime::us(20.0));
+                                  1, 25e9, SimTime::us(20.0));
   EXPECT_EQ(adaptive.aggregateBits(0, SimTime::us(50.0)),
             fabric::InterNodeCodec::kLightBits);
   for (int b = 0; b < 5; ++b) {

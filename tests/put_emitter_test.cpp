@@ -109,7 +109,8 @@ struct Rig {
       codec = std::make_unique<fabric::InterNodeCodec>(
           std::vector<double>{1.0, 4.0, 40000.0}, 1e-2,
           shape.codec == Shape::Codec::kAdaptive, shape.nodes,
-          interLink().bandwidth_bytes_per_sec, SimTime::us(4.0));
+          shape.gpus_per_node, interLink().bandwidth_bytes_per_sec,
+          SimTime::us(4.0));
       runtime.setCodec(codec.get());
     }
     // Recording every flow's order re-arms per-event slices, so coalesced
