@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fault/hier_route.hpp"
 #include "fault/injector.hpp"
 #include "util/expect.hpp"
 
@@ -22,9 +23,8 @@ fabric::Fabric::Delivery Communicator::xfer(int src, int dst,
     strict_active_->transfer(src, dst, payload_bytes);
   }
   const std::int64_t wire_bytes =
-      hier_.codec == nullptr
-          ? payload_bytes
-          : hier_.codec->encode(src, dst, payload_bytes, at);
+      codec_ == nullptr ? payload_bytes
+                        : codec_->encode(src, dst, payload_bytes, at);
   if (injector_ != nullptr) {
     return injector_->reliableCollective(src, dst, wire_bytes, n_messages,
                                          at, protoEff());
@@ -97,8 +97,8 @@ Request Communicator::launch(
   state->done_callbacks.resize(static_cast<std::size_t>(n));
   // Pool-recycled states may carry a previous collective's hierarchical
   // bookkeeping.
+  state->launched_at = system_.hostNow();
   state->hier_pairs.clear();
-  state->hier_leaders.clear();
   state->hier_gathers.clear();
   state->hier_inters.clear();
   state->hier_scatters.clear();
@@ -205,7 +205,7 @@ void Communicator::sanitizeCompletion(detail::CollectiveState& state) {
 void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
   auto* san = system_.sanitizer();
   if (san == nullptr || state.actors.empty() || state.hier_sync.empty() ||
-      hier_.staging.empty()) {
+      !route_->staged()) {
     return;
   }
   auto& topo = fabric_.topology();
@@ -221,23 +221,17 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
         &state.hier_sync[static_cast<std::size_t>(nodes + s * nodes + d)]);
   };
   // Failover-aware staging selection: a node whose launch-time election
-  // moved leadership off the topology default logs against the standby
-  // leader's staging (provisioned by the builder), and every access to
-  // it is ordered behind the rebuild via the node's rebuild sync key.
+  // moved leadership onto its standby logs against the standby's staging,
+  // and every access to it is ordered behind the rebuild via the node's
+  // rebuild sync key.
   const auto leader_of = [&](int node) {
-    return state.hier_leaders.empty()
-               ? topo.nodeLeader(node)
-               : state.hier_leaders[static_cast<std::size_t>(node)];
+    return route_->leader(node, state.launched_at);
+  };
+  const auto staging_of = [&](int node) -> const fault::HierStaging& {
+    return *route_->staging(node, state.launched_at);
   };
   const auto failed_over = [&](int node) {
-    return leader_of(node) != topo.nodeLeader(node) &&
-           static_cast<std::size_t>(node) < hier_.standby_staging.size() &&
-           hier_.standby_staging[static_cast<std::size_t>(node)].device >= 0;
-  };
-  const auto staging_of = [&](int node) -> const HierStaging& {
-    return failed_over(node)
-               ? hier_.standby_staging[static_cast<std::size_t>(node)]
-               : hier_.staging[static_cast<std::size_t>(node)];
+    return staging_of(node).device != topo.nodeLeader(node);
   };
   const auto rkey = [&](int node) {
     return static_cast<void*>(
@@ -303,16 +297,15 @@ SimTime Communicator::hierarchicalInject(
     int src, SimTime start,
     const std::vector<std::vector<std::int64_t>>& matrix,
     const ChunkingParams& chunking, SimTime chunk_overhead,
-    const HierRouting& routing, detail::CollectiveState& state) {
+    detail::CollectiveState& state) {
   auto& topo = fabric_.topology();
   const int n = system_.numGpus();
   const int nodes = topo.numNodes();
   const int my_node = topo.nodeOf(src);
-  const int my_leader = routing.leaders[static_cast<std::size_t>(my_node)];
+  const int my_leader = route_->leader(my_node, state.launched_at);
   const bool log = system_.sanitizer() != nullptr && !state.actors.empty();
   if (state.hier_pairs.empty()) {
     state.hier_pairs.resize(static_cast<std::size_t>(nodes) * nodes);
-    state.hier_leaders = routing.leaders;
     if (log) {
       state.hier_sync.resize(static_cast<std::size_t>(nodes) +
                              static_cast<std::size_t>(nodes) * nodes);
@@ -322,8 +315,7 @@ SimTime Communicator::hierarchicalInject(
     return matrix[static_cast<std::size_t>(s)];
   };
   const auto degraded = [&](int dst_node) {
-    return routing.degraded[static_cast<std::size_t>(my_node) * nodes +
-                            dst_node] != 0;
+    return route_->degraded(my_node, dst_node, state.launched_at);
   };
 
   SimTime last = start;
@@ -401,8 +393,7 @@ SimTime Communicator::hierarchicalInject(
     if (pair.contributions == topo.gpusPerNode() && pair.raw_bytes > 0) {
       last = std::max(last, injectInterAndScatter(my_node, dst_node, pair,
                                                   matrix, chunking,
-                                                  chunk_overhead, routing,
-                                                  state));
+                                                  chunk_overhead, state));
     }
   }
   // One staging-slot write record per member (the leader's own slot is
@@ -420,22 +411,21 @@ SimTime Communicator::injectInterAndScatter(
     int src_node, int dst_node, const detail::HierPair& pair,
     const std::vector<std::vector<std::int64_t>>& matrix,
     const ChunkingParams& chunking, SimTime chunk_overhead,
-    const HierRouting& routing, detail::CollectiveState& state) {
+    detail::CollectiveState& state) {
   auto& topo = fabric_.topology();
   // Elected leaders run the staging endpoints; the topology defaults
   // stay the iteration bases (node membership is fixed by layout).
-  const int leader_s = routing.leaders[static_cast<std::size_t>(src_node)];
-  const int leader_d = routing.leaders[static_cast<std::size_t>(dst_node)];
+  const int leader_s = route_->leader(src_node, state.launched_at);
+  const int leader_d = route_->leader(dst_node, state.launched_at);
   const int base_s = topo.nodeLeader(src_node);
   const int base_d = topo.nodeLeader(dst_node);
   const bool log = system_.sanitizer() != nullptr && !state.actors.empty();
   // Compress the aggregated payload for the wire (the staged buffer is
   // contiguous, so the codec sees one flow per node pair).
   const std::int64_t wire_bytes =
-      hier_.codec == nullptr
+      codec_ == nullptr
           ? pair.raw_bytes
-          : hier_.codec->encode(leader_s, leader_d, pair.raw_bytes,
-                                pair.ready);
+          : codec_->encode(leader_s, leader_d, pair.raw_bytes, pair.ready);
   // The aggregated flow is a one-sided bulk RDMA out of a pre-staged
   // contiguous buffer: no per-peer protocol staging, so it rides the NIC
   // at full fraction (contrast protoEff() on the flat path).
@@ -448,7 +438,7 @@ SimTime Communicator::injectInterAndScatter(
   }
   // Destination-side scatter over NVLink. The seeded bug fires the
   // scatter when the inter flow is injected instead of delivered.
-  const bool buggy = hier_.bug_scatter_before_interflow;
+  const bool buggy = bug_scatter_;
   const SimTime scatter_start = buggy ? pair.ready : inter_done;
   SimTime last = inter_done;
   for (int dst = base_d; dst < base_d + topo.gpusPerNode(); ++dst) {
@@ -473,55 +463,28 @@ SimTime Communicator::injectInterAndScatter(
   return last;
 }
 
-Communicator::HierRouting Communicator::computeHierRouting(SimTime at) {
-  auto& topo = fabric_.topology();
-  const int nodes = topo.numNodes();
-  HierRouting routing;
-  routing.leaders.resize(static_cast<std::size_t>(nodes));
-  routing.degraded.assign(static_cast<std::size_t>(nodes) * nodes, 0);
-  for (int node = 0; node < nodes; ++node) {
-    routing.leaders[static_cast<std::size_t>(node)] =
-        injector_ != nullptr ? injector_->leaderAt(node, at)
-                             : topo.nodeLeader(node);
-  }
-  if (injector_ != nullptr) {
-    for (int s = 0; s < nodes; ++s) {
-      for (int d = 0; d < nodes; ++d) {
-        if (s != d && injector_->pairDegraded(s, d, at)) {
-          routing.degraded[static_cast<std::size_t>(s) * nodes + d] = 1;
-        }
-      }
-    }
-  }
-  return routing;
-}
-
 void Communicator::maybeRebuildStaging(SimTime at) {
-  if (injector_ == nullptr || hier_.standby_staging.empty()) return;
-  const auto* domains = injector_->domains();
-  if (domains == nullptr || !domains->anyNodeScoped()) return;
   auto& topo = fabric_.topology();
   const int nodes = topo.numNodes();
-  if (rebuild_sync_.empty()) {
-    rebuild_sync_.resize(static_cast<std::size_t>(nodes));
-  }
   auto* san = system_.sanitizer();
   for (int node = 0; node < nodes; ++node) {
-    const int elected = injector_->leaderAt(node, at);
-    if (elected == topo.nodeLeader(node)) continue;
-    if (static_cast<std::size_t>(node) >= hier_.standby_staging.size() ||
-        hier_.standby_staging[static_cast<std::size_t>(node)].device < 0) {
+    // Only a node whose leadership moved onto its standby rebuilds.
+    const fault::HierStaging* standby = route_->staging(node, at);
+    if (standby == nullptr || standby->device == topo.nodeLeader(node)) {
       continue;
     }
-    const int window = domains->failWindow(node, at);
-    const auto key = std::make_pair(node, window);
+    const int elected = standby->device;
+    const auto key = std::make_pair(node, route_->failWindow(node, at));
     if (std::find(rebuilt_.begin(), rebuilt_.end(), key) != rebuilt_.end()) {
       continue;
     }
+    if (rebuild_sync_.empty()) {
+      rebuild_sync_.resize(static_cast<std::size_t>(nodes));
+    }
     rebuilt_.push_back(key);
     injector_->recordStagingRebuild();
-    const auto& stg = hier_.standby_staging[static_cast<std::size_t>(node)];
-    if (hier_.bug_rebuild_without_requiet && san != nullptr) {
+    const auto& stg = *standby;
+    if (injector_->plan().bug_rebuild_without_requiet && san != nullptr) {
       // Seeded bug: the rebuild's staging writes run under a forked,
       // never-joined rogue actor and the node-wide re-quiet (the release
       // the members' gathers acquire) is skipped — every later access to
@@ -550,7 +513,7 @@ void Communicator::maybeRebuildStaging(SimTime at) {
     // the release must follow it in stream program order — a release at
     // (host) launch time would precede the writes and leave them
     // unordered against the members' acquires.
-    if (hier_.rebuild) hier_.rebuild(node, elected);
+    route_->rebuildStandby(node);
     if (san != nullptr) {
       auto& stream = system_.stream(elected);
       const auto actor = stream.sanitizerActor();
@@ -585,19 +548,14 @@ Request Communicator::allToAllSingle(
   // Routing is decided once per collective, at launch (host) time: all
   // members must agree on the elected leaders and the degraded pairs or
   // the per-pair contribution counting falls apart mid-collective.
-  std::shared_ptr<HierRouting> routing;
-  if (hierActive()) {
-    maybeRebuildStaging(system_.hostNow());
-    routing = std::make_shared<HierRouting>(
-        computeHierRouting(system_.hostNow()));
-  }
+  if (route_ != nullptr) maybeRebuildStaging(system_.hostNow());
   return launch(
       "all_to_all_single",
-      [this, matrix, chunk_overhead, chunking, routing](
+      [this, matrix, chunk_overhead, chunking](
           int src, SimTime start, detail::CollectiveState& state) {
-        if (hierActive() && routing != nullptr) {
+        if (route_ != nullptr) {
           return hierarchicalInject(src, start, matrix, chunking,
-                                    chunk_overhead, *routing, state);
+                                    chunk_overhead, state);
         }
         SimTime last = start;
         for (int dst = 0; dst < system_.numGpus(); ++dst) {

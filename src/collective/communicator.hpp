@@ -20,6 +20,7 @@
 
 namespace pgasemb::fault {
 class FaultInjector;
+class HierRoute;
 }
 
 namespace pgasemb::collective {
@@ -27,48 +28,6 @@ namespace pgasemb::collective {
 struct ChunkingParams {
   /// NCCL-style pipeline chunk size.
   std::int64_t chunk_bytes = 4 * 1024 * 1024;
-};
-
-/// Per-node staging buffer ranges of the hierarchical all-to-all,
-/// declared by the builder so simsan can log the gather/scatter
-/// interleavings.  Empty when no checker is attached.
-struct HierStaging {
-  int device = -1;  ///< leader GPU of the node
-  std::vector<simsan::StridedRange> gather_slots;  ///< one per local rank
-  std::vector<simsan::StridedRange> recv_slots;    ///< one per source node
-};
-
-/// Hierarchical all-to-all configuration (see DESIGN.md §12): members
-/// stage their inter-node contributions at the node leader over NVLink,
-/// the leader ships exactly one aggregated flow per destination node —
-/// a one-sided bulk RDMA from a pre-staged contiguous buffer, so it runs
-/// at full NIC fraction instead of the collective protocol efficiency —
-/// and the destination leader scatters over NVLink.
-struct HierarchicalParams {
-  bool enabled = false;
-  /// Optional error-bounded codec applied to inter-node wire bytes (also
-  /// compresses flat-mode inter-node chunks when hierarchy is off).
-  fabric::InterNodeCodec* codec = nullptr;
-  /// Seeded bug for simsan certification: inject the intra-node scatter
-  /// when the inter-node flow is *injected* instead of delivered, and
-  /// skip the happens-before edge — the classic scatter-before-
-  /// interflow-complete race.
-  bool bug_scatter_before_interflow = false;
-  std::vector<HierStaging> staging;  ///< per node; may be empty
-  /// Standby staging on each node's failover leader (the next healthy
-  /// GPU), provisioned by the builder when the fault plan can fail a
-  /// leader. Empty when no leader-fail spec is armed; entries with
-  /// device = -1 mean "no standby for this node".
-  std::vector<HierStaging> standby_staging;
-  /// Host hook replaying the staging-rebuild kernel on a node's standby
-  /// leader (set by the builder; returns the kernel's completion time).
-  /// Null = timing-free rebuild (counters still tick).
-  std::function<SimTime(int node, int standby_device)> rebuild;
-  /// Seeded bug for simsan certification: the standby rebuild's staging
-  /// writes run under a forked, never-joined rogue actor and the
-  /// node-wide re-quiet (the release members acquire before gathering)
-  /// is skipped — member gather writes race the rebuild.
-  bool bug_rebuild_without_requiet = false;
 };
 
 class Communicator {
@@ -85,12 +44,25 @@ class Communicator {
     injector_ = injector;
   }
 
-  /// Arm (or disarm) the hierarchical all-to-all path and the inter-node
-  /// codec.  Defaults keep every collective on the flat path,
-  /// bit-identical to earlier builds.
-  void setHierarchical(HierarchicalParams params) {
-    hier_ = std::move(params);
-  }
+  /// Route all-to-alls hierarchically through `route` (DESIGN.md §12):
+  /// members stage their inter-node contributions at the node leader
+  /// over NVLink, the leader ships exactly one aggregated flow per
+  /// destination node — a one-sided bulk RDMA from a pre-staged
+  /// contiguous buffer, so it runs at full NIC fraction instead of the
+  /// collective protocol efficiency — and the destination leader
+  /// scatters over NVLink. Null (the default) keeps every collective
+  /// flat. Not owned.
+  void setRoute(const fault::HierRoute* route) { route_ = route; }
+
+  /// Compress inter-node wire bytes through `codec`, hierarchical or
+  /// flat. Null (the default) ships raw payloads. Not owned.
+  void setCodec(fabric::InterNodeCodec* codec) { codec_ = codec; }
+
+  /// Seeded bug for simsan certification: inject the intra-node scatter
+  /// when the inter-node flow is *injected* instead of delivered, and
+  /// skip the happens-before edge — the classic scatter-before-
+  /// interflow-complete race.
+  void setScatterBug(bool enabled) { bug_scatter_ = enabled; }
 
   /// Asynchronous all-to-all: `send_bytes[src][dst]` payload bytes move
   /// from src to dst (diagonal = local, free). Equivalent of
@@ -146,21 +118,6 @@ class Communicator {
   /// sanitizeCompletion's retire-together barrier.
   void sanitizeHierarchical(detail::CollectiveState& state);
 
-  /// True when collectives should take the hierarchical path.
-  bool hierActive() { return hier_.enabled && topologyNodes() > 1; }
-  int topologyNodes() { return fabric_.topology().numNodes(); }
-
-  /// Per-collective routing decisions, latched once at launch (host)
-  /// time so every member agrees: the elected leader of each node
-  /// (failover under a leader-fail window) and the per-node-pair
-  /// degraded flags (NIC fault window on either endpoint → that pair's
-  /// traffic goes flat; every healthy pair keeps the hierarchy).
-  struct HierRouting {
-    std::vector<int> leaders;    ///< one per node
-    std::vector<char> degraded;  ///< dense src_node × dst_node matrix
-  };
-  HierRouting computeHierRouting(SimTime at);
-
   /// Failover housekeeping at collective launch: when a node's staging
   /// leadership has moved inside a new fail window, replay the staging
   /// rebuild on the standby leader (once per node × window) and publish
@@ -170,11 +127,13 @@ class Communicator {
   /// One source rank's hierarchical all-to-all injection: flat intra
   /// flows, gather-to-leader, and — for whichever member contributes
   /// last — the aggregated inter flow plus the destination-side scatter.
+  /// Every member asks the route at the collective's launch time, so
+  /// all of them agree on the elected leaders and the degraded pairs.
   SimTime hierarchicalInject(
       int src, SimTime start,
       const std::vector<std::vector<std::int64_t>>& matrix,
       const ChunkingParams& chunking, SimTime chunk_overhead,
-      const HierRouting& routing, detail::CollectiveState& state);
+      detail::CollectiveState& state);
 
   /// Inject the aggregated (src_node → dst_node) inter flow at the
   /// pair's ready time, then the destination-side scatter; returns the
@@ -183,7 +142,7 @@ class Communicator {
       int src_node, int dst_node, const detail::HierPair& pair,
       const std::vector<std::vector<std::int64_t>>& matrix,
       const ChunkingParams& chunking, SimTime chunk_overhead,
-      const HierRouting& routing, detail::CollectiveState& state);
+      detail::CollectiveState& state);
 
   /// NCCL protocol efficiency applied to all collective wire traffic
   /// (staging copies, handshakes) — see CostModel.
@@ -224,7 +183,9 @@ class Communicator {
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
   fault::FaultInjector* injector_ = nullptr;
-  HierarchicalParams hier_;
+  const fault::HierRoute* route_ = nullptr;
+  fabric::InterNodeCodec* codec_ = nullptr;
+  bool bug_scatter_ = false;
   /// Strict-effects attribution cursor: points at the tracker of the
   /// collective whose inject function is currently executing (the sim
   /// is single-threaded; injects run synchronously inside stream ops),

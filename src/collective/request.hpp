@@ -88,10 +88,11 @@ struct CollectiveState {
 
   // --- hierarchical all-to-all bookkeeping (empty in flat mode) ----------
   std::vector<HierPair> hier_pairs;  ///< dense (src_node, dst_node) matrix
-  /// Elected staging leader per node, latched at collective launch so
-  /// every member routes (and simsan logs) against the same election
-  /// even when a leader-fail window edge crosses the collective.
-  std::vector<int> hier_leaders;
+  /// Host time of the launch. Every member routes (and simsan logs)
+  /// against the route's answers at this time, so all agree on the
+  /// elected leaders even when a leader-fail window edge crosses the
+  /// collective.
+  SimTime launched_at = SimTime::zero();
   std::vector<HierGatherLog> hier_gathers;
   std::vector<HierInterLog> hier_inters;
   std::vector<HierScatterLog> hier_scatters;

@@ -7,7 +7,7 @@
 #include "emb/lookup_kernel.hpp"
 #include "emb/staging_kernel.hpp"
 #include "emb/unpack_kernel.hpp"
-#include "fault/injector.hpp"
+#include "fault/hier_route.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::core {
@@ -15,8 +15,10 @@ namespace pgasemb::core {
 CollectiveRetriever::CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
                                          collective::Communicator& comm,
                                          emb::ReplicaCache* cache,
-                                         CollectiveMultiNodeOptions multinode)
-    : layer_(layer), comm_(comm), cache_(cache), multinode_(multinode) {
+                                         const fault::HierRoute* route,
+                                         fabric::InterNodeCodec* codec)
+    : layer_(layer), comm_(comm), cache_(cache), route_(route),
+      codec_(codec) {
   PGASEMB_CHECK(layer.sharding().scheme() == emb::ShardingScheme::kTableWise,
                 "the collective baseline implements table-wise sharding "
                 "(the paper's scheme)");
@@ -69,8 +71,8 @@ void CollectiveRetriever::copyAllToAllPayload() {
           sh.miniBatchBegin(dst) * t_local * dim;
       const std::int64_t recv_base =
           sh.firstTableOn(src) * sh.miniBatchSize(dst) * dim;
-      const bool compress = multinode_.codec != nullptr &&
-                            multinode_.codec->crossesNodes(src, dst);
+      const bool compress =
+          codec_ != nullptr && codec_->crossesNodes(src, dst);
       if (!compress) {
         std::copy_n(send.begin() + send_base, len,
                     recv.begin() + recv_base);
@@ -84,7 +86,7 @@ void CollectiveRetriever::copyAllToAllPayload() {
         const std::int64_t table = sh.firstTableOn(src) + lt;
         for (std::int64_t i = 0; i < per_table; ++i) {
           recv[static_cast<std::size_t>(recv_base + lt * per_table + i)] =
-              multinode_.codec->transcode(
+              codec_->transcode(
                   table,
                   send[static_cast<std::size_t>(send_base + lt * per_table +
                                                 i)]);
@@ -161,50 +163,29 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
       system.launchKernel(g, std::move(serve));
     }
   }
-  // Hierarchical all-to-all: each leader packs its own inter-node
-  // contribution into the node's gather staging before the exchange
+  // Hierarchical all-to-all: each elected leader packs its own inter-node
+  // contribution into its node's gather staging before the exchange
   // (other members' contributions arrive over NVLink inside the
-  // collective itself).
-  const bool hier = multinode_.hierarchical &&
-                    multinode_.hier_staging != nullptr &&
-                    multinode_.gpus_per_node > 0;
-  // Failover-aware staging selection: when a leader-fail window has
-  // moved a node's staging leadership, the staging kernels run on the
-  // elected (standby) leader against the standby staging buffer.
-  const auto electedStaging =
-      [&](std::size_t n) -> const collective::HierStaging* {
-    const collective::HierStaging* stg =
-        &(*multinode_.hier_staging)[n];
-    if (multinode_.injector != nullptr &&
-        multinode_.hier_standby != nullptr &&
-        n < multinode_.hier_standby->size()) {
-      const int elected = multinode_.injector->leaderAt(
-          static_cast<int>(n), system.hostNow());
-      const auto& standby = (*multinode_.hier_standby)[n];
-      if (elected != stg->device && standby.device == elected) {
-        stg = &standby;
-      }
-    }
-    return stg;
-  };
+  // collective itself). The route hands back the standby's staging once a
+  // leader-fail window has moved a node's leadership onto it.
+  const bool hier = route_ != nullptr && route_->staged();
+  const int gpn = hier ? route_->gpusPerNode() : p;
   if (hier) {
-    const auto& staging = *multinode_.hier_staging;
-    for (std::size_t n = 0; n < staging.size(); ++n) {
-      const auto* stg = electedStaging(n);
+    for (int n = 0; n < route_->numNodes(); ++n) {
+      const fault::HierStaging* stg = route_->staging(n, system.hostNow());
       const int leader = stg->device;
       std::int64_t bytes = 0;
       for (int d = 0; d < p; ++d) {
-        if (d / multinode_.gpus_per_node == static_cast<int>(n)) continue;
+        if (d / gpn == n) continue;
         bytes += matrix[static_cast<std::size_t>(leader)]
                        [static_cast<std::size_t>(d)];
       }
       // The leader packs its own contribution into its local-rank slot
       // (slot 0 for the default leader, the standby's rank otherwise).
-      const std::size_t local = static_cast<std::size_t>(
-          leader - static_cast<int>(n) * multinode_.gpus_per_node);
+      const auto local = static_cast<std::size_t>(leader - n * gpn);
       system.launchKernel(
           leader, emb::buildLeaderGatherKernel(
-                      layer_, static_cast<int>(n), leader,
+                      layer_, n, leader,
                       local < stg->gather_slots.size()
                           ? stg->gather_slots[local]
                           : simsan::StridedRange{},
@@ -236,16 +217,15 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   // Hierarchical: each destination leader demultiplexes the landed
   // per-source-node recv staging before the ordinary unpack runs.
   if (hier) {
-    const auto& staging = *multinode_.hier_staging;
-    for (std::size_t n = 0; n < staging.size(); ++n) {
-      const auto* stg = electedStaging(n);
+    for (int n = 0; n < route_->numNodes(); ++n) {
+      const fault::HierStaging* stg = route_->staging(n, system.hostNow());
       const int leader = stg->device;
       std::int64_t bytes = 0;
       for (int s = 0; s < p; ++s) {
-        if (s / multinode_.gpus_per_node == static_cast<int>(n)) continue;
-        for (int d = 0; d < multinode_.gpus_per_node; ++d) {
-          bytes += matrix[static_cast<std::size_t>(s)][static_cast<std::size_t>(
-              static_cast<int>(n) * multinode_.gpus_per_node + d)];
+        if (s / gpn == n) continue;
+        for (int d = n * gpn; d < (n + 1) * gpn; ++d) {
+          bytes += matrix[static_cast<std::size_t>(s)]
+                         [static_cast<std::size_t>(d)];
         }
       }
       simsan::StridedRange span{};
@@ -255,10 +235,9 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
         span = simsan::StridedRange::contiguous(
             stg->recv_slots.front().begin, total);
       }
-      system.launchKernel(leader,
-                          emb::buildLeaderScatterKernel(
-                              layer_, static_cast<int>(n), leader, span,
-                              bytes));
+      system.launchKernel(
+          leader, emb::buildLeaderScatterKernel(layer_, n, leader, span,
+                                                bytes));
     }
   }
 
@@ -282,15 +261,8 @@ namespace {
 const RetrieverRegistrar kRegistrar{
     "nccl_collective",
     [](const SystemContext& ctx) -> std::unique_ptr<EmbeddingRetriever> {
-      CollectiveMultiNodeOptions multinode;
-      multinode.hierarchical = ctx.hierarchical_a2a;
-      multinode.hier_staging = ctx.hier_staging;
-      multinode.hier_standby = ctx.hier_standby;
-      multinode.injector = ctx.injector;
-      multinode.codec = ctx.codec;
-      multinode.gpus_per_node = ctx.gpus_per_node;
-      return std::make_unique<CollectiveRetriever>(ctx.layer, ctx.comm,
-                                                   ctx.cache, multinode);
+      return std::make_unique<CollectiveRetriever>(
+          ctx.layer, ctx.comm, ctx.cache, ctx.route, ctx.codec);
     },
     /*aliases=*/{"nccl_baseline"}};
 }  // namespace

@@ -16,40 +16,29 @@
 #include "core/retriever.hpp"
 #include "emb/replica_cache.hpp"
 
-namespace pgasemb::core {
+namespace pgasemb::fault {
+class HierRoute;
+}
 
-/// Multi-node knobs of the collective baseline (defaults = single-node
-/// behavior, bit-identical to earlier builds).
-struct CollectiveMultiNodeOptions {
-  /// Hierarchical all-to-all (DESIGN.md §12): launch the leader gather
-  /// kernel before the exchange and the leader scatter kernel after
-  /// wait(), with their staging-buffer effects from `hier_staging`.
-  /// The Communicator handles the wire side; the pipelined baseline
-  /// rides the same wire path but skips these device kernels (its
-  /// buffers are recycled across in-flight batches).
-  bool hierarchical = false;
-  const std::vector<collective::HierStaging>* hier_staging = nullptr;
-  /// Standby staging on each node's failover leader; the staging
-  /// kernels follow the injector's elected leader onto it when a
-  /// leader-fail window is open (nullptr = no failover provisioned).
-  const std::vector<collective::HierStaging>* hier_standby = nullptr;
-  /// Armed fault injector, queried for the elected node leaders
-  /// (nullptr = topology defaults).
-  fault::FaultInjector* injector = nullptr;
-  /// Functional mode: cross-node chunks are really transcoded through
-  /// the codec, so landed outputs carry the measured compression error.
-  fabric::InterNodeCodec* codec = nullptr;
-  int gpus_per_node = 0;
-};
+namespace pgasemb::core {
 
 class CollectiveRetriever final : public EmbeddingRetriever {
  public:
   /// `cache` (optional) serves hot bags from the local replica: the
   /// lookup computes misses only and the all-to-all splits shrink.
+  /// `route` (optional, the one the communicator routes through) adds
+  /// the hierarchical all-to-all's leader gather kernel before the
+  /// exchange and its leader scatter kernel after wait(), on the elected
+  /// leaders' staging (DESIGN.md §12); the pipelined baseline rides the
+  /// same wire path but skips these kernels, since its buffers are
+  /// recycled across in-flight batches. `codec` (optional) really
+  /// transcodes cross-node chunks in Functional mode, so landed outputs
+  /// carry the measured compression error.
   CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
                       collective::Communicator& comm,
                       emb::ReplicaCache* cache = nullptr,
-                      CollectiveMultiNodeOptions multinode = {});
+                      const fault::HierRoute* route = nullptr,
+                      fabric::InterNodeCodec* codec = nullptr);
   ~CollectiveRetriever() override;
 
   std::string name() const override { return "nccl_collective"; }
@@ -62,7 +51,8 @@ class CollectiveRetriever final : public EmbeddingRetriever {
   emb::ShardedEmbeddingLayer& layer_;
   collective::Communicator& comm_;
   emb::ReplicaCache* cache_ = nullptr;
-  CollectiveMultiNodeOptions multinode_;
+  const fault::HierRoute* route_ = nullptr;
+  fabric::InterNodeCodec* codec_ = nullptr;
   std::vector<gpu::DeviceBuffer> send_buffers_;
   std::vector<gpu::DeviceBuffer> recv_buffers_;
   std::vector<gpu::DeviceBuffer> outputs_;

@@ -21,7 +21,6 @@
 namespace pgasemb {
 namespace collective {
 class Communicator;
-struct HierStaging;
 }
 namespace emb {
 class ReplicaCache;
@@ -31,7 +30,7 @@ class Fabric;
 class InterNodeCodec;
 }
 namespace fault {
-class FaultInjector;
+class HierRoute;
 }
 namespace pgas {
 class PgasRuntime;
@@ -60,28 +59,15 @@ struct SystemContext {
   /// it serve hit bags from the local replica and exchange only misses.
   emb::ReplicaCache* cache = nullptr;
 
-  /// Multi-node layout (1 = single node, everything below inert).
-  int num_nodes = 1;
-  int gpus_per_node = 0;  ///< = system.numGpus() on a single node
-  /// Hierarchical all-to-all armed (SystemBuilder already wired the
-  /// communicator and the PGAS runtime; retrievers use this to launch
-  /// the leader staging kernels around their exchanges).
-  bool hierarchical_a2a = false;
+  /// Hierarchical routing across nodes (nullptr = flat). SystemBuilder
+  /// already routes the communicator and the PGAS runtime through it;
+  /// retrievers ask it which leaders and staging their kernels use.
+  const fault::HierRoute* route = nullptr;
   /// Inter-node error-bounded codec (nullptr = compression off). The
   /// fabric-side wire accounting is already wired; Functional-mode
   /// retrievers pass it to their kernels so landed cross-node values
   /// carry the measured quantization error.
   fabric::InterNodeCodec* codec = nullptr;
-  /// Per-node leader staging ranges of the hierarchical all-to-all
-  /// (nullptr or empty when hierarchy is off).
-  const std::vector<collective::HierStaging>* hier_staging = nullptr;
-  /// Standby staging on each node's failover leader (nullptr when the
-  /// fault plan cannot fail a leader).
-  const std::vector<collective::HierStaging>* hier_standby = nullptr;
-  /// Armed fault injector (nullptr without --faults): retrievers query
-  /// it for the elected node leader so their staging kernels follow a
-  /// leader failover.
-  fault::FaultInjector* injector = nullptr;
 };
 
 class RetrieverRegistry {

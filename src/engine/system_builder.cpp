@@ -7,6 +7,7 @@
 #include "emb/staging_kernel.hpp"
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
+#include "fault/hier_route.hpp"
 #include "fault/injector.hpp"
 #include "pgas/runtime.hpp"
 #include "simsan/checker.hpp"
@@ -26,13 +27,12 @@ void SystemBuilder::reset() {
   // Reverse construction order: the cache and the layer hold device
   // allocations, the runtime/communicator hold fabric endpoints. The
   // checker outlives the system so teardown frees still report into it.
+  route_.reset();
   injector_.reset();
   for (auto& buffer : hier_buffers_) {
     buffer.device()->free(buffer);
   }
   hier_buffers_.clear();
-  hier_staging_.clear();
-  hier_standby_.clear();
   codec_.reset();
   cache_.reset();
   layer_.reset();
@@ -103,47 +103,40 @@ void SystemBuilder::build() {
         nodes, per_node, config_.inter_node_link.bandwidth_bytes_per_sec,
         config_.counter_bucket);
   }
-  const bool hier = config_.hierarchical_a2a && nodes > 1;
-  if (hier && config_.sharding == emb::ShardingScheme::kTableWise) {
-    buildHierStaging(nodes, per_node);
-  }
-  if (hier || codec_ != nullptr) {
-    collective::HierarchicalParams hp;
-    hp.enabled = hier;
-    hp.codec = codec_.get();
-    hp.bug_scatter_before_interflow = config_.hier_bug_scatter;
-    hp.staging = hier_staging_;
-    hp.standby_staging = hier_standby_;
-    hp.bug_rebuild_without_requiet =
-        config_.faults.bug_rebuild_without_requiet;
-    if (!hier_standby_.empty()) {
-      // Failover rebuild hook: replay the staging layout on the standby
-      // leader as a real device kernel with declared write effects
-      // (raw captures are rebuilt with the assembly on every reset()).
-      auto* system = system_.get();
-      auto* layer = layer_.get();
-      auto standby = hier_standby_;
-      hp.rebuild = [system, layer, standby](int node, int device) {
-        const auto& stg = standby[static_cast<std::size_t>(node)];
-        std::vector<simsan::StridedRange> slots = stg.gather_slots;
-        slots.insert(slots.end(), stg.recv_slots.begin(),
-                     stg.recv_slots.end());
-        std::int64_t elems = 0;
-        for (const auto& slot : slots) elems += slot.len;
-        return system->launchKernel(
-            device, emb::buildStagingRebuildKernel(*layer, node, device,
-                                                   slots, elems * 4));
-      };
-    }
-    comm_->setHierarchical(std::move(hp));
-    runtime_->setHierarchical(hier);
-    runtime_->setCodec(codec_.get());
-  }
+  comm_->setCodec(codec_.get());
+  runtime_->setCodec(codec_.get());
+  comm_->setScatterBug(config_.hier_bug_scatter);
   if (!config_.faults.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(config_.faults);
     injector_->arm(*system_, *fabric_);
     runtime_->setFaultInjector(injector_.get());
     comm_->setFaultInjector(injector_.get());
+  }
+  if (config_.hierarchical_a2a && nodes > 1) {
+    std::vector<fault::HierStaging> staging;
+    std::vector<fault::HierStaging> standby;
+    if (config_.sharding == emb::ShardingScheme::kTableWise) {
+      buildHierStaging(nodes, per_node, staging, standby);
+    }
+    // Failover rebuild hook: replay the staging layout on the standby
+    // leader as a real device kernel with declared write effects (raw
+    // captures are rebuilt with the assembly on every reset()).
+    auto* system = system_.get();
+    auto* layer = layer_.get();
+    auto rebuild = [system, layer](int node, const fault::HierStaging& stg) {
+      std::vector<simsan::StridedRange> slots = stg.gather_slots;
+      slots.insert(slots.end(), stg.recv_slots.begin(), stg.recv_slots.end());
+      std::int64_t elems = 0;
+      for (const auto& slot : slots) elems += slot.len;
+      system->launchKernel(stg.device,
+                           emb::buildStagingRebuildKernel(
+                               *layer, node, stg.device, slots, elems * 4));
+    };
+    route_ = std::make_unique<fault::HierRoute>(
+        *fabric_, injector_.get(), std::move(staging), std::move(standby),
+        std::move(rebuild));
+    comm_->setRoute(route_.get());
+    runtime_->setRoute(route_.get());
   }
   if (sanitizer_ != nullptr) {
     // Table shards and other assembly-lifetime allocations are not leaks.
@@ -151,7 +144,9 @@ void SystemBuilder::build() {
   }
 }
 
-void SystemBuilder::buildHierStaging(int nodes, int gpus_per_node) {
+void SystemBuilder::buildHierStaging(
+    int nodes, int gpus_per_node, std::vector<fault::HierStaging>& staging,
+    std::vector<fault::HierStaging>& standby_staging) {
   const auto& sharding = layer_->sharding();
   const int dim = layer_->dim();
   const int num_gpus = config_.num_gpus;
@@ -163,7 +158,7 @@ void SystemBuilder::buildHierStaging(int nodes, int gpus_per_node) {
     if (spec.kind == fault::FaultKind::kLeaderFail) leader_fail = true;
   }
   const bool standby = leader_fail && gpus_per_node >= 2;
-  hier_staging_.reserve(static_cast<std::size_t>(nodes));
+  staging.reserve(static_cast<std::size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
     const int leader = n * gpus_per_node;
     // Gather staging: one slot per member holding its full inter-node
@@ -201,26 +196,26 @@ void SystemBuilder::buildHierStaging(int nodes, int gpus_per_node) {
     // standby: one gather slot per member, one recv slot per source node.
     const auto carve = [&](int device) {
       auto buffer = system_->device(device).alloc(gather_total + recv_total);
-      collective::HierStaging staging;
-      staging.device = device;
+      fault::HierStaging carved;
+      carved.device = device;
       std::int64_t pos = buffer.offset();
       for (int local = 0; local < gpus_per_node; ++local) {
         const auto len = member_elems[static_cast<std::size_t>(local)];
-        staging.gather_slots.push_back(
+        carved.gather_slots.push_back(
             simsan::StridedRange::contiguous(pos, len));
         pos += len;
       }
       for (int s = 0; s < nodes; ++s) {
         const auto len = src_elems[static_cast<std::size_t>(s)];
-        staging.recv_slots.push_back(
+        carved.recv_slots.push_back(
             simsan::StridedRange::contiguous(pos, len));
         pos += len;
       }
       hier_buffers_.push_back(buffer);
-      return staging;
+      return carved;
     };
-    hier_staging_.push_back(carve(leader));
-    if (standby) hier_standby_.push_back(carve(leader + 1));
+    staging.push_back(carve(leader));
+    if (standby) standby_staging.push_back(carve(leader + 1));
   }
 }
 
@@ -230,13 +225,8 @@ core::SystemContext SystemBuilder::context() {
   ctx.aggregator = config_.use_aggregator ? &config_.aggregator : nullptr;
   ctx.pipeline_depth = config_.pipeline_depth;
   ctx.cache = cache_.get();
-  ctx.num_nodes = std::max(config_.num_nodes, 1);
-  ctx.gpus_per_node = config_.num_gpus / ctx.num_nodes;
-  ctx.hierarchical_a2a = config_.hierarchical_a2a && ctx.num_nodes > 1;
+  ctx.route = route_.get();
   ctx.codec = codec_.get();
-  ctx.hier_staging = hier_staging_.empty() ? nullptr : &hier_staging_;
-  ctx.hier_standby = hier_standby_.empty() ? nullptr : &hier_standby_;
-  ctx.injector = injector_.get();
   return ctx;
 }
 

@@ -19,7 +19,6 @@
 namespace pgasemb {
 namespace collective {
 class Communicator;
-struct HierStaging;
 }
 namespace emb {
 class ReplicaCache;
@@ -30,6 +29,8 @@ class InterNodeCodec;
 }
 namespace fault {
 class FaultInjector;
+class HierRoute;
+struct HierStaging;
 }
 namespace pgas {
 class PgasRuntime;
@@ -93,9 +94,12 @@ class SystemBuilder {
  private:
   void build();
   /// Allocate the per-node leader staging buffers of the hierarchical
-  /// all-to-all and carve their gather/recv slot ranges (table-wise
-  /// sharding only; other schemes run the hierarchy timing-only).
-  void buildHierStaging(int nodes, int gpus_per_node);
+  /// all-to-all and carve their gather/recv slot ranges into `staging`,
+  /// plus a standby copy on each node's failover leader into `standby`
+  /// when the fault plan can fail a leader.
+  void buildHierStaging(int nodes, int gpus_per_node,
+                        std::vector<fault::HierStaging>& staging,
+                        std::vector<fault::HierStaging>& standby);
 
   ExperimentConfig config_;
   // Destroyed after the system (teardown frees report into it).
@@ -113,13 +117,12 @@ class SystemBuilder {
   // Inter-node codec; runtime/comm hold raw pointers, torn down with the
   // assembly on reset().
   std::unique_ptr<fabric::InterNodeCodec> codec_;
-  // Hierarchical leader staging: device allocations (freed in reset(),
-  // before the devices go) and the slot ranges carved from them.
+  // Hierarchical route over the fabric and the injector; runtime/comm
+  // hold raw pointers, torn down first on reset().
+  std::unique_ptr<fault::HierRoute> route_;
+  // Hierarchical leader staging device allocations (freed in reset(),
+  // before the devices go); the route holds the slot ranges.
   std::vector<gpu::DeviceBuffer> hier_buffers_;
-  std::vector<collective::HierStaging> hier_staging_;
-  // Standby staging on each node's failover leader, provisioned only
-  // when the fault plan can fail a leader (empty otherwise).
-  std::vector<collective::HierStaging> hier_standby_;
 };
 
 }  // namespace pgasemb::engine

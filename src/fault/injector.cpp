@@ -33,7 +33,6 @@ void FaultInjector::arm(gpu::MultiGpuSystem& system, fabric::Fabric& fabric) {
   materialized_.clear();
   launch_faults_.clear();
   domains_.reset();
-  counted_failovers_.clear();
   degraded_spans_.clear();
   stats_ = ResilienceStats{};
   launch_retry_penalty_ = system.costModel().kernel_launch_overhead +
@@ -181,23 +180,6 @@ void FaultInjector::arm(gpu::MultiGpuSystem& system, fabric::Fabric& fabric) {
       return launchFaultDelay(device, host_now);
     });
   }
-}
-
-int FaultInjector::leaderAt(int node, SimTime at) {
-  if (domains_ == nullptr) return node * (fabric_ != nullptr
-                                              ? fabric_->topology().gpusPerNode()
-                                              : 1);
-  const int leader = domains_->leaderAt(node, at);
-  if (leader != node * domains_->gpusPerNode()) {
-    const int window = domains_->failWindow(node, at);
-    const auto key = std::make_pair(node, window);
-    if (std::find(counted_failovers_.begin(), counted_failovers_.end(),
-                  key) == counted_failovers_.end()) {
-      counted_failovers_.push_back(key);
-      ++stats_.leader_failovers;
-    }
-  }
-  return leader;
 }
 
 void FaultInjector::recordHierFallback(SimTime at, SimTime until) {

@@ -77,20 +77,9 @@ class FaultInjector {
   // --- Node-level fault domains (multi-node topologies) -------------------
 
   /// Node-granularity view of the armed plan; null until arm() ran on a
-  /// multi-node fabric.
+  /// multi-node fabric. The hierarchical route (fault/hier_route.hpp)
+  /// elects leaders and marks degraded node pairs from it.
   const NodeFaultDomains* domains() const { return domains_.get(); }
-
-  /// Elected staging leader of `node` at `at`. Counts one leader
-  /// failover per (node, fail window) the first time the re-elected
-  /// leader is observed. Falls back to the topology default when no
-  /// domains are armed.
-  int leaderAt(int node, SimTime at);
-
-  /// True when hierarchical traffic between the two nodes should run in
-  /// per-pair degraded (flat) mode at `at`.
-  bool pairDegraded(int src_node, int dst_node, SimTime at) const {
-    return domains_ != nullptr && domains_->pairDegraded(src_node, dst_node, at);
-  }
 
   /// Counts one per-node-pair flat fallback whose direct traffic spanned
   /// [at, until] of simulated time. Fallbacks overlap (one per rank or
@@ -128,8 +117,6 @@ class FaultInjector {
   SimTime launch_retry_penalty_ = SimTime::zero();
 
   std::unique_ptr<NodeFaultDomains> domains_;
-  /// (node, fail-window index) pairs already counted as failovers.
-  std::vector<std::pair<int, int>> counted_failovers_;
   /// Disjoint degraded spans recorded so far: start -> end.
   std::map<SimTime, SimTime> degraded_spans_;
 };

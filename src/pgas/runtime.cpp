@@ -1,11 +1,11 @@
 #include "pgas/runtime.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <span>
 #include <string>
 
+#include "fault/hier_route.hpp"
 #include "fault/injector.hpp"
 #include "simsan/strict.hpp"
 #include "util/expect.hpp"
@@ -18,56 +18,18 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
                 "fabric topology smaller than the GPU system");
 }
 
-namespace {
-
-// The wire bytes one message on `route` needs before no link's
-// message-rate ceiling pads it: Link::serializationTime charges a message
-// max((wire + header) / bandwidth, 1 / rate), so the largest, over the
-// route's links, of bandwidth / rate - header. Zero when no link has a
-// ceiling.
-std::int64_t rateFloor(const fabric::Fabric::Route& route) {
-  double floor = 0.0;
-  for (const fabric::Link* link : route.links) {
-    const fabric::LinkParams& p = link->params();
-    if (p.max_messages_per_sec > 0.0) {
-      floor = std::max(floor, p.bandwidth_bytes_per_sec /
-                                      p.max_messages_per_sec -
-                                  static_cast<double>(p.header_bytes));
-    }
-  }
-  return static_cast<std::int64_t>(std::ceil(floor));
-}
-
-}  // namespace
-
-const PgasRuntime::ForwardingRoutes& PgasRuntime::forwardingRoutes() {
-  if (!forwarding_.scatter.empty()) return forwarding_;
-  const auto& topo = fabric_.topology();
-  const int gpn = topo.gpusPerNode();
-  const int nodes = topo.numNodes();
-  for (int dst = 0; dst < fabric_.numGpus(); ++dst) {
-    forwarding_.scatter.push_back(fabric_.route(dst / gpn * gpn, dst));
-  }
-  for (int a = 0; a < nodes; ++a) {
-    for (int b = 0; b < nodes; ++b) {
-      forwarding_.leader.push_back(fabric_.route(a * gpn, b * gpn));
-      forwarding_.floor.push_back(rateFloor(forwarding_.leader.back()));
-    }
-  }
-  return forwarding_;
-}
-
 /// One launch's one-sided puts (DESIGN.md §9). Every per-kernel decision
 /// is made once, at attach: the plan's rows and every fault-free route
-/// (direct per destination; gather, leader -> leader and scatter for
-/// hierarchical forwarding, with each leader route's rate floor). A
-/// slice steps a closed-form plan's rows in place and sends their shares
-/// straight over those routes, in the order the links must see them; a
-/// forwarded share is held at the source leader until its node's
-/// message clears the floor (DESIGN.md §12). The fault injector, simsan,
-/// the comm counter, the strict put tracker and the codec are branches
-/// on per-kernel constants. A coalesced launch steps each row's
-/// dedicated route over every slice instead.
+/// (direct per destination and the gather to the own leader; the
+/// hierarchical route holds the leader -> leader and scatter routes and
+/// each leader route's rate floor). A slice steps a closed-form plan's
+/// rows in place and sends their shares straight over those routes, in
+/// the order the links must see them; a forwarded share is held at the
+/// source leader until its node's message clears the floor (DESIGN.md
+/// §12). The fault injector, simsan, the comm counter, the strict put
+/// tracker, the codec and the route are branches on per-kernel
+/// constants. A coalesced launch steps each row's dedicated route over
+/// every slice instead.
 class PgasRuntime::PutEmitter {
  public:
   PutEmitter(PgasRuntime& runtime, int src, MessagePlan plan,
@@ -146,10 +108,10 @@ class PgasRuntime::PutEmitter {
 
   // One forwarding hop from GPU a to GPU b. Fault-free, the leaders are
   // the nodes' first GPUs and the flow takes `route`, the resolved
-  // a -> b route. Under an armed injector, which elects the leaders per
-  // put, it is a delivery-tracked reliable put (retransmitted on drop)
-  // from a to b and `route` is unused. A hop that stays on its GPU is
-  // free.
+  // a -> b route. Under an armed injector, whose faults the route's
+  // elections follow, it is a delivery-tracked reliable put
+  // (retransmitted on drop) from a to b and `route` is unused. A hop
+  // that stays on its GPU is free.
   SimTime hop(const Route& route, int a, int b, std::int64_t bytes,
               std::int64_t msgs, SimTime at) {
     if (a == b) return at;
@@ -191,6 +153,11 @@ class PgasRuntime::PutEmitter {
   simsan::Checker* const san_;
   fault::FaultInjector* const injector_;
   fabric::InterNodeCodec* const codec_;
+  /// Hierarchical forwarding (null = flat): it stays on under an armed
+  /// injector, whose leader hops are delivery-tracked reliable puts, and
+  /// only node pairs the route marks degraded fall back to direct
+  /// per-flow puts (DESIGN.md §13).
+  const fault::HierRoute* const route_;
   CommCounter* const counter_;
   const std::shared_ptr<simsan::StrictPutTracker> strict_;
   const std::vector<simsan::MemEffect> remote_writes_;
@@ -199,11 +166,6 @@ class PgasRuntime::PutEmitter {
   /// a node's default leader is its first GPU.
   const int gpn_;
   const int src_node_;
-  /// Hierarchical forwarding stays on under an armed injector: the
-  /// leader hops are delivery-tracked reliable puts, and only node pairs
-  /// inside a NIC fault window fall back to direct per-flow puts
-  /// (per-pair degraded mode — see DESIGN.md §13).
-  const bool hier_;
   const bool closed_;
   const MessagePlan plan_;
   int next_ = 0;
@@ -225,11 +187,7 @@ class PgasRuntime::PutEmitter {
   /// only its own node's when forwarding.
   std::vector<Route> direct_;
   int direct_base_ = 0;
-  Route gather_;                      ///< src -> own node's leader
-  const Route* leader_to_ = nullptr;  ///< own leader -> node n's leader
-  const Route* scatter_ = nullptr;    ///< node leader -> GPU d
-  /// Wire bytes a leader message to node n needs to clear the rate floor.
-  const std::int64_t* floor_ = nullptr;
+  Route gather_;  ///< src -> own node's leader
 
   /// Forwarding only: node n's gathered, not yet shipped slices. All of
   /// them reached one source leader, outside any degraded period.
@@ -272,14 +230,13 @@ PgasRuntime::PutEmitter::PutEmitter(
       san_(runtime.system_.sanitizer()),
       injector_(runtime.injector_),
       codec_(runtime.codec_),
+      route_(runtime.route_),
       counter_(counter),
       strict_(std::move(strict)),
       remote_writes_(std::move(remote_writes)),
       src_(src),
       gpn_(runtime.fabric_.topology().gpusPerNode()),
       src_node_(src / gpn_),
-      hier_(runtime.hierarchical_ &&
-            runtime.fabric_.topology().numNodes() > 1),
       closed_(plan.closedForm()),
       plan_(std::move(plan)),
       scratch_(runtime.slice_scratch_),
@@ -300,22 +257,17 @@ PgasRuntime::PutEmitter::PutEmitter(
       if (counter_ != nullptr) counter_->record(attempt_at, attempt_payload_);
     };
   }
-  const int direct_count = hier_ ? gpn_ : fabric_.numGpus();
-  direct_base_ = hier_ ? src_node_ * gpn_ : 0;
+  const bool hier = route_ != nullptr;
+  const int direct_count = hier ? gpn_ : fabric_.numGpus();
+  direct_base_ = hier ? src_node_ * gpn_ : 0;
   direct_.reserve(static_cast<std::size_t>(direct_count));
   for (int d = direct_base_; d < direct_base_ + direct_count; ++d) {
     direct_.push_back(fabric_.route(src_, d));
   }
-  if (!hier_) return;
+  if (!hier) return;
 
-  const auto nodes =
-      static_cast<std::size_t>(fabric_.topology().numNodes());
-  const ForwardingRoutes& shared = runtime.forwardingRoutes();
+  const auto nodes = static_cast<std::size_t>(route_->numNodes());
   gather_ = fabric_.route(src_, src_node_ * gpn_);
-  leader_to_ =
-      shared.leader.data() + static_cast<std::size_t>(src_node_) * nodes;
-  floor_ = shared.floor.data() + static_cast<std::size_t>(src_node_) * nodes;
-  scatter_ = shared.scatter.data();
   holds_.resize(nodes);
   scatters_.resize(static_cast<std::size_t>(gpn_));
   node_begin_.resize(nodes + 1);
@@ -378,7 +330,7 @@ void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
       if (!idle(f)) strict_->flow(f.dst, f.payload_bytes);
     }
   }
-  if (!hier_) {
+  if (route_ == nullptr) {
     for (const SliceFlow& f : flows) {
       if (!idle(f)) direct(f, at);
     }
@@ -441,11 +393,9 @@ void PgasRuntime::PutEmitter::forward(std::span<const SliceFlow> flows,
   for (const SliceFlow& f : toNode(flows, src_node_)) {
     if (!idle(f)) direct(f, at);
   }
-  // Under a leader-fail window the injector's fault domains re-elect
-  // the next healthy GPU on the node (counted as a failover).
-  const int leader_s = injector_ != nullptr
-                           ? injector_->leaderAt(src_node_, at)
-                           : src_node_ * gpn_;
+  // Under a leader-fail window the route elects the next healthy GPU
+  // on the node (counted as a failover).
+  const int leader_s = route_->leader(src_node_, at);
   const int nodes = static_cast<int>(node_begin_.size()) - 1;
   for (int node = 0; node < nodes; ++node) {
     if (node != src_node_) {
@@ -471,7 +421,7 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
                                             SimTime at, int leader_s,
                                             bool last) {
   Hold& hold = holds_[static_cast<std::size_t>(node)];
-  if (injector_ != nullptr && injector_->pairDegraded(src_node_, node, at)) {
+  if (route_->degraded(src_node_, node, at)) {
     // Per-pair degraded mode: a NIC fault window covers one of the
     // endpoint nodes, so this pair's traffic skips the leader staging (a
     // dropped aggregate would couple the whole node into one retransmit
@@ -520,21 +470,21 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
   if (hold.puts.empty()) return;
   if (last) {
     ship(node, std::max(hold.staged, at));
-  } else if (heldWire(hold.bytes, hold.staged) >= floor_[node]) {
+  } else if (heldWire(hold.bytes, hold.staged) >=
+             route_->rateFloor(src_node_, node)) {
     ship(node, hold.staged);
   }
 }
 
 void PgasRuntime::PutEmitter::ship(int node, SimTime at) {
   Hold& hold = holds_[static_cast<std::size_t>(node)];
-  const int leader_d =
-      injector_ != nullptr ? injector_->leaderAt(node, at) : node * gpn_;
+  const int leader_d = route_->leader(node, at);
   const std::int64_t wire_bytes =
       codec_ == nullptr
           ? hold.bytes
           : codec_->encode(hold.leader, leader_d, hold.bytes, at);
-  const SimTime landed =
-      hop(leader_to_[node], hold.leader, leader_d, wire_bytes, 1, at);
+  const SimTime landed = hop(route_->leaderRoute(src_node_, node),
+                             hold.leader, leader_d, wire_bytes, 1, at);
   const int base = node * gpn_;
   for (const HeldPut& p : hold.puts) {
     Scatter& to = scatters_[static_cast<std::size_t>(p.flow.dst - base)];
@@ -545,8 +495,8 @@ void PgasRuntime::PutEmitter::ship(int node, SimTime at) {
     Scatter& to = scatters_[static_cast<std::size_t>(i)];
     to.done = to.bytes + to.messages == 0
                   ? landed
-                  : hop(scatter_[base + i], leader_d, base + i, to.bytes,
-                        to.messages, landed);
+                  : hop(route_->scatterRoute(base + i), leader_d, base + i,
+                        to.bytes, to.messages, landed);
     to.bytes = 0;
     to.messages = 0;
   }
@@ -641,7 +591,7 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
       system_.mode() == gpu::ExecutionMode::kTimingOnly &&
       system_.sanitizer() == nullptr && system_.strictEffects() == nullptr &&
       injector_ == nullptr && counter == nullptr && codec_ == nullptr &&
-      !hierarchical_ && fabric_.coalescingSafe()) {
+      route_ == nullptr && fabric_.coalescingSafe()) {
     desc.on_launch = [emitter](const gpu::SliceClock& clock) {
       emitter->launch(clock);
     };

@@ -25,6 +25,7 @@
 
 namespace pgasemb::fault {
 class FaultInjector;
+class HierRoute;
 }
 
 namespace pgasemb::pgas {
@@ -47,30 +48,28 @@ class PgasRuntime {
     injector_ = injector;
   }
 
-  /// Route one-sided traffic hierarchically on multi-node topologies
-  /// (DESIGN.md §12): a slice's inter-node flows are forwarded
-  /// src -> node leader -> remote leader -> dst. The source leader holds
-  /// each remote node's gathered slices and ships them as one bulk
-  /// leader->leader message once its wire size clears the NIC's
-  /// message-rate floor, or at the kernel's last slice — so only a
-  /// kernel's remainder (or a message an armed injector ships early)
-  /// can pay the NIC's per-message rate padding.  quiet() covers the
-  /// forwarded hops: kernel completion waits for the final scatter
-  /// delivery.  Ignored on single-node topologies.  Under an armed
-  /// fault injector the hops are delivery-tracked reliable puts, leaders
-  /// are elected through the injector's node fault domains (leader-fail
-  /// failover; a held message ships before a slice goes to a new
-  /// leader), and node pairs inside a NIC fault window fall back to
-  /// direct per-flow puts — per-pair degraded mode, counted in
-  /// ResilienceStats.
-  void setHierarchical(bool enabled) { hierarchical_ = enabled; }
+  /// Route one-sided traffic hierarchically through `route` (DESIGN.md
+  /// §12): a slice's inter-node flows are forwarded src -> node leader
+  /// -> remote leader -> dst. The source leader holds each remote node's
+  /// gathered slices and ships them as one bulk leader->leader message
+  /// once its wire size clears the route's message-rate floor, or at
+  /// the kernel's last slice — so only a kernel's remainder (or a
+  /// message an armed injector ships early) can pay the NIC's
+  /// per-message rate padding.  quiet() covers the forwarded hops:
+  /// kernel completion waits for the final scatter delivery.  Under an
+  /// armed fault injector the hops are delivery-tracked reliable puts,
+  /// the route elects the leaders (leader-fail failover; a held message
+  /// ships before a slice goes to a new leader), and node pairs the
+  /// route marks degraded fall back to direct per-flow puts, counted in
+  /// ResilienceStats.  Null (the default) keeps every put flat.  Not
+  /// owned.
+  void setRoute(const fault::HierRoute* route) { route_ = route; }
 
   /// Attach the inter-node compression codec: a flow whose route
-  /// crosses nodes ships InterNodeCodec::compressedBytes(payload,
-  /// aggregateBits(src node)) on the wire — per flow on direct puts
-  /// (flat mode and degraded node pairs, with or without an armed
-  /// injector; a retransmit re-sends the compressed size), on each
-  /// shipped leader->leader message in hierarchical mode.  Comm
+  /// crosses nodes ships InterNodeCodec::encode's wire size — per flow
+  /// on direct puts (flat mode and degraded node pairs, with or without
+  /// an armed injector; a retransmit re-sends the compressed size), on
+  /// each shipped leader->leader message in hierarchical mode.  Comm
   /// counters and strict effects keep accounting the original payload
   /// (compression is a wire-format concern, not a protocol one).  Not
   /// owned; must outlive the runtime.
@@ -115,30 +114,16 @@ class PgasRuntime {
  private:
   class PutEmitter;
 
-  /// The fault-free forwarding hops every source shares: `scatter[d]` is
-  /// the route from GPU d's node leader to d, `leader[a * nodes + b]`
-  /// node a's leader's route to node b's, and `floor[a * nodes + b]` the
-  /// wire bytes a message on that route needs to clear its message-rate
-  /// floor. Resolved once, at the first forwarded attach, and never
-  /// changed after.
-  struct ForwardingRoutes {
-    std::vector<fabric::Fabric::Route> scatter;
-    std::vector<fabric::Fabric::Route> leader;
-    std::vector<std::int64_t> floor;
-  };
-  const ForwardingRoutes& forwardingRoutes();
-
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
   SymmetricHeap heap_;
   fault::FaultInjector* injector_ = nullptr;
   fabric::InterNodeCodec* codec_ = nullptr;
-  bool hierarchical_ = false;
+  const fault::HierRoute* route_ = nullptr;
   bool coalesce_enabled_ = true;
   /// Recycles the per-launch emitters instead of hitting the allocator
   /// for each one.
   util::SharedPool<PutEmitter> emitter_pool_;
-  ForwardingRoutes forwarding_;
   std::int64_t declared_put_bytes_ = 0;
   std::int64_t latched_put_bytes_ = 0;
   /// Scratch for the slice being emitted: a closed-form plan's shares, or

@@ -23,6 +23,7 @@
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/topology.hpp"
+#include "fault/hier_route.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "gpu/system.hpp"
@@ -92,6 +93,7 @@ struct Rig {
   gpu::MultiGpuSystem system;
   fabric::Fabric fabric;
   PgasRuntime runtime;
+  std::unique_ptr<fault::HierRoute> route;
   std::unique_ptr<fabric::InterNodeCodec> codec;
   CommCounter counter{SimTime::us(2.0)};
   std::vector<Flow> flows;                ///< in injection order
@@ -103,7 +105,10 @@ struct Rig {
       : system(systemConfig(shape.gpus(), san)),
         fabric(topology(shape), SimTime::us(3.0)),
         runtime(system, fabric) {
-    runtime.setHierarchical(shape.hierarchical);
+    if (shape.hierarchical && shape.nodes > 1) {
+      route = std::make_unique<fault::HierRoute>(fabric);
+      runtime.setRoute(route.get());
+    }
     runtime.setCoalescingEnabled(shape.coalesced);
     if (shape.codec != Shape::Codec::kOff) {
       codec = std::make_unique<fabric::InterNodeCodec>(
@@ -601,6 +606,8 @@ TEST(PutEmitterTest, ArmedInjectorHoldsNoMessageAcrossLeadersOrDegradedPeriods) 
       "leader-fail:0:0.03-0.05,nic-degrade:1:0.5:0.07-0.08", 7));
   injector.arm(rig.system, rig.fabric);
   rig.runtime.setFaultInjector(&injector);
+  rig.route = std::make_unique<fault::HierRoute>(rig.fabric, &injector);
+  rig.runtime.setRoute(rig.route.get());
 
   constexpr std::int64_t kBytes = 50 * 256;
   const auto out = simsan::StridedRange::contiguous(0, kBytes);
