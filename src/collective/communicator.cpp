@@ -469,11 +469,9 @@ void Communicator::maybeRebuildStaging(SimTime at) {
   auto* san = system_.sanitizer();
   for (int node = 0; node < nodes; ++node) {
     // Only a node whose leadership moved onto its standby rebuilds.
-    const fault::HierStaging* standby = route_->staging(node, at);
-    if (standby == nullptr || standby->device == topo.nodeLeader(node)) {
-      continue;
-    }
-    const int elected = standby->device;
+    const fault::HierStaging* stg = route_->staging(node, at);
+    if (stg == nullptr || stg->device == topo.nodeLeader(node)) continue;
+    const int elected = stg->device;
     const auto key = std::make_pair(node, route_->failWindow(node, at));
     if (std::find(rebuilt_.begin(), rebuilt_.end(), key) != rebuilt_.end()) {
       continue;
@@ -483,7 +481,6 @@ void Communicator::maybeRebuildStaging(SimTime at) {
     }
     rebuilt_.push_back(key);
     injector_->recordStagingRebuild();
-    const auto& stg = *standby;
     if (injector_->plan().bug_rebuild_without_requiet && san != nullptr) {
       // Seeded bug: the rebuild's staging writes run under a forked,
       // never-joined rogue actor and the node-wide re-quiet (the release
@@ -494,15 +491,15 @@ void Communicator::maybeRebuildStaging(SimTime at) {
           system_.stream(elected).sanitizerActor());
       const std::string label =
           "emb_hier_rebuild.node" + std::to_string(node);
-      for (const auto& slot : stg.gather_slots) {
+      for (const auto& slot : stg->gather_slots) {
         if (slot.empty()) continue;
-        san->access(rogue, stg.device, slot, simsan::AccessKind::kWrite, at,
-                    at, label);
+        san->access(rogue, elected, slot, simsan::AccessKind::kWrite, at, at,
+                    label);
       }
-      for (const auto& slot : stg.recv_slots) {
+      for (const auto& slot : stg->recv_slots) {
         if (slot.empty()) continue;
-        san->access(rogue, stg.device, slot, simsan::AccessKind::kWrite, at,
-                    at, label);
+        san->access(rogue, elected, slot, simsan::AccessKind::kWrite, at, at,
+                    label);
       }
       continue;
     }
