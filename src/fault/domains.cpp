@@ -4,7 +4,7 @@ namespace pgasemb::fault {
 
 NodeFaultDomains::NodeFaultDomains(const std::vector<FaultSpec>& materialized,
                                    int num_nodes, int gpus_per_node)
-    : num_nodes_(num_nodes), gpus_per_node_(gpus_per_node) {
+    : gpus_per_node_(gpus_per_node) {
   for (const FaultSpec& spec : materialized) {
     if (!nodeScoped(spec.kind)) continue;
     // A node pinned beyond this topology matches nothing (sweeps re-arm

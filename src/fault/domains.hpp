@@ -37,9 +37,6 @@ class NodeFaultDomains {
   NodeFaultDomains(const std::vector<FaultSpec>& materialized, int num_nodes,
                    int gpus_per_node);
 
-  int numNodes() const { return num_nodes_; }
-  int gpusPerNode() const { return gpus_per_node_; }
-
   /// True when any node-scoped spec targets this topology (if false,
   /// every query below is the identity/no-fault answer).
   bool anyNodeScoped() const {
@@ -79,7 +76,6 @@ class NodeFaultDomains {
     return (w.node < 0 || w.node == node) && at >= w.start && at < w.end;
   }
 
-  int num_nodes_;
   int gpus_per_node_;
   std::vector<Window> leader_fail_;
   std::vector<Window> nic_fault_;  ///< nic-degrade + nic-flap windows

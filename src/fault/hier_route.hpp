@@ -63,8 +63,6 @@ class HierRoute {
 
   int numNodes() const { return nodes_; }
   int gpusPerNode() const { return gpn_; }
-  /// Node `node`'s fault-free leader: its first GPU.
-  int defaultLeader(int node) const { return node * gpn_; }
 
   /// The elected leader of `node` at `at`.
   int leader(int node, SimTime at) const {
@@ -109,6 +107,8 @@ class HierRoute {
   }
 
  private:
+  /// Node `node`'s fault-free leader: its first GPU.
+  int defaultLeader(int node) const { return node * gpn_; }
   int elect(int node, SimTime at) const;
 
   int nodes_;
