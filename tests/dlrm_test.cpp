@@ -10,12 +10,14 @@
 #include "collective/communicator.hpp"
 #include "core/collective_retriever.hpp"
 #include "core/pgas_retriever.hpp"
+#include "core/registry.hpp"
 #include "dlrm/backward.hpp"
 #include "dlrm/interaction.hpp"
 #include "dlrm/mlp.hpp"
 #include "dlrm/model.hpp"
 #include "dlrm/pipeline.hpp"
 #include "emb/workload.hpp"
+#include "engine/system_builder.hpp"
 #include "fabric/fabric.hpp"
 #include "pgas/runtime.hpp"
 #include "util/expect.hpp"
@@ -244,6 +246,99 @@ TEST(PipelineTest, MlpOverlapsWithEmb) {
   const auto result = pipeline.runBatch(dense, sparse);
   // EMB is tens of ms; MLP+interaction adds little on top.
   EXPECT_LT(result.batch_total, result.emb.total + SimTime::ms(10));
+}
+
+// --- Multi-node forward ----------------------------------------------------------
+
+// 2 nodes x 2 GPUs on the IB-like NIC with hierarchical routing: the
+// forward pass of perfbench's infer_16node, small enough for ctest.
+engine::ExperimentConfig twoNodeConfig() {
+  engine::ExperimentConfig cfg;
+  cfg.num_gpus = 4;
+  cfg.num_nodes = 2;
+  cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;
+  cfg.inter_node_link.latency = SimTime::us(5.0);
+  cfg.inter_node_link.header_bytes = 64;
+  cfg.inter_node_link.max_messages_per_sec = 10e6;
+  cfg.hierarchical_a2a = true;
+  return cfg;
+}
+
+TEST(MultiNodePipelineTest, ForwardTimesArePinned) {
+  // Simulated ps per batch, both batches, on infer_16node's layer shape
+  // and model.
+  struct Pin {
+    const char* retriever;
+    std::int64_t batch_total_ps[2];
+    std::int64_t emb_total_ps[2];
+  };
+  const Pin pins[] = {
+      {"nccl_collective",
+       {3154919803, 3154919803},
+       {2873542265, 2873542265}},
+      {"pgas_fused", {692745183, 692745183}, {411367645, 411367645}},
+      {"nccl_pipelined",
+       {2214652838, 2214652838},
+       {208000000, 2242652838}},
+  };
+  engine::ExperimentConfig cfg = twoNodeConfig();
+  cfg.layer = emb::multinodeServingLayerSpec(cfg.num_gpus);
+  DlrmConfig mc;
+  mc.dense_dim = 13;
+  mc.top_mlp = {512, 256, cfg.layer.dim};
+  mc.bottom_mlp = {512, 256, 1};
+  const auto sparse = emb::SparseBatch::statistical(cfg.layer.batchSpec());
+  Rng rng(7);
+  const auto dense =
+      DenseBatch::generateUniform(cfg.layer.batch_size, mc.dense_dim, rng);
+  for (const auto& pin : pins) {
+    engine::SystemBuilder builder(cfg);
+    auto retriever = core::RetrieverRegistry::instance().create(
+        pin.retriever, builder.context());
+    DlrmModel model(mc, builder.layer());
+    InferencePipeline pipeline(model, *retriever);
+    for (int b = 0; b < 2; ++b) {
+      const auto r = pipeline.runBatch(dense, sparse);
+      EXPECT_EQ(r.batch_total.count(), pin.batch_total_ps[b])
+          << pin.retriever << " batch " << b;
+      EXPECT_EQ(r.emb.total.count(), pin.emb_total_ps[b])
+          << pin.retriever << " batch " << b;
+    }
+  }
+}
+
+TEST(MultiNodePipelineTest, PredictionsIdenticalAcrossRetrievers) {
+  engine::ExperimentConfig cfg = twoNodeConfig();
+  cfg.mode = gpu::ExecutionMode::kFunctional;
+  cfg.device_memory_bytes = 1 << 30;
+  cfg.layer.total_tables = 8;
+  cfg.layer.rows_per_table = 5000;
+  cfg.layer.dim = 16;
+  cfg.layer.batch_size = 32;
+  cfg.layer.min_pooling = 0;
+  cfg.layer.max_pooling = 8;
+  std::vector<std::vector<std::vector<float>>> all_preds;
+  for (const char* name : {"nccl_collective", "pgas_fused"}) {
+    engine::SystemBuilder builder(cfg);
+    auto retriever =
+        core::RetrieverRegistry::instance().create(name, builder.context());
+    DlrmModel model(smallModelConfig(cfg.layer.dim), builder.layer());
+    InferencePipeline pipeline(model, *retriever);
+    Rng rng(0xfeed);
+    for (int b = 0; b < 2; ++b) {
+      const auto sparse =
+          emb::SparseBatch::generateUniform(cfg.layer.batchSpec(), rng);
+      const auto dense = DenseBatch::generateUniform(
+          cfg.layer.batch_size, model.config().dense_dim, rng);
+      pipeline.runBatch(dense, sparse);
+      all_preds.push_back(pipeline.predictions());
+    }
+  }
+  ASSERT_EQ(all_preds.size(), 4u);
+  for (std::size_t b = 0; b < 2; ++b) {
+    ASSERT_EQ(all_preds[b].size(), 4u) << "batch " << b;
+    EXPECT_EQ(all_preds[b], all_preds[2 + b]) << "batch " << b;
+  }
 }
 
 // --- Backward pass ------------------------------------------------------------
