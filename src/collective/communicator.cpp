@@ -133,14 +133,15 @@ Request Communicator::launch(
       std::function<SimTime(int, SimTime, detail::CollectiveState&)>>(
       std::move(inject));
 
-  // The CPU triggers the collective once per device (proxy enqueue).
+  // Each rank's host triggers the collective once for it (proxy enqueue).
   for (int src = 0; src < n; ++src) {
-    system_.hostAdvance(system_.costModel().collective_trigger_overhead);
+    const SimTime triggered = system_.hostAdvance(
+        src, system_.costModel().collective_trigger_overhead);
     gpu::Stream& stream = streams != nullptr
                               ? *(*streams)[static_cast<std::size_t>(src)]
                               : system_.stream(src);
     stream.enqueue(
-        system_.hostNow(), label,
+        triggered, label,
         [this, src, state, inject_fn, stream_ptr = &stream](
             SimTime start, std::function<void(SimTime)> done) {
           // Attribute this rank's transfers to this collective (injects

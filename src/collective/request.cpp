@@ -45,10 +45,10 @@ SimTime Request::wait(gpu::MultiGpuSystem& system) {
     // request.wait() edge: the host has observed the whole collective.
     san->acquire(simsan::Checker::kHost, state_.get());
   }
-  system.hostAdvance(SimTime::zero());  // no-op; keeps intent explicit
-  const SimTime host = std::max(system.hostNow(), state_->completion) +
-                       system.costModel().stream_sync_overhead;
-  system.hostAdvance(host - system.hostNow());
+  // Every node's host blocks until the collective completes, then pays
+  // one sync call.
+  system.hostWaitUntil(state_->completion);
+  system.hostAdvance(system.costModel().stream_sync_overhead);
   if (state_->on_complete) {
     auto fn = std::move(state_->on_complete);
     state_->on_complete = nullptr;

@@ -166,13 +166,15 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   // Hierarchical all-to-all: each elected leader packs its own inter-node
   // contribution into its node's gather staging before the exchange
   // (other members' contributions arrive over NVLink inside the
-  // collective itself). The route hands back the standby's staging once a
-  // leader-fail window has moved a node's leadership onto it.
+  // collective itself). The route, asked at node n's host time (n * gpn
+  // is the node's first GPU), hands back the standby's staging once a
+  // leader-fail window has moved the node's leadership onto it.
   const bool hier = route_ != nullptr && route_->staged();
   const int gpn = hier ? route_->gpusPerNode() : p;
   if (hier) {
     for (int n = 0; n < route_->numNodes(); ++n) {
-      const fault::HierStaging* stg = route_->staging(n, system.hostNow());
+      const fault::HierStaging* stg =
+          route_->staging(n, system.hostNow(n * gpn));
       const int leader = stg->device;
       std::int64_t bytes = 0;
       for (int d = 0; d < p; ++d) {
@@ -218,7 +220,8 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   // per-source-node recv staging before the ordinary unpack runs.
   if (hier) {
     for (int n = 0; n < route_->numNodes(); ++n) {
-      const fault::HierStaging* stg = route_->staging(n, system.hostNow());
+      const fault::HierStaging* stg =
+          route_->staging(n, system.hostNow(n * gpn));
       const int leader = stg->device;
       std::int64_t bytes = 0;
       for (int s = 0; s < p; ++s) {

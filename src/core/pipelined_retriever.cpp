@@ -129,17 +129,17 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
     }
     auto& stream = system.stream(g);
     if (gpu::GpuEvent* slot_free = slot_free_[static_cast<std::size_t>(g)]) {
-      stream.enqueueWaitEvent(system.hostNow(), *slot_free);
+      stream.enqueueWaitEvent(system.hostNow(g), *slot_free);
     }
     if (f != nullptr) {
       system.launchKernel(g, emb::buildCacheProbeKernel(layer_, *f, g));
     }
     system.launchKernel(g, std::move(kernel.desc));
-    stream.enqueueRecord(system.hostNow(), kernel_done(g));
+    stream.enqueueRecord(system.hostNow(g), kernel_done(g));
     // The collective (enqueued below on the comm stream) starts once
     // this GPU's lookup has produced its send buffer.
     comm_streams_[static_cast<std::size_t>(g)]->enqueueWaitEvent(
-        system.hostNow(), kernel_done(g));
+        system.hostNow(g), kernel_done(g));
     if (f != nullptr) {
       // Serve the hit bags on the compute stream while the all-to-all
       // of the misses rides the comm stream.
@@ -164,7 +164,7 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
                        san != nullptr ? &a2a_memory : nullptr);
   for (int g = 0; g < p; ++g) {
     comm_streams_[static_cast<std::size_t>(g)]->enqueueRecord(
-        system.hostNow(), a2a_done(g));
+        system.hostNow(g), a2a_done(g));
   }
 
   // Now — with this batch's lookup already on the compute streams, where
@@ -197,7 +197,7 @@ void PipelinedCollectiveRetriever::enqueuePendingUnpack() {
   Slot& slot = slots_[static_cast<std::size_t>(pending_slot_)];
   for (int g = 0; g < p; ++g) {
     system.stream(g).enqueueWaitEvent(
-        system.hostNow(),
+        system.hostNow(g),
         *events_[base + static_cast<std::size_t>(p + g)]);
     auto desc = emb::buildUnpackKernel(
         layer_, g, &slot.recv[static_cast<std::size_t>(g)],

@@ -73,10 +73,8 @@ ExperimentResult ServingRunner::run(const std::string& retriever_name) {
   window.reserve(static_cast<std::size_t>(config.serving.timeline_window));
 
   while (auto formed = batcher.nextBatch(system.hostNow())) {
-    // The host sits idle until the batch closes (arrival-bound gaps).
-    if (formed->close_time > system.hostNow()) {
-      system.hostAdvance(formed->close_time - system.hostNow());
-    }
+    // The hosts sit idle until the batch closes (arrival-bound gaps).
+    system.hostWaitUntil(formed->close_time);
     // The formed batch is the concatenation of its queries' lookups,
     // padded to the fixed batch shape with NULL inputs.
     emb::SparseBatchSpec spec = config.layer.batchSpec();

@@ -52,8 +52,14 @@ void SystemBuilder::build() {
   if (config_.simsan_strict) {
     strict_ = std::make_unique<simsan::StrictEffects>();
   }
+  const int nodes = std::max(config_.num_nodes, 1);
+  PGASEMB_CHECK(config_.num_gpus % nodes == 0,
+                "num_gpus must divide evenly across nodes");
+  const int per_node = config_.num_gpus / nodes;
   gpu::SystemConfig sys_cfg;
   sys_cfg.num_gpus = config_.num_gpus;
+  sys_cfg.num_nodes = nodes;
+  sys_cfg.node_barrier_latency = config_.inter_node_link.latency;
   sys_cfg.memory_capacity_bytes = config_.device_memory_bytes;
   sys_cfg.mode = config_.mode;
   sys_cfg.cost_model = config_.cost_model;
@@ -63,11 +69,9 @@ void SystemBuilder::build() {
 
   std::unique_ptr<fabric::Topology> topo;
   if (config_.num_nodes > 0) {
-    PGASEMB_CHECK(config_.num_gpus % config_.num_nodes == 0,
-                  "num_gpus must divide evenly across nodes");
     topo = std::make_unique<fabric::MultiNodeTopology>(
-        config_.num_nodes, config_.num_gpus / config_.num_nodes, config_.link,
-        config_.inter_node_link, config_.nic_shared_queue);
+        config_.num_nodes, per_node, config_.link, config_.inter_node_link,
+        config_.nic_shared_queue);
   } else {
     topo = std::make_unique<fabric::NvlinkAllToAllTopology>(config_.num_gpus,
                                                             config_.link);
@@ -83,8 +87,6 @@ void SystemBuilder::build() {
   if (config_.cache_rows > 0) {
     cache_ = std::make_unique<emb::ReplicaCache>(*layer_, config_.cache_rows);
   }
-  const int nodes = std::max(config_.num_nodes, 1);
-  const int per_node = config_.num_gpus / nodes;
   if (config_.compress_bound > 0.0 && nodes > 1) {
     // Per-table value range: every weight lies in [-1, 1) and a pooled
     // output sums at most max_pooling rows, so |v| < pooling (floor 1

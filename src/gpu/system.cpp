@@ -9,6 +9,16 @@ namespace pgasemb::gpu {
 MultiGpuSystem::MultiGpuSystem(const SystemConfig& config) : config_(config) {
   PGASEMB_CHECK(config.num_gpus >= 1, "need at least one GPU, got ",
                 config.num_gpus);
+  PGASEMB_CHECK(config.num_nodes >= 1 &&
+                    config.num_gpus % config.num_nodes == 0,
+                "num_gpus (", config.num_gpus,
+                ") must split evenly across num_nodes (", config.num_nodes,
+                ")");
+  gpus_per_node_ = config.num_gpus / config.num_nodes;
+  hosts_.assign(static_cast<std::size_t>(config.num_nodes), SimTime::zero());
+  for (int span = 1; span < config.num_nodes; span *= 2) {
+    node_barrier_ += config.node_barrier_latency;
+  }
   devices_.reserve(static_cast<std::size_t>(config.num_gpus));
   default_streams_.reserve(static_cast<std::size_t>(config.num_gpus));
   for (int i = 0; i < config.num_gpus; ++i) {
@@ -61,15 +71,33 @@ SimTime MultiGpuSystem::launchKernel(int id, KernelDesc desc) {
   return launchKernelOn(stream(id), std::move(desc));
 }
 
+SimTime MultiGpuSystem::hostNow() const {
+  return *std::max_element(hosts_.begin(), hosts_.end());
+}
+
+void MultiGpuSystem::hostAdvance(SimTime duration) {
+  for (auto& host : hosts_) host += duration;
+}
+
+SimTime MultiGpuSystem::hostAdvance(int gpu, SimTime duration) {
+  return hosts_[hostIndex(gpu)] += duration;
+}
+
+void MultiGpuSystem::hostWaitUntil(SimTime t) {
+  for (auto& host : hosts_) host = std::max(host, t);
+}
+
 SimTime MultiGpuSystem::launchKernelOn(Stream& stream, KernelDesc desc) {
+  const int id = stream.device().id();
+  SimTime& host = hosts_[hostIndex(id)];
   if (launch_fault_hook_) {
     // Transient launch failures: the host burns retry time before the
     // launch that finally sticks.
-    host_now_ += launch_fault_hook_(stream.device().id(), host_now_);
+    host += launch_fault_hook_(id, host);
   }
-  host_now_ += config_.cost_model.kernel_launch_overhead;
-  stream.enqueueKernel(host_now_, std::move(desc));
-  return host_now_;
+  host += config_.cost_model.kernel_launch_overhead;
+  stream.enqueueKernel(host, std::move(desc));
+  return host;
 }
 
 SimTime MultiGpuSystem::syncAll() {
@@ -85,17 +113,21 @@ SimTime MultiGpuSystem::syncAll() {
                                    s->sanitizerActor());
     }
   }
-  SimTime latest = host_now_;
-  for (const auto& s : default_streams_) {
-    latest = std::max(latest, s->lastCompletion());
+  // Each node's host waits for its own GPUs' streams, making one sync
+  // call per GPU as in the paper's Listing 2 loop.
+  const auto join = [this](Stream& s) {
+    SimTime& host = hosts_[hostIndex(s.device().id())];
+    host = std::max(host, s.lastCompletion());
+  };
+  for (const auto& s : default_streams_) join(*s);
+  for (const auto& s : extra_streams_) join(*s);
+  hostAdvance(config_.cost_model.stream_sync_overhead * gpus_per_node_);
+  if (hosts_.size() > 1) {
+    // Cross-node barrier of ceil(log2 nodes) rounds: it releases every
+    // host once the last one has arrived.
+    hostWaitUntil(hostNow() + node_barrier_);
   }
-  for (const auto& s : extra_streams_) {
-    latest = std::max(latest, s->lastCompletion());
-  }
-  // One sync call per device, as in the paper's Listing 2 loop.
-  host_now_ = latest + config_.cost_model.stream_sync_overhead *
-                           static_cast<std::int64_t>(devices_.size());
-  return host_now_;
+  return hostNow();
 }
 
 }  // namespace pgasemb::gpu

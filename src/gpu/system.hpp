@@ -1,10 +1,10 @@
-// MultiGpuSystem: the simulated single-node multi-GPU machine.
+// MultiGpuSystem: the simulated multi-GPU machine.
 //
-// Owns the simulator, the devices, one default stream per device, and the
-// host clock.  Host-side API calls (kernel launches, stream syncs) charge
-// realistic CPU overheads to the host clock — these are precisely the
-// "communication control path" costs the paper attributes to the
-// collective baseline (§III-A).
+// Owns the simulator, the devices, one default stream per device, and one
+// host clock per node.  Host-side API calls (kernel launches, stream
+// syncs) charge realistic CPU overheads to the clock of the host that
+// drives the GPU — these are precisely the "communication control path"
+// costs the paper attributes to the collective baseline (§III-A).
 #pragma once
 
 #include <memory>
@@ -20,6 +20,12 @@ namespace pgasemb::gpu {
 
 struct SystemConfig {
   int num_gpus = 4;
+  /// Nodes the GPUs split into, evenly and in order. Each node has its
+  /// own host, which drives only that node's GPUs.
+  int num_nodes = 1;
+  /// One round of the cross-node host barrier that ends syncAll() on more
+  /// than one node (the inter-node link latency).
+  SimTime node_barrier_latency = SimTime::zero();
   std::int64_t memory_capacity_bytes = 32LL * 1024 * 1024 * 1024;  // V100 32GB
   ExecutionMode mode = ExecutionMode::kTimingOnly;
   CostModel cost_model;
@@ -58,16 +64,34 @@ class MultiGpuSystem {
   /// data-parallel MLP so it time-shares with the EMB kernel).
   Stream& createStream(int id, const std::string& name);
 
-  // --- Host clock ----------------------------------------------------------
+  // --- Host clocks ---------------------------------------------------------
+  //
+  // One host (CPU) per node runs that node's launch and sync loops. The
+  // hosts run in parallel and observe each other only at syncAll()'s
+  // cross-node barrier and at a collective's wait. Host clocks only move
+  // forward. With one node this is the single host of paper Listing 2.
 
-  /// Current host (CPU) time. The host clock only moves forward.
-  SimTime hostNow() const { return host_now_; }
+  int numNodes() const { return static_cast<int>(hosts_.size()); }
 
-  /// Charge host CPU time (API call overheads, input partitioning, ...).
-  void hostAdvance(SimTime duration) { host_now_ += duration; }
+  /// The latest host time over all nodes.
+  SimTime hostNow() const;
 
-  /// Launch a kernel on device `id`'s default stream; charges the host
-  /// launch overhead and returns the host time after the call.
+  /// The time of the host that drives GPU `gpu`.
+  SimTime hostNow(int gpu) const { return hosts_[hostIndex(gpu)]; }
+
+  /// Charge host CPU time to every node's host (input partitioning, ...).
+  void hostAdvance(SimTime duration);
+
+  /// Charge host CPU time to the host that drives GPU `gpu` (per-device
+  /// API calls); returns that host's time after the call.
+  SimTime hostAdvance(int gpu, SimTime duration);
+
+  /// Block every host until `t` (a host already past it keeps its time).
+  void hostWaitUntil(SimTime t);
+
+  /// Launch a kernel on device `id`'s default stream; charges the launch
+  /// overhead to the device's host and returns that host's time after
+  /// the call.
   SimTime launchKernel(int id, KernelDesc desc);
   SimTime launchKernelOn(Stream& stream, KernelDesc desc);
 
@@ -81,7 +105,10 @@ class MultiGpuSystem {
     launch_fault_hook_ = std::move(hook);
   }
 
-  /// cudaDeviceSynchronize loop over all devices (paper Listing 2).
+  /// cudaDeviceSynchronize loop (paper Listing 2), run by every node's
+  /// host over its own GPUs; with more than one node it ends in a
+  /// cross-node host barrier after which every host reads the same time.
+  /// Returns that time.
   SimTime syncAll();
 
   /// Drain the simulator without charging host overhead (used by tests).
@@ -104,7 +131,14 @@ class MultiGpuSystem {
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<std::unique_ptr<Stream>> default_streams_;
   std::vector<std::unique_ptr<Stream>> extra_streams_;
-  SimTime host_now_ = SimTime::zero();
+  int gpus_per_node_ = 1;
+  /// ceil(log2 nodes) rounds of the node barrier latency.
+  SimTime node_barrier_ = SimTime::zero();
+  std::vector<SimTime> hosts_;  ///< one clock per node
+
+  std::size_t hostIndex(int gpu) const {
+    return static_cast<std::size_t>(gpu / gpus_per_node_);
+  }
 };
 
 }  // namespace pgasemb::gpu

@@ -69,6 +69,33 @@ TEST(CollectiveTest, TriggerOverheadChargedPerDevice) {
             rig.system.costModel().collective_trigger_overhead * 4);
 }
 
+TEST(CollectiveTest, EachNodeHostTriggersItsOwnRanks) {
+  // 2 nodes x 2 GPUs: each node's host triggers its 2 ranks, in parallel
+  // with the other node's.
+  gpu::SystemConfig cfg = Rig::makeConfig(4);
+  cfg.num_nodes = 2;
+  cfg.node_barrier_latency = SimTime::us(5);
+  gpu::MultiGpuSystem system(cfg);
+  fabric::Fabric fabric(std::make_unique<fabric::MultiNodeTopology>(
+      2, 2, fabric::LinkParams{}, fabric::LinkParams{}));
+  Communicator comm(system, fabric);
+  std::vector<std::vector<std::int64_t>> matrix(
+      4, std::vector<std::int64_t>(4, 1 << 20));
+  for (std::size_t i = 0; i < 4; ++i) matrix[i][i] = 0;
+  auto req = comm.allToAllSingle(matrix);
+  const SimTime two = system.costModel().collective_trigger_overhead * 2;
+  for (int g = 0; g < 4; ++g) {
+    EXPECT_EQ(system.hostNow(g), two) << "gpu " << g;
+  }
+  // The wait leaves every host one sync call past the completion.
+  const SimTime host = req.wait(system);
+  EXPECT_EQ(host,
+            req.completionTime() + system.costModel().stream_sync_overhead);
+  for (int g = 0; g < 4; ++g) {
+    EXPECT_EQ(system.hostNow(g), host) << "gpu " << g;
+  }
+}
+
 TEST(CollectiveTest, CommWaitsForPriorKernelOnStream) {
   Rig rig(2);
   gpu::KernelDesc k;

@@ -274,12 +274,12 @@ TEST(MultiNodePipelineTest, ForwardTimesArePinned) {
   };
   const Pin pins[] = {
       {"nccl_collective",
-       {3154919803, 3154919803},
-       {2873542265, 2873542265}},
-      {"pgas_fused", {692745183, 692745183}, {411367645, 411367645}},
+       {2783255042, 2783255042},
+       {2558877504, 2558877504}},
+      {"pgas_fused", {606745183, 606745183}, {382367645, 382367645}},
       {"nccl_pipelined",
-       {2214652838, 2214652838},
-       {208000000, 2242652838}},
+       {1935988077, 1935988077},
+       {124000000, 1949988077}},
   };
   engine::ExperimentConfig cfg = twoNodeConfig();
   cfg.layer = emb::multinodeServingLayerSpec(cfg.num_gpus);

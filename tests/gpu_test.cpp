@@ -1,6 +1,6 @@
 // Unit tests for the simulated GPU runtime: device memory accounting,
 // cost model shapes, stream FIFO semantics, kernel slicing, events, and
-// host-clock bookkeeping.
+// per-node host-clock bookkeeping.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -284,6 +284,55 @@ TEST(SystemTest, BadDeviceIdThrows) {
   MultiGpuSystem sys(smallConfig(ExecutionMode::kTimingOnly));
   EXPECT_THROW(sys.device(7), InvalidArgumentError);
   EXPECT_THROW(sys.stream(-1), InvalidArgumentError);
+}
+
+// 2 nodes x 2 GPUs: GPUs 0-1 on node 0's host, GPUs 2-3 on node 1's.
+SystemConfig twoNodeConfig() {
+  auto cfg = smallConfig(ExecutionMode::kTimingOnly, 4);
+  cfg.num_nodes = 2;
+  cfg.node_barrier_latency = SimTime::us(5);
+  return cfg;
+}
+
+TEST(SystemTest, LaunchChargesOnlyTheDevicesNodeHost) {
+  const auto cfg = twoNodeConfig();
+  MultiGpuSystem sys(cfg);
+  EXPECT_EQ(sys.numNodes(), 2);
+  KernelDesc k;
+  k.name = "k";
+  k.duration = SimTime::us(100);
+  sys.launchKernel(2, k);
+  const SimTime launch = cfg.cost_model.kernel_launch_overhead;
+  EXPECT_EQ(sys.hostNow(0), SimTime::zero());
+  EXPECT_EQ(sys.hostNow(1), SimTime::zero());
+  EXPECT_EQ(sys.hostNow(2), launch);
+  EXPECT_EQ(sys.hostNow(3), launch);
+  EXPECT_EQ(sys.hostNow(), launch);  // the later host
+}
+
+TEST(SystemTest, SyncAllRunsPerNodeThenOneBarrierRound) {
+  const auto cfg = twoNodeConfig();
+  MultiGpuSystem sys(cfg);
+  KernelDesc k;
+  k.name = "k";
+  k.duration = SimTime::us(100);
+  sys.launchKernel(0, k);
+  sys.launchKernel(2, k);
+  sys.launchKernel(3, k);
+  const SimTime t = sys.syncAll();
+  // Node 1's host issued two launches, so its last kernel ends one
+  // launch overhead after node 0's; each host then pays 2 sync calls,
+  // and ceil(log2 2) = 1 barrier round releases both.
+  const SimTime launch = cfg.cost_model.kernel_launch_overhead;
+  const SimTime sync = cfg.cost_model.stream_sync_overhead;
+  EXPECT_EQ(t, launch * 2 + SimTime::us(100) + sync * 2 + SimTime::us(5));
+  for (int g = 0; g < 4; ++g) EXPECT_EQ(sys.hostNow(g), t) << "gpu " << g;
+}
+
+TEST(SystemTest, UnevenNodeSplitThrows) {
+  auto cfg = smallConfig(ExecutionMode::kTimingOnly, 3);
+  cfg.num_nodes = 2;
+  EXPECT_THROW(MultiGpuSystem{cfg}, InvalidArgumentError);
 }
 
 // --- Device free list --------------------------------------------------------

@@ -179,8 +179,9 @@ TEST(InterNodeCodecTest, AggregateBitsFixedVersusAdaptive) {
 
 TEST(MultiNodeGoldenTest, DefaultsMatchPreHierarchicalTotals) {
   // weakScalingConfig(8), 3 batches, 2 nodes on the IB-like links: the
-  // exact totals recorded before the §12 features landed. Any drift
-  // here means the flags-off paths changed behavior.
+  // exact totals recorded before the §12 features landed (times
+  // re-recorded when each node got its own host). Any drift here means
+  // the flags-off paths changed behavior.
   struct Golden {
     const char* retriever;
     std::int64_t total_ps;
@@ -188,9 +189,9 @@ TEST(MultiNodeGoldenTest, DefaultsMatchPreHierarchicalTotals) {
     std::int64_t wire_messages;
   };
   const Golden golden[] = {
-      {"nccl_collective", 532586642634, 5637144576, 1344},
-      {"pgas_fused", 630656198034, 5637144576, 22020096},
-      {"nccl_pipelined", 424592753608, 5637144576, 1344},
+      {"nccl_collective", 531872642634, 5637144576, 1344},
+      {"pgas_fused", 630467198034, 5637144576, 22020096},
+      {"nccl_pipelined", 424529753608, 5637144576, 1344},
   };
   ExperimentConfig cfg = weakScalingConfig(8);
   cfg.num_batches = 3;
@@ -220,8 +221,9 @@ TEST(MultiNodeGoldenTest, SingleNodeReportsNoInterNodeSection) {
 // The hierarchical path, pinned: 4 nodes x 4 GPUs (sweepConfig), all
 // three retrievers, hierarchical routing alone, with the adaptive codec,
 // and under leader-fail + nic-flap faults. The numbers were recorded
-// before PGAS forwarding was regrouped per node; every simulated total,
-// byte, message, codec decision and resilience counter must stay put.
+// before PGAS forwarding was regrouped per node and re-recorded when each
+// node got its own host; every simulated total, byte, message, codec
+// decision and resilience counter must stay put.
 
 struct TrafficPin {
   const char* retriever;
@@ -249,9 +251,9 @@ ExperimentConfig hierConfig() {
 
 TEST(MultiNodeGoldenTest, HierarchicalTotalsArePinned) {
   const TrafficPin pins[] = {
-      {"nccl_collective", 7639853382, 553648128, 288, 402659328.0},
-      {"pgas_fused", 3506622650, 553648128, 1388544, 404226048.0},
-      {"nccl_pipelined", 5924868499, 553648128, 288, 402659328.0},
+      {"nccl_collective", 6709215352, 553648128, 288, 402659328.0},
+      {"pgas_fused", 2164211130, 553648128, 1388544, 404226048.0},
+      {"nccl_pipelined", 5668449452, 553648128, 288, 402659328.0},
   };
   for (const auto& pin : pins) {
     const ExperimentResult r = ScenarioRunner(hierConfig()).run(pin.retriever);
@@ -267,11 +269,11 @@ TEST(MultiNodeGoldenTest, HierarchicalAdaptiveCodecIsPinned) {
     std::int64_t raw_bytes, wire_bytes, hot_decisions, cool_decisions;
   };
   const Pin pins[] = {
-      {{"nccl_collective", 6617426510, 452985024, 288, 201449664.0},
+      {{"nccl_collective", 5686788480, 452985024, 288, 201449664.0},
        201326592, 100663488, 0, 24},
-      {{"pgas_fused", 1114874170, 400722432, 1388544, 98374656.0},
-       201326592, 48400896, 11363, 925},
-      {{"nccl_pipelined", 4902441627, 452985024, 288, 201449664.0},
+      {{"pgas_fused", 637183290, 401141760, 1388544, 99213312.0},
+       201326592, 48820224, 11272, 1016},
+      {{"nccl_pipelined", 4646022580, 452985024, 288, 201449664.0},
        201326592, 100663488, 0, 24},
   };
   ExperimentConfig cfg = hierConfig();
@@ -301,13 +303,12 @@ TEST(MultiNodeGoldenTest, HierarchicalUnderNodeFaultsIsPinned) {
         hier_fallbacks, degraded_ps, leader_failovers, staging_rebuilds;
   };
   const Pin pins[] = {
-      {{"nccl_collective", 12932016642, 482869248, 345, 916235406.625},
-       11, 9, 4718592, 0, 4718592, 9, 3458065630, 24, 7747946135, 1, 1},
-      {{"pgas_fused", 13446718010, 482021376, 1291641, 1239488960.0},
-       12, 10, 102400, 10, 102400, 0, 3100508259, 2908, 11415470934, 1,
-       0},
-      {{"nccl_pipelined", 14722491249, 407896064, 394, 1396852216.875},
-       12, 10, 5242880, 0, 5242880, 10, 4258065630, 48, 13702596040, 1, 1},
+      {{"nccl_collective", 12312205199, 483393536, 346, 922228000.875},
+       12, 10, 5242880, 0, 5242880, 10, 3708666965, 24, 7818353675, 1, 1},
+      {{"pgas_fused", 9831219298, 499744768, 1311922, 1017726912.0},
+       12, 10, 163840, 10, 163840, 0, 3082507688, 2136, 8657291902, 1, 0},
+      {{"nccl_pipelined", 10573908942, 507510784, 343, 915032856.0},
+       9, 7, 29360128, 0, 29360128, 7, 2599423040, 24, 5884242365, 1, 1},
   };
   const ExperimentConfig cfg = faultedConfig(
       4, 4, "leader-fail:1:0.0-1000000.0,nic-flap:2:0.04-1.5");
