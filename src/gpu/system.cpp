@@ -75,11 +75,17 @@ SimTime MultiGpuSystem::hostNow() const {
   return *std::max_element(hosts_.begin(), hosts_.end());
 }
 
+SimTime MultiGpuSystem::hostNow(int gpu) const {
+  PGASEMB_CHECK(gpu >= 0 && gpu < numGpus(), "bad device id ", gpu);
+  return hosts_[hostIndex(gpu)];
+}
+
 void MultiGpuSystem::hostAdvance(SimTime duration) {
   for (auto& host : hosts_) host += duration;
 }
 
 SimTime MultiGpuSystem::hostAdvance(int gpu, SimTime duration) {
+  PGASEMB_CHECK(gpu >= 0 && gpu < numGpus(), "bad device id ", gpu);
   return hosts_[hostIndex(gpu)] += duration;
 }
 

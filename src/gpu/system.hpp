@@ -71,13 +71,11 @@ class MultiGpuSystem {
   // cross-node barrier and at a collective's wait. Host clocks only move
   // forward. With one node this is the single host of paper Listing 2.
 
-  int numNodes() const { return static_cast<int>(hosts_.size()); }
-
   /// The latest host time over all nodes.
   SimTime hostNow() const;
 
   /// The time of the host that drives GPU `gpu`.
-  SimTime hostNow(int gpu) const { return hosts_[hostIndex(gpu)]; }
+  SimTime hostNow(int gpu) const;
 
   /// Charge host CPU time to every node's host (input partitioning, ...).
   void hostAdvance(SimTime duration);
