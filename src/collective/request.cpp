@@ -1,7 +1,5 @@
 #include "collective/request.hpp"
 
-#include <algorithm>
-
 #include "gpu/system.hpp"
 #include "util/expect.hpp"
 

@@ -53,8 +53,6 @@ void SystemBuilder::build() {
     strict_ = std::make_unique<simsan::StrictEffects>();
   }
   const int nodes = std::max(config_.num_nodes, 1);
-  PGASEMB_CHECK(config_.num_gpus % nodes == 0,
-                "num_gpus must divide evenly across nodes");
   const int per_node = config_.num_gpus / nodes;
   gpu::SystemConfig sys_cfg;
   sys_cfg.num_gpus = config_.num_gpus;
