@@ -122,8 +122,8 @@ class Request {
   /// Precondition: completed().
   SimTime startTime() const;
 
-  /// Block the host until complete: drains the simulator, advances the
-  /// host clock past the completion (plus the sync overhead), and runs
+  /// Block the hosts until complete: drains the simulator, advances every
+  /// node's host clock past the completion (plus one sync call), and runs
   /// the functional completion callback. Returns the new host time.
   SimTime wait(gpu::MultiGpuSystem& system);
 

@@ -4,7 +4,7 @@
 // Queries arrive on the simulated clock independent of service times
 // (open loop); the batcher forms fixed-shape batches (padding the tail
 // with NULL inputs) and the executor runs them back to back, advancing
-// the host clock through idle gaps. Per-query latency = arrival ->
+// the host clocks through idle gaps. Per-query latency = arrival ->
 // host-observed completion of the query's batch; its queueing component
 // is arrival -> batch close. The SLO fallback fires on the sliding
 // per-query p95 (BatchExecutor query mode), so retriever choice adapts
