@@ -135,7 +135,7 @@ void BM_TimingOnlyBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(retriever->runBatch(batch));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pgas ? "pgas_fused" : "nccl_baseline");
+  state.SetLabel(pgas ? "pgas_fused" : "nccl_collective");
 }
 BENCHMARK(BM_TimingOnlyBatch)->Arg(0)->Arg(1);
 

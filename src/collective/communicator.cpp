@@ -47,12 +47,11 @@ fabric::Fabric::Delivery Communicator::hierXfer(int src, int dst,
 }
 
 SimTime Communicator::xferChunked(int src, int dst, std::int64_t bytes,
-                                  SimTime& at, const ChunkingParams& chunking,
-                                  SimTime chunk_overhead) {
+                                  SimTime& at, SimTime chunk_overhead) {
   SimTime done = at;
   std::int64_t remaining = bytes;
   while (remaining > 0) {
-    const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
+    const std::int64_t chunk = std::min(remaining, kChunkBytes);
     at += chunk_overhead;  // proxy progression per chunk
     const auto d = xfer(src, dst, chunk, /*n_messages=*/1, at);
     done = std::max(done, d.delivered);
@@ -62,14 +61,12 @@ SimTime Communicator::xferChunked(int src, int dst, std::int64_t bytes,
 }
 
 SimTime Communicator::sendChunked(int from, int to, std::int64_t bytes,
-                                  SimTime& inject_at,
-                                  const ChunkingParams& chunking,
-                                  SimTime chunk_overhead,
+                                  SimTime& inject_at, SimTime chunk_overhead,
                                   double bandwidth_fraction) {
   SimTime done = inject_at;
   std::int64_t remaining = bytes;
   while (remaining > 0) {
-    const std::int64_t chunk = std::min(remaining, chunking.chunk_bytes);
+    const std::int64_t chunk = std::min(remaining, kChunkBytes);
     inject_at += chunk_overhead;  // proxy progression per chunk
     const auto d = hierXfer(from, to, chunk, /*n_messages=*/1, inject_at,
                             bandwidth_fraction);
@@ -297,8 +294,7 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
 SimTime Communicator::hierarchicalInject(
     int src, SimTime start,
     const std::vector<std::vector<std::int64_t>>& matrix,
-    const ChunkingParams& chunking, SimTime chunk_overhead,
-    detail::CollectiveState& state) {
+    SimTime chunk_overhead, detail::CollectiveState& state) {
   auto& topo = fabric_.topology();
   const int n = system_.numGpus();
   const int nodes = topo.numNodes();
@@ -327,8 +323,7 @@ SimTime Communicator::hierarchicalInject(
     if (dst == src || topo.nodeOf(dst) != my_node) continue;
     const std::int64_t bytes = row(src)[static_cast<std::size_t>(dst)];
     SimTime at = start;
-    last = std::max(
-        last, xferChunked(src, dst, bytes, at, chunking, chunk_overhead));
+    last = std::max(last, xferChunked(src, dst, bytes, at, chunk_overhead));
     inject_at = std::max(inject_at, at);
   }
   // Per-pair degraded mode (DESIGN.md §13): node pairs inside a NIC
@@ -346,8 +341,7 @@ SimTime Communicator::hierarchicalInject(
       const std::int64_t bytes = row(src)[static_cast<std::size_t>(dst)];
       SimTime at = start;
       fallback_last = std::max(
-          fallback_last,
-          xferChunked(src, dst, bytes, at, chunking, chunk_overhead));
+          fallback_last, xferChunked(src, dst, bytes, at, chunk_overhead));
       any = any || bytes > 0;
     }
     last = std::max(last, fallback_last);
@@ -380,7 +374,7 @@ SimTime Communicator::hierarchicalInject(
     SimTime delivered = inject_at;
     if (to_node > 0 && src != my_leader) {
       if (!gathered) gather_first = inject_at;
-      delivered = sendChunked(src, my_leader, to_node, inject_at, chunking,
+      delivered = sendChunked(src, my_leader, to_node, inject_at,
                               chunk_overhead, protoEff());
       gather_last = std::max(gather_last, delivered);
       gathered = true;
@@ -393,8 +387,8 @@ SimTime Communicator::hierarchicalInject(
     last = std::max(last, delivered);
     if (pair.contributions == topo.gpusPerNode() && pair.raw_bytes > 0) {
       last = std::max(last, injectInterAndScatter(my_node, dst_node, pair,
-                                                  matrix, chunking,
-                                                  chunk_overhead, state));
+                                                  matrix, chunk_overhead,
+                                                  state));
     }
   }
   // One staging-slot write record per member (the leader's own slot is
@@ -411,8 +405,7 @@ SimTime Communicator::hierarchicalInject(
 SimTime Communicator::injectInterAndScatter(
     int src_node, int dst_node, const detail::HierPair& pair,
     const std::vector<std::vector<std::int64_t>>& matrix,
-    const ChunkingParams& chunking, SimTime chunk_overhead,
-    detail::CollectiveState& state) {
+    SimTime chunk_overhead, detail::CollectiveState& state) {
   auto& topo = fabric_.topology();
   // Elected leaders run the staging endpoints; the topology defaults
   // stay the iteration bases (node membership is fixed by layout).
@@ -420,7 +413,8 @@ SimTime Communicator::injectInterAndScatter(
   const int leader_d = route_->leader(dst_node, state.launched_at);
   const int base_s = topo.nodeLeader(src_node);
   const int base_d = topo.nodeLeader(dst_node);
-  const bool log = system_.sanitizer() != nullptr && !state.actors.empty();
+  auto* san = system_.sanitizer();
+  const bool log = san != nullptr && !state.actors.empty();
   // Compress the aggregated payload for the wire (the staged buffer is
   // contiguous, so the codec sees one flow per node pair).
   const std::int64_t wire_bytes =
@@ -432,14 +426,16 @@ SimTime Communicator::injectInterAndScatter(
   // at full fraction (contrast protoEff() on the flat path).
   SimTime inject_at = pair.ready;
   const SimTime inter_done =
-      sendChunked(leader_s, leader_d, wire_bytes, inject_at, chunking,
-                  chunk_overhead, /*bandwidth_fraction=*/1.0);
+      sendChunked(leader_s, leader_d, wire_bytes, inject_at, chunk_overhead,
+                  /*bandwidth_fraction=*/1.0);
   if (log) {
     state.hier_inters.push_back({src_node, dst_node, pair.ready, inter_done});
   }
-  // Destination-side scatter over NVLink. The seeded bug fires the
-  // scatter when the inter flow is injected instead of delivered.
-  const bool buggy = bug_scatter_;
+  // Destination-side scatter over NVLink. A bug a test seeds on the
+  // checker fires the scatter when the inter flow is injected instead of
+  // delivered.
+  const bool buggy =
+      san != nullptr && san->seeded(simsan::SeededBug::kScatterBeforeInterFlow);
   const SimTime scatter_start = buggy ? pair.ready : inter_done;
   SimTime last = inter_done;
   for (int dst = base_d; dst < base_d + topo.gpusPerNode(); ++dst) {
@@ -452,8 +448,7 @@ SimTime Communicator::injectInterAndScatter(
     SimTime done = scatter_start;
     if (dst != leader_d) {
       SimTime at = scatter_start;
-      done = sendChunked(leader_d, dst, bytes, at, chunking, chunk_overhead,
-                         protoEff());
+      done = sendChunked(leader_d, dst, bytes, at, chunk_overhead, protoEff());
     }
     last = std::max(last, done);
     if (log) {
@@ -482,11 +477,12 @@ void Communicator::maybeRebuildStaging(SimTime at) {
     }
     rebuilt_.push_back(key);
     injector_->recordStagingRebuild();
-    if (injector_->plan().bug_rebuild_without_requiet && san != nullptr) {
-      // Seeded bug: the rebuild's staging writes run under a forked,
-      // never-joined rogue actor and the node-wide re-quiet (the release
-      // the members' gathers acquire) is skipped — every later access to
-      // the standby staging races the rebuild.
+    if (san != nullptr &&
+        san->seeded(simsan::SeededBug::kRebuildWithoutRequiet)) {
+      // A bug a test seeds on the checker: the rebuild's staging writes
+      // run under a forked, never-joined rogue actor and the node-wide
+      // re-quiet (the release the members' gathers acquire) is skipped —
+      // every later access to the standby staging races the rebuild.
       const auto rogue = san->forkActor(
           "node" + std::to_string(node) + ".hier_rebuild.rogue",
           system_.stream(elected).sanitizerActor());
@@ -528,7 +524,7 @@ void Communicator::maybeRebuildStaging(SimTime at) {
 
 Request Communicator::allToAllSingle(
     const std::vector<std::vector<std::int64_t>>& send_bytes,
-    std::function<void()> on_complete, const ChunkingParams& chunking,
+    std::function<void()> on_complete,
     const std::vector<gpu::Stream*>* streams,
     const CollectiveMemory* memory) {
   const int n = system_.numGpus();
@@ -538,8 +534,6 @@ Request Communicator::allToAllSingle(
     PGASEMB_CHECK(static_cast<int>(row.size()) == n,
                   "send_bytes rows must have one entry per GPU");
   }
-  PGASEMB_CHECK(chunking.chunk_bytes > 0, "chunk size must be positive");
-
   const SimTime chunk_overhead =
       system_.costModel().collective_chunk_overhead;
   auto matrix = send_bytes;  // keep alive in the closure
@@ -549,11 +543,11 @@ Request Communicator::allToAllSingle(
   if (route_ != nullptr) maybeRebuildStaging(system_.hostNow());
   return launch(
       "all_to_all_single",
-      [this, matrix, chunk_overhead, chunking](
-          int src, SimTime start, detail::CollectiveState& state) {
+      [this, matrix, chunk_overhead](int src, SimTime start,
+                                     detail::CollectiveState& state) {
         if (route_ != nullptr) {
-          return hierarchicalInject(src, start, matrix, chunking,
-                                    chunk_overhead, state);
+          return hierarchicalInject(src, start, matrix, chunk_overhead,
+                                    state);
         }
         SimTime last = start;
         for (int dst = 0; dst < system_.numGpus(); ++dst) {
@@ -563,7 +557,7 @@ Request Communicator::allToAllSingle(
               last, xferChunked(src, dst,
                                 matrix[static_cast<std::size_t>(src)]
                                       [static_cast<std::size_t>(dst)],
-                                at, chunking, chunk_overhead));
+                                at, chunk_overhead));
         }
         return last;
       },

@@ -25,13 +25,13 @@ class HierRoute;
 
 namespace pgasemb::collective {
 
-struct ChunkingParams {
-  /// NCCL-style pipeline chunk size.
-  std::int64_t chunk_bytes = 4 * 1024 * 1024;
-};
-
 class Communicator {
  public:
+  /// NCCL-style pipeline chunk size: every collective payload ships in
+  /// chunks of at most this many bytes, each injected one proxy overhead
+  /// after the previous.
+  static constexpr std::int64_t kChunkBytes = 4 * 1024 * 1024;
+
   Communicator(gpu::MultiGpuSystem& system, fabric::Fabric& fabric);
 
   int numGpus() const { return system_.numGpus(); }
@@ -58,12 +58,6 @@ class Communicator {
   /// flat. Null (the default) ships raw payloads. Not owned.
   void setCodec(fabric::InterNodeCodec* codec) { codec_ = codec; }
 
-  /// Seeded bug for simsan certification: inject the intra-node scatter
-  /// when the inter-node flow is *injected* instead of delivered, and
-  /// skip the happens-before edge — the classic scatter-before-
-  /// interflow-complete race.
-  void setScatterBug(bool enabled) { bug_scatter_ = enabled; }
-
   /// Asynchronous all-to-all: `send_bytes[src][dst]` payload bytes move
   /// from src to dst (diagonal = local, free). Equivalent of
   /// torch.distributed.all_to_all_single(async_op=True) on every rank.
@@ -77,7 +71,6 @@ class Communicator {
   Request allToAllSingle(
       const std::vector<std::vector<std::int64_t>>& send_bytes,
       std::function<void()> on_complete = nullptr,
-      const ChunkingParams& chunking = {},
       const std::vector<gpu::Stream*>* streams = nullptr,
       const CollectiveMemory* memory = nullptr);
 
@@ -113,8 +106,9 @@ class Communicator {
 
   /// simsan hook for the hierarchical path: logs the staging-buffer
   /// gather writes, aggregated inter-flow read/write, and scatter reads,
-  /// with release/acquire edges mirroring the real synchronization (the
-  /// seeded bug drops the inter-flow→scatter edge). Runs before
+  /// with release/acquire edges mirroring the real synchronization (a
+  /// seeded SeededBug::kScatterBeforeInterFlow drops the inter-flow→
+  /// scatter edge). Runs before
   /// sanitizeCompletion's retire-together barrier.
   void sanitizeHierarchical(detail::CollectiveState& state);
 
@@ -132,8 +126,7 @@ class Communicator {
   SimTime hierarchicalInject(
       int src, SimTime start,
       const std::vector<std::vector<std::int64_t>>& matrix,
-      const ChunkingParams& chunking, SimTime chunk_overhead,
-      detail::CollectiveState& state);
+      SimTime chunk_overhead, detail::CollectiveState& state);
 
   /// Inject the aggregated (src_node → dst_node) inter flow at the
   /// pair's ready time, then the destination-side scatter; returns the
@@ -141,8 +134,7 @@ class Communicator {
   SimTime injectInterAndScatter(
       int src_node, int dst_node, const detail::HierPair& pair,
       const std::vector<std::vector<std::int64_t>>& matrix,
-      const ChunkingParams& chunking, SimTime chunk_overhead,
-      detail::CollectiveState& state);
+      SimTime chunk_overhead, detail::CollectiveState& state);
 
   /// NCCL protocol efficiency applied to all collective wire traffic
   /// (staging copies, handshakes) — see CostModel.
@@ -162,7 +154,7 @@ class Communicator {
   /// first one after `at`. Advances `at` to the last injection; returns
   /// the last delivery (`at` as given when `bytes` is 0).
   SimTime xferChunked(int src, int dst, std::int64_t bytes, SimTime& at,
-                      const ChunkingParams& chunking, SimTime chunk_overhead);
+                      SimTime chunk_overhead);
 
   /// Physical hop of a hierarchical transfer: same fault handling as
   /// xfer(), but no strict charge (the logical (src, dst) transfer is
@@ -177,15 +169,14 @@ class Communicator {
   /// advancing `inject_at` by the per-chunk proxy overhead; returns the
   /// last chunk's delivery.
   SimTime sendChunked(int from, int to, std::int64_t bytes,
-                      SimTime& inject_at, const ChunkingParams& chunking,
-                      SimTime chunk_overhead, double bandwidth_fraction);
+                      SimTime& inject_at, SimTime chunk_overhead,
+                      double bandwidth_fraction);
 
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;
   fault::FaultInjector* injector_ = nullptr;
   const fault::HierRoute* route_ = nullptr;
   fabric::InterNodeCodec* codec_ = nullptr;
-  bool bug_scatter_ = false;
   /// Strict-effects attribution cursor: points at the tracker of the
   /// collective whose inject function is currently executing (the sim
   /// is single-threaded; injects run synchronously inside stream ops),

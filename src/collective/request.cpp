@@ -21,20 +21,6 @@ SimTime Request::startTime() const {
   return state_->first_start;
 }
 
-bool Request::timedOut() const {
-  PGASEMB_CHECK(valid() && state_->completed, "timedOut() before completion");
-  return state_->timed_out;
-}
-
-SimTime Request::wait(gpu::MultiGpuSystem& system, SimTime timeout) {
-  PGASEMB_CHECK(valid(), "wait() on an empty request");
-  PGASEMB_CHECK(timeout > SimTime::zero(), "wait timeout must be positive");
-  const SimTime host = wait(system);
-  state_->timed_out =
-      state_->completion - state_->first_start > timeout;
-  return host;
-}
-
 SimTime Request::wait(gpu::MultiGpuSystem& system) {
   PGASEMB_CHECK(valid(), "wait() on an empty request");
   system.simulator().run();

@@ -72,7 +72,6 @@ struct CollectiveState {
   SimTime completion = SimTime::zero();
   SimTime first_start = SimTime::max();  ///< earliest device injection
   bool completed = false;
-  bool timed_out = false;  ///< last wait() saw span > its timeout
   std::vector<std::function<void(SimTime)>> done_callbacks;
   std::function<void()> on_complete;  ///< functional data landing
 
@@ -126,18 +125,6 @@ class Request {
   /// node's host clock past the completion (plus one sync call), and runs
   /// the functional completion callback. Returns the new host time.
   SimTime wait(gpu::MultiGpuSystem& system);
-
-  /// As above, with a watchdog: if the collective's wall span
-  /// (completion − earliest injection) exceeds `timeout`, the request is
-  /// flagged `timedOut()`.  Reissue of dropped chunks happens inside the
-  /// communicator's fault path, so the collective still completes — the
-  /// flag tells the caller its SLO was blown (degradation policies key
-  /// off it).  Returns the new host time.
-  SimTime wait(gpu::MultiGpuSystem& system, SimTime timeout);
-
-  /// True when the last wait() observed a span over its timeout.
-  /// Precondition: completed().
-  bool timedOut() const;
 
  private:
   std::shared_ptr<detail::CollectiveState> state_;

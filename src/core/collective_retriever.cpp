@@ -211,7 +211,7 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   auto request = comm_.allToAllSingle(
       matrix, functional ? [this] { copyAllToAllPayload(); }
                          : std::function<void()>(),
-      {}, nullptr, san != nullptr ? &a2a_memory : nullptr);
+      nullptr, san != nullptr ? &a2a_memory : nullptr);
   const SimTime t2 = request.wait(system);
   timing.comm_phase = t2 - t1;
   timing.wire_time = request.completionTime() - request.startTime();
@@ -260,14 +260,13 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
 
 namespace {
 // Self-registration: the NCCL-collective baseline is created by name
-// through the registry ("nccl_baseline" kept as a legacy alias).
+// through the registry.
 const RetrieverRegistrar kRegistrar{
     "nccl_collective",
     [](const SystemContext& ctx) -> std::unique_ptr<EmbeddingRetriever> {
       return std::make_unique<CollectiveRetriever>(
           ctx.layer, ctx.comm, ctx.cache, ctx.route, ctx.codec);
-    },
-    /*aliases=*/{"nccl_baseline"}};
+    }};
 }  // namespace
 
 }  // namespace pgasemb::core

@@ -6,39 +6,21 @@
 
 namespace pgasemb::core {
 
-SloTracker::SloTracker(const FallbackPolicy& policy) : policy_(policy) {
+SloTracker::SloTracker(const FallbackPolicy& policy)
+    : policy_(policy), slo_(SimTime::ms(policy.slo_ms)) {
   if (!policy_.enabled()) return;
   PGASEMB_CHECK(policy_.patience >= 1, "fallback patience must be >= 1");
-  PGASEMB_CHECK(!policy_.fallback_to.empty(),
-                "fallback policy needs a target retriever");
-  if (policy_.slo_ms > 0.0) {
-    slo_ = SimTime::ms(policy_.slo_ms);
-    calibrated_ = true;
-  } else {
-    PGASEMB_CHECK(policy_.slo_factor >= 1.0,
-                  "slo_factor below 1 would flag the calibration batch");
-  }
 }
 
 bool SloTracker::record(SimTime batch_total) {
   if (!policy_.enabled() || fired_) return false;
-  if (!calibrated_) {
-    // First batch defines "healthy"; faults that start mid-run show up
-    // as multiples of it.
-    slo_ = batch_total * policy_.slo_factor;
-    calibrated_ = true;
-    return false;
-  }
-  if (batch_total > slo_) {
-    ++consecutive_over_;
-  } else {
-    consecutive_over_ = 0;
-  }
-  if (consecutive_over_ >= policy_.patience) {
-    fired_ = true;
-    return true;
-  }
-  return false;
+  return evaluate(batch_total);
+}
+
+bool SloTracker::evaluate(SimTime value) {
+  consecutive_over_ = value > slo_ ? consecutive_over_ + 1 : 0;
+  fired_ = consecutive_over_ >= policy_.patience;
+  return fired_;
 }
 
 SimTime SloTracker::windowP95() const {
@@ -67,24 +49,7 @@ bool SloTracker::recordQuery(SimTime latency) {
   const bool just_filled = !window_full_ && window_next_ == 0;
   if (just_filled) window_full_ = true;
   if (!window_full_) return false;
-  const SimTime p95 = windowP95();
-  if (!calibrated_) {
-    // The first full window defines the healthy tail; degradation that
-    // develops under load shows up as multiples of it.
-    slo_ = p95 * policy_.slo_factor;
-    calibrated_ = true;
-    return false;
-  }
-  if (p95 > slo_) {
-    ++consecutive_over_;
-  } else {
-    consecutive_over_ = 0;
-  }
-  if (consecutive_over_ >= policy_.patience) {
-    fired_ = true;
-    return true;
-  }
-  return false;
+  return evaluate(windowP95());
 }
 
 }  // namespace pgasemb::core

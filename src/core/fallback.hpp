@@ -6,37 +6,35 @@
 // hides, and quiet then stalls the whole kernel.  The collective
 // baseline, whose chunked transfers reissue independently, degrades more
 // gracefully.  FallbackPolicy + SloTracker give the engine the switch:
-// after `patience` consecutive over-SLO batches, ScenarioRunner swaps
-// the active retriever for `fallback_to` and records the event in
+// after `patience` consecutive over-SLO batches, the engine swaps the
+// active retriever for kFallbackRetriever and records the event in
 // ResilienceStats.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "util/time.hpp"
 
 namespace pgasemb::core {
 
+/// Registry name of the strategy a run degrades to: the collective
+/// baseline.
+inline constexpr const char* kFallbackRetriever = "nccl_collective";
+
 struct FallbackPolicy {
-  /// Absolute per-batch latency SLO in milliseconds; 0 = derive from the
-  /// first batch via `slo_factor`.
+  /// Absolute latency SLO in milliseconds, held against each batch total
+  /// (or each sliding-window query p95); 0 disables the policy.
   double slo_ms = 0.0;
-  /// When `slo_ms` is 0: SLO = first batch's total x this factor (the
-  /// first batch calibrates "healthy"). 0 disables the policy entirely.
-  double slo_factor = 0.0;
   /// Consecutive over-SLO batches (or over-SLO sliding-window p95
   /// evaluations in query mode) tolerated before switching.
   int patience = 3;
-  /// Registry name of the strategy to degrade to.
-  std::string fallback_to = "nccl_collective";
   /// Query mode (ServingRunner): the sliding window of most recent
   /// per-query latencies whose p95 is held against the SLO. Tail-based
   /// so one slow query cannot trip the switch — the window's p95 must
   /// stay over the SLO for `patience` consecutive queries.
   int query_window = 64;
 
-  bool enabled() const { return slo_ms > 0.0 || slo_factor > 0.0; }
+  bool enabled() const { return slo_ms > 0.0; }
 };
 
 /// Feeds per-batch totals (closed loop) or per-query latencies
@@ -52,24 +50,22 @@ class SloTracker {
   bool record(SimTime batch_total);
 
   /// Record one query's end-to-end latency. Once the sliding window of
-  /// `query_window` latencies is full, its p95 is evaluated per query;
-  /// with `slo_factor` the first full window calibrates the SLO
-  /// (p95 x factor = "healthy tail"). Returns true on the query that
-  /// exhausts the patience budget.
+  /// `query_window` latencies is full, its p95 is held against the SLO
+  /// on every query. Returns true on the query that exhausts the
+  /// patience budget.
   bool recordQuery(SimTime latency);
-
-  /// The resolved SLO (zero until calibrated when `slo_factor` derives
-  /// it from the first batch / first full query window).
-  SimTime slo() const { return slo_; }
 
   /// The current sliding window's p95 (zero until the window fills).
   SimTime windowP95() const;
 
  private:
+  /// Holds one evaluation against the SLO; true when it exhausts the
+  /// patience budget.
+  bool evaluate(SimTime value);
+
   FallbackPolicy policy_;
-  SimTime slo_ = SimTime::zero();
+  SimTime slo_;
   int consecutive_over_ = 0;
-  bool calibrated_ = false;
   bool fired_ = false;
   // Query mode: circular window of the most recent latencies.
   std::vector<SimTime> window_;

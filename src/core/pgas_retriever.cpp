@@ -101,7 +101,7 @@ BatchTiming PgasFusedRetriever::runBatch(const emb::SparseBatch& batch) {
         layer_, batch, g, &outputs_view_, options_.slices, f,
         row_wise ? nullptr : options_.codec);
     runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                               options_.counter, options_.aggregator,
+                               options_.aggregator,
                                std::move(fused.remote_writes));
     system.launchKernel(g, std::move(fused.desc));
   }

@@ -21,8 +21,6 @@ struct PgasRetrieverOptions {
   /// Kernel-timeline subdivisions for message injection; higher = finer
   /// overlap granularity (and finer Figs 7/10 traces).
   int slices = 128;
-  /// Optional in-kernel communication counter (paper §IV-A2b).
-  pgas::CommCounter* counter = nullptr;
   /// Optional async aggregator (paper §V future work / multi-node).
   const pgas::AggregatorParams* aggregator = nullptr;
   /// Optional hot-row replica cache: the fused kernel computes and puts

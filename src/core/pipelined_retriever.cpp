@@ -54,10 +54,12 @@ PipelinedCollectiveRetriever::~PipelinedCollectiveRetriever() {
 
 gpu::DeviceBuffer& PipelinedCollectiveRetriever::output(int gpu) {
   PGASEMB_CHECK(!slots_.empty(), "no slots");
-  return slots_[static_cast<std::size_t>((submitted_ > 0 ? submitted_ - 1
-                                                         : 0) %
-                                         depth_)]
-      .out[static_cast<std::size_t>(gpu)];
+  auto& out = slots_[static_cast<std::size_t>(
+                         (submitted_ > 0 ? submitted_ - 1 : 0) % depth_)]
+                  .out;
+  PGASEMB_CHECK(gpu >= 0 && gpu < static_cast<int>(out.size()),
+                "bad gpu id ", gpu);
+  return out[static_cast<std::size_t>(gpu)];
 }
 
 BatchTiming PipelinedCollectiveRetriever::runBatch(
@@ -160,7 +162,7 @@ BatchTiming PipelinedCollectiveRetriever::runBatch(
       rank.recv = wholeBuffer(slot.recv[static_cast<std::size_t>(g)]);
     }
   }
-  comm_.allToAllSingle(matrix, nullptr, {}, &comm_streams_,
+  comm_.allToAllSingle(matrix, nullptr, &comm_streams_,
                        san != nullptr ? &a2a_memory : nullptr);
   for (int g = 0; g < p; ++g) {
     comm_streams_[static_cast<std::size_t>(g)]->enqueueRecord(

@@ -25,26 +25,18 @@ RetrieverRegistry& RetrieverRegistry::instance() {
   return registry;
 }
 
-void RetrieverRegistry::add(const std::string& name, Factory factory,
-                            const std::vector<std::string>& aliases) {
+void RetrieverRegistry::add(const std::string& name, Factory factory) {
   PGASEMB_CHECK(!name.empty(), "retriever name must be non-empty");
   factories_[name] = std::move(factory);
-  for (const auto& alias : aliases) {
-    aliases_[alias] = name;
-  }
 }
 
 bool RetrieverRegistry::contains(const std::string& name) const {
-  return factories_.count(name) > 0 || aliases_.count(name) > 0;
+  return factories_.count(name) > 0;
 }
 
 std::unique_ptr<EmbeddingRetriever> RetrieverRegistry::create(
     const std::string& name, const SystemContext& ctx) const {
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    auto alias = aliases_.find(name);
-    if (alias != aliases_.end()) it = factories_.find(alias->second);
-  }
+  const auto it = factories_.find(name);
   if (it == factories_.end()) {
     std::ostringstream msg;
     msg << "unknown retriever '" << name << "'; registered:";

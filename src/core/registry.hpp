@@ -78,26 +78,23 @@ class RetrieverRegistry {
   /// The process-wide registry (builtins are registered on first use).
   static RetrieverRegistry& instance();
 
-  /// Registers `factory` under `name`; `aliases` resolve to the same
-  /// factory but are not listed by names(). Re-registering a name
-  /// replaces the previous factory (last registration wins).
-  void add(const std::string& name, Factory factory,
-           const std::vector<std::string>& aliases = {});
+  /// Registers `factory` under `name`. Re-registering a name replaces
+  /// the previous factory (last registration wins).
+  void add(const std::string& name, Factory factory);
 
   bool contains(const std::string& name) const;
 
   /// Instantiates the named strategy against `ctx`. Throws
-  /// InvalidArgumentError listing the known names if `name` (or an
-  /// alias) is not registered.
+  /// InvalidArgumentError listing the known names if `name` is not
+  /// registered.
   std::unique_ptr<EmbeddingRetriever> create(const std::string& name,
                                              const SystemContext& ctx) const;
 
-  /// Sorted canonical (non-alias) names.
+  /// Sorted registered names.
   std::vector<std::string> names() const;
 
  private:
   std::map<std::string, Factory> factories_;
-  std::map<std::string, std::string> aliases_;
 };
 
 /// Self-registration helper: a namespace-scope
@@ -109,9 +106,8 @@ class RetrieverRegistry {
 /// name them as strings.
 struct RetrieverRegistrar {
   RetrieverRegistrar(const std::string& name,
-                     RetrieverRegistry::Factory factory,
-                     const std::vector<std::string>& aliases = {}) {
-    RetrieverRegistry::instance().add(name, std::move(factory), aliases);
+                     RetrieverRegistry::Factory factory) {
+    RetrieverRegistry::instance().add(name, std::move(factory));
   }
 };
 

@@ -42,12 +42,8 @@ bool BatchExecutor::recordQueryLatency(SimTime latency) {
 
 void BatchExecutor::requestSwapIfEligible() {
   // The tracker fired (it fires exactly once); the swap only proceeds
-  // when the fallback target is a different, registered strategy.
-  const auto& fallback = builder_.config().fallback;
-  if (fallback.fallback_to != active_ &&
-      core::RetrieverRegistry::instance().contains(fallback.fallback_to)) {
-    swap_pending_ = true;
-  }
+  // when the run is not already on the fallback strategy.
+  if (active_ != core::kFallbackRetriever) swap_pending_ = true;
 }
 
 bool BatchExecutor::maybeSwap(ExperimentResult& result) {
@@ -61,7 +57,7 @@ bool BatchExecutor::maybeSwap(ExperimentResult& result) {
   result.stats.total += drain;
   result.drains.push_back({batches_run_, active_, drain});
   retriever_.reset();
-  active_ = builder_.config().fallback.fallback_to;
+  active_ = core::kFallbackRetriever;
   retriever_ = core::RetrieverRegistry::instance().create(
       active_, builder_.context());
   ++fallback_switches_;

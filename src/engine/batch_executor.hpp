@@ -43,7 +43,7 @@ class BatchExecutor {
 
   /// Performs a pending fallback swap: drain the active retriever
   /// (recorded as a DrainEntry; the drain time joins stats.total as
-  /// before), then recreate from the registry as the fallback strategy.
+  /// before), then recreate from the registry as core::kFallbackRetriever.
   /// Returns true when a swap actually happened.
   bool maybeSwap(ExperimentResult& result);
 

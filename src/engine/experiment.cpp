@@ -18,6 +18,11 @@ std::string formatArrivalPattern(ArrivalPattern pattern) {
 
 void ExperimentConfig::validate() const {
   PGASEMB_CHECK(num_batches >= 1, "need at least one batch");
+  PGASEMB_CHECK(cache_rows >= 0, "cache-rows must be >= 0 (0 = no cache)");
+  PGASEMB_CHECK(fallback.slo_ms >= 0.0,
+                "slo-ms must be >= 0 (0 = no fallback policy)");
+  PGASEMB_CHECK(!fallback.enabled() || fallback.patience >= 1,
+                "slo-patience must be >= 1 when slo-ms is set");
   PGASEMB_CHECK(compress_bound >= 0.0,
                 "compress-bound must be >= 0 (0 = off)");
   PGASEMB_CHECK(!compress_adaptive || compress_bound > 0.0,
@@ -26,8 +31,6 @@ void ExperimentConfig::validate() const {
                     sharding == emb::ShardingScheme::kTableWise,
                 "inter-node compression is table-wise only (per-table "
                 "error bounds do not compose with row-wise partial sums)");
-  PGASEMB_CHECK(!hier_bug_scatter || hierarchical_a2a,
-                "hier-bug-scatter needs hierarchical-a2a");
   for (const auto& spec : faults.specs) {
     if (!fault::nodeScoped(spec.kind)) continue;
     PGASEMB_CHECK(num_nodes > 1, "node-scoped fault '", spec.describe(),
@@ -38,9 +41,6 @@ void ExperimentConfig::validate() const {
                     "leader to elect otherwise)");
     }
   }
-  PGASEMB_CHECK(!faults.bug_rebuild_without_requiet ||
-                    hierarchical_a2a,
-                "bug-rebuild-without-requiet needs hierarchical-a2a");
   if (!serving.enabled()) {
     PGASEMB_CHECK(serving.admit_queue == 0 &&
                       serving.query_deadline_ms == 0.0 &&

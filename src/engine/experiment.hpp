@@ -112,9 +112,9 @@ struct ExperimentConfig {
   pgas::AggregatorParams aggregator;
   /// In-flight batches for the pipelined collective strategy.
   int pipeline_depth = 2;
-  /// Hot-row replica cache capacity per table per GPU (rows); 0 disables
-  /// the cache entirely (every code path identical to a cache-less
-  /// build). Table-wise sharding only.
+  /// Hot-row replica cache capacity per table per GPU (rows, >= 0); 0
+  /// disables the cache entirely (every code path identical to a
+  /// cache-less build). Table-wise sharding only.
   std::int64_t cache_rows = 0;
   /// Multi-node layout: 0 = single node (paper testbed). When > 0,
   /// `num_gpus` must be divisible by it and `inter_node_link` applies to
@@ -143,10 +143,6 @@ struct ExperimentConfig {
   /// egress contend (real NICs share DMA/PCIe resources). Off by
   /// default for parity with earlier builds.
   bool nic_shared_queue = false;
-  /// Seeded bug for simsan certification: the hierarchical intra-node
-  /// scatter is injected when the inter-node flow *starts* instead of
-  /// when it is delivered, and the happens-before edge is dropped.
-  bool hier_bug_scatter = false;
   /// Time-series bucket width for the comm-volume traces.
   SimTime counter_bucket = SimTime::us(20.0);
   /// TimingOnly fast path: coalesce a kernel's per-slice injection
@@ -170,7 +166,7 @@ struct ExperimentConfig {
   /// fault-free build.
   fault::FaultPlan faults;
   /// SLO degradation policy: when enabled, the closed-loop path swaps
-  /// the active retriever for `fallback.fallback_to` after `patience`
+  /// the active retriever for core::kFallbackRetriever after `patience`
   /// consecutive over-SLO batches; the serving path fires on the
   /// sliding-window per-query p95 instead.
   core::FallbackPolicy fallback;

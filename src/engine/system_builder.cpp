@@ -48,6 +48,7 @@ void SystemBuilder::reset() {
 void SystemBuilder::build() {
   if (config_.simsan || config_.simsan_strict) {
     sanitizer_ = std::make_unique<simsan::Checker>();
+    sanitizer_->seedBug(seeded_bug_);
   }
   if (config_.simsan_strict) {
     strict_ = std::make_unique<simsan::StrictEffects>();
@@ -105,7 +106,6 @@ void SystemBuilder::build() {
   }
   comm_->setCodec(codec_.get());
   runtime_->setCodec(codec_.get());
-  comm_->setScatterBug(config_.hier_bug_scatter);
   if (!config_.faults.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(config_.faults);
     injector_->arm(*system_, *fabric_);

@@ -15,6 +15,7 @@
 #include "core/registry.hpp"
 #include "engine/experiment.hpp"
 #include "gpu/device.hpp"
+#include "simsan/checker.hpp"
 
 namespace pgasemb {
 namespace collective {
@@ -36,7 +37,6 @@ namespace pgas {
 class PgasRuntime;
 }
 namespace simsan {
-class Checker;
 class StrictEffects;
 }
 }  // namespace pgasemb
@@ -74,6 +74,14 @@ class SystemBuilder {
   /// when ExperimentConfig::simsan is off. Invalidated by reset().
   simsan::Checker* sanitizer() { return sanitizer_.get(); }
 
+  /// Tests only: plants `bug` in the attached checker and in every one a
+  /// later reset() attaches, so a test can check that simsan catches it
+  /// by name. A run without simsan never takes a seeded path.
+  void seedBug(simsan::SeededBug bug) {
+    seeded_bug_ = bug;
+    if (sanitizer_ != nullptr) sanitizer_->seedBug(bug);
+  }
+
   /// The strict-effects recorder, or nullptr when
   /// ExperimentConfig::simsan_strict is off. Invalidated by reset().
   simsan::StrictEffects* strictEffects() { return strict_.get(); }
@@ -102,6 +110,7 @@ class SystemBuilder {
                         std::vector<fault::HierStaging>& standby);
 
   ExperimentConfig config_;
+  simsan::SeededBug seeded_bug_ = simsan::SeededBug::kNone;
   // Destroyed after the system (teardown frees report into it).
   std::unique_ptr<simsan::Checker> sanitizer_;
   std::unique_ptr<simsan::StrictEffects> strict_;

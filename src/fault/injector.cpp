@@ -14,17 +14,24 @@ namespace {
 /// most this many times before the driver "recovers" regardless (keeps a
 /// high probability spec from stalling the host forever).
 constexpr int kMaxLaunchRetriesPerCall = 8;
+
+/// Retransmission of one-sided puts and collective chunks whose flows a
+/// link flap dropped. The sender notices the missing delivery
+/// acknowledgement after kPutTimeout and re-injects; consecutive losses
+/// back off exponentially (capped), so a flow caught in a flap window
+/// re-enters the fabric shortly after the window closes.
+constexpr SimTime kPutTimeout = SimTime::us(50.0);
+constexpr double kBackoffMultiplier = 2.0;
+constexpr SimTime kMaxBackoff = SimTime::ms(1.0);
+/// Safety bound: a flow still undeliverable after this many attempts
+/// throws (a flap wider than the whole retry budget is a plan bug, not a
+/// recoverable fault).
+constexpr int kMaxAttempts = 32;
 }  // namespace
 
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
   PGASEMB_CHECK(plan_.horizon > SimTime::zero(),
                 "fault plan horizon must be positive");
-  PGASEMB_CHECK(plan_.retry.put_timeout > SimTime::zero(),
-                "retry put_timeout must be positive");
-  PGASEMB_CHECK(plan_.retry.backoff_multiplier >= 1.0,
-                "retry backoff multiplier must be >= 1");
-  PGASEMB_CHECK(plan_.retry.max_attempts >= 2,
-                "retry max_attempts must allow at least one retransmit");
 }
 
 void FaultInjector::arm(gpu::MultiGpuSystem& system, fabric::Fabric& fabric) {
@@ -41,11 +48,10 @@ void FaultInjector::arm(gpu::MultiGpuSystem& system, fabric::Fabric& fabric) {
   // Total time the retry ladder can bridge before reliableTransfer gives
   // up (sum of the capped exponential backoffs).
   SimTime retry_budget = SimTime::zero();
-  SimTime step = plan_.retry.put_timeout;
-  for (int i = 1; i < plan_.retry.max_attempts; ++i) {
+  SimTime step = kPutTimeout;
+  for (int i = 1; i < kMaxAttempts; ++i) {
     retry_budget += step;
-    step = std::min(step * plan_.retry.backoff_multiplier,
-                    plan_.retry.max_backoff);
+    step = std::min(step * kBackoffMultiplier, kMaxBackoff);
   }
 
   Rng rng(plan_.seed);
@@ -219,16 +225,14 @@ SimTime FaultInjector::launchFaultDelay(int device, SimTime host_now) {
 
 FaultInjector::PutResult FaultInjector::reliableTransfer(
     int src, int dst, std::int64_t payload_bytes, std::int64_t n_messages,
-    SimTime at, double bandwidth_fraction, bool collective,
-    const AttemptFn& on_attempt) {
+    SimTime at, double bandwidth_fraction, bool collective) {
   PGASEMB_ASSERT(fabric_ != nullptr, "FaultInjector used before arm()");
   PutResult out;
   SimTime inject = at;
-  SimTime backoff = plan_.retry.put_timeout;
+  SimTime backoff = kPutTimeout;
   for (int attempt = 1;; ++attempt) {
     const auto d = fabric_->transfer(src, dst, payload_bytes, n_messages,
                                      inject, bandwidth_fraction);
-    if (on_attempt) on_attempt(inject, d);
     if (!d.dropped) {
       out.acked = d.delivered;
       out.attempts = attempt;
@@ -241,14 +245,13 @@ FaultInjector::PutResult FaultInjector::reliableTransfer(
     ++stats_.dropped_flows;
     stats_.dropped_bytes += payload_bytes;
     ++stats_.faults_injected;
-    PGASEMB_CHECK(attempt < plan_.retry.max_attempts, "flow ", src, "->",
+    PGASEMB_CHECK(attempt < kMaxAttempts, "flow ", src, "->",
                   dst, " still undeliverable after ", attempt,
                   " attempts — flap window wider than the retry budget");
     // The sender notices the missing delivery ack after the timeout and
     // re-injects; consecutive losses back off exponentially (capped).
     inject = std::max(d.delivered, inject + backoff);
-    backoff = std::min(backoff * plan_.retry.backoff_multiplier,
-                       plan_.retry.max_backoff);
+    backoff = std::min(backoff * kBackoffMultiplier, kMaxBackoff);
     if (collective) {
       ++stats_.collective_reissues;
     } else {
@@ -260,10 +263,9 @@ FaultInjector::PutResult FaultInjector::reliableTransfer(
 
 FaultInjector::PutResult FaultInjector::reliablePut(
     int src, int dst, std::int64_t payload_bytes, std::int64_t n_messages,
-    SimTime at, const AttemptFn& on_attempt) {
+    SimTime at) {
   return reliableTransfer(src, dst, payload_bytes, n_messages, at,
-                          /*bandwidth_fraction=*/1.0, /*collective=*/false,
-                          on_attempt);
+                          /*bandwidth_fraction=*/1.0, /*collective=*/false);
 }
 
 fabric::Fabric::Delivery FaultInjector::reliableCollective(
@@ -271,7 +273,7 @@ fabric::Fabric::Delivery FaultInjector::reliableCollective(
     SimTime at, double bandwidth_fraction) {
   const PutResult r =
       reliableTransfer(src, dst, payload_bytes, n_messages, at,
-                       bandwidth_fraction, /*collective=*/true, nullptr);
+                       bandwidth_fraction, /*collective=*/true);
   return fabric::Fabric::Delivery{at, r.acked, false};
 }
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -35,8 +34,6 @@ class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan);
 
-  const FaultPlan& plan() const { return plan_; }
-
   /// Materialize the plan's windows (seeded draw for unwindowed specs)
   /// and install them on `fabric`'s links and `system`'s devices + host.
   /// Call once per assembly; the injector keeps references to both.
@@ -46,10 +43,6 @@ class FaultInjector {
   /// certify that equal seeds give equal schedules).
   const std::vector<FaultSpec>& materialized() const { return materialized_; }
 
-  /// Per-attempt observer for reliable transfers (comm counters, simsan).
-  using AttemptFn =
-      std::function<void(SimTime at, const fabric::Fabric::Delivery&)>;
-
   struct PutResult {
     SimTime acked;          ///< delivery of the final (successful) attempt
     SimTime first_loss;     ///< loss time of the first dropped attempt
@@ -58,12 +51,10 @@ class FaultInjector {
   };
 
   /// One-sided put with delivery tracking: re-injects flap-dropped flows
-  /// after the retry policy's timeout/backoff until one delivery lands.
-  /// Counts retransmits + recovery latency. `on_attempt` fires once per
-  /// injection with that attempt's delivery.
+  /// after the retry timeout/backoff until one delivery lands. Counts
+  /// retransmits + recovery latency.
   PutResult reliablePut(int src, int dst, std::int64_t payload_bytes,
-                        std::int64_t n_messages, SimTime at,
-                        const AttemptFn& on_attempt = nullptr);
+                        std::int64_t n_messages, SimTime at);
 
   /// Collective chunk transfer with bounded reissue (counted separately
   /// as collective_reissues). Returns a Delivery whose `delivered` is
@@ -98,8 +89,7 @@ class FaultInjector {
 
   PutResult reliableTransfer(int src, int dst, std::int64_t payload_bytes,
                              std::int64_t n_messages, SimTime at,
-                             double bandwidth_fraction, bool collective,
-                             const AttemptFn& on_attempt);
+                             double bandwidth_fraction, bool collective);
 
   FaultPlan plan_;
   gpu::MultiGpuSystem* system_ = nullptr;

@@ -2,12 +2,12 @@
 //
 // A FaultPlan is a list of fault specs — link degradation windows, link
 // flaps that drop in-flight flows, straggler GPUs, transient kernel
-// launch failures — plus the retry policy the resilience machinery uses
-// to recover.  Specs may carry explicit time windows; specs without one
-// get a window drawn deterministically from the plan seed when the
-// injector arms, so `--faults ... --fault-seed N` reproduces the exact
-// same perturbed run every time, and a different seed yields a different
-// fault schedule.
+// launch failures — that the resilience machinery recovers from (its
+// retry constants live in injector.cpp).  Specs may carry explicit time
+// windows; specs without one get a window drawn deterministically from
+// the plan seed when the injector arms, so `--faults ... --fault-seed N`
+// reproduces the exact same perturbed run every time, and a different
+// seed yields a different fault schedule.
 #pragma once
 
 #include <cstdint>
@@ -55,37 +55,11 @@ struct FaultSpec {
   std::string describe() const;
 };
 
-/// Retransmission policy for one-sided puts and collective chunks whose
-/// flows a link flap dropped.  The sender notices the missing delivery
-/// acknowledgement after `put_timeout` and re-injects; consecutive
-/// losses back off exponentially (capped), so a flow caught in a flap
-/// window re-enters the fabric shortly after the window closes.
-struct RetryPolicy {
-  SimTime put_timeout = SimTime::us(50.0);
-  double backoff_multiplier = 2.0;
-  SimTime max_backoff = SimTime::ms(1.0);
-  /// Safety bound: a put that is still undeliverable after this many
-  /// attempts throws (a flap wider than the whole retry budget is a
-  /// plan bug, not a recoverable fault).
-  int max_attempts = 32;
-};
-
 struct FaultPlan {
   std::vector<FaultSpec> specs;
   std::uint64_t seed = 0;
   /// Horizon the seeded window draw spreads unwindowed specs over.
   SimTime horizon = SimTime::ms(10.0);
-  RetryPolicy retry;
-  /// Testing only: seeded bug for the simsan certification tests — the
-  /// retransmit path reuses the first attempt's delivery time for quiet
-  /// and runs the re-sent put under a never-joined actor, recreating
-  /// "retransmit without re-arming quiet" so simsan can catch it.
-  bool bug_retransmit_without_quiet = false;
-  /// Testing only: seeded bug for the failover certification tests — the
-  /// standby leader's staging rebuild runs under a never-synchronized
-  /// actor instead of the stream (skipping the node-wide re-quiet), so
-  /// its write races the members' gather traffic and simsan names it.
-  bool bug_rebuild_without_requiet = false;
 
   bool empty() const { return specs.empty(); }
 

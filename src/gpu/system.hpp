@@ -109,9 +109,6 @@ class MultiGpuSystem {
   /// Returns that time.
   SimTime syncAll();
 
-  /// Drain the simulator without charging host overhead (used by tests).
-  void drain() { simulator_.run(); }
-
   /// Observer invoked at each kernel completion with
   /// (device id, kernel name, compute start, compute end, completion).
   /// Completion > compute end when an in-kernel quiet waited on remote

@@ -26,19 +26,14 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
 /// rows in place and sends their shares straight over those routes, in
 /// the order the links must see them; a forwarded share is held at the
 /// source leader until its node's message clears the floor (DESIGN.md
-/// §12). The fault injector, simsan, the comm counter, the strict put
-/// tracker, the codec and the route are branches on per-kernel
-/// constants. A coalesced launch steps each row's dedicated route over
-/// every slice instead.
+/// §12). The fault injector, simsan, the strict put tracker, the codec
+/// and the route are branches on per-kernel constants. A coalesced
+/// launch steps each row's dedicated route over every slice instead.
 class PgasRuntime::PutEmitter {
  public:
   PutEmitter(PgasRuntime& runtime, int src, MessagePlan plan,
-             CommCounter* counter,
              std::shared_ptr<simsan::StrictPutTracker> strict,
              std::vector<simsan::MemEffect> remote_writes);
-  // on_attempt_ holds this emitter's address.
-  PutEmitter(const PutEmitter&) = delete;
-  PutEmitter& operator=(const PutEmitter&) = delete;
 
   int slices() const { return plan_.slices; }
 
@@ -130,15 +125,13 @@ class PgasRuntime::PutEmitter {
   }
 
   // Common put bookkeeping once the *final* delivery time is known: quiet
-  // latches it, the comm counter records the original payload at
-  // injection time, and the simsan window spans injection -> landing
+  // latches it, and the simsan window spans injection -> landing
   // (for forwarded puts the leader staging hops are timing-only; the
   // collective retriever's staging buffers are where simsan certifies
   // the gather/scatter interleavings).
   void logPut(const SliceFlow& f, SimTime at, SimTime delivered) {
     last_delivery_ = std::max(last_delivery_, delivered);
     latched_bytes_ += f.payload_bytes;
-    if (counter_ != nullptr) counter_->record(at, f.payload_bytes);
     if (san_ != nullptr) {
       for (const auto& effect : remote_writes_) {
         if (effect.device != f.dst) continue;
@@ -158,7 +151,6 @@ class PgasRuntime::PutEmitter {
   /// only node pairs the route marks degraded fall back to direct
   /// per-flow puts (DESIGN.md §13).
   const fault::HierRoute* const route_;
-  CommCounter* const counter_;
   const std::shared_ptr<simsan::StrictPutTracker> strict_;
   const std::vector<simsan::MemEffect> remote_writes_;
   const int src_;
@@ -193,7 +185,7 @@ class PgasRuntime::PutEmitter {
   /// them reached one source leader, outside any degraded period.
   struct HeldPut {
     SliceFlow flow;
-    SimTime at;  ///< its injection, for quiet, the counter and simsan
+    SimTime at;  ///< its injection, for simsan
   };
   struct Hold {
     std::int64_t bytes = 0;  ///< payload gathered, before the codec
@@ -215,14 +207,10 @@ class PgasRuntime::PutEmitter {
 
   SimTime last_delivery_ = SimTime::zero();  ///< quiet waits for it
   simsan::ActorId side_actor_ = -1;          ///< this kernel's put engine
-  /// One delivery-tracking callback per launch: a put retargets
-  /// `attempt_payload_` instead of materializing a fresh std::function.
-  std::int64_t attempt_payload_ = 0;
-  fault::FaultInjector::AttemptFn on_attempt_;
 };
 
 PgasRuntime::PutEmitter::PutEmitter(
-    PgasRuntime& runtime, int src, MessagePlan plan, CommCounter* counter,
+    PgasRuntime& runtime, int src, MessagePlan plan,
     std::shared_ptr<simsan::StrictPutTracker> strict,
     std::vector<simsan::MemEffect> remote_writes)
     : system_(runtime.system_),
@@ -231,7 +219,6 @@ PgasRuntime::PutEmitter::PutEmitter(
       injector_(runtime.injector_),
       codec_(runtime.codec_),
       route_(runtime.route_),
-      counter_(counter),
       strict_(std::move(strict)),
       remote_writes_(std::move(remote_writes)),
       src_(src),
@@ -250,12 +237,6 @@ PgasRuntime::PutEmitter::PutEmitter(
     for (const SliceFlow& row : plan_.flows) {
       splits_.emplace_back(row, plan_.slices);
     }
-  }
-  if (injector_ != nullptr) {
-    on_attempt_ = [this](SimTime attempt_at,
-                         const fabric::Fabric::Delivery&) {
-      if (counter_ != nullptr) counter_->record(attempt_at, attempt_payload_);
-    };
   }
   const bool hier = route_ != nullptr;
   const int direct_count = hier ? gpn_ : fabric_.numGpus();
@@ -347,10 +328,10 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
     return;
   }
   // Coalescing guarantees flat routing over links no other pair uses and
-  // nothing that observes the order of flows across links (no counter,
-  // codec, simsan, injector or strict tracker). So stepping one row over
-  // every slice hands its links the same flows, in the same order and at
-  // the same times, as slice by slice: Link::occupy steps each link's
+  // nothing that observes the order of flows across links (no codec,
+  // simsan, injector or strict tracker). So stepping one row over every
+  // slice hands its links the same flows, in the same order and at the
+  // same times, as slice by slice: Link::occupy steps each link's
   // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
   std::int64_t sent_bytes = 0;
   for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
@@ -510,20 +491,19 @@ void PgasRuntime::PutEmitter::ship(int node, SimTime at) {
 }
 
 // Delivery-tracked direct put (under faults): flap-dropped attempts are
-// retransmitted after timeout + backoff at the same wire size, every
-// injection counts its original payload toward comm volume, and quiet
+// retransmitted after timeout + backoff at the same wire size, and quiet
 // waits on the *acknowledged* delivery. Returns the acked delivery time.
 SimTime PgasRuntime::PutEmitter::reliableDirect(const SliceFlow& f,
                                                 std::int64_t wire_bytes,
                                                 SimTime at) {
-  attempt_payload_ = f.payload_bytes;
-  const auto r = injector_->reliablePut(src_, f.dst, wire_bytes,
-                                        f.n_messages, at, on_attempt_);
-  const bool buggy =
-      injector_->plan().bug_retransmit_without_quiet && r.retransmitted();
-  // Seeded bug (simsan certification): quiet latches the loss time of
+  const auto r =
+      injector_->reliablePut(src_, f.dst, wire_bytes, f.n_messages, at);
+  // A bug a test seeds on the checker: quiet latches the loss time of
   // the dropped attempt instead of the acked retransmit, so kernel
   // completion no longer covers the recovered write.
+  const bool buggy =
+      r.retransmitted() && san_ != nullptr &&
+      san_->seeded(simsan::SeededBug::kRetransmitWithoutQuiet);
   last_delivery_ = std::max(last_delivery_, buggy ? r.first_loss : r.acked);
   latched_bytes_ += f.payload_bytes;
   if (san_ != nullptr) {
@@ -551,7 +531,7 @@ SimTime PgasRuntime::PutEmitter::reliableDirect(const SliceFlow& f,
 }
 
 void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
-                                    MessagePlan plan, CommCounter* counter,
+                                    MessagePlan plan,
                                     const AggregatorParams* aggregator,
                                     std::vector<simsan::MemEffect> remote_writes) {
   PGASEMB_CHECK(src >= 0 && src < system_.numGpus(), "bad source PE ", src);
@@ -570,8 +550,8 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
     strict_puts = strict->trackPuts(desc.name, remote_writes);
   }
   auto emitter =
-      emitter_pool_.make(*this, src, std::move(plan), counter,
-                         std::move(strict_puts), std::move(remote_writes));
+      emitter_pool_.make(*this, src, std::move(plan), std::move(strict_puts),
+                         std::move(remote_writes));
   desc.slices = emitter->slices();
   desc.on_slice = [emitter](int s, SimTime at) { emitter->slice(s, at); };
   desc.finalize = [emitter](SimTime compute_end) {
@@ -583,15 +563,15 @@ void PgasRuntime::attachMessagePlan(gpu::KernelDesc& desc, int src,
   // is provably result-identical to one simulator event per slice.
   // Anything that observes per-message *event order* — the simsan
   // checker, the strict put tracker, fault drop windows (via the
-  // injector or armed links), per-injection comm counters, the codec's
-  // egress history, flow observers — re-arms the per-message path; so
-  // does forwarding or a shared-resource topology, where another
-  // source's flow could interleave on the same link.
+  // injector or armed links), the codec's egress history, flow
+  // observers — re-arms the per-message path; so does forwarding or a
+  // shared-resource topology, where another source's flow could
+  // interleave on the same link.
   if (coalesce_enabled_ &&
       system_.mode() == gpu::ExecutionMode::kTimingOnly &&
       system_.sanitizer() == nullptr && system_.strictEffects() == nullptr &&
-      injector_ == nullptr && counter == nullptr && codec_ == nullptr &&
-      route_ == nullptr && fabric_.coalescingSafe()) {
+      injector_ == nullptr && codec_ == nullptr && route_ == nullptr &&
+      fabric_.coalescingSafe()) {
     desc.on_launch = [emitter](const gpu::SliceClock& clock) {
       emitter->launch(clock);
     };

@@ -17,7 +17,6 @@
 #include "gpu/kernel.hpp"
 #include "gpu/system.hpp"
 #include "pgas/aggregator.hpp"
-#include "pgas/comm_counter.hpp"
 #include "pgas/message_plan.hpp"
 #include "pgas/symmetric_heap.hpp"
 #include "simsan/access.hpp"
@@ -69,8 +68,8 @@ class PgasRuntime {
   /// crosses nodes ships InterNodeCodec::encode's wire size — per flow
   /// on direct puts (flat mode and degraded node pairs, with or without
   /// an armed injector; a retransmit re-sends the compressed size), on
-  /// each shipped leader->leader message in hierarchical mode.  Comm
-  /// counters and strict effects keep accounting the original payload
+  /// each shipped leader->leader message in hierarchical mode.  Strict
+  /// effects and put conservation keep accounting the original payload
   /// (compression is a wire-format concern, not a protocol one).  Not
   /// owned; must outlive the runtime.
   void setCodec(fabric::InterNodeCodec* codec) { codec_ = codec; }
@@ -79,15 +78,14 @@ class PgasRuntime {
   /// (--no-coalesce escape hatch). Even when enabled, a kernel's slices
   /// are only coalesced when it is provably result-identical: TimingOnly
   /// mode, no simsan checker or strict put tracker, no fault injector,
-  /// no per-injection counter, no codec, flat routing, and
+  /// no codec, flat routing, and
   /// Fabric::coalescingSafe() (dedicated pair links, no flow observer,
   /// no armed fault windows). Default on.
   void setCoalescingEnabled(bool enabled) { coalesce_enabled_ = enabled; }
 
   /// Wire `desc` so its slices emit `plan`'s flows from GPU `src` and its
   /// completion implements quiet (waits for the last delivery).  If
-  /// `counter` is non-null every injection is recorded (paper Figs 7/10).
-  /// If `aggregator` is non-null the plan is first rewritten through the
+  /// `aggregator` is non-null the plan is first rewritten through the
   /// async aggregator model. One PutEmitter per launch emits the
   /// kernel's puts over routes resolved before its first slice fires.
   ///
@@ -100,7 +98,6 @@ class PgasRuntime {
   /// wait AND the happens-before edge, exactly like skipping
   /// nvshmem_quiet on real hardware.
   void attachMessagePlan(gpu::KernelDesc& desc, int src, MessagePlan plan,
-                         CommCounter* counter = nullptr,
                          const AggregatorParams* aggregator = nullptr,
                          std::vector<simsan::MemEffect> remote_writes = {});
 

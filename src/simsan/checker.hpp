@@ -27,7 +27,8 @@
 //
 // The checker is entirely passive: nothing in the simulator behaves
 // differently when it is attached, so timings (and benchmark output) are
-// byte-identical with and without it.
+// byte-identical with and without it. The one exception is a SeededBug,
+// which only tests plant.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +80,24 @@ struct Summary {
            leaks == 0 && undeclared_effects == 0;
   }
   std::string report() const;
+};
+
+/// A synchronization bug planted in the code simsan certifies, so a test
+/// can check that the checker catches it by name. Tests seed one through
+/// engine::SystemBuilder::seedBug; each bug site asks the attached
+/// checker, so a run without simsan never takes a seeded path.
+enum class SeededBug {
+  kNone,
+  /// PGAS retransmit: quiet latches the dropped attempt's loss instead
+  /// of the acked retransmit, whose write lands under a never-joined
+  /// actor.
+  kRetransmitWithoutQuiet,
+  /// Leader failover: the standby's staging rebuild runs under a
+  /// never-synchronized actor and skips the node-wide re-quiet.
+  kRebuildWithoutRequiet,
+  /// Hierarchical all-to-all: the scatter starts when the inter-node
+  /// flow is injected instead of delivered, with no happens-before edge.
+  kScatterBeforeInterFlow,
 };
 
 class Checker {
@@ -142,6 +161,11 @@ class Checker {
               AccessKind kind, SimTime start, SimTime finish,
               const std::string& label);
 
+  // --- Seeded bugs -------------------------------------------------------
+
+  void seedBug(SeededBug bug) { seeded_bug_ = bug; }
+  bool seeded(SeededBug bug) const { return seeded_bug_ == bug; }
+
   // --- Results ------------------------------------------------------------
 
   bool clean() const {
@@ -197,6 +221,7 @@ class Checker {
   int lifetime_errors_ = 0;
   int leaks_ = 0;
   std::size_t accesses_logged_ = 0;
+  SeededBug seeded_bug_ = SeededBug::kNone;
 };
 
 }  // namespace pgasemb::simsan

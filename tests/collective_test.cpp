@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "collective/communicator.hpp"
 #include "fabric/fabric.hpp"
@@ -120,14 +121,30 @@ TEST(CollectiveTest, LargerPayloadTakesLonger) {
 }
 
 TEST(CollectiveTest, ChunkingAddsPerChunkOverhead) {
-  Rig a(2), b(2);
-  ChunkingParams coarse{64 << 20};
-  ChunkingParams fine{1 << 20};
-  auto ra = a.comm.allToAllSingle(a.uniformMatrix(32 << 20), nullptr, coarse);
-  ra.wait(a.system);
-  auto rb = b.comm.allToAllSingle(b.uniformMatrix(32 << 20), nullptr, fine);
-  rb.wait(b.system);
-  EXPECT_GT(rb.completionTime(), ra.completionTime());
+  // Payloads ship in fixed 4 MiB chunks, each injected one proxy
+  // overhead after the previous. On a link so fast that no chunk's
+  // serialization hides that overhead, one byte past the chunk boundary
+  // adds a chunk (one more message per pair) and about one overhead of
+  // wire time; one byte short of it adds neither.
+  fabric::LinkParams fast;
+  fast.bandwidth_bytes_per_sec = 1e15;
+  const auto run = [&](std::int64_t bytes) {
+    Rig rig(2, fast);
+    auto req = rig.comm.allToAllSingle(rig.uniformMatrix(bytes));
+    req.wait(rig.system);
+    return std::make_pair(req.completionTime() - req.startTime(),
+                          rig.fabric.totalMessages());
+  };
+  const std::int64_t chunk = Communicator::kChunkBytes;
+  const auto [below_wire, below_msgs] = run(chunk - 1);
+  const auto [at_wire, at_msgs] = run(chunk);
+  const auto [past_wire, past_msgs] = run(chunk + 1);
+  EXPECT_EQ(below_msgs, 2);
+  EXPECT_EQ(at_msgs, 2);
+  EXPECT_EQ(past_msgs, 4);
+  const SimTime overhead = gpu::CostModel{}.collective_chunk_overhead;
+  EXPECT_LT(at_wire - below_wire, overhead * 0.01);
+  EXPECT_GT(past_wire - at_wire, overhead * 0.9);
 }
 
 TEST(CollectiveTest, OnCompleteRunsExactlyOnceAtWait) {

@@ -32,17 +32,14 @@ TEST(RegistryTest, BuiltinsAreRegistered) {
   EXPECT_TRUE(reg.contains("nccl_collective"));
   EXPECT_TRUE(reg.contains("pgas_fused"));
   EXPECT_TRUE(reg.contains("nccl_pipelined"));
-  // Historical alias for the collective baseline.
-  EXPECT_TRUE(reg.contains("nccl_baseline"));
+  EXPECT_FALSE(reg.contains("nccl_baseline"));
   const auto names = reg.names();
-  // names() lists canonical names only, sorted.
+  // names() lists every registered name, sorted.
   EXPECT_NE(std::find(names.begin(), names.end(), "nccl_collective"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "pgas_fused"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "nccl_pipelined"),
-            names.end());
-  EXPECT_EQ(std::find(names.begin(), names.end(), "nccl_baseline"),
             names.end());
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
@@ -55,6 +52,18 @@ TEST(RegistryTest, CreateRoundTripsEveryBuiltin) {
     auto retriever = reg.create(name, builder.context());
     ASSERT_NE(retriever, nullptr) << name;
     EXPECT_EQ(retriever->name(), name);
+  }
+}
+
+TEST(RegistryTest, EveryBuiltinRejectsAnOutputGpuOutOfRange) {
+  engine::SystemBuilder builder(quickWeak(2, 1));
+  auto& reg = core::RetrieverRegistry::instance();
+  for (const auto& name : reg.names()) {
+    builder.reset();
+    auto retriever = reg.create(name, builder.context());
+    EXPECT_NO_THROW(retriever->output(1)) << name;
+    EXPECT_THROW(retriever->output(-1), InvalidArgumentError) << name;
+    EXPECT_THROW(retriever->output(2), InvalidArgumentError) << name;
   }
 }
 

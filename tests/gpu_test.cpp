@@ -125,7 +125,7 @@ TEST(StreamTest, OpsRunInFifoOrder) {
   s.enqueueFixed(SimTime::zero(), "b", SimTime::us(1), [&] {
     order.push_back(2);
   });
-  sys.drain();
+  sys.simulator().run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(s.lastCompletion(), SimTime::us(6));
 }
@@ -134,7 +134,7 @@ TEST(StreamTest, ReadyTimeDelaysStart) {
   MultiGpuSystem sys(smallConfig(ExecutionMode::kTimingOnly));
   auto& s = sys.stream(0);
   s.enqueueFixed(SimTime::us(100), "late", SimTime::us(5));
-  sys.drain();
+  sys.simulator().run();
   EXPECT_EQ(s.lastCompletion(), SimTime::us(105));
 }
 
@@ -144,7 +144,7 @@ TEST(StreamTest, KernelOccupiesComputeResource) {
   k.name = "k";
   k.duration = SimTime::us(50);
   sys.stream(0).enqueueKernel(SimTime::zero(), k);
-  sys.drain();
+  sys.simulator().run();
   EXPECT_EQ(sys.device(0).computeResource().busyTime(), SimTime::us(50));
 }
 
@@ -160,7 +160,7 @@ TEST(StreamTest, KernelSlicesFireOnSchedule) {
     slice_times.push_back(at.toUs());
   };
   sys.stream(0).enqueueKernel(SimTime::zero(), k);
-  sys.drain();
+  sys.simulator().run();
   ASSERT_EQ(slice_times.size(), 4u);
   EXPECT_DOUBLE_EQ(slice_times[0], 10.0);
   EXPECT_DOUBLE_EQ(slice_times[3], 40.0);
@@ -174,7 +174,7 @@ TEST(StreamTest, FinalizeExtendsCompletion) {
   k.finalize = [](SimTime end) { return end + SimTime::us(7); };
   auto& s = sys.stream(0);
   s.enqueueKernel(SimTime::zero(), k);
-  sys.drain();
+  sys.simulator().run();
   EXPECT_EQ(s.lastCompletion(), SimTime::us(17));
 }
 
@@ -186,7 +186,7 @@ TEST(StreamTest, FunctionalBodyRunsOnce) {
   k.duration = SimTime::us(1);
   k.functional_body = [&] { ++runs; };
   sys.stream(0).enqueueKernel(SimTime::zero(), k);
-  sys.drain();
+  sys.simulator().run();
   EXPECT_EQ(runs, 1);
 }
 
@@ -199,7 +199,7 @@ TEST(StreamTest, TwoStreamsOnOneDeviceSerializeOnCompute) {
   sys.stream(0).enqueueKernel(SimTime::zero(), k);
   k.name = "b";
   s2.enqueueKernel(SimTime::zero(), k);
-  sys.drain();
+  sys.simulator().run();
   // Second kernel had to wait for the device compute resource.
   EXPECT_EQ(std::max(sys.stream(0).lastCompletion(), s2.lastCompletion()),
             SimTime::us(60));
@@ -216,7 +216,7 @@ TEST(GpuEventTest, CrossStreamDependency) {
   s0.enqueueRecord(SimTime::zero(), ev);
   s1.enqueueWaitEvent(SimTime::zero(), ev);
   s1.enqueueFixed(SimTime::zero(), "consume", SimTime::us(5));
-  sys.drain();
+  sys.simulator().run();
   EXPECT_EQ(s1.lastCompletion(), SimTime::us(30));
 }
 

@@ -1,6 +1,5 @@
 // Unit tests for the PGAS runtime: symmetric heap, message plans,
-// in-kernel injection with quiet semantics, the communication counter,
-// and the async aggregator.
+// in-kernel injection with quiet semantics, and the async aggregator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include "fabric/fabric.hpp"
 #include "gpu/system.hpp"
 #include "pgas/aggregator.hpp"
-#include "pgas/comm_counter.hpp"
 #include "pgas/message_plan.hpp"
 #include "pgas/runtime.hpp"
 #include "util/expect.hpp"
@@ -369,19 +367,6 @@ TEST(PgasRuntimeTest, QuietIsFreeWhenCommHidden) {
                      rig.system.costModel().kernel_launch_overhead);
 }
 
-TEST(PgasRuntimeTest, CounterRecordsPaperUnits) {
-  Rig rig(2);
-  CommCounter counter(SimTime::us(50));
-  gpu::KernelDesc desc;
-  desc.name = "counted";
-  desc.duration = SimTime::ms(1);
-  auto plan = makeUniformPlan({0, 1 << 20}, 0, 16, 256);
-  rig.runtime.attachMessagePlan(desc, 0, std::move(plan), &counter);
-  rig.system.launchKernel(0, desc);
-  rig.system.syncAll();
-  EXPECT_DOUBLE_EQ(counter.totalUnits(), (1 << 20) / 256.0);
-}
-
 TEST(PgasRuntimeTest, BadSourcePeThrows) {
   Rig rig(2);
   gpu::KernelDesc desc;
@@ -469,7 +454,7 @@ TEST(AggregatorTest, AggregatedKernelFasterOnMessageRateLimitedLink) {
     desc.name = "k";
     desc.duration = SimTime::ms(1);
     auto plan = makeUniformPlan({0, 64 << 20}, 0, 64, 256);
-    rig.runtime.attachMessagePlan(desc, 0, std::move(plan), nullptr, agg);
+    rig.runtime.attachMessagePlan(desc, 0, std::move(plan), agg);
     rig.system.launchKernel(0, desc);
     rig.system.syncAll();
     return rig.system.stream(0).lastCompletion();

@@ -28,7 +28,6 @@
 #include "fault/plan.hpp"
 #include "gpu/system.hpp"
 #include "pgas/aggregator.hpp"
-#include "pgas/comm_counter.hpp"
 #include "pgas/message_plan.hpp"
 #include "pgas/runtime.hpp"
 #include "simsan/checker.hpp"
@@ -46,7 +45,6 @@ struct Shape {
   bool hierarchical = false;
   enum class Codec { kOff, kFixed, kAdaptive } codec = Codec::kOff;
   bool aggregate = false;
-  bool counter = false;
   /// A single NVLink node with every condition for coalesced launches.
   bool coalesced = false;
   /// The NIC's message-rate ceiling; without one no leader message is
@@ -61,7 +59,6 @@ struct Shape {
             : codec == Codec::kAdaptive ? " adaptive-codec"
                                         : "") +
            (aggregate ? " aggregated" : " closed-form") +
-           (counter ? " counter" : "") +
            (coalesced ? " coalesced" : " per-event") +
            (rate_ceiling ? "" : " no-rate-ceiling");
   }
@@ -95,7 +92,6 @@ struct Rig {
   PgasRuntime runtime;
   std::unique_ptr<fault::HierRoute> route;
   std::unique_ptr<fabric::InterNodeCodec> codec;
-  CommCounter counter{SimTime::us(2.0)};
   std::vector<Flow> flows;                ///< in injection order
   std::vector<std::int64_t> completions;  ///< per kernel, in launch order
   /// Reference only: leader messages that carried more than one slice.
@@ -177,13 +173,9 @@ std::int64_t rateFloor(fabric::Fabric& fabric, int a, int b) {
 /// slice read through a SliceCursor and sent with Fabric::transfer, and
 /// per remote node a plain pending list at the source leader.
 void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
-                     MessagePlan plan, bool hierarchical, bool counter) {
-  struct Held {
-    SliceFlow flow;
-    SimTime at;
-  };
+                     MessagePlan plan, bool hierarchical) {
   struct Pending {
-    std::vector<Held> puts;
+    std::vector<SliceFlow> puts;
     std::int64_t bytes = 0;
     SimTime staged = SimTime::zero();  ///< its last slice's gather
     int slices = 0;
@@ -193,7 +185,7 @@ void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
   auto pending = std::make_shared<std::vector<Pending>>(
       static_cast<std::size_t>(rig.fabric.topology().numNodes()));
   desc.slices = cursor->plan().slices;
-  desc.on_slice = [&rig, src, hierarchical, counter, cursor, last, pending](
+  desc.on_slice = [&rig, src, hierarchical, cursor, last, pending](
                       int s, SimTime at) {
     fabric::Fabric& fabric = rig.fabric;
     fabric::InterNodeCodec* codec = rig.codec.get();
@@ -202,10 +194,8 @@ void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
     const int src_node = src / gpn;
     const bool final_slice = s + 1 == cursor->plan().slices;
     const auto flows = cursor->slice(s);
-    const auto put = [&](const SliceFlow& f, SimTime injected,
-                         SimTime delivered) {
+    const auto put = [&](SimTime delivered) {
       *last = std::max(*last, delivered);
-      if (counter) rig.counter.record(injected, f.payload_bytes);
     };
     const auto encode = [&](std::int64_t payload, SimTime t) {
       const std::int64_t wire = fabric::InterNodeCodec::compressedBytes(
@@ -220,8 +210,7 @@ void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
           f.payload_bytes % 4 == 0 && f.dst / gpn != src_node) {
         wire = encode(f.payload_bytes, at);
       }
-      put(f, at,
-          fabric.transfer(src, f.dst, wire, f.n_messages, at).delivered);
+      put(fabric.transfer(src, f.dst, wire, f.n_messages, at).delivered);
     };
     if (!hierarchical || nodes == 1) {
       for (const SliceFlow& f : flows) direct(f);
@@ -247,14 +236,14 @@ void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
         msgs += f.n_messages;
       }
       if (!group.empty() && to_node == 0) {
-        for (const SliceFlow& f : group) put(f, at, at);
+        put(at);
       } else if (!group.empty()) {
         SimTime staged = at;
         if (src != leader_s) {
           staged =
               fabric.transfer(src, leader_s, to_node, msgs, at).delivered;
         }
-        for (const SliceFlow& f : group) held.puts.push_back(Held{f, at});
+        held.puts.insert(held.puts.end(), group.begin(), group.end());
         held.bytes += to_node;
         held.staged = std::max(held.staged, staged);
         ++held.slices;
@@ -279,17 +268,17 @@ void attachReference(Rig& rig, gpu::KernelDesc& desc, int src,
       for (int d = leader_d + 1; d < leader_d + gpn; ++d) {
         std::int64_t bytes = 0;
         std::int64_t n = 0;
-        for (const Held& h : held.puts) {
-          if (h.flow.dst != d) continue;
-          bytes += h.flow.payload_bytes;
-          n += h.flow.n_messages;
+        for (const SliceFlow& h : held.puts) {
+          if (h.dst != d) continue;
+          bytes += h.payload_bytes;
+          n += h.n_messages;
         }
         if (bytes + n == 0) continue;
         done[static_cast<std::size_t>(d - leader_d)] =
             fabric.transfer(leader_d, d, bytes, n, landed).delivered;
       }
-      for (const Held& h : held.puts) {
-        put(h.flow, h.at, done[static_cast<std::size_t>(h.flow.dst - leader_d)]);
+      for (const SliceFlow& h : held.puts) {
+        put(done[static_cast<std::size_t>(h.dst - leader_d)]);
       }
       if (held.slices > 1) ++rig.multi_slice_ships;
       held = Pending{};
@@ -322,7 +311,6 @@ void runEmitter(Rig& rig, const Shape& shape,
     desc.name = "fused";
     desc.duration = k.duration;
     rig.runtime.attachMessagePlan(desc, k.src, k.plan,
-                                  shape.counter ? &rig.counter : nullptr,
                                   shape.aggregate ? &agg : nullptr);
     // The fast path must engage wherever it is allowed, or the
     // coalesced trials would compare per-event emission twice.
@@ -330,7 +318,7 @@ void runEmitter(Rig& rig, const Shape& shape,
         << shape.describe();
     rig.launch(k.src, std::move(desc));
   }
-  rig.system.drain();
+  rig.system.simulator().run();
 }
 
 void runReference(Rig& rig, const Shape& shape,
@@ -342,11 +330,10 @@ void runReference(Rig& rig, const Shape& shape,
     desc.duration = k.duration;
     MessagePlan plan = k.plan;
     if (shape.aggregate) plan = aggregatePlan(plan, k.duration, agg);
-    attachReference(rig, desc, k.src, std::move(plan), shape.hierarchical,
-                    shape.counter);
+    attachReference(rig, desc, k.src, std::move(plan), shape.hierarchical);
     rig.launch(k.src, std::move(desc));
   }
-  rig.system.drain();
+  rig.system.simulator().run();
 }
 
 void expectSameSeries(const fabric::TimeSeriesCounter& got,
@@ -384,8 +371,6 @@ void expectSameRun(Rig& got, Rig& want, const std::string& what) {
                    want.fabric.injectionCounter(), what + " injected");
   expectSameSeries(got.fabric.deliveryCounter(),
                    want.fabric.deliveryCounter(), what + " delivered");
-  expectSameSeries(got.counter.series(), want.counter.series(),
-                   what + " comm counter");
   ASSERT_EQ(got.codec != nullptr, want.codec != nullptr) << what;
   if (want.codec != nullptr) {
     EXPECT_EQ(got.codec->rawBytes(), want.codec->rawBytes()) << what;
@@ -413,7 +398,6 @@ Shape randomShape(Rng& rng) {
   s.shared_nic = rng.uniformInt(0, 1) == 1;
   s.hierarchical = rng.uniformInt(0, 3) != 0;
   s.codec = static_cast<Shape::Codec>(rng.uniformInt(0, 2));
-  s.counter = rng.uniformInt(0, 2) == 0;
   s.rate_ceiling = rng.uniformInt(0, 3) != 0;
   return s;
 }
@@ -621,7 +605,7 @@ TEST(PutEmitterTest, ArmedInjectorHoldsNoMessageAcrossLeadersOrDegradedPeriods) 
   desc.duration = SimTime::us(100.0);
   rig.runtime.attachMessagePlan(
       desc, 2, makeUniformPlan({0, 0, 0, kBytes, kBytes, kBytes}, 2, 50, 256),
-      nullptr, nullptr, std::move(writes));
+      nullptr, std::move(writes));
   rig.launch(2, std::move(desc));
   const SimTime now = rig.system.syncAll();
   for (int d = 3; d < 6; ++d) {

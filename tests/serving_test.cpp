@@ -72,12 +72,10 @@ ExperimentResult legacyRun(const ExperimentConfig& config,
     }
     result.stats.add(t);
     result.per_batch.push_back(t);
-    if (slo.record(t.total) && config.fallback.fallback_to != active &&
-        core::RetrieverRegistry::instance().contains(
-            config.fallback.fallback_to)) {
+    if (slo.record(t.total) && active != core::kFallbackRetriever) {
       result.stats.total += retriever->finish();
       retriever.reset();
-      active = config.fallback.fallback_to;
+      active = core::kFallbackRetriever;
       retriever = core::RetrieverRegistry::instance().create(
           active, builder.context());
       ++fallback_switches;
@@ -221,10 +219,16 @@ TEST(GoldenParity, WithReplicaCache) {
 TEST(GoldenParity, WithFaultsAndFallback) {
   ExperimentConfig cfg = weakScalingConfig(2);
   cfg.num_batches = 6;
+  // The SLO sits just under a fault-free PGAS batch, so the fused runs
+  // trip it and both paths swap to the fallback mid-run.
+  const ExperimentResult healthy = ScenarioRunner(cfg).run("pgas_fused");
   cfg.faults = fault::FaultPlan::parse("link-degrade:0-1:0.25:0.0-5.0", 7,
                                        SimTime::ms(10.0));
-  cfg.fallback.slo_factor = 1.05;
+  cfg.fallback.slo_ms = healthy.per_batch[0].total.toMs() * 0.95;
   cfg.fallback.patience = 2;
+  const ExperimentResult fused = ScenarioRunner(cfg).run("pgas_fused");
+  ASSERT_TRUE(fused.resilience.has_value());
+  EXPECT_EQ(fused.resilience->fallback_switches, 1);
   expectGoldenParity(cfg);
 }
 
@@ -600,22 +604,6 @@ TEST(SloTrackerQuery, AbsoluteSloFiresOnSlidingWindowP95) {
   EXPECT_FALSE(tracker.recordQuery(SimTime::ms(100.0)));
 }
 
-TEST(SloTrackerQuery, FactorCalibratesFromFirstFullWindow) {
-  core::FallbackPolicy policy;
-  policy.slo_factor = 2.0;
-  policy.patience = 1;
-  policy.query_window = 4;
-  core::SloTracker tracker(policy);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(tracker.recordQuery(SimTime::ms(1.0)));
-  }
-  EXPECT_EQ(tracker.slo(), SimTime::ms(2.0));  // p95(1ms) x 2
-  // Healthy tail stays under the calibrated SLO.
-  EXPECT_FALSE(tracker.recordQuery(SimTime::ms(1.5)));
-  // A blown tail fires immediately at patience 1.
-  EXPECT_TRUE(tracker.recordQuery(SimTime::ms(10.0)));
-}
-
 TEST(SloTrackerQuery, ConsecutiveCounterResetsOnHealthyWindow) {
   core::FallbackPolicy policy;
   policy.slo_ms = 1.0;
@@ -710,6 +698,31 @@ TEST(Validation, RejectsBadConfigsAtParseTime) {
   EXPECT_NO_THROW(smallServingConfig().validate());
   EXPECT_THROW(parseArrivalPattern("sinusoidal"), Error);
   EXPECT_EQ(formatArrivalPattern(ArrivalPattern::kBursty), "bursty");
+}
+
+TEST(Validation, RejectsNegativeCacheAndSloInputsNamingTheFlag) {
+  const auto rejection = [](const ExperimentConfig& cfg) -> std::string {
+    try {
+      cfg.validate();
+    } catch (const InvalidArgumentError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  ExperimentConfig cache = weakScalingConfig(2);
+  cache.cache_rows = -5;
+  EXPECT_NE(rejection(cache).find("cache-rows"), std::string::npos);
+  ExperimentConfig slo = weakScalingConfig(2);
+  slo.fallback.slo_ms = -2.0;
+  EXPECT_NE(rejection(slo).find("slo-ms"), std::string::npos);
+  ExperimentConfig patience = weakScalingConfig(2);
+  patience.fallback.slo_ms = 5.0;
+  patience.fallback.patience = 0;
+  EXPECT_NE(rejection(patience).find("slo-patience"), std::string::npos);
+  // Patience means nothing until an SLO is set.
+  ExperimentConfig unset = weakScalingConfig(2);
+  unset.fallback.patience = 0;
+  EXPECT_NO_THROW(unset.validate());
 }
 
 // --- Partial batches (active_samples) --------------------------------------

@@ -469,7 +469,7 @@ class BrokenNoUnpackWait final : public core::EmbeddingRetriever {
       rank.send = wholeBuffer(send_[static_cast<std::size_t>(g)]);
       rank.recv = wholeBuffer(recv_[static_cast<std::size_t>(g)]);
     }
-    comm_.allToAllSingle(matrix, nullptr, {}, &comm_streams_, &mem);
+    comm_.allToAllSingle(matrix, nullptr, &comm_streams_, &mem);
 
     // BUG: the unpack must wait for the all-to-all (an a2a-done event on
     // the comm stream) before reading the receive buffer. It doesn't.
@@ -588,7 +588,7 @@ class BrokenNoQuiet final : public core::EmbeddingRetriever {
         }
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, nullptr, std::move(remote_writes));
+                                 nullptr, std::move(remote_writes));
       // BUG: strip the quiet — the kernel "completes" without waiting
       // for (or ordering against) its in-flight one-sided writes.
       fused.desc.finalize = nullptr;
@@ -695,7 +695,7 @@ class BrokenCachedNoBarrier final : public core::EmbeddingRetriever {
         }
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, nullptr, std::move(remote_writes));
+                                 nullptr, std::move(remote_writes));
       system.launchKernel(g, std::move(fused.desc));
     }
     // BUG: no system.syncAll() here — the serve overlay runs concurrent

@@ -618,7 +618,7 @@ class BrokenUnderdeclaredPut final : public core::EmbeddingRetriever {
                                  fused.desc.name + ".put"});
       }
       runtime_.attachMessagePlan(fused.desc, g, std::move(fused.plan),
-                                 nullptr, nullptr, std::move(remote_writes));
+                                 nullptr, std::move(remote_writes));
       system.launchKernel(g, std::move(fused.desc));
     }
     core::BatchTiming timing;
