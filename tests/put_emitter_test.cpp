@@ -656,5 +656,61 @@ TEST(PutEmitterTest, ArmedInjectorHoldsNoMessageAcrossLeadersOrDegradedPeriods) 
   EXPECT_GT(summary.accesses_logged, 0u);
 }
 
+TEST(PutEmitterTest, SimsanSeesEveryHeldPutFromItsInjectionToItsScatter) {
+  // 2 nodes x 2 GPUs under the IB rate ceiling: GPU 1 sends each of node
+  // 1's GPUs two 256-byte messages per slice, so its leader holds three,
+  // three and two slices per message. The host reads GPU 3's output after
+  // the launch and with no sync, so every put the engine logs on GPU 3
+  // races with that read: the checker counts one race per access call,
+  // and each line pins one put's injection and its scatter's delivery.
+  Shape shape;
+  shape.nodes = 2;
+  shape.gpus_per_node = 2;
+  shape.hierarchical = true;
+  simsan::Checker checker;
+  Rig rig(shape, &checker);
+  constexpr std::int64_t kBytes = 16 * 256;
+  const auto out = simsan::StridedRange::contiguous(0, kBytes);
+  std::vector<simsan::MemEffect> writes;
+  for (int d = 2; d < 4; ++d) {
+    checker.onAlloc(d, 0, kBytes, "out.gpu" + std::to_string(d));
+    writes.push_back({d, out, simsan::AccessKind::kRemoteWrite, "fused.put"});
+  }
+  gpu::KernelDesc desc;
+  desc.name = "fused";
+  desc.duration = SimTime::us(40.0);
+  rig.runtime.attachMessagePlan(
+      desc, 1, makeUniformPlan({0, 0, kBytes, kBytes}, 1, 8, 256), nullptr,
+      std::move(writes));
+  rig.launch(1, std::move(desc));
+  checker.access(simsan::Checker::kHost, 3, out, simsan::AccessKind::kRead,
+                 SimTime::zero(), SimTime::zero(), "host.read.gpu3");
+  rig.system.simulator().run();
+
+  // 16 puts and the read. Each race line holds one put's injection (the
+  // slices are 5 us apart) and its message's scatter delivery.
+  const simsan::Summary summary = checker.summary();
+  EXPECT_EQ(summary.accesses_logged, 17u);
+  EXPECT_EQ(summary.races, 8);
+  const char* const kPutWindows[][2] = {
+      {"12.000 us", "36.111 us"}, {"17.000 us", "36.111 us"},
+      {"22.000 us", "36.111 us"}, {"27.000 us", "51.111 us"},
+      {"32.000 us", "51.111 us"}, {"37.000 us", "51.111 us"},
+      {"42.000 us", "61.048 us"}, {"47.000 us", "61.048 us"}};
+  std::vector<std::string> want;
+  for (const auto& [at, delivered] : kPutWindows) {
+    want.push_back(
+        "device 3: read 'host.read.gpu3' by host at [0, 4096) over "
+        "[0 ps, 0 ps]  ||  remote_write 'fused.put' by gpu1.pgas_put at "
+        "[0, 4096) over [" +
+        std::string(at) + ", " + delivered + "] — no happens-before edge");
+  }
+  std::vector<std::string> lines;
+  for (const simsan::Violation& v : summary.violations) {
+    lines.push_back(v.message);
+  }
+  EXPECT_EQ(lines, want);
+}
+
 }  // namespace
 }  // namespace pgasemb::pgas
