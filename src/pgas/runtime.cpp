@@ -125,19 +125,21 @@ class PgasRuntime::PutEmitter {
   }
 
   // Common put bookkeeping once the *final* delivery time is known: quiet
-  // latches it, and the simsan window spans injection -> landing
-  // (for forwarded puts the leader staging hops are timing-only; the
-  // collective retriever's staging buffers are where simsan certifies
-  // the gather/scatter interleavings).
+  // latches it, and simsan logs the put.
   void logPut(const SliceFlow& f, SimTime at, SimTime delivered) {
     last_delivery_ = std::max(last_delivery_, delivered);
     latched_bytes_ += f.payload_bytes;
-    if (san_ != nullptr) {
-      for (const auto& effect : remote_writes_) {
-        if (effect.device != f.dst) continue;
-        san_->access(side_actor_, effect.device, effect.range, effect.kind,
-                     at, delivered, effect.label);
-      }
+    if (san_ != nullptr) logAccess(f.dst, at, delivered);
+  }
+  // simsan's window for a put to `dst` spans injection -> landing (for
+  // forwarded puts the leader staging hops are timing-only; the
+  // collective retriever's staging buffers are where simsan certifies
+  // the gather/scatter interleavings).
+  void logAccess(int dst, SimTime at, SimTime delivered) {
+    for (const auto& effect : remote_writes_) {
+      if (effect.device != dst) continue;
+      san_->access(side_actor_, effect.device, effect.range, effect.kind, at,
+                   delivered, effect.label);
     }
   }
 
@@ -182,26 +184,30 @@ class PgasRuntime::PutEmitter {
   Route gather_;  ///< src -> own node's leader
 
   /// Forwarding only: node n's gathered, not yet shipped slices. All of
-  /// them reached one source leader, outside any degraded period.
-  struct HeldPut {
-    SliceFlow flow;
-    SimTime at;  ///< its injection, for simsan
-  };
+  /// them reached one source leader, outside any degraded period. Only
+  /// slices with payload are held, so a hold without bytes is empty.
   struct Hold {
     std::int64_t bytes = 0;  ///< payload gathered, before the codec
     int leader = -1;         ///< the source leader it was gathered to
     SimTime staged;          ///< when its last slice reached that leader
-    std::vector<HeldPut> puts;
   };
   std::vector<Hold> holds_;
-  /// A ship's combined flow per destination GPU on the node, and when
-  /// its scatter delivered.
-  struct Scatter {
+  /// held_[d]: the payload and messages the hold of GPU d's node carries
+  /// to d, which one scatter delivers when the hold ships.
+  struct Held {
     std::int64_t bytes = 0;
     std::int64_t messages = 0;
-    SimTime done;
   };
-  std::vector<Scatter> scatters_;
+  std::vector<Held> held_;
+  /// With a simsan checker attached only: node n's held puts, each as
+  /// its destination and injection in hold order, and a ship's scatter
+  /// delivery per GPU of the node, so the checker logs every put.
+  struct Injection {
+    int dst;
+    SimTime at;
+  };
+  std::vector<std::vector<Injection>> injections_;
+  std::vector<SimTime> scattered_;
 
   std::int64_t& latched_bytes_;  ///< the runtime's put-conservation total
 
@@ -250,7 +256,11 @@ PgasRuntime::PutEmitter::PutEmitter(
   const auto nodes = static_cast<std::size_t>(route_->numNodes());
   gather_ = fabric_.route(src_, src_node_ * gpn_);
   holds_.resize(nodes);
-  scatters_.resize(static_cast<std::size_t>(gpn_));
+  held_.resize(nodes * static_cast<std::size_t>(gpn_));
+  if (san_ != nullptr) {
+    injections_.resize(nodes);
+    scattered_.resize(static_cast<std::size_t>(gpn_));
+  }
   node_begin_.resize(nodes + 1);
   if (closed_) {
     countNodes(plan_.flows);
@@ -355,8 +365,8 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
 
 SimTime PgasRuntime::PutEmitter::quiet(SimTime compute_end) {
   for (const Hold& hold : holds_) {
-    PGASEMB_ASSERT(hold.puts.empty(), "quiet on GPU ", src_, " with ",
-                  hold.bytes, " B still held at its node leader");
+    PGASEMB_ASSERT(hold.bytes == 0, "quiet on GPU ", src_, " with ",
+                   hold.bytes, " B still held at its node leader");
   }
   if (san_ != nullptr && side_actor_ >= 0) {
     san_->joinActor(system_.stream(src_).sanitizerActor(), side_actor_);
@@ -409,7 +419,7 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
     // domain) and goes direct, flow by flow. Every healthy pair keeps
     // the hierarchy. What the leader held from before the window ships
     // first, so no message spans a degraded period.
-    if (!hold.puts.empty()) ship(node, hold.staged);
+    if (hold.bytes != 0) ship(node, hold.staged);
     SimTime last_done = at;
     bool sent = false;
     for (const SliceFlow& f : group) {
@@ -437,7 +447,7 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
   } else if (sent) {
     // A message leaves from one leader: what the old leader held ships
     // before a slice is gathered to a re-elected one.
-    if (!hold.puts.empty() && hold.leader != leader_s) {
+    if (hold.bytes != 0 && hold.leader != leader_s) {
       ship(node, hold.staged);
     }
     const SimTime staged = hop(gather_, src_, leader_s, to_node, msgs, at);
@@ -445,10 +455,16 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
     hold.leader = leader_s;
     hold.staged = std::max(hold.staged, staged);
     for (const SliceFlow& f : group) {
-      if (!idle(f)) hold.puts.push_back(HeldPut{f, at});
+      if (idle(f)) continue;
+      Held& to = held_[static_cast<std::size_t>(f.dst)];
+      to.bytes += f.payload_bytes;
+      to.messages += f.n_messages;
+      if (san_ != nullptr) {
+        injections_[static_cast<std::size_t>(node)].push_back({f.dst, at});
+      }
     }
   }
-  if (hold.puts.empty()) return;
+  if (hold.bytes == 0) return;
   if (last) {
     ship(node, std::max(hold.staged, at));
   } else if (heldWire(hold.bytes, hold.staged) >=
@@ -466,28 +482,33 @@ void PgasRuntime::PutEmitter::ship(int node, SimTime at) {
           : codec_->encode(hold.leader, leader_d, hold.bytes, at);
   const SimTime landed = hop(route_->leaderRoute(src_node_, node),
                              hold.leader, leader_d, wire_bytes, 1, at);
+  // One combined scatter per destination GPU. Every GPU the hold
+  // carries nothing to would deliver at `landed`, which no scatter
+  // precedes, so quiet latches the last scatter's delivery.
   const int base = node * gpn_;
-  for (const HeldPut& p : hold.puts) {
-    Scatter& to = scatters_[static_cast<std::size_t>(p.flow.dst - base)];
-    to.bytes += p.flow.payload_bytes;
-    to.messages += p.flow.n_messages;
-  }
+  SimTime last = landed;
   for (int i = 0; i < gpn_; ++i) {
-    Scatter& to = scatters_[static_cast<std::size_t>(i)];
-    to.done = to.bytes + to.messages == 0
-                  ? landed
-                  : hop(route_->scatterRoute(base + i), leader_d, base + i,
-                        to.bytes, to.messages, landed);
-    to.bytes = 0;
-    to.messages = 0;
+    Held& to = held_[static_cast<std::size_t>(base + i)];
+    SimTime done = landed;
+    if (to.bytes + to.messages != 0) {
+      done = hop(route_->scatterRoute(base + i), leader_d, base + i,
+                 to.bytes, to.messages, landed);
+      last = std::max(last, done);
+      to = Held{};
+    }
+    if (san_ != nullptr) scattered_[static_cast<std::size_t>(i)] = done;
   }
-  for (const HeldPut& p : hold.puts) {
-    logPut(p.flow, p.at,
-           scatters_[static_cast<std::size_t>(p.flow.dst - base)].done);
+  last_delivery_ = std::max(last_delivery_, last);
+  latched_bytes_ += hold.bytes;
+  if (san_ != nullptr) {
+    auto& puts = injections_[static_cast<std::size_t>(node)];
+    for (const Injection& p : puts) {
+      logAccess(p.dst, p.at, scattered_[static_cast<std::size_t>(p.dst - base)]);
+    }
+    puts.clear();
   }
   hold.bytes = 0;
   hold.staged = SimTime::zero();
-  hold.puts.clear();
 }
 
 // Delivery-tracked direct put (under faults): flap-dropped attempts are
