@@ -68,6 +68,21 @@ class InterNodeCodec {
     return (elements * bits + 7) / 8 + kFlowHeaderBytes;
   }
 
+  /// The fewest payload bytes, in whole fp32 elements, whose
+  /// compressedBytes at `bits` reach `wire_bytes`: compressedBytes grows
+  /// with the payload, so a payload of whole elements reaches
+  /// `wire_bytes` exactly when it is at least this.
+  static std::int64_t minPayloadFor(std::int64_t wire_bytes, int bits) {
+    if (wire_bytes <= 0) return 0;
+    if (bits >= kIncompressibleBits) return (wire_bytes + 3) / 4 * 4;
+    // ceil(elements * bits / 8) >= packed  <=>  elements * bits >
+    // 8 * (packed - 1); one element already clears the header alone.
+    const std::int64_t packed = wire_bytes - kFlowHeaderBytes;
+    const std::int64_t elements =
+        packed <= 0 ? 1 : 8 * (packed - 1) / bits + 1;
+    return 4 * elements;
+  }
+
   /// True when GPUs `a` and `b` sit on different nodes.
   bool crossesNodes(int a, int b) const {
     return a / gpus_per_node_ != b / gpus_per_node_;
@@ -110,15 +125,22 @@ class InterNodeCodec {
       return min_bits_all_;
     }
     ++cool_decisions_;
-    return std::max(min_bits_all_, kLightBits);
+    return widestBits();
   }
 
   /// The width aggregateBits would pick, without counting a decision: a
   /// node leader asks it whether a held message would clear the NIC
   /// rate floor yet, and only the encoding it ships is a decision.
   int peekBits(int node, SimTime at) const {
-    return !adaptive_ || hot(node, at) ? min_bits_all_
-                                       : std::max(min_bits_all_, kLightBits);
+    return !adaptive_ || hot(node, at) ? min_bits_all_ : widestBits();
+  }
+
+  /// The two widths aggregateBits and peekBits pick from: the narrowest
+  /// (the widest per-table minimal width) and the widest (the light width
+  /// an adaptive codec ships off-peak; the narrowest when not adaptive).
+  int narrowestBits() const { return min_bits_all_; }
+  int widestBits() const {
+    return adaptive_ ? std::max(min_bits_all_, kLightBits) : min_bits_all_;
   }
 
   /// Quantize-dequantize one value of `table` at the table's minimal

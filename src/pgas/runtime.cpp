@@ -23,10 +23,10 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
 /// (direct per destination and the gather to the own leader; the
 /// hierarchical route holds the leader -> leader and scatter routes and
 /// each leader route's rate floor). A slice steps a closed-form plan's
-/// rows in place and sends their shares straight over those routes, in
-/// the order the links must see them; a forwarded share is held at the
-/// source leader until its node's message clears the floor (DESIGN.md
-/// §12). The fault injector, simsan, the strict put tracker, the codec
+/// rows in place, node by node when forwarding, and sends their shares
+/// straight over those routes, in the order the links must see them; a
+/// forwarded share is held at the source leader until its node's message
+/// clears the floor (DESIGN.md §12). The fault injector, simsan, the strict put tracker, the codec
 /// and the route are branches on per-kernel constants. A coalesced
 /// launch steps each row's dedicated route over every slice instead.
 class PgasRuntime::PutEmitter {
@@ -62,18 +62,30 @@ class PgasRuntime::PutEmitter {
     return {plan_.flows.data() + plan_.slice_begin[i],
             plan_.slice_begin[i + 1] - plan_.slice_begin[i]};
   }
+  /// Steps a closed-form plan's rows [begin, end) to the current slice:
+  /// each row's share lands at the row's place in the slice scratch.
+  std::span<const SliceFlow> stepRows(std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      scratch_[i] =
+          splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
+    }
+    return {scratch_.data() + begin, end - begin};
+  }
   /// Points node_begin_ at `flows` grouped by destination node.
   void countNodes(std::span<const SliceFlow> flows);
   /// Groups an explicit slice's `flows` by destination node, plan order
   /// within a node, into the runtime's slice scratch.
-  std::span<const SliceFlow> groupByNode(std::span<const SliceFlow> flows);
-  std::span<const SliceFlow> toNode(std::span<const SliceFlow> flows,
-                                    int node) const {
+  void groupByNode(std::span<const SliceFlow> flows);
+  /// The current slice's flows to `node`: a closed-form plan's rows for
+  /// the node are stepped here, an explicit slice was grouped by node.
+  std::span<const SliceFlow> toNode(int node) {
     const auto n = static_cast<std::size_t>(node);
-    return flows.subspan(node_begin_[n], node_begin_[n + 1] - node_begin_[n]);
+    if (closed_) return stepRows(node_begin_[n], node_begin_[n + 1]);
+    return {scratch_.data() + node_begin_[n],
+            node_begin_[n + 1] - node_begin_[n]};
   }
 
-  void forward(std::span<const SliceFlow> flows, SimTime at, bool last);
+  void forward(int s, SimTime at);
   void forwardToNode(int node, std::span<const SliceFlow> group, SimTime at,
                      int leader_s, bool last);
   /// Ships node `node`'s held message from its leader at `at`.
@@ -116,12 +128,21 @@ class PgasRuntime::PutEmitter {
     return injector_->reliablePut(a, b, bytes, msgs, at).acked;
   }
 
-  // The wire size a held message of `payload_bytes` would ship at `at`,
-  // without counting a codec decision.
-  std::int64_t heldWire(std::int64_t payload_bytes, SimTime at) const {
-    if (codec_ == nullptr || payload_bytes % 4 != 0) return payload_bytes;
+  struct Hold;
+  // True when `hold`'s message, shipped now, would clear its route's
+  // rate floor: its wire size (after the codec, without counting a codec
+  // decision) reaches the floor. The payload bounds at the codec's two
+  // widths settle it without asking the codec which width it would pick,
+  // except for a payload between them.
+  bool clearsFloor(const Hold& hold) const {
+    if (codec_ == nullptr || hold.bytes % 4 != 0) {
+      return hold.bytes >= hold.floor;
+    }
+    if (hold.bytes < hold.at_widest) return false;
+    if (hold.bytes >= hold.at_narrowest) return true;
     return fabric::InterNodeCodec::compressedBytes(
-        payload_bytes, codec_->peekBits(src_node_, at));
+               hold.bytes, codec_->peekBits(src_node_, hold.staged)) >=
+           hold.floor;
   }
 
   // Common put bookkeeping once the *final* delivery time is known: quiet
@@ -190,6 +211,12 @@ class PgasRuntime::PutEmitter {
     std::int64_t bytes = 0;  ///< payload gathered, before the codec
     int leader = -1;         ///< the source leader it was gathered to
     SimTime staged;          ///< when its last slice reached that leader
+    /// Fixed at attach: the wire bytes a message to the node needs to
+    /// clear its route's rate floor, and the payload that reaches them
+    /// at the codec's widest and narrowest widths.
+    std::int64_t floor = 0;
+    std::int64_t at_widest = 0;
+    std::int64_t at_narrowest = 0;
   };
   std::vector<Hold> holds_;
   /// held_[d]: the payload and messages the hold of GPU d's node carries
@@ -256,6 +283,16 @@ PgasRuntime::PutEmitter::PutEmitter(
   const auto nodes = static_cast<std::size_t>(route_->numNodes());
   gather_ = fabric_.route(src_, src_node_ * gpn_);
   holds_.resize(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    Hold& hold = holds_[n];
+    hold.floor = route_->rateFloor(src_node_, static_cast<int>(n));
+    if (codec_ != nullptr) {
+      hold.at_widest = fabric::InterNodeCodec::minPayloadFor(
+          hold.floor, codec_->widestBits());
+      hold.at_narrowest = fabric::InterNodeCodec::minPayloadFor(
+          hold.floor, codec_->narrowestBits());
+    }
+  }
   held_.resize(nodes * static_cast<std::size_t>(gpn_));
   if (san_ != nullptr) {
     injections_.resize(nodes);
@@ -278,15 +315,13 @@ void PgasRuntime::PutEmitter::countNodes(std::span<const SliceFlow> flows) {
                    node_begin_.begin());
 }
 
-std::span<const SliceFlow> PgasRuntime::PutEmitter::groupByNode(
-    std::span<const SliceFlow> flows) {
+void PgasRuntime::PutEmitter::groupByNode(std::span<const SliceFlow> flows) {
   countNodes(flows);
   std::copy(node_begin_.begin(), node_begin_.end() - 1, fill_.begin());
   scratch_.resize(flows.size());
   for (const SliceFlow& f : flows) {
     scratch_[fill_[static_cast<std::size_t>(f.dst / gpn_)]++] = f;
   }
-  return scratch_;
 }
 
 void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
@@ -300,34 +335,27 @@ void PgasRuntime::PutEmitter::slice(int s, SimTime at) {
     side_actor_ = san_->forkActor("gpu" + std::to_string(src_) + ".pgas_put",
                                   system_.stream(src_).sanitizerActor());
   }
-  // This slice's flows in plan order: a closed-form plan's rows are
-  // stepped in place, an explicit plan's slice is read where it lies.
-  std::span<const SliceFlow> flows;
-  if (closed_) {
-    scratch_.resize(splits_.size());
-    for (std::size_t i = 0; i < splits_.size(); ++i) {
-      scratch_[i] =
-          splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
+  // A closed-form plan's rows are stepped in place into the scratch, an
+  // explicit plan's slice is read where it lies.
+  if (closed_) scratch_.resize(splits_.size());
+  if (route_ == nullptr) {
+    for (const SliceFlow& f :
+         closed_ ? stepRows(0, splits_.size()) : sliceOf(s)) {
+      if (!idle(f)) direct(f, at);
     }
-    flows = scratch_;
   } else {
-    flows = sliceOf(s);
+    forward(s, at);
   }
   if (strict_ != nullptr) {
     // Strict effects total each launch's *logical* flows per destination
     // against the declared footprint (a retransmitted put re-sends the
-    // same logical flow, so attempts are not re-counted).
-    for (const SliceFlow& f : flows) {
+    // same logical flow, so attempts are not re-counted), in plan order:
+    // the scratch now holds every share of a closed-form slice.
+    for (const SliceFlow& f :
+         closed_ ? std::span<const SliceFlow>(scratch_) : sliceOf(s)) {
       if (!idle(f)) strict_->flow(f.dst, f.payload_bytes);
     }
   }
-  if (route_ == nullptr) {
-    for (const SliceFlow& f : flows) {
-      if (!idle(f)) direct(f, at);
-    }
-    return;
-  }
-  forward(closed_ ? flows : groupByNode(flows), at, next_ == plan_.slices);
 }
 
 void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
@@ -374,23 +402,23 @@ SimTime PgasRuntime::PutEmitter::quiet(SimTime compute_end) {
   return std::max(compute_end, last_delivery_);
 }
 
-// Hierarchical forwarding (DESIGN.md §12) of one slice's `flows`, which
-// are in node order; `last` is the kernel's last slice.
-void PgasRuntime::PutEmitter::forward(std::span<const SliceFlow> flows,
-                                      SimTime at, bool last) {
+// Hierarchical forwarding (DESIGN.md §12) of slice `s`, node by node.
+void PgasRuntime::PutEmitter::forward(int s, SimTime at) {
+  if (!closed_) groupByNode(sliceOf(s));
   // Intra-node flows go first, direct over NVLink and never forwarded: a
   // non-leader's flow to its own leader shares the NVLink that this
   // slice's gathers take, so it is granted before them.
-  for (const SliceFlow& f : toNode(flows, src_node_)) {
+  for (const SliceFlow& f : toNode(src_node_)) {
     if (!idle(f)) direct(f, at);
   }
   // Under a leader-fail window the route elects the next healthy GPU
   // on the node (counted as a failover).
   const int leader_s = route_->leader(src_node_, at);
-  const int nodes = static_cast<int>(node_begin_.size()) - 1;
+  const bool last = next_ == plan_.slices;
+  const int nodes = static_cast<int>(holds_.size());
   for (int node = 0; node < nodes; ++node) {
     if (node != src_node_) {
-      forwardToNode(node, toNode(flows, node), at, leader_s, last);
+      forwardToNode(node, toNode(node), at, leader_s, last);
     }
   }
 }
@@ -467,8 +495,7 @@ void PgasRuntime::PutEmitter::forwardToNode(int node,
   if (hold.bytes == 0) return;
   if (last) {
     ship(node, std::max(hold.staged, at));
-  } else if (heldWire(hold.bytes, hold.staged) >=
-             route_->rateFloor(src_node_, node)) {
+  } else if (clearsFloor(hold)) {
     ship(node, hold.staged);
   }
 }
