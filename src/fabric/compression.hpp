@@ -88,19 +88,23 @@ class InterNodeCodec {
     return a / gpus_per_node_ != b / gpus_per_node_;
   }
 
-  /// The one encoding entry point: a flow of `payload_bytes` from GPU
-  /// `src` to GPU `dst` leaving at `at` ships compressed when it crosses
-  /// nodes, and its width decision, raw and wire bytes and the source
-  /// node's egress are recorded. Returns the wire size. Same-node pairs,
-  /// empty payloads and sizes that are not whole fp32 arrays pass
-  /// through untouched.
+  /// The encoding entry point for a flow of `payload_bytes` from GPU
+  /// `src` to GPU `dst` leaving at `at`: it ships compressed when it
+  /// crosses nodes (encodeEgress), and same-node pairs pass through
+  /// untouched. Returns the wire size.
   std::int64_t encode(int src, int dst, std::int64_t payload_bytes,
                       SimTime at) {
-    if (!crossesNodes(src, dst) || payload_bytes <= 0 ||
-        payload_bytes % 4 != 0) {
-      return payload_bytes;
-    }
-    const int node = src / gpus_per_node_;
+    if (!crossesNodes(src, dst)) return payload_bytes;
+    return encodeEgress(src / gpus_per_node_, payload_bytes, at);
+  }
+
+  /// Encodes a flow known to leave node `node` at `at`: its width
+  /// decision, raw and wire bytes and the node's egress are recorded.
+  /// Returns the wire size. Empty payloads and sizes that are not whole
+  /// fp32 arrays pass through untouched.
+  std::int64_t encodeEgress(int node, std::int64_t payload_bytes,
+                            SimTime at) {
+    if (payload_bytes <= 0 || payload_bytes % 4 != 0) return payload_bytes;
     const std::int64_t wire_bytes =
         compressedBytes(payload_bytes, aggregateBits(node, at));
     recordFlow(payload_bytes, wire_bytes);

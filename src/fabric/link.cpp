@@ -48,6 +48,7 @@ void Link::addFaultWindow(const LinkFaultWindow& window) {
   PGASEMB_CHECK(window.extra_latency >= SimTime::zero(),
                 "link fault extra latency must be >= 0");
   fault_windows_.push_back(window);
+  has_fault_windows_ = true;
 }
 
 double Link::bandwidthFactorAt(SimTime at) const {

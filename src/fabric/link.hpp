@@ -66,7 +66,7 @@ class alignas(64) Link {
     total_payload_bytes_ += payload_bytes;
     total_messages_ += n_messages;
     double fraction = bandwidth_fraction;
-    if (!fault_windows_.empty()) {
+    if (has_fault_windows_) {
       // Sample the degradation at the time the flow actually reaches the
       // wire (deterministic: FIFO order fixes it).
       const double factor = bandwidthFactorAt(wire_->nextFreeTime(at));
@@ -113,7 +113,7 @@ class alignas(64) Link {
   /// Install a degradation/flap window. Windows survive reset() (they
   /// describe the scenario, not run state).
   void addFaultWindow(const LinkFaultWindow& window);
-  bool hasFaultWindows() const { return !fault_windows_.empty(); }
+  bool hasFaultWindows() const { return has_fault_windows_; }
 
   /// Achieved-bandwidth multiplier at `at` (min over overlapping
   /// degradation windows; 1.0 outside every window).
@@ -134,9 +134,11 @@ class alignas(64) Link {
   void reset();
 
  private:
-  // What occupy() touches on every flow leads the object, so a hop reads
-  // as few cache lines as it can: the memo, the totals, the queue
-  // pointer, the parameters, the fault windows and the private queue.
+  // What a hop touches on every flow leads the object and fills its first
+  // two cache lines: the memo, the totals and the queue pointer, then the
+  // wire-equivalent total, the parameters, whether any fault window is
+  // installed, and the private queue's state (FifoResource leads with
+  // it). The windows themselves and the names follow.
   /// The last flow shape occupy() serialized and what it cost the wire.
   /// A pure function of its key and params_, so it survives reset().
   struct SerializationMemo {
@@ -150,11 +152,12 @@ class alignas(64) Link {
   SerializationMemo memo_;
   std::int64_t total_payload_bytes_ = 0;
   std::int64_t total_messages_ = 0;
-  double wire_equivalent_bytes_ = 0.0;
   sim::FifoResource* wire_ = &fifo_;
+  double wire_equivalent_bytes_ = 0.0;
   LinkParams params_;
-  std::vector<LinkFaultWindow> fault_windows_;
+  bool has_fault_windows_ = false;  ///< fault_windows_ is not empty
   sim::FifoResource fifo_;
+  std::vector<LinkFaultWindow> fault_windows_;
   std::string name_;
   LinkClass link_class_ = LinkClass::kIntra;
   std::int64_t dropped_flows_ = 0;

@@ -20,10 +20,6 @@ void TimeSeriesCounter::moveWindow(std::int64_t t) {
   window_end_ = window_begin_ + width;
 }
 
-double TimeSeriesCounter::bucket(std::size_t i) const {
-  return i < buckets_.size() ? buckets_[i] : 0.0;
-}
-
 std::vector<double> TimeSeriesCounter::cumulative() const {
   std::vector<double> out(buckets_.size());
   double run = 0.0;

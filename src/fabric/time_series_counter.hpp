@@ -29,7 +29,9 @@ class TimeSeriesCounter {
   std::size_t numBuckets() const { return buckets_.size(); }
 
   /// Value accumulated in bucket `i` (time range [i*w, (i+1)*w)).
-  double bucket(std::size_t i) const;
+  double bucket(std::size_t i) const {
+    return i < buckets_.size() ? buckets_[i] : 0.0;
+  }
 
   /// Cumulative totals over time (prefix sums), one entry per bucket.
   std::vector<double> cumulative() const;

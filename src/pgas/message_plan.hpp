@@ -74,7 +74,8 @@ MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
 /// One closed-form row's largest-remainder split, stepped one slice at a
 /// time without division: after slice s, `upto` = floor(n_messages *
 /// (s + 1) / slices) = step * (s + 1) + floor(rem * (s + 1) / slices),
-/// with `acc` = rem * (s + 1) mod slices.
+/// with `acc` = rem * (s + 1) mod slices, and `sent` = min(upto *
+/// message_bytes, payload_bytes).
 class RowSplit {
  public:
   RowSplit(const SliceFlow& row, int slices)
@@ -85,17 +86,16 @@ class RowSplit {
   /// whole bytes; only the row's final message may be partial.
   SliceFlow next(const SliceFlow& row, std::int64_t message_bytes,
                  int slices) {
-    const std::int64_t before = upto_;
-    upto_ += step_;
+    // The carry is arithmetic, not a branch: it follows no pattern a
+    // predictor learns across the rows of a slice.
     acc_ += rem_;
-    if (acc_ >= slices) {
-      acc_ -= slices;
-      ++upto_;
-    }
-    return SliceFlow{row.dst,
-                     std::min(upto_ * message_bytes, row.payload_bytes) -
-                         std::min(before * message_bytes, row.payload_bytes),
-                     upto_ - before};
+    const std::int64_t carry = acc_ >= slices ? 1 : 0;
+    acc_ -= carry * slices;
+    const std::int64_t messages = step_ + carry;
+    upto_ += messages;
+    const std::int64_t before = sent_;
+    sent_ = std::min(upto_ * message_bytes, row.payload_bytes);
+    return SliceFlow{row.dst, sent_ - before, messages};
   }
 
  private:
@@ -103,6 +103,7 @@ class RowSplit {
   std::int64_t rem_ = 0;
   std::int64_t upto_ = 0;
   std::int64_t acc_ = 0;
+  std::int64_t sent_ = 0;
 };
 
 /// Reads a plan's slices in firing order: 0, 1, ..., slices - 1, each

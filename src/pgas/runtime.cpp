@@ -504,9 +504,8 @@ void PgasRuntime::PutEmitter::ship(int node, SimTime at) {
   Hold& hold = holds_[static_cast<std::size_t>(node)];
   const int leader_d = route_->leader(node, at);
   const std::int64_t wire_bytes =
-      codec_ == nullptr
-          ? hold.bytes
-          : codec_->encode(hold.leader, leader_d, hold.bytes, at);
+      codec_ == nullptr ? hold.bytes
+                        : codec_->encodeEgress(src_node_, hold.bytes, at);
   const SimTime landed = hop(route_->leaderRoute(src_node_, node),
                              hold.leader, leader_d, wire_bytes, 1, at);
   // One combined scatter per destination GPU. Every GPU the hold
