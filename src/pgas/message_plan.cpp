@@ -80,7 +80,7 @@ std::span<const SliceFlow> SliceCursor::slice(int s) {
   current_.clear();
   for (std::size_t i = 0; i < splits_.size(); ++i) {
     const SliceFlow share =
-        splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
+        splits_[i].next(plan_.message_bytes, plan_.slices);
     if (share.n_messages > 0) current_.push_back(share);
   }
   return current_;

@@ -74,36 +74,39 @@ MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
 /// One closed-form row's largest-remainder split, stepped one slice at a
 /// time without division: after slice s, `upto` = floor(n_messages *
 /// (s + 1) / slices) = step * (s + 1) + floor(rem * (s + 1) / slices),
-/// with `acc` = rem * (s + 1) mod slices, and `sent` = min(upto *
-/// message_bytes, payload_bytes).
+/// with `acc` = rem * (s + 1) mod slices. It keeps the row's destination
+/// and payload, so stepping a row reads one 40-byte record.
 class RowSplit {
  public:
   RowSplit(const SliceFlow& row, int slices)
-      : step_(row.n_messages / slices), rem_(row.n_messages % slices) {}
+      : rem_(static_cast<int>(row.n_messages % slices)),
+        dst_(row.dst),
+        step_(row.n_messages / slices),
+        payload_bytes_(row.payload_bytes) {}
 
-  /// The next slice's share of `row` (the row this split was built
-  /// for); zero messages when the slice gets none. Whole messages carry
-  /// whole bytes; only the row's final message may be partial.
-  SliceFlow next(const SliceFlow& row, std::int64_t message_bytes,
-                 int slices) {
+  /// The next slice's share of the row; zero messages when the slice
+  /// gets none. Whole messages carry whole bytes; only the row's final
+  /// message may be partial.
+  SliceFlow next(std::int64_t message_bytes, int slices) {
     // The carry is arithmetic, not a branch: it follows no pattern a
     // predictor learns across the rows of a slice.
     acc_ += rem_;
     const std::int64_t carry = acc_ >= slices ? 1 : 0;
     acc_ -= carry * slices;
     const std::int64_t messages = step_ + carry;
-    upto_ += messages;
-    const std::int64_t before = sent_;
-    sent_ = std::min(upto_ * message_bytes, row.payload_bytes);
-    return SliceFlow{row.dst, sent_ - before, messages};
+    const std::int64_t before = std::min(upto_bytes_, payload_bytes_);
+    upto_bytes_ += messages * message_bytes;
+    return SliceFlow{dst_, std::min(upto_bytes_, payload_bytes_) - before,
+                     messages};
   }
 
  private:
-  std::int64_t step_ = 0;
-  std::int64_t rem_ = 0;
-  std::int64_t upto_ = 0;
   std::int64_t acc_ = 0;
-  std::int64_t sent_ = 0;
+  int rem_;
+  int dst_;
+  std::int64_t step_;
+  std::int64_t payload_bytes_;
+  std::int64_t upto_bytes_ = 0;  ///< upto * message_bytes
 };
 
 /// Reads a plan's slices in firing order: 0, 1, ..., slices - 1, each

@@ -66,8 +66,7 @@ class PgasRuntime::PutEmitter {
   /// each row's share lands at the row's place in the slice scratch.
   std::span<const SliceFlow> stepRows(std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      scratch_[i] =
-          splits_[i].next(plan_.flows[i], plan_.message_bytes, plan_.slices);
+      scratch_[i] = splits_[i].next(plan_.message_bytes, plan_.slices);
     }
     return {scratch_.data() + begin, end - begin};
   }
@@ -101,9 +100,15 @@ class PgasRuntime::PutEmitter {
   // message-rate padding — does not), with or without an armed
   // injector. Returns the (acked) delivery.
   SimTime direct(const SliceFlow& f, SimTime at) {
-    const std::int64_t wire_bytes =
-        codec_ == nullptr ? f.payload_bytes
-                          : codec_->encode(src_, f.dst, f.payload_bytes, at);
+    return direct(f,
+                  codec_ == nullptr
+                      ? f.payload_bytes
+                      : codec_->encode(src_, f.dst, f.payload_bytes, at),
+                  at);
+  }
+  // A direct put of `wire_bytes`: what a flow that stays on its node
+  // sends, since the codec leaves it unencoded.
+  SimTime direct(const SliceFlow& f, std::int64_t wire_bytes, SimTime at) {
     if (injector_ != nullptr) return reliableDirect(f, wire_bytes, at);
     const SimTime delivered =
         fabric_.send(direct_[static_cast<std::size_t>(f.dst - direct_base_)],
@@ -373,12 +378,10 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
   // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
   std::int64_t sent_bytes = 0;
   for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
-    const SliceFlow& row = plan_.flows[i];
-    const Route& route = direct_[static_cast<std::size_t>(row.dst)];
+    const Route& route = direct_[static_cast<std::size_t>(plan_.flows[i].dst)];
     RowSplit& split = splits_[i];
     for (int s = 0; s < plan_.slices; ++s) {
-      const SliceFlow share = split.next(row, plan_.message_bytes,
-                                         plan_.slices);
+      const SliceFlow share = split.next(plan_.message_bytes, plan_.slices);
       if (share.n_messages == 0) continue;
       sent_bytes += share.payload_bytes;
       last_delivery_ = std::max(
@@ -409,7 +412,7 @@ void PgasRuntime::PutEmitter::forward(int s, SimTime at) {
   // non-leader's flow to its own leader shares the NVLink that this
   // slice's gathers take, so it is granted before them.
   for (const SliceFlow& f : toNode(src_node_)) {
-    if (!idle(f)) direct(f, at);
+    if (!idle(f)) direct(f, f.payload_bytes, at);
   }
   // Under a leader-fail window the route elects the next healthy GPU
   // on the node (counted as a failover).
