@@ -74,19 +74,20 @@ MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
 /// One closed-form row's largest-remainder split, stepped one slice at a
 /// time without division: after slice s, `upto` = floor(n_messages *
 /// (s + 1) / slices) = step * (s + 1) + floor(rem * (s + 1) / slices),
-/// with `acc` = rem * (s + 1) mod slices. It keeps the row's destination
-/// and payload, so stepping a row reads one 40-byte record.
+/// with `acc` = rem * (s + 1) mod slices. A share carries min(messages *
+/// message_bytes, the row's unsent bytes), so only the final message may
+/// be partial. The split keeps the row's destination, so stepping a row
+/// reads one 32-byte record.
 class RowSplit {
  public:
   RowSplit(const SliceFlow& row, int slices)
       : rem_(static_cast<int>(row.n_messages % slices)),
         dst_(row.dst),
         step_(row.n_messages / slices),
-        payload_bytes_(row.payload_bytes) {}
+        unsent_bytes_(row.payload_bytes) {}
 
   /// The next slice's share of the row; zero messages when the slice
-  /// gets none. Whole messages carry whole bytes; only the row's final
-  /// message may be partial.
+  /// gets none.
   SliceFlow next(std::int64_t message_bytes, int slices) {
     // The carry is arithmetic, not a branch: it follows no pattern a
     // predictor learns across the rows of a slice.
@@ -94,10 +95,10 @@ class RowSplit {
     const std::int64_t carry = acc_ >= slices ? 1 : 0;
     acc_ -= carry * slices;
     const std::int64_t messages = step_ + carry;
-    const std::int64_t before = std::min(upto_bytes_, payload_bytes_);
-    upto_bytes_ += messages * message_bytes;
-    return SliceFlow{dst_, std::min(upto_bytes_, payload_bytes_) - before,
-                     messages};
+    const std::int64_t bytes =
+        std::min(messages * message_bytes, unsent_bytes_);
+    unsent_bytes_ -= bytes;
+    return SliceFlow{dst_, bytes, messages};
   }
 
  private:
@@ -105,8 +106,7 @@ class RowSplit {
   int rem_;
   int dst_;
   std::int64_t step_;
-  std::int64_t payload_bytes_;
-  std::int64_t upto_bytes_ = 0;  ///< upto * message_bytes
+  std::int64_t unsent_bytes_;
 };
 
 /// Reads a plan's slices in firing order: 0, 1, ..., slices - 1, each
