@@ -35,10 +35,6 @@ static int benchMain(int argc, char** argv) {
 
   const auto base = engine::cacheServingConfig(gpus);
   const auto rows = static_cast<std::int64_t>(base.layer.index_space);
-  bench::printHeader(
-      "Replica-cache sweep: " + std::to_string(base.layer.total_tables) +
-      " tables x " + std::to_string(rows) + " rows, single-id lookups, " +
-      std::to_string(gpus) + " GPUs, PCIe-class fabric");
 
   struct Row {
     double alpha;
@@ -79,6 +75,12 @@ static int benchMain(int argc, char** argv) {
     }
   }
 
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
+  bench::printHeader(
+      "Replica-cache sweep: " + std::to_string(base.layer.total_tables) +
+      " tables x " + std::to_string(rows) + " rows, single-id lookups, " +
+      std::to_string(gpus) + " GPUs, PCIe-class fabric");
   printf("\n%-6s %-10s %-16s %-9s %-14s %-10s %s\n", "alpha", "cap_rows",
          "retriever", "hit%", "saved MB/b", "ms/batch", "speedup");
   for (const auto& r : table) {

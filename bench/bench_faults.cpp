@@ -135,18 +135,6 @@ static int benchMain(int argc, char** argv) {
         std::to_string(gpus) + ")");
   }
 
-  if (node_mode) {
-    bench::printHeader(
-        "Node-level fault domains at " + std::to_string(nodes) + " nodes x " +
-        std::to_string(gpus / nodes) + " GPUs (hierarchical a2a), " +
-        std::to_string(batches) + " batches, fault seed " +
-        std::to_string(seed));
-  } else {
-    bench::printHeader("Fault-severity sweep at " + std::to_string(gpus) +
-                       " GPUs, " + std::to_string(batches) +
-                       " batches, fault seed " + std::to_string(seed));
-  }
-
   std::vector<std::string> table_headers{
       "Severity", "retriever", "ms/batch", "drops", "retransmits",
       "reissues", "launch retries", "recovery ms"};
@@ -272,6 +260,20 @@ static int benchMain(int argc, char** argv) {
       }
     }
     points.push_back(std::move(point));
+  }
+
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
+  if (node_mode) {
+    bench::printHeader(
+        "Node-level fault domains at " + std::to_string(nodes) + " nodes x " +
+        std::to_string(gpus / nodes) + " GPUs (hierarchical a2a), " +
+        std::to_string(batches) + " batches, fault seed " +
+        std::to_string(seed));
+  } else {
+    bench::printHeader("Fault-severity sweep at " + std::to_string(gpus) +
+                       " GPUs, " + std::to_string(batches) +
+                       " batches, fault seed " + std::to_string(seed));
   }
 
   printf("\n%s\n", table.render().c_str());

@@ -79,14 +79,6 @@ int runSweep(const CliParser& cli, const bench::ConfigFlags& flags) {
     return cfg;
   };
 
-  char header[256];
-  snprintf(header, sizeof(header),
-           "Multi-node sweep: %d GPUs/node, flat vs hierarchical "
-           "all-to-all, inter-node compression off/fixed/adaptive "
-           "(bound %.0e)",
-           per_node, bound);
-  bench::printHeader(header);
-
   struct Row {
     int nodes;
     std::string retriever;
@@ -106,32 +98,6 @@ int runSweep(const CliParser& cli, const bench::ConfigFlags& flags) {
       }
     }
   }
-
-  ConsoleTable table({"nodes", "GPUs", "retriever", "routing", "compress",
-                      "ms/batch", "inter MB/batch", "inter msgs/batch",
-                      "ratio"});
-  for (const auto& row : rows) {
-    const double b = batchesOf(row.result);
-    const auto& in = row.result.inter_node;
-    table.addRow(
-        {std::to_string(row.nodes), std::to_string(row.nodes * per_node),
-         trace::runStyle(row.retriever).short_name, row.mode->routing,
-         row.mode->compression, ConsoleTable::num(row.result.avgBatchMs(), 3),
-         in ? ConsoleTable::num(in->inter_wire_equivalent_bytes / b / 1e6, 2)
-            : "-",
-         in ? ConsoleTable::num(
-                  static_cast<double>(in->inter_messages) / b, 0)
-            : "-",
-         row.result.compression
-             ? ConsoleTable::num(row.result.compression->ratio(), 2) + "x"
-             : "-"});
-  }
-  printf("\n%s\n", table.render().c_str());
-  printf("(inter MB/batch = wire-equivalent bytes crossing node "
-         "boundaries, headers\n and message-rate padding included; "
-         "hierarchical routing ships one\n collective flow per node pair, "
-         "and PGAS leaders hold slices until a\n message clears the NIC "
-         "rate floor; ratio is the codec's raw/wire ratio.)\n");
 
   // Functional-mode accuracy probe: a small 2-node layer actually
   // encodes/decodes every cross-node value, so the per-table error
@@ -164,6 +130,45 @@ int runSweep(const CliParser& cli, const bench::ConfigFlags& flags) {
         accuracy.push_back(std::move(run));
       }
     }
+  }
+
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
+  char header[256];
+  snprintf(header, sizeof(header),
+           "Multi-node sweep: %d GPUs/node, flat vs hierarchical "
+           "all-to-all, inter-node compression off/fixed/adaptive "
+           "(bound %.0e)",
+           per_node, bound);
+  bench::printHeader(header);
+
+  ConsoleTable table({"nodes", "GPUs", "retriever", "routing", "compress",
+                      "ms/batch", "inter MB/batch", "inter msgs/batch",
+                      "ratio"});
+  for (const auto& row : rows) {
+    const double b = batchesOf(row.result);
+    const auto& in = row.result.inter_node;
+    table.addRow(
+        {std::to_string(row.nodes), std::to_string(row.nodes * per_node),
+         trace::runStyle(row.retriever).short_name, row.mode->routing,
+         row.mode->compression, ConsoleTable::num(row.result.avgBatchMs(), 3),
+         in ? ConsoleTable::num(in->inter_wire_equivalent_bytes / b / 1e6, 2)
+            : "-",
+         in ? ConsoleTable::num(
+                  static_cast<double>(in->inter_messages) / b, 0)
+            : "-",
+         row.result.compression
+             ? ConsoleTable::num(row.result.compression->ratio(), 2) + "x"
+             : "-"});
+  }
+  printf("\n%s\n", table.render().c_str());
+  printf("(inter MB/batch = wire-equivalent bytes crossing node "
+         "boundaries, headers\n and message-rate padding included; "
+         "hierarchical routing ships one\n collective flow per node pair, "
+         "and PGAS leaders hold slices until a\n message clears the NIC "
+         "rate floor; ratio is the codec's raw/wire ratio.)\n");
+
+  if (!accuracy.empty()) {
     const std::string acc = trace::renderCompressionTable(accuracy);
     if (!acc.empty()) {
       printf("\nMeasured quantization error (Functional, 2 nodes x 2 "
@@ -290,9 +295,6 @@ static int benchMain(int argc, char** argv) {
 
   if (cli.getBool("sweep")) return runSweep(cli, flags);
 
-  bench::printHeader(
-      "Multi-node weak scaling (4 GPUs/node, IB-like inter-node links)");
-
   auto make_cfg = [&](int nodes, bool agg) {
     engine::ExperimentConfig cfg =
         engine::weakScalingConfig(nodes * per_node);
@@ -321,6 +323,10 @@ static int benchMain(int argc, char** argv) {
                   ConsoleTable::num(agg.avgBatchMs(), 3),
                   ConsoleTable::num(base.avgBatchMs() / best, 2) + "x"});
   }
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
+  bench::printHeader(
+      "Multi-node weak scaling (4 GPUs/node, IB-like inter-node links)");
   printf("\n%s\n", table.render().c_str());
   printf("(per-GPU workload constant; cross-node traffic rides shared "
          "NICs.\n The aggregator recovers the NIC message-rate loss, as "

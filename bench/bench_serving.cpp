@@ -83,14 +83,8 @@ static int benchMain(int argc, char** argv) {
     return cfg;
   };
 
-  char header[256];
-  snprintf(header, sizeof(header),
-           "Open-loop serving: %d GPU(s), 8 tables/GPU x 1M rows, dim 64, "
-           "batch %lld, query sizes %s",
-           gpus, static_cast<long long>(max_batch),
-           emb::formatQuerySizeSpec(query_size).c_str());
-  bench::printHeader(header);
-
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
   std::vector<trace::ServingPoint> points;
   for (const auto arrival : arrivals) {
     for (const double qps : qps_list) {
@@ -103,6 +97,14 @@ static int benchMain(int argc, char** argv) {
       points.push_back(std::move(point));
     }
   }
+
+  char header[256];
+  snprintf(header, sizeof(header),
+           "Open-loop serving: %d GPU(s), 8 tables/GPU x 1M rows, dim 64, "
+           "batch %lld, query sizes %s",
+           gpus, static_cast<long long>(max_batch),
+           emb::formatQuerySizeSpec(query_size).c_str());
+  bench::printHeader(header);
 
   printf("\n%s\n", trace::renderServingTable(points).c_str());
   printf("(open loop: queries arrive on the simulated clock regardless "

@@ -15,10 +15,12 @@ static int benchMain(int argc, char** argv) {
   const bench::ConfigFlags flags(cli, bench::kRetrievers | bench::kCache);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
-  bench::printHeader("Strong-scaling runtime breakdown (Figure 9)");
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
   const auto points = bench::sweepScaling(
       /*weak=*/false, static_cast<int>(cli.getInt("max-gpus")),
       static_cast<int>(cli.getInt("batches")), flags);
+  bench::printHeader("Strong-scaling runtime breakdown (Figure 9)");
 
   printf("\n%s\n",
          trace::renderBreakdownBars(points,

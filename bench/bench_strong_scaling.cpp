@@ -21,12 +21,14 @@ static int benchMain(int argc, char** argv) {
                                           bench::kCoalesce);
   if (!cli.parseOrExit(argc, argv)) return 0;
 
-  bench::printHeader(
-      "Strong scaling: 96 tables x 1M rows total, dim 64, batch 16384, "
-      "pooling U(1,32)");
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
   const auto points = bench::sweepScaling(
       /*weak=*/false, static_cast<int>(cli.getInt("max-gpus")),
       static_cast<int>(cli.getInt("batches")), flags);
+  bench::printHeader(
+      "Strong scaling: 96 tables x 1M rows total, dim 64, batch 16384, "
+      "pooling U(1,32)");
 
   bench::printScalingReport(
       points, /*weak=*/false, "(paper: 2.95x / 2.55x / 2.44x, geo-mean 2.63x)",

@@ -32,11 +32,13 @@ static int benchMain(int argc, char** argv) {
   const int max_gpus = static_cast<int>(cli.getInt("max-gpus"));
   const int batches = static_cast<int>(cli.getInt("batches"));
 
+  // Every run is computed before anything is printed, so a flag the
+  // library rejects exits with its message alone.
+  const auto points =
+      bench::sweepScaling(/*weak=*/true, max_gpus, batches, flags);
   bench::printHeader(
       "Weak scaling: 64 tables/GPU x 1M rows, dim 64, batch 16384, "
       "pooling U(1,128)");
-  const auto points =
-      bench::sweepScaling(/*weak=*/true, max_gpus, batches, flags);
 
   bench::printScalingReport(
       points, /*weak=*/true, "(paper: 2.10x / 1.95x / 1.87x, geo-mean 1.97x)",
