@@ -6,6 +6,11 @@
 
 namespace pgasemb::core {
 
+namespace {
+/// Query mode: how many of the most recent latencies the p95 covers.
+constexpr std::size_t kQueryWindow = 64;
+}  // namespace
+
 SloTracker::SloTracker(const FallbackPolicy& policy)
     : policy_(policy), slo_(SimTime::ms(policy.slo_ms)) {
   if (!policy_.enabled()) return;
@@ -25,7 +30,7 @@ bool SloTracker::evaluate(SimTime value) {
 
 SimTime SloTracker::windowP95() const {
   if (!window_full_) return SimTime::zero();
-  // Nearest-rank p95 over the window (small — default 64 entries).
+  // Nearest-rank p95 over the window (small — 64 entries).
   std::vector<SimTime> sorted = window_;
   std::sort(sorted.begin(), sorted.end());
   const auto n = sorted.size();
@@ -37,10 +42,7 @@ SimTime SloTracker::windowP95() const {
 bool SloTracker::recordQuery(SimTime latency) {
   if (!policy_.enabled() || fired_) return false;
   if (window_.empty()) {
-    PGASEMB_CHECK(policy_.query_window >= 1,
-                  "fallback query window must be >= 1");
-    window_.assign(static_cast<std::size_t>(policy_.query_window),
-                   SimTime::zero());
+    window_.assign(kQueryWindow, SimTime::zero());
     window_next_ = 0;
     window_full_ = false;
   }

@@ -28,11 +28,6 @@ struct FallbackPolicy {
   /// Consecutive over-SLO batches (or over-SLO sliding-window p95
   /// evaluations in query mode) tolerated before switching.
   int patience = 3;
-  /// Query mode (ServingRunner): the sliding window of most recent
-  /// per-query latencies whose p95 is held against the SLO. Tail-based
-  /// so one slow query cannot trip the switch — the window's p95 must
-  /// stay over the SLO for `patience` consecutive queries.
-  int query_window = 64;
 
   bool enabled() const { return slo_ms > 0.0; }
 };
@@ -49,10 +44,12 @@ class SloTracker {
   /// patience budget — the caller should switch retrievers now.
   bool record(SimTime batch_total);
 
-  /// Record one query's end-to-end latency. Once the sliding window of
-  /// `query_window` latencies is full, its p95 is held against the SLO
-  /// on every query. Returns true on the query that exhausts the
-  /// patience budget.
+  /// Record one query's end-to-end latency (ServingRunner). Once the
+  /// sliding window of the 64 most recent latencies is full, its p95 is
+  /// held against the SLO on every query: tail-based, so one slow query
+  /// cannot trip the switch — the window's p95 must stay over the SLO
+  /// for `patience` consecutive queries. Returns true on the query that
+  /// exhausts the patience budget.
   bool recordQuery(SimTime latency);
 
   /// The current sliding window's p95 (zero until the window fills).

@@ -564,9 +564,10 @@ TEST(DrainAttribution, ClosedLoopRecordsDrainEntry) {
 TEST(DrainAttribution, ServingChargesDrainToInFlightQueries) {
   ExperimentConfig cfg = smallServingConfig();
   cfg.serving.num_queries = 400;
-  cfg.fallback.slo_ms = 0.0001;  // impossible: fires once the window fills
+  // Impossible: fires once the 64-query window fills, with most of the
+  // 400 queries still to serve.
+  cfg.fallback.slo_ms = 0.0001;
   cfg.fallback.patience = 1;
-  cfg.fallback.query_window = 32;
   const ExperimentResult result =
       ServingRunner(cfg).run("nccl_pipelined");
   ASSERT_TRUE(result.resilience.has_value());
@@ -584,18 +585,22 @@ TEST(DrainAttribution, ServingChargesDrainToInFlightQueries) {
 
 // --- SloTracker query mode -------------------------------------------------
 
+/// SloTracker's query window: the p95 (nearest rank, entry 60 of 64 in
+/// sorted order) is over the SLO exactly when at least 4 of the last 64
+/// latencies are.
+constexpr int kQueryWindow = 64;
+
 TEST(SloTrackerQuery, AbsoluteSloFiresOnSlidingWindowP95) {
   core::FallbackPolicy policy;
   policy.slo_ms = 1.0;
   policy.patience = 2;
-  policy.query_window = 4;
   core::SloTracker tracker(policy);
   // Window not yet full: never fires.
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kQueryWindow - 1; ++i) {
     EXPECT_FALSE(tracker.recordQuery(SimTime::ms(10.0)));
   }
   EXPECT_EQ(tracker.windowP95(), SimTime::zero());
-  // Fourth query fills the window; p95 = 10ms > 1ms -> patience 1 of 2.
+  // The 64th query fills the window; p95 = 10ms > 1ms -> patience 1 of 2.
   EXPECT_FALSE(tracker.recordQuery(SimTime::ms(10.0)));
   EXPECT_EQ(tracker.windowP95(), SimTime::ms(10.0));
   // Second consecutive over-SLO evaluation fires.
@@ -608,14 +613,26 @@ TEST(SloTrackerQuery, ConsecutiveCounterResetsOnHealthyWindow) {
   core::FallbackPolicy policy;
   policy.slo_ms = 1.0;
   policy.patience = 3;
-  policy.query_window = 2;
   core::SloTracker tracker(policy);
-  EXPECT_FALSE(tracker.recordQuery(SimTime::ms(5.0)));  // filling
-  EXPECT_FALSE(tracker.recordQuery(SimTime::ms(5.0)));  // over (1 of 3)
-  // One healthy query still leaves a 5ms entry in the 2-wide window
-  // (p95 = max stays over); the second clears it and resets patience.
+  // Five slow queries, then healthy ones until the window fills: five
+  // of 64 entries are over, so the p95 is over (1 of 3).
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(tracker.recordQuery(SimTime::ms(5.0)));  // filling
+  }
+  for (int i = 5; i < kQueryWindow - 1; ++i) {
+    EXPECT_FALSE(tracker.recordQuery(SimTime::ms(0.1)));  // filling
+  }
+  EXPECT_FALSE(tracker.recordQuery(SimTime::ms(0.1)));  // over (1 of 3)
+  // Each healthy query evicts the oldest, slow, entry. Four slow entries
+  // keep the p95 over; three leave it healthy and reset patience.
   EXPECT_FALSE(tracker.recordQuery(SimTime::ms(0.1)));  // over (2 of 3)
   EXPECT_FALSE(tracker.recordQuery(SimTime::ms(0.1)));  // healthy: reset
+  EXPECT_EQ(tracker.windowP95(), SimTime::ms(0.1));
+  // Slow queries evict the last three slow entries, then healthy ones:
+  // the fourth slow entry brings the p95 back over.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(tracker.recordQuery(SimTime::ms(5.0)));  // healthy
+  }
   EXPECT_FALSE(tracker.recordQuery(SimTime::ms(5.0)));  // over (1 of 3)
   EXPECT_FALSE(tracker.recordQuery(SimTime::ms(5.0)));  // over (2 of 3)
   EXPECT_TRUE(tracker.recordQuery(SimTime::ms(5.0)));   // over (3 of 3)
