@@ -26,9 +26,10 @@ PgasRuntime::PgasRuntime(gpu::MultiGpuSystem& system, fabric::Fabric& fabric)
 /// rows in place, node by node when forwarding, and sends their shares
 /// straight over those routes, in the order the links must see them; a
 /// forwarded share is held at the source leader until its node's message
-/// clears the floor (DESIGN.md §12). The fault injector, simsan, the strict put tracker, the codec
-/// and the route are branches on per-kernel constants. A coalesced
-/// launch steps each row's dedicated route over every slice instead.
+/// clears the floor (DESIGN.md §12). The fault injector, simsan, the
+/// strict put tracker, the codec and the route are branches on
+/// per-kernel constants. A coalesced launch steps each row's dedicated
+/// route over every slice instead.
 class PgasRuntime::PutEmitter {
  public:
   PutEmitter(PgasRuntime& runtime, int src, MessagePlan plan,
@@ -133,23 +134,6 @@ class PgasRuntime::PutEmitter {
     return injector_->reliablePut(a, b, bytes, msgs, at).acked;
   }
 
-  struct Hold;
-  // True when `hold`'s message, shipped now, would clear its route's
-  // rate floor: its wire size (after the codec, without counting a codec
-  // decision) reaches the floor. The payload bounds at the codec's two
-  // widths settle it without asking the codec which width it would pick,
-  // except for a payload between them.
-  bool clearsFloor(const Hold& hold) const {
-    if (codec_ == nullptr || hold.bytes % 4 != 0) {
-      return hold.bytes >= hold.floor;
-    }
-    if (hold.bytes < hold.at_widest) return false;
-    if (hold.bytes >= hold.at_narrowest) return true;
-    return fabric::InterNodeCodec::compressedBytes(
-               hold.bytes, codec_->peekBits(src_node_, hold.staged)) >=
-           hold.floor;
-  }
-
   // Common put bookkeeping once the *final* delivery time is known: quiet
   // latches it, and simsan logs the put.
   void logPut(const SliceFlow& f, SimTime at, SimTime delivered) {
@@ -224,6 +208,21 @@ class PgasRuntime::PutEmitter {
     std::int64_t at_narrowest = 0;
   };
   std::vector<Hold> holds_;
+  // True when `hold`'s message, shipped now, would clear its route's
+  // rate floor: its wire size (after the codec, without counting a codec
+  // decision) reaches the floor. The payload bounds at the codec's two
+  // widths settle it without asking the codec which width it would pick,
+  // except for a payload between them.
+  bool clearsFloor(const Hold& hold) const {
+    if (codec_ == nullptr || hold.bytes % 4 != 0) {
+      return hold.bytes >= hold.floor;
+    }
+    if (hold.bytes < hold.at_widest) return false;
+    if (hold.bytes >= hold.at_narrowest) return true;
+    return fabric::InterNodeCodec::compressedBytes(
+               hold.bytes, codec_->peekBits(src_node_, hold.staged)) >=
+           hold.floor;
+  }
   /// held_[d]: the payload and messages the hold of GPU d's node carries
   /// to d, which one scatter delivers when the hold ships.
   struct Held {

@@ -151,6 +151,25 @@ TEST(InterNodeCodecTest, CompressedBytesFormulaExact) {
   EXPECT_EQ(Codec::compressedBytes(0, 7), 0);
 }
 
+TEST(InterNodeCodecTest, MinPayloadForIsTheFewestElementsReachingAWireSize) {
+  using Codec = fabric::InterNodeCodec;
+  for (const int bits : {2, 7, 10, 16, Codec::kIncompressibleBits}) {
+    for (std::int64_t wire = -3; wire <= 3000; ++wire) {
+      const std::int64_t payload = Codec::minPayloadFor(wire, bits);
+      ASSERT_EQ(payload % 4, 0) << bits << " bits, wire " << wire;
+      EXPECT_GE(Codec::compressedBytes(payload, bits), wire)
+          << bits << " bits, wire " << wire;
+      if (payload > 0) {
+        EXPECT_LT(Codec::compressedBytes(payload - 4, bits), wire)
+            << bits << " bits, wire " << wire;
+      }
+    }
+  }
+  // The IB floor (2,436 wire bytes) at the light and the 10-bit widths.
+  EXPECT_EQ(Codec::minPayloadFor(2436, 16), 4856);
+  EXPECT_EQ(Codec::minPayloadFor(2436, 10), 7768);
+}
+
 TEST(InterNodeCodecTest, AggregateBitsFixedVersusAdaptive) {
   // Two tables: range 1 and range 8 -> the aggregate width is the wider
   // of the two minimal widths.
