@@ -72,12 +72,12 @@ MessagePlan makeUniformPlan(const std::vector<std::int64_t>& payload_bytes,
                             std::int64_t message_bytes);
 
 /// One closed-form row's largest-remainder split, stepped one slice at a
-/// time without division: after slice s, `upto` = floor(n_messages *
-/// (s + 1) / slices) = step * (s + 1) + floor(rem * (s + 1) / slices),
-/// with `acc` = rem * (s + 1) mod slices. A share carries min(messages *
-/// message_bytes, the row's unsent bytes), so only the final message may
-/// be partial. The split keeps the row's destination, so stepping a row
-/// reads one 32-byte record.
+/// time without division: by the end of slice s the row has sent
+/// floor(n_messages * (s + 1) / slices) = step * (s + 1) + floor(rem *
+/// (s + 1) / slices) messages, with `acc` = rem * (s + 1) mod slices. A
+/// share carries min(messages * message_bytes, the row's unsent bytes),
+/// so only the final message may be partial. The split keeps the row's
+/// destination, so stepping a row reads one 32-byte record.
 class RowSplit {
  public:
   RowSplit(const SliceFlow& row, int slices)
