@@ -7,9 +7,12 @@
 // PGAS hides communication *within* one batch — no added latency, no
 // extra copies of the activation buffers.
 //
-// All three schemes run through the shared ScenarioRunner — the pipelined
-// retriever's drain is folded into its run by finish(), so no bespoke
-// rig or host-clock bookkeeping is needed here.
+// `nccl_pipelined` is the collective retriever built at `--depth`
+// in-flight batches (ExperimentConfig::pipeline_depth): the baseline's
+// own kernels, scheduled across batches. `--depth 1` is the blocking
+// baseline itself. All three schemes run through the shared
+// ScenarioRunner, which folds the pipeline's drain into its run through
+// finish(), so no bespoke rig or host-clock bookkeeping is needed here.
 #include "bench_common.hpp"
 #include "util/table.hpp"
 

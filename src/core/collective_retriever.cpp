@@ -1,8 +1,5 @@
 #include "core/collective_retriever.hpp"
 
-#include <algorithm>
-#include <optional>
-
 #include "core/registry.hpp"
 #include "emb/lookup_kernel.hpp"
 #include "emb/staging_kernel.hpp"
@@ -14,11 +11,12 @@ namespace pgasemb::core {
 
 CollectiveRetriever::CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
                                          collective::Communicator& comm,
-                                         emb::ReplicaCache* cache,
+                                         int depth, emb::ReplicaCache* cache,
                                          const fault::HierRoute* route,
                                          fabric::InterNodeCodec* codec)
-    : layer_(layer), comm_(comm), cache_(cache), route_(route),
-      codec_(codec) {
+    : layer_(layer), comm_(comm), depth_(depth), cache_(cache),
+      route_(route), codec_(codec) {
+  PGASEMB_CHECK(depth >= 1, "pipeline depth must be >= 1");
   PGASEMB_CHECK(layer.sharding().scheme() == emb::ShardingScheme::kTableWise,
                 "the collective baseline implements table-wise sharding "
                 "(the paper's scheme)");
@@ -26,247 +24,353 @@ CollectiveRetriever::CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
   const auto& sharding = layer.sharding();
   const int p = system.numGpus();
   const int dim = layer.dim();
-  for (int g = 0; g < p; ++g) {
-    auto& dev = system.device(g);
-    outputs_.push_back(dev.alloc(sharding.outputElements(g, dim)));
-    if (p > 1) {
-      send_buffers_.push_back(
-          dev.alloc(emb::sendBufferElements(sharding, g, dim)));
-      recv_buffers_.push_back(
-          dev.alloc(emb::recvBufferElements(sharding, g, dim)));
+  PGASEMB_CHECK(depth == 1 || p > 1, "pipelining needs at least 2 GPUs");
+  slots_.resize(static_cast<std::size_t>(depth));
+  for (auto& slot : slots_) {
+    for (int g = 0; g < p; ++g) {
+      auto& dev = system.device(g);
+      slot.out.push_back(dev.alloc(sharding.outputElements(g, dim)));
+      if (p > 1) {
+        slot.send.push_back(
+            dev.alloc(emb::sendBufferElements(sharding, g, dim)));
+        slot.recv.push_back(
+            dev.alloc(emb::recvBufferElements(sharding, g, dim)));
+      }
     }
+  }
+  for (int g = 0; depth > 1 && g < p; ++g) {
+    comm_streams_.push_back(&system.createStream(g, "comm"));
   }
 }
 
 CollectiveRetriever::~CollectiveRetriever() {
   auto& system = layer_.system();
-  for (int g = system.numGpus() - 1; g >= 0; --g) {
-    if (!recv_buffers_.empty()) {
-      system.device(g).free(recv_buffers_[static_cast<std::size_t>(g)]);
-      system.device(g).free(send_buffers_[static_cast<std::size_t>(g)]);
-    }
-    system.device(g).free(outputs_[static_cast<std::size_t>(g)]);
-  }
-}
-
-gpu::DeviceBuffer& CollectiveRetriever::output(int gpu) {
-  PGASEMB_CHECK(gpu >= 0 && gpu < static_cast<int>(outputs_.size()),
-                "bad gpu id ", gpu);
-  return outputs_[static_cast<std::size_t>(gpu)];
-}
-
-void CollectiveRetriever::copyAllToAllPayload() {
-  // Functional landing of the all-to-all: contiguous region per (src,
-  // dst) pair, including the device-local self chunk.
-  const auto& sh = layer_.sharding();
-  const int p = sh.numGpus();
-  const int dim = layer_.dim();
-  for (int src = 0; src < p; ++src) {
-    const auto send = send_buffers_[static_cast<std::size_t>(src)].span();
-    const std::int64_t t_local = sh.tablesOn(src);
-    for (int dst = 0; dst < p; ++dst) {
-      auto recv = recv_buffers_[static_cast<std::size_t>(dst)].span();
-      const std::int64_t len = t_local * sh.miniBatchSize(dst) * dim;
-      const std::int64_t send_base =
-          sh.miniBatchBegin(dst) * t_local * dim;
-      const std::int64_t recv_base =
-          sh.firstTableOn(src) * sh.miniBatchSize(dst) * dim;
-      const bool compress =
-          codec_ != nullptr && codec_->crossesNodes(src, dst);
-      if (!compress) {
-        std::copy_n(send.begin() + send_base, len,
-                    recv.begin() + recv_base);
-        continue;
-      }
-      // Cross-node chunks really pass through the codec (the region is
-      // [local table][dst-local sample][col], so the table is recovered
-      // from the position), landing the measured quantization error.
-      const std::int64_t per_table = sh.miniBatchSize(dst) * dim;
-      for (std::int64_t lt = 0; lt < t_local; ++lt) {
-        const std::int64_t table = sh.firstTableOn(src) + lt;
-        for (std::int64_t i = 0; i < per_table; ++i) {
-          recv[static_cast<std::size_t>(recv_base + lt * per_table + i)] =
-              codec_->transcode(
-                  table,
-                  send[static_cast<std::size_t>(send_base + lt * per_table +
-                                                i)]);
+  for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
+    for (int g = system.numGpus() - 1; g >= 0; --g) {
+      for (auto* buffers : {&it->recv, &it->send, &it->out}) {
+        if (!buffers->empty()) {
+          system.device(g).free((*buffers)[static_cast<std::size_t>(g)]);
         }
       }
     }
   }
 }
 
+gpu::DeviceBuffer& CollectiveRetriever::output(int gpu) {
+  const std::int64_t latest = submitted_ > 0 ? submitted_ - 1 : 0;
+  auto& out = slots_[static_cast<std::size_t>(latest % depth_)].out;
+  PGASEMB_CHECK(gpu >= 0 && gpu < static_cast<int>(out.size()),
+                "bad gpu id ", gpu);
+  return out[static_cast<std::size_t>(gpu)];
+}
+
 BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   auto& system = layer_.system();
-  const auto& sharding = layer_.sharding();
   const int p = system.numGpus();
+  const bool pipelined = depth_ > 1;
   const bool functional =
       system.mode() == gpu::ExecutionMode::kFunctional &&
       batch.materialized();
+  Slot& slot = slots_[static_cast<std::size_t>(submitted_ % depth_)];
   BatchTiming timing;
   const SimTime t0 = system.hostNow();
-  auto* san = system.sanitizer();
-  const auto wholeBuffer = [](const gpu::DeviceBuffer& buf) {
-    return simsan::StridedRange::contiguous(buf.offset(), buf.size());
-  };
 
   if (p == 1) {
     // Single GPU: no layout conversion — the lookup writes the final
-    // tensor directly (as PyTorch does without a process group). The
-    // builder declares the kernel's write effect from the output view.
+    // tensor directly (as PyTorch does without a process group).
     auto fused =
-        emb::buildFusedLookupKernel(layer_, batch, 0, &outputs_, /*slices=*/1);
+        emb::buildFusedLookupKernel(layer_, batch, 0, &slot.out, /*slices=*/1);
     system.launchKernel(0, std::move(fused.desc));
-    const SimTime t1 = system.syncAll();
-    timing.compute_phase = t1 - t0;
-    timing.total = t1 - t0;
+    timing.total = timing.compute_phase = system.syncAll() - t0;
     return timing;
   }
 
   // Optional replica-cache filter: hit bags are pooled from the local
   // replica by a serve kernel; only the misses are looked up, shipped
-  // and unpacked.  runBatch() drains the timeline before returning, so
-  // a per-batch filter is safe for the kernels to capture.
-  std::optional<emb::CacheFilter> filter;
+  // and unpacked. A pipelined batch keeps it, and in Functional mode a
+  // copy of the batch, until a drain retires the batch.
+  InFlight* flight = nullptr;
+  if (pipelined) {
+    const bool staged = route_ != nullptr && route_->staged();
+    flight = &in_flight_.emplace_back(p, staged ? route_->numNodes() : 0);
+    if (functional) flight->batch.emplace(batch);
+  }
+  const emb::SparseBatch& in =
+      flight != nullptr && flight->batch ? *flight->batch : batch;
+  std::optional<emb::CacheFilter> blocking_filter;
+  auto& filter = flight != nullptr ? flight->filter : blocking_filter;
   if (cache_ != nullptr) {
-    filter.emplace(layer_, batch, *cache_);
+    filter.emplace(layer_, in, *cache_);
     timing.cache_lookups = filter->lookups();
     timing.cache_hits = filter->hits();
     timing.cache_saved_bytes = filter->savedWireBytes();
   }
   const emb::CacheFilter* f = filter ? &*filter : nullptr;
 
-  // Phase 1: (probe +) lookup kernels into send buffers, plus the
-  // replica serve kernel — all on the default stream (compute).
-  send_matrix_.resize(static_cast<std::size_t>(p));
-  for (auto& row : send_matrix_) {
-    row.assign(static_cast<std::size_t>(p), 0);
+  launchLookups(in, slot, f, flight);
+  launchStaging(/*gather=*/true, flight);
+
+  if (!pipelined) {
+    const SimTime t1 = system.syncAll();
+    timing.compute_phase = t1 - t0;
+    // all_to_all_single(async_op=True) + wait().
+    auto request = exchange(slot, /*land_at_wait=*/functional);
+    const SimTime t2 = request.wait(system);
+    timing.comm_phase = t2 - t1;
+    timing.wire_time = request.completionTime() - request.startTime();
+    // The leader demux, unpack/rearrangement kernels + sync.
+    launchStaging(/*gather=*/false, nullptr);
+    launchUnpacks(slot, f, nullptr);
+    const SimTime t3 = system.syncAll();
+    timing.unpack_phase = t3 - t2;
+    timing.total = t3 - t0;
+    return timing;
   }
-  auto& matrix = send_matrix_;
+
+  exchange(slot, /*land_at_wait=*/false);
+  if (functional) {
+    // Land the exchange as it retires, before any a2a_done: the first
+    // comm stream to get here lands it all. No send buffer is overwritten
+    // before its own GPU's a2a_done.
+    for (int g = 0; g < p; ++g) {
+      comm_streams_[static_cast<std::size_t>(g)]->enqueueFixed(
+          system.hostNow(g), "all_to_all_single.land", SimTime::zero(),
+          [this, &slot, flight] {
+            if (!flight->landed) landExchange(slot);
+            flight->landed = true;
+          });
+    }
+  }
+  launchStaging(/*gather=*/false, flight);
   for (int g = 0; g < p; ++g) {
-    if (f != nullptr) {
-      system.launchKernel(g, emb::buildCacheProbeKernel(layer_, *f, g));
+    comm_streams_[static_cast<std::size_t>(g)]->enqueueRecord(
+        system.hostNow(g), flight->a2a_done[static_cast<std::size_t>(g)]);
+  }
+  // With this batch's lookup already on the compute streams, where it
+  // overlaps the previous batch's exchange, enqueue that batch's unpack.
+  enqueuePendingUnpack();
+  pending_ = submitted_++;
+  timing.total = system.hostNow() - last_host_;
+  timing.compute_phase = timing.total;
+  last_host_ = system.hostNow();
+  return timing;
+}
+
+void CollectiveRetriever::launchLookups(const emb::SparseBatch& batch,
+                                        Slot& slot, const emb::CacheFilter* f,
+                                        InFlight* flight) {
+  auto& system = layer_.system();
+  const int p = system.numGpus();
+  // The exchange that last read this slot's send buffers must finish
+  // before the new lookups overwrite them.
+  InFlight* reused =
+      flight != nullptr ? inFlight(submitted_ - depth_) : nullptr;
+  send_matrix_.resize(static_cast<std::size_t>(p));
+  for (int g = 0; g < p; ++g) {
+    const auto i = static_cast<std::size_t>(g);
+    auto& stream = system.stream(g);
+    auto kernel =
+        emb::buildBaselineLookupKernel(layer_, batch, g, &slot.send[i], f);
+    send_matrix_[i] = kernel.send_bytes;
+    send_matrix_[i][i] = 0;  // the local chunk is a device-local copy
+    if (reused != nullptr) {
+      stream.enqueueWaitEvent(system.hostNow(g), reused->a2a_done[i]);
     }
-    auto kernel = emb::buildBaselineLookupKernel(
-        layer_, batch, g, &send_buffers_[static_cast<std::size_t>(g)], f);
-    for (int d = 0; d < p; ++d) {
-      if (d != g) {
-        matrix[static_cast<std::size_t>(g)][static_cast<std::size_t>(d)] =
-            kernel.send_bytes[static_cast<std::size_t>(d)];
-      }
-    }
-    system.launchKernel(g, std::move(kernel.desc));
     if (f != nullptr) {
-      auto serve = emb::buildCacheServeKernel(
-          layer_, batch, *f, g, &cache_->replica(g),
-          &outputs_[static_cast<std::size_t>(g)]);
-      system.launchKernel(g, std::move(serve));
+      system.launchKernelOn(stream, emb::buildCacheProbeKernel(layer_, *f, g));
+    }
+    system.launchKernelOn(stream, std::move(kernel.desc));
+    if (flight != nullptr) {
+      // The exchange on the comm stream waits for this send buffer.
+      stream.enqueueRecord(system.hostNow(g), flight->lookup_done[i]);
+      comm_streams_[i]->enqueueWaitEvent(system.hostNow(g),
+                                         flight->lookup_done[i]);
+    }
+    if (f != nullptr) {
+      system.launchKernelOn(
+          stream, emb::buildCacheServeKernel(layer_, batch, *f, g,
+                                             &cache_->replica(g),
+                                             &slot.out[i]));
     }
   }
-  // Hierarchical all-to-all: each elected leader packs its own inter-node
-  // contribution into its node's gather staging before the exchange
-  // (other members' contributions arrive over NVLink inside the
-  // collective itself). The route, asked at node n's host time (n * gpn
-  // is the node's first GPU), hands back the standby's staging once a
-  // leader-fail window has moved the node's leadership onto it.
-  const bool hier = route_ != nullptr && route_->staged();
-  const int gpn = hier ? route_->gpusPerNode() : p;
-  if (hier) {
-    for (int n = 0; n < route_->numNodes(); ++n) {
-      const fault::HierStaging* stg =
-          route_->staging(n, system.hostNow(n * gpn));
-      const int leader = stg->device;
-      std::int64_t bytes = 0;
-      for (int d = 0; d < p; ++d) {
-        if (d / gpn == n) continue;
-        bytes += matrix[static_cast<std::size_t>(leader)]
+}
+
+void CollectiveRetriever::launchStaging(bool gather, InFlight* flight) {
+  if (route_ == nullptr || !route_->staged()) return;
+  // Hierarchical all-to-all (DESIGN.md §12): each elected leader packs
+  // its own inter-node contribution into its node's gather staging before
+  // the exchange (the members' arrive over NVLink inside the collective)
+  // and demultiplexes the landed recv staging after it. The route, asked
+  // at node n's host time, hands back the standby's staging after a
+  // failover. A pipeline runs both kernels on the leader's comm stream
+  // and orders them against the neighbouring batches (DESIGN.md §6).
+  auto& system = layer_.system();
+  const int p = system.numGpus();
+  const int gpn = route_->gpusPerNode();
+  const int nodes = route_->numNodes();
+  const auto bytes_from = [this](int s, int d) {
+    return send_matrix_[static_cast<std::size_t>(s)]
                        [static_cast<std::size_t>(d)];
+  };
+  for (int n = 0; n < nodes; ++n) {
+    const fault::HierStaging* stg =
+        route_->staging(n, system.hostNow(n * gpn));
+    const int leader = stg->device;
+    gpu::Stream& stream =
+        flight != nullptr ? *comm_streams_[static_cast<std::size_t>(leader)]
+                          : system.stream(leader);
+    std::int64_t bytes = 0;
+    if (gather) {
+      for (int d = 0; d < p; ++d) {
+        if (d / gpn != n) bytes += bytes_from(leader, d);
       }
       // The leader packs its own contribution into its local-rank slot
       // (slot 0 for the default leader, the standby's rank otherwise).
       const auto local = static_cast<std::size_t>(leader - n * gpn);
-      system.launchKernel(
-          leader, emb::buildLeaderGatherKernel(
+      system.launchKernelOn(
+          stream, emb::buildLeaderGatherKernel(
                       layer_, n, leader,
                       local < stg->gather_slots.size()
                           ? stg->gather_slots[local]
                           : simsan::StridedRange{},
                       bytes));
-    }
-  }
-  const SimTime t1 = system.syncAll();
-  timing.compute_phase = t1 - t0;
-
-  // Phase 2: all_to_all_single(async_op=True) + wait().
-  collective::CollectiveMemory a2a_memory;
-  if (san != nullptr) {
-    a2a_memory.ranks.resize(static_cast<std::size_t>(p));
-    for (int g = 0; g < p; ++g) {
-      auto& rank = a2a_memory.ranks[static_cast<std::size_t>(g)];
-      rank.device = g;
-      rank.send = wholeBuffer(send_buffers_[static_cast<std::size_t>(g)]);
-      rank.recv = wholeBuffer(recv_buffers_[static_cast<std::size_t>(g)]);
-    }
-  }
-  auto request = comm_.allToAllSingle(
-      matrix, functional ? [this] { copyAllToAllPayload(); }
-                         : std::function<void()>(),
-      nullptr, san != nullptr ? &a2a_memory : nullptr);
-  const SimTime t2 = request.wait(system);
-  timing.comm_phase = t2 - t1;
-  timing.wire_time = request.completionTime() - request.startTime();
-
-  // Hierarchical: each destination leader demultiplexes the landed
-  // per-source-node recv staging before the ordinary unpack runs.
-  if (hier) {
-    for (int n = 0; n < route_->numNodes(); ++n) {
-      const fault::HierStaging* stg =
-          route_->staging(n, system.hostNow(n * gpn));
-      const int leader = stg->device;
-      std::int64_t bytes = 0;
-      for (int s = 0; s < p; ++s) {
-        if (s / gpn == n) continue;
-        for (int d = n * gpn; d < (n + 1) * gpn; ++d) {
-          bytes += matrix[static_cast<std::size_t>(s)]
-                         [static_cast<std::size_t>(d)];
+      if (flight == nullptr) continue;
+      // The leader's compute stream waits for the gather: the previous
+      // batch's unpack cannot take the device first and hold up this
+      // exchange, and a standby's staging rebuild, launched there with
+      // the exchange (DESIGN.md §13), follows the gather as at depth 1.
+      auto& gathered = flight->gathered[static_cast<std::size_t>(n)];
+      stream.enqueueRecord(system.hostNow(leader), gathered);
+      system.stream(leader).enqueueWaitEvent(system.hostNow(leader),
+                                             gathered);
+      InFlight* previous = inFlight(submitted_ - 1);
+      for (int m = 0; previous != nullptr && m < nodes; ++m) {
+        if (m != n) {
+          stream.enqueueWaitEvent(
+              system.hostNow(leader),
+              previous->staging_free[static_cast<std::size_t>(m)]);
         }
       }
-      simsan::StridedRange span{};
-      if (!stg->recv_slots.empty()) {
-        std::int64_t total = 0;
-        for (const auto& slot : stg->recv_slots) total += slot.len;
-        span = simsan::StridedRange::contiguous(
-            stg->recv_slots.front().begin, total);
-      }
-      system.launchKernel(
-          leader, emb::buildLeaderScatterKernel(layer_, n, leader, span,
-                                                bytes));
+      continue;
+    }
+    for (int s = 0; s < p; ++s) {
+      if (s / gpn == n) continue;
+      for (int d = n * gpn; d < (n + 1) * gpn; ++d) bytes += bytes_from(s, d);
+    }
+    simsan::StridedRange span{};
+    if (!stg->recv_slots.empty()) {
+      std::int64_t total = 0;
+      for (const auto& r : stg->recv_slots) total += r.len;
+      span = simsan::StridedRange::contiguous(stg->recv_slots.front().begin,
+                                              total);
+    }
+    system.launchKernelOn(
+        stream, emb::buildLeaderScatterKernel(layer_, n, leader, span, bytes));
+    if (flight != nullptr) {
+      stream.enqueueRecord(system.hostNow(leader),
+                           flight->staging_free[static_cast<std::size_t>(n)]);
     }
   }
+}
 
-  // Phase 3: unpack/rearrangement kernels + sync.
-  for (int g = 0; g < p; ++g) {
-    auto desc = emb::buildUnpackKernel(
-        layer_, g, &recv_buffers_[static_cast<std::size_t>(g)],
-        &outputs_[static_cast<std::size_t>(g)], f);
-    system.launchKernel(g, std::move(desc));
+collective::Request CollectiveRetriever::exchange(Slot& slot,
+                                                  bool land_at_wait) {
+  auto& system = layer_.system();
+  const bool san = system.sanitizer() != nullptr;
+  const auto whole = [](const gpu::DeviceBuffer& buf) {
+    return simsan::StridedRange::contiguous(buf.offset(), buf.size());
+  };
+  collective::CollectiveMemory memory;
+  for (int g = 0; san && g < system.numGpus(); ++g) {
+    const auto i = static_cast<std::size_t>(g);
+    memory.ranks.push_back({g, whole(slot.send[i]), whole(slot.recv[i])});
   }
-  const SimTime t3 = system.syncAll();
-  timing.unpack_phase = t3 - t2;
-  timing.total = t3 - t0;
-  PGASEMB_ASSERT(sharding.numGpus() == p, "sharding/system mismatch");
-  return timing;
+  return comm_.allToAllSingle(
+      send_matrix_,
+      land_at_wait ? [this, &slot] { landExchange(slot); }
+                   : std::function<void()>(),
+      depth_ == 1 ? nullptr : &comm_streams_, san ? &memory : nullptr);
+}
+
+void CollectiveRetriever::landExchange(Slot& slot) {
+  // Functional landing of the all-to-all: each (src, dst) region is
+  // [src-local table][dst-local sample][col] on both sides, the local
+  // self chunk included. Cross-node values really pass through the
+  // codec, landing the measured quantization error.
+  const auto& sh = layer_.sharding();
+  const int p = sh.numGpus();
+  for (int src = 0; src < p; ++src) {
+    const auto send = slot.send[static_cast<std::size_t>(src)].span();
+    for (int dst = 0; dst < p; ++dst) {
+      auto recv = slot.recv[static_cast<std::size_t>(dst)].span();
+      const bool compress =
+          codec_ != nullptr && codec_->crossesNodes(src, dst);
+      const std::int64_t per_table = sh.miniBatchSize(dst) * layer_.dim();
+      const std::int64_t send_base =
+          sh.miniBatchBegin(dst) * sh.tablesOn(src) * layer_.dim();
+      const std::int64_t first = sh.firstTableOn(src);
+      for (std::int64_t i = 0; i < sh.tablesOn(src) * per_table; ++i) {
+        const float v = send[static_cast<std::size_t>(send_base + i)];
+        recv[static_cast<std::size_t>(first * per_table + i)] =
+            compress ? codec_->transcode(first + i / per_table, v) : v;
+      }
+    }
+  }
+}
+
+void CollectiveRetriever::launchUnpacks(Slot& slot,
+                                        const emb::CacheFilter* f,
+                                        InFlight* flight) {
+  auto& system = layer_.system();
+  for (int g = 0; g < system.numGpus(); ++g) {
+    const auto i = static_cast<std::size_t>(g);
+    auto& stream = system.stream(g);
+    if (flight != nullptr) {
+      stream.enqueueWaitEvent(system.hostNow(g), flight->a2a_done[i]);
+    }
+    system.launchKernelOn(
+        stream, emb::buildUnpackKernel(layer_, g, &slot.recv[i],
+                                       &slot.out[i], f));
+  }
+}
+
+void CollectiveRetriever::enqueuePendingUnpack() {
+  if (pending_ < 0) return;
+  InFlight* flight = inFlight(pending_);
+  launchUnpacks(slots_[static_cast<std::size_t>(pending_ % depth_)],
+                flight->filter ? &*flight->filter : nullptr, flight);
+  pending_ = -1;
+}
+
+SimTime CollectiveRetriever::finish() {
+  if (pending_ < 0) return SimTime::zero();
+  auto& system = layer_.system();
+  const SimTime before = last_host_;
+  enqueuePendingUnpack();
+  last_host_ = system.syncAll();
+  // Everything enqueued has run: release the in-flight records instead
+  // of letting them grow for the whole run. Kept when the sanitizer is
+  // attached: their events carry provenance later waits may join.
+  if (system.sanitizer() == nullptr) {
+    in_flight_.clear();
+    retired_ = submitted_;
+  }
+  return last_host_ - before;
 }
 
 namespace {
-// Self-registration: the NCCL-collective baseline is created by name
-// through the registry.
-const RetrieverRegistrar kRegistrar{
-    "nccl_collective",
-    [](const SystemContext& ctx) -> std::unique_ptr<EmbeddingRetriever> {
-      return std::make_unique<CollectiveRetriever>(
-          ctx.layer, ctx.comm, ctx.cache, ctx.route, ctx.codec);
-    }};
+// Self-registration: both collective baselines are created by name
+// through the registry, blocking and pipelined at the configured depth.
+std::unique_ptr<EmbeddingRetriever> make(const SystemContext& ctx,
+                                         int depth) {
+  return std::make_unique<CollectiveRetriever>(
+      ctx.layer, ctx.comm, depth, ctx.cache, ctx.route, ctx.codec);
+}
+const RetrieverRegistrar kBlocking{
+    "nccl_collective", [](const SystemContext& ctx) { return make(ctx, 1); }};
+const RetrieverRegistrar kPipelined{
+    "nccl_pipelined",
+    [](const SystemContext& ctx) { return make(ctx, ctx.pipeline_depth); }};
 }  // namespace
 
 }  // namespace pgasemb::core

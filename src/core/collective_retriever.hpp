@@ -1,20 +1,24 @@
-// The NCCL-collective baseline retriever (paper §IV setup).
-//
-// Per batch: EmbeddingBagCollection-style lookup kernels write pooled
-// embeddings into per-GPU send buffers in all-to-all order; the host
-// synchronizes, triggers `all_to_all_single(async_op=True)`, calls
-// wait(), then runs an unpack kernel that rearranges the received chunks
-// into the final [sample][table][col] tensor.  The three measured phases
-// (Computation / Communication / Sync+Unpack) fall directly out of this
-// control flow.
+// The NCCL-collective baseline retriever (paper §IV setup): lookup
+// kernels write pooled embeddings into per-GPU send buffers in
+// all-to-all order, `all_to_all_single(async_op=True)` ships them, and an
+// unpack kernel rearranges the received chunks into the final
+// [sample][table][col] tensor. At depth 1 (`nccl_collective`) the host
+// syncs after the lookup, calls wait() and syncs after the unpack, so the
+// paper's three phases (Computation / Communication / Sync+Unpack) fall
+// out of the control flow. Deeper pipelines (`nccl_pipelined`, A10) give
+// each in-flight batch a slot of send, recv and output buffers, run the
+// exchange on per-GPU comm streams, and enqueue a batch's unpack behind
+// the NEXT batch's lookup, which thus overlaps this batch's exchange.
 #pragma once
 
-#include <memory>
+#include <deque>
+#include <optional>
 #include <vector>
 
 #include "collective/communicator.hpp"
 #include "core/retriever.hpp"
 #include "emb/replica_cache.hpp"
+#include "gpu/gpu_event.hpp"
 
 namespace pgasemb::fault {
 class HierRoute;
@@ -24,41 +28,83 @@ namespace pgasemb::core {
 
 class CollectiveRetriever final : public EmbeddingRetriever {
  public:
-  /// `cache` (optional) serves hot bags from the local replica: the
-  /// lookup computes misses only and the all-to-all splits shrink.
-  /// `route` (optional, the one the communicator routes through) adds
-  /// the hierarchical all-to-all's leader gather kernel before the
-  /// exchange and its leader scatter kernel after wait(), on the elected
-  /// leaders' staging (DESIGN.md §12); the pipelined baseline rides the
-  /// same wire path but skips these kernels, since its buffers are
-  /// recycled across in-flight batches. `codec` (optional) really
-  /// transcodes cross-node chunks in Functional mode, so landed outputs
-  /// carry the measured compression error.
+  /// `depth` = batches in flight (1 = blocking, 2 = double buffering;
+  /// more needs 2 GPUs). `cache` (optional) serves hot bags from the local
+  /// replica; only misses are looked up and exchanged. `route` (optional,
+  /// the communicator's) adds the hierarchical exchange's leader gather
+  /// and demux kernels (DESIGN.md §12). `codec` (optional) transcodes
+  /// cross-node chunks in Functional mode, as the wire does.
   CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
-                      collective::Communicator& comm,
+                      collective::Communicator& comm, int depth = 1,
                       emb::ReplicaCache* cache = nullptr,
                       const fault::HierRoute* route = nullptr,
                       fabric::InterNodeCodec* codec = nullptr);
   ~CollectiveRetriever() override;
 
-  std::string name() const override { return "nccl_collective"; }
+  std::string name() const override {
+    return depth_ == 1 ? "nccl_collective" : "nccl_pipelined";
+  }
+  /// A pipeline only submits the batch and returns the host time since
+  /// the previous call: the amortized cost once it is warm.
   BatchTiming runBatch(const emb::SparseBatch& batch) override;
+  /// Drains a pipeline; zero (no sync charged) when nothing is in flight.
+  SimTime finish() override;
+  /// The latest batch's output (after finish() in a pipeline).
   gpu::DeviceBuffer& output(int gpu) override;
 
  private:
-  void copyAllToAllPayload();
+  struct Slot {
+    std::vector<gpu::DeviceBuffer> send, recv, out;
+  };
+  /// One pipelined batch, kept until a drain retires it: its events and
+  /// what its kernels read after runBatch() returns (Functional bodies
+  /// run at the next sync, possibly after the slot was reused).
+  struct InFlight {
+    InFlight(int gpus, int nodes)
+        : lookup_done(static_cast<std::size_t>(gpus)),
+          a2a_done(static_cast<std::size_t>(gpus)),
+          gathered(static_cast<std::size_t>(nodes)),
+          staging_free(static_cast<std::size_t>(nodes)) {}
+    std::optional<emb::SparseBatch> batch;  ///< Functional copy
+    std::optional<emb::CacheFilter> filter;
+    bool landed = false;                                ///< Functional
+    std::vector<gpu::GpuEvent> lookup_done, a2a_done;  ///< per GPU
+    std::vector<gpu::GpuEvent> gathered, staging_free;  ///< per node
+  };
+
+  // Steps shared by every depth; `flight` is null at depth 1.
+  void launchLookups(const emb::SparseBatch& batch, Slot& slot,
+                     const emb::CacheFilter* filter, InFlight* flight);
+  void launchStaging(bool gather, InFlight* flight);
+  collective::Request exchange(Slot& slot, bool land_at_wait);
+  void launchUnpacks(Slot& slot, const emb::CacheFilter* filter,
+                     InFlight* flight);
+  void landExchange(Slot& slot);
+  void enqueuePendingUnpack();
+  InFlight* inFlight(std::int64_t batch) {
+    return batch < retired_ ? nullptr
+                            : &in_flight_[static_cast<std::size_t>(
+                                  batch - retired_)];
+  }
 
   emb::ShardedEmbeddingLayer& layer_;
   collective::Communicator& comm_;
+  int depth_;
   emb::ReplicaCache* cache_ = nullptr;
   const fault::HierRoute* route_ = nullptr;
   fabric::InterNodeCodec* codec_ = nullptr;
-  std::vector<gpu::DeviceBuffer> send_buffers_;
-  std::vector<gpu::DeviceBuffer> recv_buffers_;
-  std::vector<gpu::DeviceBuffer> outputs_;
-  /// Per-batch all-to-all byte matrix, zeroed and reused across batches
-  /// instead of reallocated (p nested vectors per batch otherwise).
+  std::vector<Slot> slots_;
+  /// The batch's all-to-all byte matrix, reused across batches.
   std::vector<std::vector<std::int64_t>> send_matrix_;
+
+  std::vector<gpu::Stream*> comm_streams_;  ///< pipelined: one per GPU
+  /// Batches [retired_, submitted_); earlier ones were retired by a drain.
+  std::deque<InFlight> in_flight_;
+  std::int64_t retired_ = 0;
+  std::int64_t submitted_ = 0;
+  SimTime last_host_ = SimTime::zero();
+  /// The batch whose unpack is not yet enqueued (-1 = none).
+  std::int64_t pending_ = -1;
 };
 
 }  // namespace pgasemb::core

@@ -11,7 +11,6 @@
 extern "C" {
 int pgasemb_retriever_link_nccl_collective();
 int pgasemb_retriever_link_pgas_fused();
-int pgasemb_retriever_link_nccl_pipelined();
 }
 
 namespace pgasemb::core {
@@ -19,8 +18,7 @@ namespace pgasemb::core {
 RetrieverRegistry& RetrieverRegistry::instance() {
   static RetrieverRegistry registry;
   static const int force_link = pgasemb_retriever_link_nccl_collective() +
-                                pgasemb_retriever_link_pgas_fused() +
-                                pgasemb_retriever_link_nccl_pipelined();
+                                pgasemb_retriever_link_pgas_fused();
   (void)force_link;
   return registry;
 }

@@ -7,11 +7,10 @@
 //  * ReplicaCache / CacheFilter semantics: frequency-ranked admission,
 //    exact bag partition on materialized batches, miss/serve output
 //    conservation, saved-bytes accounting.
-//  * FUNCTIONAL EQUIVALENCE: with the cache enabled, both functional
-//    retrievers still reproduce the serial reference bit-for-bit (the
-//    serve kernel's local pooling overlays exactly the bags the shrunk
-//    lookup kernels skipped; the pipelined baseline is timing-only by
-//    design and is certified by simsan instead).
+//  * FUNCTIONAL EQUIVALENCE: with the cache enabled, every retriever
+//    still reproduces the serial reference bit-for-bit (the serve
+//    kernel's local pooling overlays exactly the bags the shrunk lookup
+//    kernels skipped).
 //  * TIMING: on the cache-serving configuration the cache delivers the
 //    paper-extension speedups, and cache_rows = 0 leaves stats empty.
 #include <gtest/gtest.h>
@@ -329,7 +328,8 @@ TEST_P(CachedEquivalence, MatchesSerialReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     FunctionalRetrievers, CachedEquivalence,
-    ::testing::Combine(::testing::Values("nccl_collective", "pgas_fused"),
+    ::testing::Combine(::testing::Values("nccl_collective", "pgas_fused",
+                                         "nccl_pipelined"),
                        ::testing::Values(2, 3, 4)),
     [](const auto& info) {
       return std::get<0>(info.param) + "_" +

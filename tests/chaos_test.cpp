@@ -171,9 +171,7 @@ TEST(ChaosTest, FunctionalOutputsStayBitExactUnderRandomFaults) {
       const std::uint64_t seed = 2000 + 10 * nodes + trial;
       const std::string plan = randomPlan(rng, nodes, 2 * nodes);
       const ExperimentConfig cfg = functionalChaosConfig(nodes, plan, seed);
-      // nccl_pipelined is timing-only; the two functional retrievers
-      // cover both the collective and the PGAS data paths.
-      for (const std::string name : {"nccl_collective", "pgas_fused"}) {
+      for (const std::string& name : kRetrievers) {
         const std::string what = name + " nodes=" + std::to_string(nodes) +
                                  " plan='" + plan + "'";
         SystemBuilder builder(cfg);
@@ -245,7 +243,7 @@ TEST(ChaosTest, AcceptanceLeaderFailPlusNicFlapAtFourNodesByFourGpus) {
   }
 
   // Functional bit-exactness under the same plan (small real-weight
-  // layer; nccl_pipelined is timing-only).
+  // layer).
   ExperimentConfig fcfg = assemble(spec, 7);
   fcfg.layer.total_tables = 32;
   fcfg.layer.rows_per_table = 4096;
@@ -254,7 +252,7 @@ TEST(ChaosTest, AcceptanceLeaderFailPlusNicFlapAtFourNodesByFourGpus) {
   fcfg.layer.min_pooling = 1;
   fcfg.layer.max_pooling = 8;
   fcfg.mode = gpu::ExecutionMode::kFunctional;
-  for (const std::string name : {"nccl_collective", "pgas_fused"}) {
+  for (const std::string& name : kRetrievers) {
     SystemBuilder builder(fcfg);
     auto retriever =
         core::RetrieverRegistry::instance().create(name, builder.context());

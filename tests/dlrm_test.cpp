@@ -278,8 +278,8 @@ TEST(MultiNodePipelineTest, ForwardTimesArePinned) {
        {2558877504, 2558877504}},
       {"pgas_fused", {606745183, 606745183}, {382367645, 382367645}},
       {"nccl_pipelined",
-       {1935988077, 1935988077},
-       {124000000, 1949988077}},
+       {1947354754, 1947354754},
+       {138000000, 1961354754}},
   };
   engine::ExperimentConfig cfg = twoNodeConfig();
   cfg.layer = emb::multinodeServingLayerSpec(cfg.num_gpus);

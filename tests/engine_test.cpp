@@ -11,7 +11,6 @@
 #include "collective/communicator.hpp"
 #include "core/collective_retriever.hpp"
 #include "core/pgas_retriever.hpp"
-#include "core/pipelined_retriever.hpp"
 #include "core/registry.hpp"
 #include "engine/scenario_runner.hpp"
 #include "fabric/fabric.hpp"

@@ -241,8 +241,9 @@ TEST(MultiNodeGoldenTest, SingleNodeReportsNoInterNodeSection) {
 // three retrievers, hierarchical routing alone, with the adaptive codec,
 // and under leader-fail + nic-flap faults. The numbers were recorded
 // before PGAS forwarding was regrouped per node and re-recorded when each
-// node got its own host; every simulated total, byte, message, codec
-// decision and resilience counter must stay put.
+// node got its own host (nccl_pipelined's again when it gained the leader
+// staging kernels); every simulated total, byte, message, codec decision
+// and resilience counter must stay put.
 
 struct TrafficPin {
   const char* retriever;
@@ -272,7 +273,7 @@ TEST(MultiNodeGoldenTest, HierarchicalTotalsArePinned) {
   const TrafficPin pins[] = {
       {"nccl_collective", 6709215352, 553648128, 288, 402659328.0},
       {"pgas_fused", 2164211130, 553648128, 1388544, 404226048.0},
-      {"nccl_pipelined", 5668449452, 553648128, 288, 402659328.0},
+      {"nccl_pipelined", 5709549484, 553648128, 288, 402659328.0},
   };
   for (const auto& pin : pins) {
     const ExperimentResult r = ScenarioRunner(hierConfig()).run(pin.retriever);
@@ -292,7 +293,7 @@ TEST(MultiNodeGoldenTest, HierarchicalAdaptiveCodecIsPinned) {
        201326592, 100663488, 0, 24},
       {{"pgas_fused", 637183290, 401141760, 1388544, 99213312.0},
        201326592, 48820224, 11272, 1016},
-      {{"nccl_pipelined", 4646022580, 452985024, 288, 201449664.0},
+      {{"nccl_pipelined", 4687122612, 452985024, 288, 201449664.0},
        201326592, 100663488, 0, 24},
   };
   ExperimentConfig cfg = hierConfig();
@@ -326,8 +327,8 @@ TEST(MultiNodeGoldenTest, HierarchicalUnderNodeFaultsIsPinned) {
        12, 10, 5242880, 0, 5242880, 10, 3708666965, 24, 7818353675, 1, 1},
       {{"pgas_fused", 9831219298, 499744768, 1311922, 1017726912.0},
        12, 10, 163840, 10, 163840, 0, 3082507688, 2136, 8657291902, 1, 0},
-      {{"nccl_pipelined", 10573908942, 507510784, 343, 915032856.0},
-       9, 7, 29360128, 0, 29360128, 7, 2599423040, 24, 5884242365, 1, 1},
+      {{"nccl_pipelined", 14843571557, 407896064, 394, 1396852216.875},
+       12, 10, 5242880, 0, 5242880, 10, 3708666965, 48, 13702596040, 1, 1},
   };
   const ExperimentConfig cfg = faultedConfig(
       4, 4, "leader-fail:1:0.0-1000000.0,nic-flap:2:0.04-1.5");
@@ -469,7 +470,7 @@ TEST(CompressionTest, SharedNicQueueNeverFasterThanPerFlowQueues) {
 
 TEST(CompressionTest, FunctionalErrorStaysWithinBound) {
   for (const double bound : {1e-1, 1e-2}) {
-    for (const char* name : {"nccl_collective", "pgas_fused"}) {
+    for (const auto& name : kRetrievers) {
       ExperimentConfig cfg = functionalConfig();
       cfg.hierarchical_a2a = true;
       cfg.compress_bound = bound;
@@ -536,7 +537,7 @@ TEST(MultiNodeSimsanTest, StrictEffectsHoldUnderHierarchyAndCompression) {
   cfg.compress_bound = 1e-2;
   cfg.simsan = true;
   cfg.simsan_strict = true;
-  for (const char* name : {"nccl_collective", "pgas_fused"}) {
+  for (const auto& name : kRetrievers) {
     ScenarioRunner runner(cfg);
     const ExperimentResult r = runner.run(name);
     ASSERT_TRUE(r.sanitizer.has_value()) << name;
@@ -673,7 +674,7 @@ TEST(MultiNodeSimsanTest, FailoverStagingHoldsUnderStrictEffects) {
       faultedConfig(2, 2, "leader-fail:0:0.0-1000000.0");
   cfg.simsan = true;
   cfg.simsan_strict = true;
-  for (const char* name : {"nccl_collective", "pgas_fused"}) {
+  for (const auto& name : kRetrievers) {
     const ExperimentResult r = ScenarioRunner(cfg).run(name);
     ASSERT_TRUE(r.sanitizer.has_value()) << name;
     EXPECT_TRUE(r.sanitizer->clean()) << name << "\n"

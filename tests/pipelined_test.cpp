@@ -1,12 +1,16 @@
-// Tests for the inter-batch pipelined collective baseline.
+// Tests for the collective baseline at pipeline depth 2 or more.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "collective/communicator.hpp"
 #include "core/collective_retriever.hpp"
 #include "core/pgas_retriever.hpp"
-#include "core/pipelined_retriever.hpp"
+#include "core/registry.hpp"
+#include "engine/scenario_runner.hpp"
+#include "engine/system_builder.hpp"
 #include "fabric/fabric.hpp"
 #include "pgas/runtime.hpp"
 #include "util/expect.hpp"
@@ -50,14 +54,12 @@ struct Rig {
   }
 };
 
-double amortizedMs(Rig& rig, EmbeddingRetriever& retriever, int batches,
-                   PipelinedCollectiveRetriever* pipelined = nullptr) {
+double amortizedMs(Rig& rig, EmbeddingRetriever& retriever, int batches) {
   const auto batch = emb::SparseBatch::statistical(Rig::spec().batchSpec());
   const SimTime t0 = rig.system.hostNow();
   for (int b = 0; b < batches; ++b) retriever.runBatch(batch);
-  const SimTime t1 =
-      pipelined != nullptr ? pipelined->drain() : rig.system.syncAll();
-  return (t1 - t0).toMs() / batches;
+  retriever.finish();
+  return (rig.system.hostNow() - t0).toMs() / batches;
 }
 
 TEST(PipelinedTest, HidesWireTimeButKeepsUnpack) {
@@ -74,8 +76,8 @@ TEST(PipelinedTest, HidesWireTimeButKeepsUnpack) {
   }
   {
     Rig rig(4);
-    PipelinedCollectiveRetriever r(rig.layer, rig.comm, 2);
-    piped = amortizedMs(rig, r, batches, &r);
+    CollectiveRetriever r(rig.layer, rig.comm, 2);
+    piped = amortizedMs(rig, r, batches);
   }
   {
     Rig rig(4);
@@ -94,13 +96,13 @@ TEST(PipelinedTest, DeeperPipelineNeverSlower) {
   double d2, d3;
   {
     Rig rig(4);
-    PipelinedCollectiveRetriever r(rig.layer, rig.comm, 2);
-    d2 = amortizedMs(rig, r, 10, &r);
+    CollectiveRetriever r(rig.layer, rig.comm, 2);
+    d2 = amortizedMs(rig, r, 10);
   }
   {
     Rig rig(4);
-    PipelinedCollectiveRetriever r(rig.layer, rig.comm, 3);
-    d3 = amortizedMs(rig, r, 10, &r);
+    CollectiveRetriever r(rig.layer, rig.comm, 3);
+    d3 = amortizedMs(rig, r, 10);
   }
   EXPECT_LE(d3, d2 * 1.01);
 }
@@ -113,27 +115,143 @@ TEST(PipelinedTest, ChargesExtraBufferMemory) {
   const auto bulk_bufs =
       bulk_rig.system.device(0).memoryUsedBytes() - before_bulk;
   const auto before_piped = piped_rig.system.device(0).memoryUsedBytes();
-  PipelinedCollectiveRetriever piped(piped_rig.layer, piped_rig.comm, 2);
+  CollectiveRetriever piped(piped_rig.layer, piped_rig.comm, 2);
   const auto piped_bufs =
       piped_rig.system.device(0).memoryUsedBytes() - before_piped;
   EXPECT_EQ(piped_bufs, 2 * bulk_bufs);
 }
 
-TEST(PipelinedTest, RejectsFunctionalMode) {
-  Rig rig(2, gpu::ExecutionMode::kFunctional);
-  EXPECT_THROW(PipelinedCollectiveRetriever(rig.layer, rig.comm, 2),
-               InvalidArgumentError);
-}
-
 TEST(PipelinedTest, DrainIsIdempotent) {
   Rig rig(2);
-  PipelinedCollectiveRetriever r(rig.layer, rig.comm, 2);
+  CollectiveRetriever r(rig.layer, rig.comm, 2);
   const auto batch = emb::SparseBatch::statistical(Rig::spec().batchSpec());
   r.runBatch(batch);
-  const SimTime t1 = r.drain();
-  const SimTime t2 = r.drain();
-  EXPECT_GE(t2, t1);
-  EXPECT_LT(t2 - t1, SimTime::us(100));  // just sync overhead
+  EXPECT_GT(r.finish(), SimTime::zero());
+  const SimTime t1 = rig.system.hostNow();
+  // Nothing is left in flight: no sync is charged.
+  EXPECT_EQ(r.finish(), SimTime::zero());
+  EXPECT_EQ(rig.system.hostNow(), t1);
+}
+
+
+TEST(PipelinedTest, DepthOneIsTheBlockingPath) {
+  // nccl_pipelined at depth 1 is nccl_collective: it syncs every batch,
+  // so no buffer is reused while in flight, and every batch times
+  // exactly as the collective's.
+  engine::ExperimentConfig cfg = engine::weakScalingConfig(4);
+  cfg.num_batches = 3;
+  cfg.pipeline_depth = 1;
+  cfg.simsan = true;
+  const auto piped = engine::ScenarioRunner(cfg).run("nccl_pipelined");
+  const auto bulk = engine::ScenarioRunner(cfg).run("nccl_collective");
+  ASSERT_TRUE(piped.sanitizer.has_value());
+  EXPECT_TRUE(piped.sanitizer->clean()) << piped.sanitizer->report();
+  ASSERT_EQ(piped.per_batch.size(), bulk.per_batch.size());
+  for (std::size_t b = 0; b < bulk.per_batch.size(); ++b) {
+    const auto& p = piped.per_batch[b];
+    const auto& c = bulk.per_batch[b];
+    EXPECT_EQ(p.total, c.total) << "batch " << b;
+    EXPECT_EQ(p.compute_phase, c.compute_phase) << "batch " << b;
+    EXPECT_EQ(p.comm_phase, c.comm_phase) << "batch " << b;
+    EXPECT_EQ(p.unpack_phase, c.unpack_phase) << "batch " << b;
+    EXPECT_EQ(p.wire_time, c.wire_time) << "batch " << b;
+  }
+  EXPECT_EQ(piped.stats.total, bulk.stats.total);
+}
+
+// --- Functional mode -------------------------------------------------------
+
+engine::ExperimentConfig functionalConfig(int gpus, int depth, bool cached) {
+  engine::ExperimentConfig cfg;
+  cfg.num_gpus = gpus;
+  cfg.mode = gpu::ExecutionMode::kFunctional;
+  cfg.pipeline_depth = depth;
+  cfg.layer.total_tables = 16;
+  cfg.layer.rows_per_table = 256;
+  cfg.layer.dim = 8;
+  cfg.layer.batch_size = 24;
+  cfg.layer.min_pooling = 0;
+  cfg.layer.max_pooling = 6;
+  cfg.layer.index_space = 1u << 10;
+  cfg.layer.zipf_alpha = 0.9;
+  cfg.cache_rows = cached ? 32 : 0;
+  return cfg;
+}
+
+/// Runs `batches` fresh batches through `name`, each destroyed right
+/// after runBatch() (as ScenarioRunner's Functional loop does), then
+/// finish(); returns the last batch and every GPU's output.
+struct LastBatch {
+  emb::SparseBatch batch;
+  std::vector<std::vector<float>> outputs;
+};
+LastBatch runFunctional(engine::SystemBuilder& builder,
+                        const std::string& name, int batches) {
+  const auto& cfg = builder.config();
+  auto retriever =
+      RetrieverRegistry::instance().create(name, builder.context());
+  Rng rng(0x9e11);
+  auto last = emb::SparseBatch::statistical(cfg.layer.batchSpec());
+  for (int b = 0; b < batches; ++b) {
+    const auto batch =
+        emb::SparseBatch::generateUniform(cfg.layer.batchSpec(), rng);
+    retriever->runBatch(batch);
+    last = batch;
+  }
+  retriever->finish();
+  LastBatch out{last, {}};
+  for (int g = 0; g < cfg.num_gpus; ++g) {
+    const auto n = builder.layer().sharding().outputElements(g, cfg.layer.dim);
+    const auto s = retriever->output(g).span();
+    out.outputs.emplace_back(s.begin(), s.begin() + n);
+  }
+  return out;
+}
+
+TEST(PipelinedTest, FunctionalOutputsMatchTheSerialReference) {
+  // depth + 1 batches in flight before finish(): the last batch reuses
+  // the first batch's slot before any kernel body has run.
+  for (const int depth : {2, 3}) {
+    for (const int gpus : {2, 4, 8}) {
+      for (const bool cached : {false, true}) {
+        const std::string what = "depth " + std::to_string(depth) + ", " +
+                                 std::to_string(gpus) + " GPUs" +
+                                 (cached ? ", cached" : "");
+        engine::SystemBuilder builder(functionalConfig(gpus, depth, cached));
+        ASSERT_EQ(builder.cache() != nullptr, cached) << what;
+        const LastBatch run =
+            runFunctional(builder, "nccl_pipelined", depth + 1);
+        for (int g = 0; g < gpus; ++g) {
+          EXPECT_EQ(run.outputs[static_cast<std::size_t>(g)],
+                    builder.layer().referenceOutput(run.batch, g))
+              << what << ", gpu " << g;
+        }
+      }
+    }
+  }
+}
+
+TEST(PipelinedTest, FunctionalHierarchicalCompressedMatchesCollective) {
+  // 2 nodes x 2 GPUs, hierarchical routing with the codec: the pipeline
+  // lands the same transcoded values the blocking exchange does.
+  engine::ExperimentConfig cfg = functionalConfig(4, 2, false);
+  cfg.num_nodes = 2;
+  cfg.inter_node_link.bandwidth_bytes_per_sec = 25e9;
+  cfg.inter_node_link.latency = SimTime::us(5.0);
+  cfg.hierarchical_a2a = true;
+  cfg.compress_bound = 1e-2;
+  for (const int depth : {2, 3}) {
+    cfg.pipeline_depth = depth;
+    engine::SystemBuilder bulk_builder(cfg);
+    const LastBatch bulk =
+        runFunctional(bulk_builder, "nccl_collective", depth + 1);
+    engine::SystemBuilder piped_builder(cfg);
+    const LastBatch piped =
+        runFunctional(piped_builder, "nccl_pipelined", depth + 1);
+    ASSERT_NE(piped_builder.context().route, nullptr);
+    ASSERT_NE(piped_builder.codec(), nullptr);
+    EXPECT_EQ(piped.outputs, bulk.outputs) << "depth " << depth;
+  }
 }
 
 }  // namespace

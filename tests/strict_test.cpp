@@ -419,10 +419,6 @@ TEST_P(StrictCertificationTest, PlainTimingOnly) {
 
 TEST_P(StrictCertificationTest, PlainFunctional) {
   const auto& [name, gpus] = GetParam();
-  if (name == "nccl_pipelined") {
-    GTEST_SKIP() << "the pipelined baseline is timing-only by design "
-                    "(recycles buffers across in-flight batches)";
-  }
   auto cfg = tinyStrictConfig(gpus);
   cfg.mode = gpu::ExecutionMode::kFunctional;
   expectStrictClean(cfg, name);
