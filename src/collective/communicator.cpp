@@ -25,12 +25,7 @@ fabric::Fabric::Delivery Communicator::xfer(int src, int dst,
   const std::int64_t wire_bytes =
       codec_ == nullptr ? payload_bytes
                         : codec_->encode(src, dst, payload_bytes, at);
-  if (injector_ != nullptr) {
-    return injector_->reliableCollective(src, dst, wire_bytes, n_messages,
-                                         at, protoEff());
-  }
-  return fabric_.transfer(src, dst, wire_bytes, n_messages, at,
-                          protoEff());
+  return hierXfer(src, dst, wire_bytes, n_messages, at, protoEff());
 }
 
 fabric::Fabric::Delivery Communicator::hierXfer(int src, int dst,
@@ -76,6 +71,12 @@ SimTime Communicator::sendChunked(int from, int to, std::int64_t bytes,
   return done;
 }
 
+int Communicator::leaderOf(int node,
+                           const detail::CollectiveState& state) const {
+  const auto& staging = state.memory.staging;
+  return staging.empty() ? route_->leader(node, state.launched_at)
+                         : staging[static_cast<std::size_t>(node)].device;
+}
 
 Request Communicator::launch(
     const std::string& label,
@@ -92,17 +93,10 @@ Request Communicator::launch(
   state->devices_pending = n;
   state->on_complete = std::move(on_complete);
   state->done_callbacks.resize(static_cast<std::size_t>(n));
-  // Pool-recycled states may carry a previous collective's hierarchical
-  // bookkeeping.
   state->launched_at = system_.hostNow();
-  state->hier_pairs.clear();
-  state->hier_gathers.clear();
-  state->hier_inters.clear();
-  state->hier_scatters.clear();
-  state->hier_sync.clear();
+  if (memory != nullptr) state->memory = *memory;
   if (system_.sanitizer() != nullptr) {
     state->label = label;
-    if (memory != nullptr) state->memory = *memory;
     state->actors.assign(static_cast<std::size_t>(n), -1);
     state->op_start.assign(static_cast<std::size_t>(n), SimTime::zero());
   }
@@ -203,7 +197,7 @@ void Communicator::sanitizeCompletion(detail::CollectiveState& state) {
 void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
   auto* san = system_.sanitizer();
   if (san == nullptr || state.actors.empty() || state.hier_sync.empty() ||
-      !route_->staged()) {
+      state.memory.staging.empty()) {
     return;
   }
   auto& topo = fabric_.topology();
@@ -218,22 +212,11 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
     return static_cast<void*>(
         &state.hier_sync[static_cast<std::size_t>(nodes + s * nodes + d)]);
   };
-  // Failover-aware staging selection: a node whose launch-time election
-  // moved leadership onto its standby logs against the standby's staging,
-  // and every access to it is ordered behind the rebuild via the node's
-  // rebuild sync key.
-  const auto leader_of = [&](int node) {
-    return route_->leader(node, state.launched_at);
-  };
-  const auto staging_of = [&](int node) -> const fault::HierStaging& {
-    return *route_->staging(node, state.launched_at);
-  };
-  const auto failed_over = [&](int node) {
-    return staging_of(node).device != topo.nodeLeader(node);
-  };
-  const auto rkey = [&](int node) {
-    return static_cast<void*>(
-        &rebuild_sync_[static_cast<std::size_t>(node)]);
+  // Every access goes to the staging the caller declared for the node,
+  // which a standby's rebuild, if any, already precedes (DESIGN.md §13).
+  const auto staging_of =
+      [&](int node) -> const CollectiveMemory::Staging& {
+    return state.memory.staging[static_cast<std::size_t>(node)];
   };
   // Member contributions land in disjoint per-member slots of the leader
   // staging buffer.
@@ -241,9 +224,6 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
     const int node = topo.nodeOf(g.src);
     const int local = g.src - topo.nodeLeader(node);
     const auto& stg = staging_of(node);
-    if (failed_over(node) && !rebuild_sync_.empty()) {
-      san->acquire(actor_of(g.src), rkey(node));
-    }
     san->access(actor_of(g.src), stg.device,
                 stg.gather_slots[static_cast<std::size_t>(local)],
                 simsan::AccessKind::kWrite, g.at, g.delivered,
@@ -254,9 +234,9 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
   // behind the gathers by the per-node sync) and writes one per-source
   // slot of the destination leader's recv staging.
   for (const auto& i : state.hier_inters) {
-    const simsan::ActorId leader = actor_of(leader_of(i.src_node));
-    san->acquire(leader, gkey(i.src_node));
     const auto& src_stg = staging_of(i.src_node);
+    const simsan::ActorId leader = actor_of(src_stg.device);
+    san->acquire(leader, gkey(i.src_node));
     for (const auto& slot : src_stg.gather_slots) {
       san->access(leader, src_stg.device, slot, simsan::AccessKind::kRead,
                   i.at, i.delivered,
@@ -264,11 +244,6 @@ void Communicator::sanitizeHierarchical(detail::CollectiveState& state) {
                       std::to_string(i.src_node));
     }
     const auto& dst_stg = staging_of(i.dst_node);
-    if (failed_over(i.dst_node) && !rebuild_sync_.empty()) {
-      // The remote write into the standby recv staging must also be
-      // ordered behind the destination node's rebuild.
-      san->acquire(leader, rkey(i.dst_node));
-    }
     san->access(leader, dst_stg.device,
                 dst_stg.recv_slots[static_cast<std::size_t>(i.src_node)],
                 simsan::AccessKind::kWrite, i.at, i.delivered,
@@ -299,7 +274,7 @@ SimTime Communicator::hierarchicalInject(
   const int n = system_.numGpus();
   const int nodes = topo.numNodes();
   const int my_node = topo.nodeOf(src);
-  const int my_leader = route_->leader(my_node, state.launched_at);
+  const int my_leader = leaderOf(my_node, state);
   const bool log = system_.sanitizer() != nullptr && !state.actors.empty();
   if (state.hier_pairs.empty()) {
     state.hier_pairs.resize(static_cast<std::size_t>(nodes) * nodes);
@@ -407,10 +382,10 @@ SimTime Communicator::injectInterAndScatter(
     const std::vector<std::vector<std::int64_t>>& matrix,
     SimTime chunk_overhead, detail::CollectiveState& state) {
   auto& topo = fabric_.topology();
-  // Elected leaders run the staging endpoints; the topology defaults
-  // stay the iteration bases (node membership is fixed by layout).
-  const int leader_s = route_->leader(src_node, state.launched_at);
-  const int leader_d = route_->leader(dst_node, state.launched_at);
+  // The leaders run the staging endpoints; the topology defaults stay
+  // the iteration bases (node membership is fixed by layout).
+  const int leader_s = leaderOf(src_node, state);
+  const int leader_d = leaderOf(dst_node, state);
   const int base_s = topo.nodeLeader(src_node);
   const int base_d = topo.nodeLeader(dst_node);
   auto* san = system_.sanitizer();
@@ -459,69 +434,6 @@ SimTime Communicator::injectInterAndScatter(
   return last;
 }
 
-void Communicator::maybeRebuildStaging(SimTime at) {
-  auto& topo = fabric_.topology();
-  const int nodes = topo.numNodes();
-  auto* san = system_.sanitizer();
-  for (int node = 0; node < nodes; ++node) {
-    // Only a node whose leadership moved onto its standby rebuilds.
-    const fault::HierStaging* stg = route_->staging(node, at);
-    if (stg == nullptr || stg->device == topo.nodeLeader(node)) continue;
-    const int elected = stg->device;
-    const auto key = std::make_pair(node, route_->failWindow(node, at));
-    if (std::find(rebuilt_.begin(), rebuilt_.end(), key) != rebuilt_.end()) {
-      continue;
-    }
-    if (rebuild_sync_.empty()) {
-      rebuild_sync_.resize(static_cast<std::size_t>(nodes));
-    }
-    rebuilt_.push_back(key);
-    injector_->recordStagingRebuild();
-    if (san != nullptr &&
-        san->seeded(simsan::SeededBug::kRebuildWithoutRequiet)) {
-      // A bug a test seeds on the checker: the rebuild's staging writes
-      // run under a forked, never-joined rogue actor and the node-wide
-      // re-quiet (the release the members' gathers acquire) is skipped —
-      // every later access to the standby staging races the rebuild.
-      const auto rogue = san->forkActor(
-          "node" + std::to_string(node) + ".hier_rebuild.rogue",
-          system_.stream(elected).sanitizerActor());
-      const std::string label =
-          "emb_hier_rebuild.node" + std::to_string(node);
-      for (const auto& slot : stg->gather_slots) {
-        if (slot.empty()) continue;
-        san->access(rogue, elected, slot, simsan::AccessKind::kWrite, at, at,
-                    label);
-      }
-      for (const auto& slot : stg->recv_slots) {
-        if (slot.empty()) continue;
-        san->access(rogue, elected, slot, simsan::AccessKind::kWrite, at, at,
-                    label);
-      }
-      continue;
-    }
-    // Replay the staging layout on the standby leader (a real device
-    // kernel with declared write effects), then publish it: members
-    // acquire this key before their first gather into the standby. The
-    // kernel's writes are recorded when it executes on the stream, so
-    // the release must follow it in stream program order — a release at
-    // (host) launch time would precede the writes and leave them
-    // unordered against the members' acquires.
-    route_->rebuildStandby(node);
-    if (san != nullptr) {
-      auto& stream = system_.stream(elected);
-      const auto actor = stream.sanitizerActor();
-      void* key = &rebuild_sync_[static_cast<std::size_t>(node)];
-      stream.enqueue(at, "hier_rebuild.publish.node" + std::to_string(node),
-                     [san, actor, key](SimTime start,
-                                       std::function<void(SimTime)> done) {
-                       san->release(actor, key);
-                       done(start);
-                     });
-    }
-  }
-}
-
 Request Communicator::allToAllSingle(
     const std::vector<std::vector<std::int64_t>>& send_bytes,
     std::function<void()> on_complete,
@@ -537,10 +449,6 @@ Request Communicator::allToAllSingle(
   const SimTime chunk_overhead =
       system_.costModel().collective_chunk_overhead;
   auto matrix = send_bytes;  // keep alive in the closure
-  // Routing is decided once per collective, at launch (host) time: all
-  // members must agree on the elected leaders and the degraded pairs or
-  // the per-pair contribution counting falls apart mid-collective.
-  if (route_ != nullptr) maybeRebuildStaging(system_.hostNow());
   return launch(
       "all_to_all_single",
       [this, matrix, chunk_overhead](int src, SimTime start,

@@ -43,6 +43,7 @@ class Communicator {
   void setFaultInjector(fault::FaultInjector* injector) {
     injector_ = injector;
   }
+  fault::FaultInjector* faultInjector() const { return injector_; }
 
   /// Route all-to-alls hierarchically through `route` (DESIGN.md §12):
   /// members stage their inter-node contributions at the node leader
@@ -66,8 +67,9 @@ class Communicator {
   /// streams the collective enqueues on — side comm streams let a
   /// pipelined caller overlap the next batch's compute with this
   /// collective; default = each device's default stream.
-  /// `memory` (optional) declares each rank's staging buffers for simsan
-  /// access logging; ignored when no checker is attached.
+  /// `memory` (optional) declares each rank's buffers for simsan access
+  /// logging (ignored when no checker is attached) and, on a hierarchical
+  /// route, each node's leader staging, whose holders lead the exchange.
   Request allToAllSingle(
       const std::vector<std::vector<std::int64_t>>& send_bytes,
       std::function<void()> on_complete = nullptr,
@@ -112,17 +114,17 @@ class Communicator {
   /// sanitizeCompletion's retire-together barrier.
   void sanitizeHierarchical(detail::CollectiveState& state);
 
-  /// Failover housekeeping at collective launch: when a node's staging
-  /// leadership has moved inside a new fail window, replay the staging
-  /// rebuild on the standby leader (once per node × window) and publish
-  /// it to the members via the node's rebuild sync key.
-  void maybeRebuildStaging(SimTime at);
+  /// Node `node`'s leader for this collective: the GPU holding the
+  /// staging its caller declared, else the route's election at launch.
+  int leaderOf(int node, const detail::CollectiveState& state) const;
 
   /// One source rank's hierarchical all-to-all injection: flat intra
   /// flows, gather-to-leader, and — for whichever member contributes
   /// last — the aggregated inter flow plus the destination-side scatter.
-  /// Every member asks the route at the collective's launch time, so
-  /// all of them agree on the elected leaders and the degraded pairs.
+  /// Routing is decided once per collective: every member asks
+  /// leaderOf() and the route's degraded pairs at the launch time, so all
+  /// of them agree, or the per-pair contribution counting falls apart
+  /// mid-collective.
   SimTime hierarchicalInject(
       int src, SimTime start,
       const std::vector<std::vector<std::int64_t>>& matrix,
@@ -142,10 +144,9 @@ class Communicator {
     return system_.costModel().collective_protocol_efficiency;
   }
 
-  /// All flat collective wire traffic funnels through here: direct
-  /// fabric transfer normally, reissue-on-drop when a fault injector is
-  /// set.  Charges the strict tracker with the logical payload and
-  /// compresses inter-node flows when a codec is armed.
+  /// All flat collective wire traffic funnels through here: charges the
+  /// strict tracker with the logical payload, compresses inter-node flows
+  /// when a codec is armed, and sends through hierXfer().
   fabric::Fabric::Delivery xfer(int src, int dst, std::int64_t payload_bytes,
                                 std::int64_t n_messages, SimTime at);
 
@@ -156,10 +157,11 @@ class Communicator {
   SimTime xferChunked(int src, int dst, std::int64_t bytes, SimTime& at,
                       SimTime chunk_overhead);
 
-  /// Physical hop of a hierarchical transfer: same fault handling as
-  /// xfer(), but no strict charge (the logical (src, dst) transfer is
-  /// charged once, separately — forwarded hops would otherwise blow the
-  /// leader's declared budget) and an explicit bandwidth fraction.
+  /// One physical hop at an explicit bandwidth fraction: direct fabric
+  /// transfer normally, reissue-on-drop when a fault injector is set. No
+  /// strict charge (a hierarchical (src, dst) transfer is charged once,
+  /// separately — forwarded hops would otherwise blow the leader's
+  /// declared budget).
   fabric::Fabric::Delivery hierXfer(int src, int dst,
                                     std::int64_t payload_bytes,
                                     std::int64_t n_messages, SimTime at,
@@ -185,12 +187,6 @@ class Communicator {
   simsan::StrictCollectiveTracker* strict_active_ = nullptr;
   /// Recycles the per-collective completion records (one per launch).
   util::SharedPool<detail::CollectiveState> state_pool_;
-  /// (node, fail-window index) pairs whose standby staging was rebuilt.
-  std::vector<std::pair<int, int>> rebuilt_;
-  /// Arena whose element addresses serve as the per-node rebuild sync
-  /// keys (sized to the topology once, never resized — addresses must
-  /// stay stable for the checker).
-  std::vector<char> rebuild_sync_;
 };
 
 }  // namespace pgasemb::collective

@@ -21,17 +21,28 @@ class MultiGpuSystem;
 
 namespace pgasemb::collective {
 
-/// Per-rank staging buffers of one collective, declared by the caller so
-/// simsan can log what each rank's op reads and writes (NCCL semantics:
-/// every rank's kernel reads its own send buffer and writes its own recv
-/// buffer; cross-rank visibility comes from the collective's barrier).
+/// The buffers a caller declares for one collective. Per-rank send and
+/// recv ranges let simsan log what each rank's op reads and writes (NCCL
+/// semantics: every rank's kernel reads its own send buffer and writes
+/// its own recv buffer; cross-rank visibility comes from the collective's
+/// barrier). A hierarchical all-to-all's leader staging, one entry per
+/// node, also routes it: each node's gather, inter-node and scatter hops
+/// go through the GPU that holds that node's staging (DESIGN.md §12).
 struct CollectiveMemory {
   struct PerRank {
     int device = -1;  ///< -1 = no declared buffers for this rank
     simsan::StridedRange send;  ///< read by the rank's op
     simsan::StridedRange recv;  ///< written by the rank's op
   };
-  std::vector<PerRank> ranks;
+  /// One node's leader staging.
+  struct Staging {
+    int device = -1;  ///< the leader GPU that holds it
+    std::vector<simsan::StridedRange> gather_slots;  ///< one per local rank
+    std::vector<simsan::StridedRange> recv_slots;    ///< one per source node
+  };
+  std::vector<PerRank> ranks;  ///< empty: nothing logged per rank
+  /// Empty: the communicator elects the leaders itself, at launch.
+  std::vector<Staging> staging;
 };
 
 namespace detail {
@@ -87,10 +98,10 @@ struct CollectiveState {
 
   // --- hierarchical all-to-all bookkeeping (empty in flat mode) ----------
   std::vector<HierPair> hier_pairs;  ///< dense (src_node, dst_node) matrix
-  /// Host time of the launch. Every member routes (and simsan logs)
-  /// against the route's answers at this time, so all agree on the
-  /// elected leaders even when a leader-fail window edge crosses the
-  /// collective.
+  /// Host time of the launch. Every member asks the route at this time,
+  /// so all agree on the degraded pairs (and, when the caller declared no
+  /// staging, on the elected leaders) even when a fault window edge
+  /// crosses the collective.
   SimTime launched_at = SimTime::zero();
   std::vector<HierGatherLog> hier_gathers;
   std::vector<HierInterLog> hier_inters;

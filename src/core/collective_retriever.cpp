@@ -1,10 +1,13 @@
 #include "core/collective_retriever.hpp"
 
+#include <algorithm>
+
 #include "core/registry.hpp"
 #include "emb/lookup_kernel.hpp"
 #include "emb/staging_kernel.hpp"
 #include "emb/unpack_kernel.hpp"
 #include "fault/hier_route.hpp"
+#include "fault/injector.hpp"
 #include "util/expect.hpp"
 
 namespace pgasemb::core {
@@ -41,10 +44,19 @@ CollectiveRetriever::CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
   for (int g = 0; depth > 1 && g < p; ++g) {
     comm_streams_.push_back(&system.createStream(g, "comm"));
   }
+  for (int n = 0; route_ != nullptr && n < route_->numNodes(); ++n) {
+    staging_.push_back(carveStaging(n, n * route_->gpusPerNode()));
+  }
+  standby_.resize(staging_.size());
+  memory_.staging.resize(staging_.size());
 }
 
 CollectiveRetriever::~CollectiveRetriever() {
   auto& system = layer_.system();
+  for (auto it = staging_buffers_.rbegin(); it != staging_buffers_.rend();
+       ++it) {
+    it->device()->free(*it);
+  }
   for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
     for (int g = system.numGpus() - 1; g >= 0; --g) {
       for (auto* buffers : {&it->recv, &it->send, &it->out}) {
@@ -91,8 +103,7 @@ BatchTiming CollectiveRetriever::runBatch(const emb::SparseBatch& batch) {
   // copy of the batch, until a drain retires the batch.
   InFlight* flight = nullptr;
   if (pipelined) {
-    const bool staged = route_ != nullptr && route_->staged();
-    flight = &in_flight_.emplace_back(p, staged ? route_->numNodes() : 0);
+    flight = &in_flight_.emplace_back(p, static_cast<int>(staging_.size()));
     if (functional) flight->batch.emplace(batch);
   }
   const emb::SparseBatch& in =
@@ -196,14 +207,15 @@ void CollectiveRetriever::launchLookups(const emb::SparseBatch& batch,
 }
 
 void CollectiveRetriever::launchStaging(bool gather, InFlight* flight) {
-  if (route_ == nullptr || !route_->staged()) return;
-  // Hierarchical all-to-all (DESIGN.md §12): each elected leader packs
-  // its own inter-node contribution into its node's gather staging before
-  // the exchange (the members' arrive over NVLink inside the collective)
-  // and demultiplexes the landed recv staging after it. The route, asked
-  // at node n's host time, hands back the standby's staging after a
-  // failover. A pipeline runs both kernels on the leader's comm stream
-  // and orders them against the neighbouring batches (DESIGN.md §6).
+  if (route_ == nullptr) return;
+  // Hierarchical all-to-all (DESIGN.md §12): each node's leader packs its
+  // own inter-node contribution into its gather staging before the
+  // exchange (the members' arrive over NVLink inside the collective) and
+  // demultiplexes the landed recv staging after it. The leader is picked
+  // once per batch, when its gather launches; the exchange and the demux
+  // keep that pick. A pipeline runs these kernels on the leader's comm
+  // stream and orders them against the neighbouring batches (DESIGN.md
+  // §6).
   auto& system = layer_.system();
   const int p = system.numGpus();
   const int gpn = route_->gpusPerNode();
@@ -212,13 +224,13 @@ void CollectiveRetriever::launchStaging(bool gather, InFlight* flight) {
     return send_matrix_[static_cast<std::size_t>(s)]
                        [static_cast<std::size_t>(d)];
   };
+  std::vector<int> rebuilt;
   for (int n = 0; n < nodes; ++n) {
-    const fault::HierStaging* stg =
-        route_->staging(n, system.hostNow(n * gpn));
-    const int leader = stg->device;
-    gpu::Stream& stream =
-        flight != nullptr ? *comm_streams_[static_cast<std::size_t>(leader)]
-                          : system.stream(leader);
+    const auto i = static_cast<std::size_t>(n);
+    if (gather && pickStaging(n, flight)) rebuilt.push_back(n);
+    const Staging& stg = memory_.staging[i];
+    const int leader = stg.device;
+    gpu::Stream& stream = leaderStream(leader, flight);
     std::int64_t bytes = 0;
     if (gather) {
       for (int d = 0; d < p; ++d) {
@@ -226,20 +238,17 @@ void CollectiveRetriever::launchStaging(bool gather, InFlight* flight) {
       }
       // The leader packs its own contribution into its local-rank slot
       // (slot 0 for the default leader, the standby's rank otherwise).
-      const auto local = static_cast<std::size_t>(leader - n * gpn);
       system.launchKernelOn(
           stream, emb::buildLeaderGatherKernel(
                       layer_, n, leader,
-                      local < stg->gather_slots.size()
-                          ? stg->gather_slots[local]
-                          : simsan::StridedRange{},
+                      stg.gather_slots[static_cast<std::size_t>(
+                          leader - n * gpn)],
                       bytes));
       if (flight == nullptr) continue;
       // The leader's compute stream waits for the gather: the previous
       // batch's unpack cannot take the device first and hold up this
-      // exchange, and a standby's staging rebuild, launched there with
-      // the exchange (DESIGN.md §13), follows the gather as at depth 1.
-      auto& gathered = flight->gathered[static_cast<std::size_t>(n)];
+      // exchange.
+      auto& gathered = flight->gathered[i];
       stream.enqueueRecord(system.hostNow(leader), gathered);
       system.stream(leader).enqueueWaitEvent(system.hostNow(leader),
                                              gathered);
@@ -257,20 +266,115 @@ void CollectiveRetriever::launchStaging(bool gather, InFlight* flight) {
       if (s / gpn == n) continue;
       for (int d = n * gpn; d < (n + 1) * gpn; ++d) bytes += bytes_from(s, d);
     }
-    simsan::StridedRange span{};
-    if (!stg->recv_slots.empty()) {
-      std::int64_t total = 0;
-      for (const auto& r : stg->recv_slots) total += r.len;
-      span = simsan::StridedRange::contiguous(stg->recv_slots.front().begin,
-                                              total);
-    }
+    const simsan::StridedRange& first = stg.recv_slots.front();
     system.launchKernelOn(
-        stream, emb::buildLeaderScatterKernel(layer_, n, leader, span, bytes));
+        stream, emb::buildLeaderScatterKernel(
+                    layer_, n, leader,
+                    simsan::StridedRange::contiguous(
+                        first.begin,
+                        stg.recv_slots.back().envelopeEnd() - first.begin),
+                    bytes));
     if (flight != nullptr) {
-      stream.enqueueRecord(system.hostNow(leader),
-                           flight->staging_free[static_cast<std::size_t>(n)]);
+      stream.enqueueRecord(system.hostNow(leader), flight->staging_free[i]);
     }
   }
+  // Every rank's exchange writes into a rebuilt staging, so at depth >= 2
+  // each comm stream waits for the gather that follows the rebuild (at
+  // depth 1 the host sync before the exchange orders them).
+  for (const int n : rebuilt) {
+    for (int g = 0; flight != nullptr && g < p; ++g) {
+      comm_streams_[static_cast<std::size_t>(g)]->enqueueWaitEvent(
+          system.hostNow(g), flight->gathered[static_cast<std::size_t>(n)]);
+    }
+  }
+}
+
+gpu::Stream& CollectiveRetriever::leaderStream(int leader, InFlight* flight) {
+  return flight != nullptr
+             ? *comm_streams_[static_cast<std::size_t>(leader)]
+             : layer_.system().stream(leader);
+}
+
+bool CollectiveRetriever::pickStaging(int n, InFlight* flight) {
+  auto& system = layer_.system();
+  const auto i = static_cast<std::size_t>(n);
+  const SimTime at = system.hostNow(n * route_->gpusPerNode());
+  const int leader = route_->leader(n, at);
+  if (leader == staging_[i].device) {
+    memory_.staging[i] = staging_[i];
+    return false;
+  }
+  // Leadership moved onto the standby (DESIGN.md §13): its staging is
+  // allocated on the elected GPU the first time, and rebuilt once per
+  // fail window, before that batch's gather.
+  if (standby_[i].device < 0) standby_[i] = carveStaging(n, leader);
+  memory_.staging[i] = standby_[i];
+  const auto window = std::make_pair(n, route_->failWindow(n, at));
+  if (std::find(rebuilt_.begin(), rebuilt_.end(), window) != rebuilt_.end()) {
+    return false;
+  }
+  rebuilt_.push_back(window);
+  comm_.faultInjector()->recordStagingRebuild();
+  const Staging& stg = standby_[i];
+  const simsan::StridedRange whole = simsan::StridedRange::contiguous(
+      stg.gather_slots.front().begin,
+      stg.recv_slots.back().envelopeEnd() - stg.gather_slots.front().begin);
+  gpu::Stream& stream = leaderStream(leader, flight);
+  auto* san = system.sanitizer();
+  if (san != nullptr &&
+      san->seeded(simsan::SeededBug::kRebuildWithoutRequiet)) {
+    // A bug a test seeds on the checker: the rebuild's staging writes run
+    // under a forked, never-joined rogue actor, and nothing orders the
+    // exchange's writes after them.
+    const std::string node = "node" + std::to_string(n);
+    const auto rogue =
+        san->forkActor(node + ".hier_rebuild.rogue", stream.sanitizerActor());
+    san->access(rogue, leader, whole, simsan::AccessKind::kWrite, at, at,
+                "emb_hier_rebuild." + node);
+    return false;
+  }
+  system.launchKernelOn(stream, emb::buildStagingRebuildKernel(
+                                    layer_, n, leader, whole, whole.len * 4));
+  return true;
+}
+
+CollectiveRetriever::Staging CollectiveRetriever::carveStaging(int node,
+                                                              int device) {
+  // One gather slot per member, holding its whole inter-node
+  // contribution, then one recv slot per source node; sized from the
+  // sharding's worst case, so cache-filtered (smaller) exchanges stay
+  // inside the declared ranges.
+  const auto& sh = layer_.sharding();
+  const int gpn = route_->gpusPerNode();
+  const std::int64_t dim = layer_.dim();
+  const auto sum_on = [gpn](int n, auto per_gpu) {
+    std::int64_t sum = 0;
+    for (int g = n * gpn; g < (n + 1) * gpn; ++g) sum += per_gpu(g);
+    return sum;
+  };
+  const auto tables = [&sh](int g) { return sh.tablesOn(g); };
+  const std::int64_t samples =
+      sum_on(node, [&sh](int g) { return sh.miniBatchSize(g); });
+  std::vector<std::int64_t> lens;
+  for (int g = node * gpn; g < (node + 1) * gpn; ++g) {
+    lens.push_back(sh.tablesOn(g) * (sh.batchSize() - samples) * dim);
+  }
+  for (int s = 0; s < route_->numNodes(); ++s) {
+    lens.push_back(s == node ? 0 : sum_on(s, tables) * samples * dim);
+  }
+  std::int64_t total = 0;
+  for (const std::int64_t len : lens) total += len;
+  staging_buffers_.push_back(layer_.system().device(device).alloc(total));
+  Staging stg;
+  stg.device = device;
+  std::int64_t pos = staging_buffers_.back().offset();
+  for (std::size_t k = 0; k < lens.size(); ++k) {
+    auto& slots = k < static_cast<std::size_t>(gpn) ? stg.gather_slots
+                                                     : stg.recv_slots;
+    slots.push_back(simsan::StridedRange::contiguous(pos, lens[k]));
+    pos += lens[k];
+  }
+  return stg;
 }
 
 collective::Request CollectiveRetriever::exchange(Slot& slot,
@@ -280,16 +384,16 @@ collective::Request CollectiveRetriever::exchange(Slot& slot,
   const auto whole = [](const gpu::DeviceBuffer& buf) {
     return simsan::StridedRange::contiguous(buf.offset(), buf.size());
   };
-  collective::CollectiveMemory memory;
+  memory_.ranks.clear();
   for (int g = 0; san && g < system.numGpus(); ++g) {
     const auto i = static_cast<std::size_t>(g);
-    memory.ranks.push_back({g, whole(slot.send[i]), whole(slot.recv[i])});
+    memory_.ranks.push_back({g, whole(slot.send[i]), whole(slot.recv[i])});
   }
   return comm_.allToAllSingle(
       send_matrix_,
       land_at_wait ? [this, &slot] { landExchange(slot); }
                    : std::function<void()>(),
-      depth_ == 1 ? nullptr : &comm_streams_, san ? &memory : nullptr);
+      depth_ == 1 ? nullptr : &comm_streams_, &memory_);
 }
 
 void CollectiveRetriever::landExchange(Slot& slot) {

@@ -9,10 +9,15 @@
 // each in-flight batch a slot of send, recv and output buffers, run the
 // exchange on per-GPU comm streams, and enqueue a batch's unpack behind
 // the NEXT batch's lookup, which thus overlaps this batch's exchange.
+// On a hierarchical route the retriever owns the leader staging: it
+// carves each node's slots, picks each node's leader once per batch,
+// rebuilds a standby's staging after a failover and declares the pick to
+// the exchange (DESIGN.md §12-13).
 #pragma once
 
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "collective/communicator.hpp"
@@ -31,15 +36,19 @@ class CollectiveRetriever final : public EmbeddingRetriever {
   /// `depth` = batches in flight (1 = blocking, 2 = double buffering;
   /// more needs 2 GPUs). `cache` (optional) serves hot bags from the local
   /// replica; only misses are looked up and exchanged. `route` (optional,
-  /// the communicator's) adds the hierarchical exchange's leader gather
-  /// and demux kernels (DESIGN.md §12). `codec` (optional) transcodes
-  /// cross-node chunks in Functional mode, as the wire does.
+  /// the communicator's) adds the hierarchical exchange's leader staging,
+  /// allocated on each node's first GPU, and its gather and demux kernels
+  /// (DESIGN.md §12). `codec` (optional) transcodes cross-node chunks in
+  /// Functional mode, as the wire does.
   CollectiveRetriever(emb::ShardedEmbeddingLayer& layer,
                       collective::Communicator& comm, int depth = 1,
                       emb::ReplicaCache* cache = nullptr,
                       const fault::HierRoute* route = nullptr,
                       fabric::InterNodeCodec* codec = nullptr);
+  /// Frees the slot and staging buffers.
   ~CollectiveRetriever() override;
+  CollectiveRetriever(const CollectiveRetriever&) = delete;
+  CollectiveRetriever& operator=(const CollectiveRetriever&) = delete;
 
   std::string name() const override {
     return depth_ == 1 ? "nccl_collective" : "nccl_pipelined";
@@ -56,6 +65,7 @@ class CollectiveRetriever final : public EmbeddingRetriever {
   struct Slot {
     std::vector<gpu::DeviceBuffer> send, recv, out;
   };
+  using Staging = collective::CollectiveMemory::Staging;
   /// One pipelined batch, kept until a drain retires it: its events and
   /// what its kernels read after runBatch() returns (Functional bodies
   /// run at the next sync, possibly after the slot was reused).
@@ -76,6 +86,17 @@ class CollectiveRetriever final : public EmbeddingRetriever {
   void launchLookups(const emb::SparseBatch& batch, Slot& slot,
                      const emb::CacheFilter* filter, InFlight* flight);
   void launchStaging(bool gather, InFlight* flight);
+  /// Allocates `node`'s staging layout on `device`.
+  Staging carveStaging(int node, int device);
+  /// Picks node `n`'s leader at the node's host time and declares the
+  /// staging it holds. When leadership moved onto the standby in a fail
+  /// window not yet rebuilt, first launches the standby's rebuild on the
+  /// leader's stream (allocating its staging the first time) and returns
+  /// true.
+  bool pickStaging(int n, InFlight* flight);
+  /// The stream a leader's staging kernels run on: its comm stream in a
+  /// pipeline, its default stream at depth 1.
+  gpu::Stream& leaderStream(int leader, InFlight* flight);
   collective::Request exchange(Slot& slot, bool land_at_wait);
   void launchUnpacks(Slot& slot, const emb::CacheFilter* filter,
                      InFlight* flight);
@@ -96,6 +117,16 @@ class CollectiveRetriever final : public EmbeddingRetriever {
   std::vector<Slot> slots_;
   /// The batch's all-to-all byte matrix, reused across batches.
   std::vector<std::vector<std::int64_t>> send_matrix_;
+  /// What the batch's exchange is declared with: per-rank ranges under
+  /// simsan and, on a hierarchical route, each node's picked staging,
+  /// which the batch's demux uses too.
+  collective::CollectiveMemory memory_;
+  /// Per node: the default leader's staging, and the standby's (device
+  /// -1 until a failover first rebuilds it).
+  std::vector<Staging> staging_, standby_;
+  std::vector<gpu::DeviceBuffer> staging_buffers_;
+  /// (node, fail window) pairs whose standby staging was rebuilt.
+  std::vector<std::pair<int, int>> rebuilt_;
 
   std::vector<gpu::Stream*> comm_streams_;  ///< pipelined: one per GPU
   /// Batches [retired_, submitted_); earlier ones were retired by a drain.

@@ -61,7 +61,9 @@ struct SystemContext {
 
   /// Hierarchical routing across nodes (nullptr = flat). SystemBuilder
   /// already routes the communicator and the PGAS runtime through it;
-  /// retrievers ask it which leaders and staging their kernels use.
+  /// retrievers ask it which leaders their kernels use. The route holds
+  /// no buffers: the collective retriever carves, picks and rebuilds the
+  /// leader staging and declares it to each exchange.
   const fault::HierRoute* route = nullptr;
   /// Inter-node error-bounded codec (nullptr = compression off). The
   /// fabric-side wire accounting is already wired; Functional-mode

@@ -36,20 +36,18 @@ gpu::KernelDesc buildLeaderScatterKernel(ShardedEmbeddingLayer& layer,
   return desc;
 }
 
-gpu::KernelDesc buildStagingRebuildKernel(
-    ShardedEmbeddingLayer& layer, int node, int device,
-    const std::vector<simsan::StridedRange>& slots, std::int64_t bytes) {
+gpu::KernelDesc buildStagingRebuildKernel(ShardedEmbeddingLayer& layer,
+                                          int node, int device,
+                                          const simsan::StridedRange& staging,
+                                          std::int64_t bytes) {
   PGASEMB_CHECK(bytes >= 0, "negative rebuild staging size");
   gpu::KernelDesc desc;
   desc.name = "emb_hier_rebuild.node" + std::to_string(node);
   desc.duration = layer.system().costModel().streamKernelTime(
       static_cast<double>(bytes));
-  if (layer.system().sanitizer() != nullptr) {
-    for (const auto& slot : slots) {
-      if (slot.empty()) continue;
-      desc.mem_effects.push_back(
-          {device, slot, simsan::AccessKind::kWrite, ""});
-    }
+  if (layer.system().sanitizer() != nullptr && !staging.empty()) {
+    desc.mem_effects.push_back(
+        {device, staging, simsan::AccessKind::kWrite, ""});
   }
   return desc;
 }

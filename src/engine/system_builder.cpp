@@ -4,7 +4,6 @@
 
 #include "collective/communicator.hpp"
 #include "emb/replica_cache.hpp"
-#include "emb/staging_kernel.hpp"
 #include "fabric/compression.hpp"
 #include "fabric/fabric.hpp"
 #include "fault/hier_route.hpp"
@@ -29,10 +28,6 @@ void SystemBuilder::reset() {
   // checker outlives the system so teardown frees still report into it.
   route_.reset();
   injector_.reset();
-  for (auto& buffer : hier_buffers_) {
-    buffer.device()->free(buffer);
-  }
-  hier_buffers_.clear();
   codec_.reset();
   cache_.reset();
   layer_.reset();
@@ -113,109 +108,13 @@ void SystemBuilder::build() {
     comm_->setFaultInjector(injector_.get());
   }
   if (config_.hierarchical_a2a && nodes > 1) {
-    std::vector<fault::HierStaging> staging;
-    std::vector<fault::HierStaging> standby;
-    if (config_.sharding == emb::ShardingScheme::kTableWise) {
-      buildHierStaging(nodes, per_node, staging, standby);
-    }
-    // Failover rebuild hook: replay the staging layout on the standby
-    // leader as a real device kernel with declared write effects (raw
-    // captures are rebuilt with the assembly on every reset()).
-    auto* system = system_.get();
-    auto* layer = layer_.get();
-    auto rebuild = [system, layer](int node, const fault::HierStaging& stg) {
-      std::vector<simsan::StridedRange> slots = stg.gather_slots;
-      slots.insert(slots.end(), stg.recv_slots.begin(), stg.recv_slots.end());
-      std::int64_t elems = 0;
-      for (const auto& slot : slots) elems += slot.len;
-      system->launchKernel(stg.device,
-                           emb::buildStagingRebuildKernel(
-                               *layer, node, stg.device, slots, elems * 4));
-    };
-    route_ = std::make_unique<fault::HierRoute>(
-        *fabric_, injector_.get(), std::move(staging), std::move(standby),
-        std::move(rebuild));
+    route_ = std::make_unique<fault::HierRoute>(*fabric_, injector_.get());
     comm_->setRoute(route_.get());
     runtime_->setRoute(route_.get());
   }
   if (sanitizer_ != nullptr) {
     // Table shards and other assembly-lifetime allocations are not leaks.
     sanitizer_->setBaseline();
-  }
-}
-
-void SystemBuilder::buildHierStaging(
-    int nodes, int gpus_per_node, std::vector<fault::HierStaging>& staging,
-    std::vector<fault::HierStaging>& standby_staging) {
-  const auto& sharding = layer_->sharding();
-  const int dim = layer_->dim();
-  const int num_gpus = config_.num_gpus;
-  // Standby staging is provisioned only when the armed plan can move a
-  // node's staging leadership and the node has a next healthy GPU to
-  // move it to (the failover target, DESIGN.md §13).
-  bool leader_fail = false;
-  for (const auto& spec : config_.faults.specs) {
-    if (spec.kind == fault::FaultKind::kLeaderFail) leader_fail = true;
-  }
-  const bool standby = leader_fail && gpus_per_node >= 2;
-  staging.reserve(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    const int leader = n * gpus_per_node;
-    // Gather staging: one slot per member holding its full inter-node
-    // contribution; recv staging: one slot per source node. Sized from
-    // the sharding's worst case, so cache-filtered (smaller) exchanges
-    // stay inside the declared ranges.
-    std::vector<std::int64_t> member_elems(
-        static_cast<std::size_t>(gpus_per_node), 0);
-    std::int64_t gather_total = 0;
-    for (int local = 0; local < gpus_per_node; ++local) {
-      const int g = leader + local;
-      std::int64_t elems = 0;
-      for (int dst = 0; dst < num_gpus; ++dst) {
-        if (dst / gpus_per_node == n) continue;
-        elems += sharding.tablesOn(g) * sharding.miniBatchSize(dst) * dim;
-      }
-      member_elems[static_cast<std::size_t>(local)] = elems;
-      gather_total += elems;
-    }
-    std::vector<std::int64_t> src_elems(static_cast<std::size_t>(nodes), 0);
-    std::int64_t recv_total = 0;
-    for (int s = 0; s < nodes; ++s) {
-      if (s == n) continue;
-      std::int64_t elems = 0;
-      for (int src = s * gpus_per_node; src < (s + 1) * gpus_per_node;
-           ++src) {
-        for (int dst = leader; dst < leader + gpus_per_node; ++dst) {
-          elems += sharding.tablesOn(src) * sharding.miniBatchSize(dst) * dim;
-        }
-      }
-      src_elems[static_cast<std::size_t>(s)] = elems;
-      recv_total += elems;
-    }
-    // Identical layout on the default leader and (when provisioned) the
-    // standby: one gather slot per member, one recv slot per source node.
-    const auto carve = [&](int device) {
-      auto buffer = system_->device(device).alloc(gather_total + recv_total);
-      fault::HierStaging carved;
-      carved.device = device;
-      std::int64_t pos = buffer.offset();
-      for (int local = 0; local < gpus_per_node; ++local) {
-        const auto len = member_elems[static_cast<std::size_t>(local)];
-        carved.gather_slots.push_back(
-            simsan::StridedRange::contiguous(pos, len));
-        pos += len;
-      }
-      for (int s = 0; s < nodes; ++s) {
-        const auto len = src_elems[static_cast<std::size_t>(s)];
-        carved.recv_slots.push_back(
-            simsan::StridedRange::contiguous(pos, len));
-        pos += len;
-      }
-      hier_buffers_.push_back(buffer);
-      return carved;
-    };
-    staging.push_back(carve(leader));
-    if (standby) standby_staging.push_back(carve(leader + 1));
   }
 }
 

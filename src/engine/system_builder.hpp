@@ -10,11 +10,9 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/registry.hpp"
 #include "engine/experiment.hpp"
-#include "gpu/device.hpp"
 #include "simsan/checker.hpp"
 
 namespace pgasemb {
@@ -31,7 +29,6 @@ class InterNodeCodec;
 namespace fault {
 class FaultInjector;
 class HierRoute;
-struct HierStaging;
 }
 namespace pgas {
 class PgasRuntime;
@@ -101,13 +98,6 @@ class SystemBuilder {
 
  private:
   void build();
-  /// Allocate the per-node leader staging buffers of the hierarchical
-  /// all-to-all and carve their gather/recv slot ranges into `staging`,
-  /// plus a standby copy on each node's failover leader into `standby`
-  /// when the fault plan can fail a leader.
-  void buildHierStaging(int nodes, int gpus_per_node,
-                        std::vector<fault::HierStaging>& staging,
-                        std::vector<fault::HierStaging>& standby);
 
   ExperimentConfig config_;
   simsan::SeededBug seeded_bug_ = simsan::SeededBug::kNone;
@@ -129,9 +119,6 @@ class SystemBuilder {
   // Hierarchical route over the fabric and the injector; runtime/comm
   // hold raw pointers, torn down first on reset().
   std::unique_ptr<fault::HierRoute> route_;
-  // Hierarchical leader staging device allocations (freed in reset(),
-  // before the devices go); the route holds the slot ranges.
-  std::vector<gpu::DeviceBuffer> hier_buffers_;
 };
 
 }  // namespace pgasemb::engine

@@ -31,15 +31,10 @@ std::int64_t floorOf(const fabric::Fabric::Route& route) {
 
 }  // namespace
 
-HierRoute::HierRoute(fabric::Fabric& fabric, FaultInjector* injector,
-                     std::vector<HierStaging> staging,
-                     std::vector<HierStaging> standby, RebuildFn rebuild)
+HierRoute::HierRoute(fabric::Fabric& fabric, FaultInjector* injector)
     : nodes_(fabric.topology().numNodes()),
       gpn_(fabric.topology().gpusPerNode()),
-      injector_(injector),
-      staging_(std::move(staging)),
-      standby_(std::move(standby)),
-      rebuild_(std::move(rebuild)) {
+      injector_(injector) {
   PGASEMB_CHECK(nodes_ > 1, "a hierarchical route spans more than one node");
   if (injector != nullptr && injector->domains() != nullptr &&
       injector->domains()->anyNodeScoped()) {
@@ -67,21 +62,6 @@ int HierRoute::elect(int node, SimTime at) const {
     }
   }
   return elected;
-}
-
-const HierStaging* HierRoute::staging(int node, SimTime at) const {
-  if (staging_.empty()) return nullptr;
-  const auto n = static_cast<std::size_t>(node);
-  const int elected = leader(node, at);
-  if (elected != defaultLeader(node) && n < standby_.size() &&
-      standby_[n].device == elected) {
-    return &standby_[n];
-  }
-  return &staging_[n];
-}
-
-void HierRoute::rebuildStandby(int node) const {
-  if (rebuild_) rebuild_(node, standby_[static_cast<std::size_t>(node)]);
 }
 
 }  // namespace pgasemb::fault

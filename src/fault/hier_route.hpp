@@ -4,62 +4,45 @@
 // through node leaders: an NVLink gather to the source node's leader,
 // leader to leader over the NIC, and an NVLink scatter from the
 // destination node's leader. The collective communicator, the collective
-// retriever's staging kernels and the PGAS put emitter all ask this one
-// object, each at the simulated time it routes:
+// retriever and the PGAS put emitter all ask this one object, each at
+// the simulated time it routes:
 //
 //   - leader(node, t): the node's elected leader — its first GPU, or the
 //     next one while a leader-fail window covers the node (one failover
 //     counted per node and fail window);
 //   - degraded(a, b, t): true while a NIC fault window covers either
 //     node of the pair, whose traffic then goes flat (DESIGN.md §13);
-//   - staging(node, t): the staging buffers the elected leader uses —
-//     the default leader's, or the standby's after a failover — and
-//     rebuildStandby(), the hook that replays the standby's layout;
+//   - failWindow(node, t): the leader-fail window covering the node, so
+//     once-per-window work can key on it;
 //   - the fault-free forwarding routes, and the wire bytes a message on
 //     a leader route needs to clear the NIC's message-rate floor.
 //
 // Elections and degraded pairs are pure in (node, time). Without an
 // armed node-scoped fault every answer is the topology default, inline.
+// The route holds no buffers: the collective retriever owns the leader
+// staging it routes through (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "fabric/fabric.hpp"
 #include "fault/domains.hpp"
-#include "simsan/access.hpp"
 #include "util/time.hpp"
 
 namespace pgasemb::fault {
 
 class FaultInjector;
 
-/// One node's leader staging buffers, declared so simsan can log the
-/// hierarchical gather/scatter interleavings.
-struct HierStaging {
-  int device = -1;  ///< the leader GPU that holds them
-  std::vector<simsan::StridedRange> gather_slots;  ///< one per local rank
-  std::vector<simsan::StridedRange> recv_slots;    ///< one per source node
-};
-
 class HierRoute {
  public:
-  /// Replays the staging layout on a node's standby leader.
-  using RebuildFn = std::function<void(int node, const HierStaging& standby)>;
-
   /// A route over `fabric`, which must span more than one node.
   /// `injector` (optional) is armed on `fabric`; its node fault domains
   /// drive the elections and degraded pairs, and its stats count the
-  /// failovers. `staging` holds one entry per node (empty: the hierarchy
-  /// runs timing-only); `standby` one per node on its failover leader,
-  /// empty when the fault plan cannot fail a leader.
+  /// failovers.
   explicit HierRoute(fabric::Fabric& fabric,
-                     FaultInjector* injector = nullptr,
-                     std::vector<HierStaging> staging = {},
-                     std::vector<HierStaging> standby = {},
-                     RebuildFn rebuild = nullptr);
+                     FaultInjector* injector = nullptr);
 
   int numNodes() const { return nodes_; }
   int gpusPerNode() const { return gpn_; }
@@ -80,17 +63,6 @@ class HierRoute {
   int failWindow(int node, SimTime at) const {
     return domains_ == nullptr ? -1 : domains_->failWindow(node, at);
   }
-
-  /// True when leader staging buffers are declared.
-  bool staged() const { return !staging_.empty(); }
-
-  /// The staging buffers `node`'s elected leader uses at `at`: the
-  /// standby's once leadership moved onto it, the default leader's
-  /// otherwise. Null when no staging is declared.
-  const HierStaging* staging(int node, SimTime at) const;
-
-  /// Replays `node`'s standby staging layout (no-op without a hook).
-  void rebuildStandby(int node) const;
 
   /// Fault-free route from GPU `dst`'s default node leader to `dst`.
   const fabric::Fabric::Route& scatterRoute(int dst) const {
@@ -117,9 +89,6 @@ class HierRoute {
   /// The injector's node fault domains when any node-scoped fault is
   /// armed; null keeps every answer the topology default.
   const NodeFaultDomains* domains_ = nullptr;
-  std::vector<HierStaging> staging_;
-  std::vector<HierStaging> standby_;
-  RebuildFn rebuild_;
   std::vector<fabric::Fabric::Route> scatter_;
   std::vector<fabric::Fabric::Route> leader_;
   std::vector<std::int64_t> floor_;

@@ -93,7 +93,7 @@ enum class SeededBug {
   /// actor.
   kRetransmitWithoutQuiet,
   /// Leader failover: the standby's staging rebuild runs under a
-  /// never-synchronized actor and skips the node-wide re-quiet.
+  /// never-synchronized actor, and nothing orders the exchange after it.
   kRebuildWithoutRequiet,
   /// Hierarchical all-to-all: the scatter starts when the inter-node
   /// flow is injected instead of delivered, with no happens-before edge.

@@ -1,6 +1,6 @@
 // HierRoute (DESIGN.md §12-13): the one object both retrievers ask who
-// leads a node, which staging that leader uses, whether a node pair runs
-// flat, and which routes and rate floors forwarding takes. Built here by
+// leads a node, whether a node pair runs flat, and which routes and rate
+// floors forwarding takes. Built here by
 // SystemBuilder on 3 nodes x 2 GPUs over the IB-like NIC, fault-free and
 // under a leader failure on node 1 and a NIC degradation on node 2.
 #include <gtest/gtest.h>
@@ -62,9 +62,6 @@ TEST(HierRouteTest, FaultFreeAnswersAreTheTopologyDefaults) {
   for (const SimTime t : kProbes) {
     for (int n = 0; n < kNodes; ++n) {
       EXPECT_EQ(route->leader(n, t), n * kGpusPerNode) << n;
-      const fault::HierStaging* staging = route->staging(n, t);
-      ASSERT_NE(staging, nullptr) << n;
-      EXPECT_EQ(staging->device, n * kGpusPerNode) << n;
       for (int m = 0; m < kNodes; ++m) {
         EXPECT_FALSE(route->degraded(n, m, t)) << n << "->" << m;
       }
@@ -97,13 +94,11 @@ TEST(HierRouteTest, FaultsMoveLeadersAndDegradePairsOnlyInsideTheirWindows) {
 
   for (const SimTime t : kProbes) {
     const bool failed = inside(t, 1.0, 2.0);
-    // Node 1's leadership moves to its second GPU, onto the standby
-    // staging, only inside the leader-fail window.
+    // Node 1's leadership moves to its second GPU only inside the
+    // leader-fail window.
     EXPECT_EQ(route->leader(1, t), failed ? 3 : 2) << t.toMs();
-    EXPECT_EQ(route->staging(1, t)->device, failed ? 3 : 2) << t.toMs();
     for (const int n : {0, 2}) {
       EXPECT_EQ(route->leader(n, t), n * kGpusPerNode) << t.toMs();
-      EXPECT_EQ(route->staging(n, t)->device, n * kGpusPerNode) << t.toMs();
     }
     // Node 2's NIC fault degrades every pair it ends, only inside its
     // window; a pair it does not end never is.

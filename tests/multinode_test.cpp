@@ -21,9 +21,13 @@
 #include <string>
 #include <vector>
 
+#include "engine/batch_executor.hpp"
 #include "engine/scenario_runner.hpp"
 #include "fabric/compression.hpp"
+#include "fabric/fabric.hpp"
+#include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "gpu/system.hpp"
 
 namespace pgasemb::engine {
 namespace {
@@ -242,8 +246,9 @@ TEST(MultiNodeGoldenTest, SingleNodeReportsNoInterNodeSection) {
 // and under leader-fail + nic-flap faults. The numbers were recorded
 // before PGAS forwarding was regrouped per node and re-recorded when each
 // node got its own host (nccl_pipelined's again when it gained the leader
-// staging kernels); every simulated total, byte, message, codec decision
-// and resilience counter must stay put.
+// staging kernels, and both collectives' fault pins when the standby's
+// rebuild moved before its gather); every simulated total, byte, message,
+// codec decision and resilience counter must stay put.
 
 struct TrafficPin {
   const char* retriever;
@@ -323,11 +328,11 @@ TEST(MultiNodeGoldenTest, HierarchicalUnderNodeFaultsIsPinned) {
         hier_fallbacks, degraded_ps, leader_failovers, staging_rebuilds;
   };
   const Pin pins[] = {
-      {{"nccl_collective", 12312205199, 483393536, 346, 922228000.875},
-       12, 10, 5242880, 0, 5242880, 10, 3708666965, 24, 7818353675, 1, 1},
+      {{"nccl_collective", 11895522732, 482869248, 345, 916235406.625},
+       11, 9, 4718592, 0, 4718592, 9, 2908666965, 24, 7523946135, 1, 1},
       {{"pgas_fused", 9831219298, 499744768, 1311922, 1017726912.0},
        12, 10, 163840, 10, 163840, 0, 3082507688, 2136, 8657291902, 1, 0},
-      {{"nccl_pipelined", 14843571557, 407896064, 394, 1396852216.875},
+      {{"nccl_pipelined", 14918771622, 407896064, 394, 1396852216.875},
        12, 10, 5242880, 0, 5242880, 10, 3708666965, 48, 13702596040, 1, 1},
   };
   const ExperimentConfig cfg = faultedConfig(
@@ -577,11 +582,134 @@ TEST(NodeFaultDomainTest, LeaderFailoverElectsStandbyAndRebuildsStaging) {
     ASSERT_TRUE(r.resilience.has_value()) << name;
     EXPECT_EQ(r.resilience->leader_failovers, 1) << name;
     // The PGAS fused path re-routes its puts hop by hop to the elected
-    // leader and keeps no communicator staging, so only the collective
-    // retrievers rebuild (exactly once per window).
+    // leader and keeps no staging, so only the collective retrievers
+    // rebuild (exactly once per window).
     EXPECT_EQ(r.resilience->staging_rebuilds,
               name == std::string("pgas_fused") ? 0 : 1)
         << name;
+  }
+}
+
+/// What one run did on the GPUs and on the wire.
+struct Timeline {
+  struct Kernel {
+    int device;
+    std::string name;
+    SimTime start, end;
+  };
+  struct Flow {
+    int src, dst;
+    SimTime start;  ///< on the wire
+  };
+  std::vector<Kernel> kernels;  ///< in completion order
+  std::vector<Flow> flows;
+  std::int64_t staging_rebuilds = 0;
+
+  std::vector<Kernel> named(const std::string& name) const {
+    std::vector<Kernel> out;
+    for (const auto& k : kernels) {
+      if (k.name == name) out.push_back(k);
+    }
+    return out;
+  }
+};
+
+/// Runs `retriever` over a SystemBuilder with a kernel and a fabric flow
+/// observer installed (ScenarioRunner::run resets the system, which would
+/// drop them).
+Timeline recordTimeline(const ExperimentConfig& cfg,
+                        const std::string& retriever) {
+  SystemBuilder builder(cfg);
+  Timeline t;
+  builder.system().setKernelObserver(
+      [&t](int device, const std::string& name, SimTime start, SimTime end,
+           SimTime) { t.kernels.push_back({device, name, start, end}); });
+  builder.fabric().setFlowObserver(
+      [&t](int src, int dst, std::int64_t, std::int64_t, SimTime start,
+           SimTime) { t.flows.push_back({src, dst, start}); });
+  BatchExecutor exec(builder, retriever);
+  ExperimentResult result;
+  const auto batch = emb::SparseBatch::statistical(cfg.layer.batchSpec());
+  for (int b = 0; b < cfg.num_batches; ++b) exec.runOne(batch, result);
+  exec.finishRun(result);
+  t.staging_rebuilds = builder.faultInjector()->stats().staging_rebuilds;
+  return t;
+}
+
+TEST(NodeFaultDomainTest, StandbyStagingIsRebuiltBeforeAnythingWritesIt) {
+  // Node 1's leader fails for the whole run, so GPU 5 leads node 1 from
+  // the first batch, at every depth: its staging is rebuilt once, before
+  // that batch's gather, every node-1 gather and demux runs on it, and no
+  // flow into GPU 5 goes on the wire before the rebuild ends.
+  const ExperimentConfig cfg =
+      faultedConfig(4, 4, "leader-fail:1:0.0-1000000.0");
+  for (const std::string name : {"nccl_collective", "nccl_pipelined"}) {
+    const Timeline t = recordTimeline(cfg, name);
+    EXPECT_EQ(t.staging_rebuilds, 1) << name;
+    const auto rebuilds = t.named("emb_hier_rebuild.node1");
+    ASSERT_EQ(rebuilds.size(), 1u) << name;
+    const Timeline::Kernel& rebuild = rebuilds.front();
+    EXPECT_EQ(rebuild.device, 5) << name;
+    const auto gathers = t.named("emb_hier_gather.node1");
+    const auto scatters = t.named("emb_hier_scatter.node1");
+    ASSERT_EQ(gathers.size(), 2u) << name;
+    ASSERT_EQ(scatters.size(), 2u) << name;
+    for (const auto* kernels : {&gathers, &scatters}) {
+      for (const auto& k : *kernels) {
+        EXPECT_EQ(k.device, 5) << name << " " << k.name;
+      }
+    }
+    EXPECT_LE(rebuild.end, gathers.front().start)
+        << name << ": rebuild " << rebuild.start.toUs() << "-"
+        << rebuild.end.toUs() << " us, gather "
+        << gathers.front().start.toUs() << " us";
+    for (const auto& f : t.flows) {
+      if (f.dst != 5) continue;
+      EXPECT_GE(f.start, rebuild.end)
+          << name << ": flow from GPU " << f.src << " at "
+          << f.start.toUs() << " us, rebuild ends at "
+          << rebuild.end.toUs() << " us";
+    }
+  }
+}
+
+TEST(NodeFaultDomainTest, EachBatchKeepsTheLeaderItsGatherPicked) {
+  // Node 1's leader fails at 0.12 ms: after batch 0's gather launch,
+  // before its exchange. Batch 0 keeps the leader its gather picked
+  // (GPU 4) for its exchange and its demux; batch 1 picks the standby,
+  // GPU 5, whose staging is rebuilt before that batch's gather.
+  const ExperimentConfig cfg =
+      faultedConfig(4, 4, "leader-fail:1:0.12-1000000.0");
+  for (const std::string name : {"nccl_collective", "nccl_pipelined"}) {
+    const Timeline t = recordTimeline(cfg, name);
+    const auto gathers = t.named("emb_hier_gather.node1");
+    const auto scatters = t.named("emb_hier_scatter.node1");
+    ASSERT_EQ(gathers.size(), 2u) << name;
+    ASSERT_EQ(scatters.size(), 2u) << name;
+    for (std::size_t b = 0; b < gathers.size(); ++b) {
+      EXPECT_EQ(gathers[b].device, b == 0 ? 4 : 5) << name << " batch " << b;
+      EXPECT_EQ(scatters[b].device, gathers[b].device)
+          << name << " batch " << b;
+    }
+    // The exchange ships node 1's inter-node hops from and to the same
+    // leader. Batch 0's flows start before batch 1's gather, and batch
+    // 1's start after it (behind the host sync or the comm streams' wait
+    // on the rebuilt staging).
+    for (const auto& f : t.flows) {
+      const bool from = f.src / 4 == 1;
+      if (from == (f.dst / 4 == 1)) continue;  // not between node 1 and another
+      EXPECT_EQ(from ? f.src : f.dst, f.start < gathers[1].start ? 4 : 5)
+          << name << ": flow " << f.src << "->" << f.dst << " at "
+          << f.start.toUs() << " us";
+    }
+    EXPECT_EQ(t.staging_rebuilds, 1) << name;
+    for (const auto& rebuild : t.named("emb_hier_rebuild.node1")) {
+      EXPECT_EQ(rebuild.device, 5) << name;
+      EXPECT_LE(rebuild.end, gathers[1].start)
+          << name << ": rebuild " << rebuild.start.toUs() << "-"
+          << rebuild.end.toUs() << " us, batch 1 gather "
+          << gathers[1].start.toUs() << " us";
+    }
   }
 }
 
@@ -643,25 +771,51 @@ TEST(NodeFaultDomainTest, NicFlapDropsRecoverWithConservedCounters) {
   }
 }
 
+/// The leader-fail plans the failover certifications run on 2 nodes x
+/// `per_node` GPUs: node 0's leader fails for the whole run, or, over 3
+/// batches, in a window that opens after the first batch picked its
+/// leader and closes before the last one picks. That window spans the
+/// midpoints of the first two batches of `retriever`'s fault-free run
+/// (a pipeline's batch time is its submit time), so the standby is
+/// rebuilt mid-run and the default staging serves the last batch again.
+std::vector<ExperimentConfig> leaderFailPlans(int per_node,
+                                              const std::string& retriever) {
+  ExperimentConfig clean = sweepConfig(2, per_node);
+  clean.hierarchical_a2a = true;
+  clean.num_batches = 3;
+  const ExperimentResult r = ScenarioRunner(clean).run(retriever);
+  const double first = r.per_batch[0].total.toMs();
+  const double second = r.per_batch[1].total.toMs();
+  char spec[64];
+  snprintf(spec, sizeof(spec), "leader-fail:0:%.4f-%.4f", 0.5 * first,
+           first + 0.5 * second);
+  ExperimentConfig closing = faultedConfig(2, per_node, spec);
+  closing.num_batches = clean.num_batches;
+  return {faultedConfig(2, per_node, "leader-fail:0:0.0-1000000.0"),
+          closing};
+}
+
 TEST(MultiNodeSimsanTest, FailoverStagingCertifiedCleanAcrossWidths) {
-  // The failover path (standby election + staging rebuild + member
-  // gathers acquiring the republished key) must be race-free at 2 and 4
-  // GPUs per node for every retriever.
+  // The failover path (standby election, staging rebuild before the
+  // gather, the exchange ordered after it) must be race-free at 2 and 4
+  // GPUs per node for every retriever, under a whole-run window and
+  // under one that closes.
   for (const int per_node : {2, 4}) {
-    ExperimentConfig cfg =
-        faultedConfig(2, per_node, "leader-fail:0:0.0-1000000.0");
-    cfg.simsan = true;
     for (const auto& name : kRetrievers) {
-      const ExperimentResult r = ScenarioRunner(cfg).run(name);
-      ASSERT_TRUE(r.sanitizer.has_value())
-          << name << " @" << per_node << " GPUs/node";
-      EXPECT_TRUE(r.sanitizer->clean())
-          << name << " @" << per_node << " GPUs/node\n"
-          << r.sanitizer->report();
-      ASSERT_TRUE(r.resilience.has_value()) << name;
-      EXPECT_EQ(r.resilience->staging_rebuilds,
-                name == std::string("pgas_fused") ? 0 : 1)
-          << name;
+      for (ExperimentConfig cfg : leaderFailPlans(per_node, name)) {
+        cfg.simsan = true;
+        const std::string what = name + " @" + std::to_string(per_node) +
+                                 " GPUs/node, " + cfg.faults.describe();
+        const ExperimentResult r = ScenarioRunner(cfg).run(name);
+        ASSERT_TRUE(r.sanitizer.has_value()) << what;
+        EXPECT_TRUE(r.sanitizer->clean()) << what << "\n"
+                                          << r.sanitizer->report();
+        ASSERT_TRUE(r.resilience.has_value()) << what;
+        EXPECT_EQ(r.resilience->leader_failovers, 1) << what;
+        EXPECT_EQ(r.resilience->staging_rebuilds,
+                  name == std::string("pgas_fused") ? 0 : 1)
+            << what;
+      }
     }
   }
 }
@@ -669,23 +823,25 @@ TEST(MultiNodeSimsanTest, FailoverStagingCertifiedCleanAcrossWidths) {
 TEST(MultiNodeSimsanTest, FailoverStagingHoldsUnderStrictEffects) {
   // Strict mode replays simulated-memory touches against declared
   // footprints: the rebuild kernel and the re-routed gathers must stay
-  // inside theirs.
-  ExperimentConfig cfg =
-      faultedConfig(2, 2, "leader-fail:0:0.0-1000000.0");
-  cfg.simsan = true;
-  cfg.simsan_strict = true;
+  // inside theirs, under a whole-run window and under one that closes.
   for (const auto& name : kRetrievers) {
-    const ExperimentResult r = ScenarioRunner(cfg).run(name);
-    ASSERT_TRUE(r.sanitizer.has_value()) << name;
-    EXPECT_TRUE(r.sanitizer->clean()) << name << "\n"
-                                      << r.sanitizer->report();
+    for (ExperimentConfig cfg : leaderFailPlans(2, name)) {
+      cfg.simsan = true;
+      cfg.simsan_strict = true;
+      const std::string what = name + ", " + cfg.faults.describe();
+      const ExperimentResult r = ScenarioRunner(cfg).run(name);
+      ASSERT_TRUE(r.sanitizer.has_value()) << what;
+      EXPECT_TRUE(r.sanitizer->clean()) << what << "\n"
+                                        << r.sanitizer->report();
+    }
   }
 }
 
 TEST(MultiNodeSimsanTest, SeededRebuildWithoutRequietIsCaughtByName) {
   // The seeded bug runs the rebuild's staging writes under a forked,
-  // never-joined rogue actor and skips the node-wide re-quiet: member
-  // gathers into the standby race it, and the report names the rebuild.
+  // never-joined rogue actor, and nothing orders the exchange after them:
+  // member gathers into the standby race it, and the report names the
+  // rebuild.
   ExperimentConfig cfg =
       faultedConfig(2, 2, "leader-fail:0:0.0-1000000.0");
   cfg.simsan = true;

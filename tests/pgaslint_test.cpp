@@ -189,9 +189,9 @@ TEST(PgaslintCorpusTest, KernelMemEffectsCoversHierStagingKernels) {
 TEST(PgaslintCorpusTest, KernelMemEffectsCoversFailoverRebuildKernel) {
   // The leader-failover staging rebuild (DESIGN.md §13) replays the
   // standby leader's staging layout as a device kernel. Its writes are
-  // exactly what the members' post-failover gathers synchronize against
-  // (the rebuild release/acquire chain), so a builder that drops the
-  // declared effects silently un-orders the whole failover path.
+  // exactly what the exchange after it is ordered behind, so a builder
+  // that drops the declared effects silently un-orders the whole
+  // failover path.
   const auto f = only(lint("src/emb/staging_rogue.cpp",
                            "gpu::KernelDesc build(int node) {\n"
                            "  gpu::KernelDesc desc;\n"
