@@ -1,6 +1,7 @@
 #include "collective/communicator.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "fault/hier_route.hpp"
 #include "fault/injector.hpp"
@@ -44,37 +45,41 @@ fabric::Fabric::Delivery Communicator::hierXfer(int src, int dst,
 SimTime Communicator::xferChunked(int src, int dst, std::int64_t bytes,
                                   SimTime& at, SimTime chunk_overhead) {
   SimTime done = at;
-  std::int64_t remaining = bytes;
-  while (remaining > 0) {
-    const std::int64_t chunk = std::min(remaining, kChunkBytes);
-    at += chunk_overhead;  // proxy progression per chunk
-    const auto d = xfer(src, dst, chunk, /*n_messages=*/1, at);
-    done = std::max(done, d.delivered);
-    remaining -= chunk;
-  }
+  forEachChunk(bytes, at, chunk_overhead, [&](std::int64_t chunk, SimTime t) {
+    done = std::max(done, xfer(src, dst, chunk, /*n_messages=*/1, t).delivered);
+  });
   return done;
 }
 
-SimTime Communicator::sendChunked(int from, int to, std::int64_t bytes,
-                                  SimTime& inject_at, SimTime chunk_overhead,
-                                  double bandwidth_fraction) {
-  SimTime done = inject_at;
-  std::int64_t remaining = bytes;
-  while (remaining > 0) {
-    const std::int64_t chunk = std::min(remaining, kChunkBytes);
-    inject_at += chunk_overhead;  // proxy progression per chunk
-    const auto d = hierXfer(from, to, chunk, /*n_messages=*/1, inject_at,
-                            bandwidth_fraction);
-    done = std::max(done, d.delivered);
-    remaining -= chunk;
+void Communicator::deliver(std::span<const fabric::Fabric::Flow> flows,
+                           std::span<SimTime* const> done) {
+  std::vector<fabric::Fabric::Delivery> out;
+  if (injector_ == nullptr) {
+    out = fabric_.sendInArrivalOrder(flows);
+  } else {
+    // Under an armed injector each flow goes whole through its reissue
+    // path, in injection order.
+    out.resize(flows.size());
+    std::vector<std::size_t> order(flows.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+      return flows[a].at < flows[b].at;
+    });
+    for (const std::size_t i : order) {
+      const auto& f = flows[i];
+      out[i] = hierXfer(f.route.src, f.route.dst, f.payload_bytes,
+                        f.n_messages, f.at, f.bandwidth_fraction);
+    }
   }
-  return done;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    *done[i] = std::max(*done[i], out[i].delivered);
+  }
 }
 
 int Communicator::leaderOf(int node,
                            const detail::CollectiveState& state) const {
   const auto& staging = state.memory.staging;
-  return staging.empty() ? route_->leader(node, state.launched_at)
+  return staging.empty() ? route_->leader(node, state.first_start)
                          : staging[static_cast<std::size_t>(node)].device;
 }
 
@@ -93,7 +98,6 @@ Request Communicator::launch(
   state->devices_pending = n;
   state->on_complete = std::move(on_complete);
   state->done_callbacks.resize(static_cast<std::size_t>(n));
-  state->launched_at = system_.hostNow();
   if (memory != nullptr) state->memory = *memory;
   if (system_.sanitizer() != nullptr) {
     state->label = label;
@@ -135,13 +139,15 @@ Request Communicator::launch(
         triggered, label,
         [this, src, state, inject_fn, stream_ptr = &stream](
             SimTime start, std::function<void(SimTime)> done) {
+          // Ops start in simulated-time order, so the first one sets the
+          // start every member's inject routes at.
+          state->first_start = std::min(state->first_start, start);
           // Attribute this rank's transfers to this collective (injects
           // run synchronously; save/restore tolerates nesting).
           auto* const prev_strict = strict_active_;
           strict_active_ = state->strict.get();
           const SimTime local_end = (*inject_fn)(src, start, *state);
           strict_active_ = prev_strict;
-          state->first_start = std::min(state->first_start, start);
           state->completion = std::max(state->completion, local_end);
           state->done_callbacks[static_cast<std::size_t>(src)] =
               std::move(done);
@@ -287,7 +293,7 @@ SimTime Communicator::hierarchicalInject(
     return matrix[static_cast<std::size_t>(s)];
   };
   const auto degraded = [&](int dst_node) {
-    return route_->degraded(my_node, dst_node, state.launched_at);
+    return route_->degraded(my_node, dst_node, state.first_start);
   };
 
   SimTime last = start;
@@ -335,12 +341,15 @@ SimTime Communicator::hierarchicalInject(
       if (bytes > 0) strict_active_->transfer(src, dst, bytes);
     }
   }
-  // Stage this member's per-destination-node contribution at the leader.
+  // Pairwise staging: at step k this member stages its contribution for
+  // node (my_node + k) mod nodes at its leader, so each step's pairs get
+  // ready together and their flows leave for distinct nodes.
   SimTime gather_first = inject_at;
   SimTime gather_last = inject_at;
   bool gathered = false;
-  for (int dst_node = 0; dst_node < nodes; ++dst_node) {
-    if (dst_node == my_node || degraded(dst_node)) continue;
+  for (int k = 1; k < nodes; ++k) {
+    const int dst_node = (my_node + k) % nodes;
+    if (degraded(dst_node)) continue;
     std::int64_t to_node = 0;
     for (int dst = topo.nodeLeader(dst_node);
          dst < topo.nodeLeader(dst_node) + topo.gpusPerNode(); ++dst) {
@@ -349,22 +358,21 @@ SimTime Communicator::hierarchicalInject(
     SimTime delivered = inject_at;
     if (to_node > 0 && src != my_leader) {
       if (!gathered) gather_first = inject_at;
-      delivered = sendChunked(src, my_leader, to_node, inject_at,
-                              chunk_overhead, protoEff());
+      forEachChunk(to_node, inject_at, chunk_overhead,
+                   [&](std::int64_t chunk, SimTime at) {
+                     delivered = std::max(
+                         delivered, hierXfer(src, my_leader, chunk,
+                                             /*n_messages=*/1, at, protoEff())
+                                        .delivered);
+                   });
       gather_last = std::max(gather_last, delivered);
       gathered = true;
     }
     auto& pair = state.hier_pairs[static_cast<std::size_t>(my_node) * nodes +
                                   dst_node];
-    ++pair.contributions;
     pair.ready = std::max(pair.ready, delivered);
     pair.raw_bytes += to_node;
     last = std::max(last, delivered);
-    if (pair.contributions == topo.gpusPerNode() && pair.raw_bytes > 0) {
-      last = std::max(last, injectInterAndScatter(my_node, dst_node, pair,
-                                                  matrix, chunk_overhead,
-                                                  state));
-    }
   }
   // One staging-slot write record per member (the leader's own slot is
   // filled by its emb_hier_gather kernel before the collective; the
@@ -374,62 +382,108 @@ SimTime Communicator::hierarchicalInject(
         {src, gathered ? gather_first : start,
          gathered ? gather_last : start});
   }
+  // The last member to stage (launch counts it down once this returns)
+  // ships every pair, so the collective retires after all of them land.
+  if (state.devices_pending == 1) {
+    last = std::max(last, shipStaged(matrix, chunk_overhead, state));
+  }
   return last;
 }
 
-SimTime Communicator::injectInterAndScatter(
-    int src_node, int dst_node, const detail::HierPair& pair,
+SimTime Communicator::shipStaged(
     const std::vector<std::vector<std::int64_t>>& matrix,
     SimTime chunk_overhead, detail::CollectiveState& state) {
   auto& topo = fabric_.topology();
-  // The leaders run the staging endpoints; the topology defaults stay
-  // the iteration bases (node membership is fixed by layout).
-  const int leader_s = leaderOf(src_node, state);
-  const int leader_d = leaderOf(dst_node, state);
-  const int base_s = topo.nodeLeader(src_node);
-  const int base_d = topo.nodeLeader(dst_node);
+  const int nodes = topo.numNodes();
+  const int gpn = topo.gpusPerNode();
   auto* san = system_.sanitizer();
   const bool log = san != nullptr && !state.actors.empty();
-  // Compress the aggregated payload for the wire (the staged buffer is
-  // contiguous, so the codec sees one flow per node pair).
-  const std::int64_t wire_bytes =
-      codec_ == nullptr
-          ? pair.raw_bytes
-          : codec_->encode(leader_s, leader_d, pair.raw_bytes, pair.ready);
-  // The aggregated flow is a one-sided bulk RDMA out of a pre-staged
-  // contiguous buffer: no per-peer protocol staging, so it rides the NIC
-  // at full fraction (contrast protoEff() on the flat path).
-  SimTime inject_at = pair.ready;
-  const SimTime inter_done =
-      sendChunked(leader_s, leader_d, wire_bytes, inject_at, chunk_overhead,
-                  /*bandwidth_fraction=*/1.0);
-  if (log) {
-    state.hier_inters.push_back({src_node, dst_node, pair.ready, inter_done});
+  const auto pair = [&](int p) -> detail::HierPair& {
+    return state.hier_pairs[static_cast<std::size_t>(p)];
+  };
+  // Staged pairs p = src_node * nodes + dst_node, in (source, destination)
+  // order, which breaks ties between equal arrivals. The codec encodes
+  // each at its readiness time, in readiness order (the staged buffer is
+  // contiguous, so it sees one flow per node pair).
+  std::vector<int> staged;
+  for (int p = 0; p < nodes * nodes; ++p) {
+    if (pair(p).raw_bytes > 0) staged.push_back(p);
   }
-  // Destination-side scatter over NVLink. A bug a test seeds on the
-  // checker fires the scatter when the inter flow is injected instead of
-  // delivered.
+  std::vector<int> by_ready = staged;
+  std::stable_sort(by_ready.begin(), by_ready.end(),
+                   [&](int a, int b) { return pair(a).ready < pair(b).ready; });
+  for (const int p : by_ready) {
+    auto& pr = pair(p);
+    pr.wire_bytes = codec_ == nullptr
+                        ? pr.raw_bytes
+                        : codec_->encode(leaderOf(p / nodes, state),
+                                         leaderOf(p % nodes, state),
+                                         pr.raw_bytes, pr.ready);
+  }
+  // Leader to leader. The aggregated flow is a one-sided bulk RDMA out of
+  // a pre-staged contiguous buffer: no per-peer protocol staging, so it
+  // rides the NIC at full fraction (contrast protoEff() on the flat path).
+  std::vector<fabric::Fabric::Flow> flows;
+  std::vector<SimTime*> done;
+  for (const int p : staged) {
+    auto& pr = pair(p);
+    pr.delivered = pr.ready;
+    const auto route = fabric_.route(leaderOf(p / nodes, state),
+                                     leaderOf(p % nodes, state));
+    SimTime at = pr.ready;
+    forEachChunk(pr.wire_bytes, at, chunk_overhead,
+                 [&](std::int64_t chunk, SimTime t) {
+                   flows.push_back({route, chunk, 1, t, 1.0});
+                   done.push_back(&pr.delivered);
+                 });
+  }
+  deliver(flows, done);
+  // Each pair's scatters over NVLink, once its flow has landed. A bug a
+  // test seeds on the checker fires them when the flow is injected.
   const bool buggy =
       san != nullptr && san->seeded(simsan::SeededBug::kScatterBeforeInterFlow);
-  const SimTime scatter_start = buggy ? pair.ready : inter_done;
-  SimTime last = inter_done;
-  for (int dst = base_d; dst < base_d + topo.gpusPerNode(); ++dst) {
-    std::int64_t bytes = 0;
-    for (int src = base_s; src < base_s + topo.gpusPerNode(); ++src) {
-      bytes += matrix[static_cast<std::size_t>(src)]
-                     [static_cast<std::size_t>(dst)];
+  std::vector<detail::HierScatterLog> scatters;
+  scatters.reserve(staged.size() * static_cast<std::size_t>(gpn));
+  flows.clear();
+  done.clear();
+  for (const int p : staged) {
+    // The leaders run the staging endpoints; the topology defaults stay
+    // the iteration bases (node membership is fixed by layout).
+    const int base_s = topo.nodeLeader(p / nodes);
+    const int base_d = topo.nodeLeader(p % nodes);
+    const int leader_d = leaderOf(p % nodes, state);
+    const SimTime start = buggy ? pair(p).ready : pair(p).delivered;
+    for (int dst = base_d; dst < base_d + gpn; ++dst) {
+      std::int64_t bytes = 0;
+      for (int src = base_s; src < base_s + gpn; ++src) {
+        bytes += matrix[static_cast<std::size_t>(src)]
+                       [static_cast<std::size_t>(dst)];
+      }
+      if (bytes == 0) continue;
+      auto& scatter = scatters.emplace_back(
+          detail::HierScatterLog{dst, p / nodes, start, start, !buggy});
+      if (dst == leader_d) continue;
+      const auto route = fabric_.route(leader_d, dst);
+      SimTime at = start;
+      forEachChunk(bytes, at, chunk_overhead,
+                   [&](std::int64_t chunk, SimTime t) {
+                     flows.push_back({route, chunk, 1, t, protoEff()});
+                     done.push_back(&scatter.delivered);
+                   });
     }
-    if (bytes == 0) continue;
-    SimTime done = scatter_start;
-    if (dst != leader_d) {
-      SimTime at = scatter_start;
-      done = sendChunked(leader_d, dst, bytes, at, chunk_overhead, protoEff());
-    }
-    last = std::max(last, done);
+  }
+  deliver(flows, done);
+  SimTime last = SimTime::zero();
+  for (const int p : staged) {
+    last = std::max(last, pair(p).delivered);
     if (log) {
-      state.hier_scatters.push_back({dst, src_node, scatter_start, done,
-                                     !buggy});
+      state.hier_inters.push_back(
+          {p / nodes, p % nodes, pair(p).ready, pair(p).delivered});
     }
+  }
+  for (const auto& scatter : scatters) {
+    last = std::max(last, scatter.delivered);
+    if (log) state.hier_scatters.push_back(scatter);
   }
   return last;
 }

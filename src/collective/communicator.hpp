@@ -8,8 +8,10 @@
 // baseline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "collective/request.hpp"
@@ -45,14 +47,15 @@ class Communicator {
   }
   fault::FaultInjector* faultInjector() const { return injector_; }
 
-  /// Route all-to-alls hierarchically through `route` (DESIGN.md §12):
-  /// members stage their inter-node contributions at the node leader
-  /// over NVLink, the leader ships exactly one aggregated flow per
-  /// destination node — a one-sided bulk RDMA from a pre-staged
+  /// Route all-to-alls hierarchically through `route` (DESIGN.md §12),
+  /// pairwise: at step k every member stages its contribution for node
+  /// (n + k) mod N at its node leader over NVLink. Once every member has
+  /// staged, each node pair's leader ships one aggregated flow to the
+  /// destination leader — a one-sided bulk RDMA from a pre-staged
   /// contiguous buffer, so it runs at full NIC fraction instead of the
-  /// collective protocol efficiency — and the destination leader
-  /// scatters over NVLink. Null (the default) keeps every collective
-  /// flat. Not owned.
+  /// collective protocol efficiency — which scatters it over NVLink;
+  /// every hop of those flows is served in arrival order. Null (the
+  /// default) keeps every collective flat. Not owned.
   void setRoute(const fault::HierRoute* route) { route_ = route; }
 
   /// Compress inter-node wire bytes through `codec`, hierarchical or
@@ -115,28 +118,35 @@ class Communicator {
   void sanitizeHierarchical(detail::CollectiveState& state);
 
   /// Node `node`'s leader for this collective: the GPU holding the
-  /// staging its caller declared, else the route's election at launch.
+  /// staging its caller declared, else the route's election at the
+  /// collective's first op start.
   int leaderOf(int node, const detail::CollectiveState& state) const;
 
-  /// One source rank's hierarchical all-to-all injection: flat intra
-  /// flows, gather-to-leader, and — for whichever member contributes
-  /// last — the aggregated inter flow plus the destination-side scatter.
-  /// Routing is decided once per collective: every member asks
-  /// leaderOf() and the route's degraded pairs at the launch time, so all
-  /// of them agree, or the per-pair contribution counting falls apart
-  /// mid-collective.
+  /// One source rank's part of a hierarchical all-to-all: flat intra
+  /// flows, flat flows to degraded pairs, and its contribution for each
+  /// other node staged at its leader, in pairwise order; the last member
+  /// to stage also ships every pair (shipStaged). Routing is decided
+  /// once per collective: every member asks leaderOf() and the route's
+  /// degraded pairs at the first op's start, so all of them agree on
+  /// which pairs are staged.
   SimTime hierarchicalInject(
       int src, SimTime start,
       const std::vector<std::vector<std::int64_t>>& matrix,
       SimTime chunk_overhead, detail::CollectiveState& state);
 
-  /// Inject the aggregated (src_node → dst_node) inter flow at the
-  /// pair's ready time, then the destination-side scatter; returns the
-  /// last scatter delivery.
-  SimTime injectInterAndScatter(
-      int src_node, int dst_node, const detail::HierPair& pair,
-      const std::vector<std::vector<std::int64_t>>& matrix,
-      SimTime chunk_overhead, detail::CollectiveState& state);
+  /// Ships every staged node pair: encodes each at its readiness time,
+  /// in readiness order, then sends the leader-to-leader flows and, once
+  /// each has landed, its scatters, each stage through deliver().
+  /// Returns the last delivery.
+  SimTime shipStaged(const std::vector<std::vector<std::int64_t>>& matrix,
+                     SimTime chunk_overhead, detail::CollectiveState& state);
+
+  /// Sends `flows` and raises `*done[i]` to flow i's delivery: every hop
+  /// served in arrival order (Fabric::sendInArrivalOrder), or, under an
+  /// armed fault injector, each flow whole through its reissue path in
+  /// injection order.
+  void deliver(std::span<const fabric::Fabric::Flow> flows,
+               std::span<SimTime* const> done);
 
   /// NCCL protocol efficiency applied to all collective wire traffic
   /// (staging copies, handshakes) — see CostModel.
@@ -150,10 +160,23 @@ class Communicator {
   fabric::Fabric::Delivery xfer(int src, int dst, std::int64_t payload_bytes,
                                 std::int64_t n_messages, SimTime at);
 
+  /// The one pipeline-chunk loop: calls `each(chunk_bytes, inject_at)`
+  /// for every chunk of at most kChunkBytes of `bytes`, each injected one
+  /// proxy overhead after the previous, the first one after `at`, and
+  /// advances `at` to the last injection.
+  template <typename Each>
+  static void forEachChunk(std::int64_t bytes, SimTime& at,
+                           SimTime chunk_overhead, Each&& each) {
+    for (std::int64_t remaining = bytes; remaining > 0;
+         remaining -= kChunkBytes) {
+      at += chunk_overhead;  // proxy progression per chunk
+      each(std::min(remaining, kChunkBytes), at);
+    }
+  }
+
   /// Flat path of one (src, dst) payload: pipeline chunks through
-  /// xfer(), each injected one proxy overhead after the previous, the
-  /// first one after `at`. Advances `at` to the last injection; returns
-  /// the last delivery (`at` as given when `bytes` is 0).
+  /// xfer(). Advances `at` to the last injection; returns the last
+  /// delivery (`at` as given when `bytes` is 0).
   SimTime xferChunked(int src, int dst, std::int64_t bytes, SimTime& at,
                       SimTime chunk_overhead);
 
@@ -166,13 +189,6 @@ class Communicator {
                                     std::int64_t payload_bytes,
                                     std::int64_t n_messages, SimTime at,
                                     double bandwidth_fraction);
-
-  /// Chunked hierarchical hop: split `bytes` into pipeline chunks,
-  /// advancing `inject_at` by the per-chunk proxy overhead; returns the
-  /// last chunk's delivery.
-  SimTime sendChunked(int from, int to, std::int64_t bytes,
-                      SimTime& inject_at, SimTime chunk_overhead,
-                      double bandwidth_fraction);
 
   gpu::MultiGpuSystem& system_;
   fabric::Fabric& fabric_;

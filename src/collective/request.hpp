@@ -48,12 +48,14 @@ struct CollectiveMemory {
 namespace detail {
 
 /// Per-(src-node, dst-node) accumulator of a hierarchical all-to-all:
-/// once every member of the source node has staged its contribution at
-/// the node leader, the aggregated inter-node flow is injected.
+/// every member of the source node stages its contribution at the node
+/// leader, and once every member of the collective has staged, the
+/// aggregated inter-node flow ships.
 struct HierPair {
-  int contributions = 0;           ///< member injects seen so far
-  SimTime ready = SimTime::zero(); ///< latest gather delivery
-  std::int64_t raw_bytes = 0;      ///< aggregated (uncompressed) payload
+  SimTime ready = SimTime::zero();      ///< latest gather delivery
+  std::int64_t raw_bytes = 0;           ///< aggregated (uncompressed) payload
+  std::int64_t wire_bytes = 0;          ///< what the codec ships for it
+  SimTime delivered = SimTime::zero();  ///< its inter flow's last delivery
 };
 
 /// simsan bookkeeping of one hierarchical transfer (logged at the
@@ -81,7 +83,11 @@ struct HierScatterLog {
 struct CollectiveState {
   int devices_pending = 0;
   SimTime completion = SimTime::zero();
-  SimTime first_start = SimTime::max();  ///< earliest device injection
+  /// Start of the first member's op. A hierarchical all-to-all routes at
+  /// this time: every member asks the route for degraded pairs (and,
+  /// when the caller declared no staging, for elected leaders) at it, so
+  /// all agree even when a fault window edge crosses the collective.
+  SimTime first_start = SimTime::max();
   bool completed = false;
   std::vector<std::function<void(SimTime)>> done_callbacks;
   std::function<void()> on_complete;  ///< functional data landing
@@ -98,11 +104,6 @@ struct CollectiveState {
 
   // --- hierarchical all-to-all bookkeeping (empty in flat mode) ----------
   std::vector<HierPair> hier_pairs;  ///< dense (src_node, dst_node) matrix
-  /// Host time of the launch. Every member asks the route at this time,
-  /// so all agree on the degraded pairs (and, when the caller declared no
-  /// staging, on the elected leaders) even when a fault window edge
-  /// crosses the collective.
-  SimTime launched_at = SimTime::zero();
   std::vector<HierGatherLog> hier_gathers;
   std::vector<HierInterLog> hier_inters;
   std::vector<HierScatterLog> hier_scatters;

@@ -1,5 +1,9 @@
 #include "fabric/fabric.hpp"
 
+#include <functional>
+#include <queue>
+#include <tuple>
+
 #include "util/expect.hpp"
 
 namespace pgasemb::fabric {
@@ -18,6 +22,40 @@ Fabric::Delivery Fabric::transfer(int src, int dst,
                                   double bandwidth_fraction) {
   return send(route(src, dst), payload_bytes, n_messages, at,
               bandwidth_fraction);
+}
+
+std::vector<Fabric::Delivery> Fabric::sendInArrivalOrder(
+    std::span<const Flow> flows) {
+  // Each flow in flight has one pending hop: (arrival, flow, hop).
+  using Arrival = std::tuple<SimTime, std::size_t, std::size_t>;
+  std::priority_queue<Arrival, std::vector<Arrival>, std::greater<>> arrivals;
+  std::vector<Delivery> out(flows.size());
+  std::vector<SimTime> wire_start(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const Flow& f = flows[i];
+    PGASEMB_CHECK(f.payload_bytes >= 0 && f.n_messages >= 0, "negative flow");
+    out[i] = {f.at, f.at, false};
+    if (!f.route.links.empty() && f.payload_bytes + f.n_messages > 0) {
+      arrivals.emplace(f.at, i, 0);
+    }
+  }
+  while (!arrivals.empty()) {
+    const auto [at, i, hop_index] = arrivals.top();
+    arrivals.pop();
+    const Flow& f = flows[i];
+    const Hop h = hop(*f.route.links[hop_index], f.payload_bytes,
+                      f.n_messages, at, f.bandwidth_fraction);
+    if (hop_index == 0) wire_start[i] = h.start;
+    out[i].delivered = h.next;
+    out[i].dropped = h.dropped;
+    if (!h.dropped && hop_index + 1 < f.route.links.size()) {
+      arrivals.emplace(h.next, i, hop_index + 1);
+    } else {
+      finishFlow(f.route, f.payload_bytes, f.n_messages, wire_start[i],
+                 out[i]);
+    }
+  }
+  return out;
 }
 
 bool Fabric::faultHop(Link& link, const sim::FifoResource::Grant& grant,

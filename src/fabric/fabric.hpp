@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "fabric/time_series_counter.hpp"
 #include "fabric/topology.hpp"
@@ -60,9 +61,9 @@ class Fabric {
                     std::int64_t n_messages, SimTime at,
                     double bandwidth_fraction = 1.0);
 
-  /// transfer() over a resolved route: the one hop routine every flow
-  /// takes. Inline for the PGAS put emitter, which sends hundreds of
-  /// thousands of flows per batch; transfer() keeps one copy for every
+  /// transfer() over a resolved route: every hop taken in turn, at the
+  /// flow's pace. Inline for the PGAS put emitter, which sends hundreds
+  /// of thousands of flows per batch; transfer() keeps one copy for every
   /// other caller.
   Delivery send(const Route& route, std::int64_t payload_bytes,
                 std::int64_t n_messages, SimTime at,
@@ -70,37 +71,33 @@ class Fabric {
     PGASEMB_CHECK(payload_bytes >= 0 && n_messages >= 0, "negative flow");
     Delivery d{at, at, false};
     if (route.links.empty() || payload_bytes + n_messages == 0) return d;
-    SimTime cursor = at;
     SimTime wire_start = at;
-    for (std::size_t hop = 0; hop < route.links.size(); ++hop) {
-      Link& link = *route.links[hop];
-      // Store-and-forward at flow granularity per hop.
-      const auto grant =
-          link.occupy(cursor, payload_bytes, n_messages, bandwidth_fraction);
-      if (hop == 0) wire_start = grant.start;
-      SimTime hop_latency = link.params().latency;
-      if (link.hasFaultWindows() &&
-          faultHop(link, grant, payload_bytes, hop_latency)) {
-        // The flow is lost on this hop; later hops never see it.
-        d.dropped = true;
-        d.delivered = grant.end;
-        break;
-      }
-      cursor = grant.end + hop_latency;
+    for (std::size_t i = 0; i < route.links.size() && !d.dropped; ++i) {
+      const Hop h = hop(*route.links[i], payload_bytes, n_messages,
+                        d.delivered, bandwidth_fraction);
+      if (i == 0) wire_start = h.start;
+      d.delivered = h.next;
+      d.dropped = h.dropped;
     }
-    if (!d.dropped) d.delivered = cursor;
-    if (flow_observer_) {
-      flow_observer_(route.src, route.dst, payload_bytes, n_messages,
-                     wire_start, d.delivered);
-    }
-    injected_.add(at, static_cast<double>(payload_bytes));
-    if (!d.dropped) {
-      delivered_.add(d.delivered, static_cast<double>(payload_bytes));
-    }
-    total_payload_bytes_ += payload_bytes;
-    total_messages_ += n_messages;
+    finishFlow(route, payload_bytes, n_messages, wire_start, d);
     return d;
   }
+
+  /// One flow of a batch sendInArrivalOrder() serves together.
+  struct Flow {
+    Route route;
+    std::int64_t payload_bytes = 0;
+    std::int64_t n_messages = 0;
+    SimTime at;
+    double bandwidth_fraction = 1.0;
+  };
+
+  /// Sends `flows`, serving every hop in the order the flows reach it:
+  /// one time-ordered merge over the batch's hop arrivals, keyed by
+  /// (arrival, flow index, hop index), so equal arrivals go in the
+  /// caller's order. Each flow takes send()'s hop step and accounting.
+  /// Returns the deliveries in `flows` order.
+  std::vector<Delivery> sendInArrivalOrder(std::span<const Flow> flows);
 
   /// Bytes put on the wire over time (payload only), all flows.
   const TimeSeriesCounter& injectionCounter() const { return injected_; }
@@ -152,6 +149,45 @@ class Fabric {
   void reset();
 
  private:
+  /// One hop of a flow: its wire start, the time it reaches the next hop
+  /// (when dropped, the sender-side wire end of this one), and whether a
+  /// flap window swallowed it.
+  struct Hop {
+    SimTime start;
+    SimTime next;
+    bool dropped = false;
+  };
+
+  /// The hop step every flow takes, reaching `link` at `at`.
+  Hop hop(Link& link, std::int64_t payload_bytes, std::int64_t n_messages,
+          SimTime at, double bandwidth_fraction) {
+    // Store-and-forward at flow granularity per hop.
+    const auto grant =
+        link.occupy(at, payload_bytes, n_messages, bandwidth_fraction);
+    SimTime latency = link.params().latency;
+    if (link.hasFaultWindows() &&
+        faultHop(link, grant, payload_bytes, latency)) {
+      return {grant.start, grant.end, true};
+    }
+    return {grant.start, grant.end + latency, false};
+  }
+
+  /// Per-flow accounting after its last hop: observer, counters, totals.
+  void finishFlow(const Route& route, std::int64_t payload_bytes,
+                  std::int64_t n_messages, SimTime wire_start,
+                  const Delivery& d) {
+    if (flow_observer_) {
+      flow_observer_(route.src, route.dst, payload_bytes, n_messages,
+                     wire_start, d.delivered);
+    }
+    injected_.add(d.injected, static_cast<double>(payload_bytes));
+    if (!d.dropped) {
+      delivered_.add(d.delivered, static_cast<double>(payload_bytes));
+    }
+    total_payload_bytes_ += payload_bytes;
+    total_messages_ += n_messages;
+  }
+
   /// Applies `link`'s fault windows to a hop granted `grant`: adds the
   /// extra latency in force to `hop_latency`, and returns true (counting
   /// the drop) when a flap window swallows the flow.

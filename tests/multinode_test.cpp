@@ -11,14 +11,18 @@
 //     retrievers; fixed 1e-2 compression must cut codec bytes >= 4x more.
 //   - Functional accuracy: cross-node values really pass through the
 //     codec, and the measured max error respects the bound.
+//   - Pairwise schedule: each node's leader ships to nodes n+1, n+2, ...
+//     in turn, and no leader flow waits at its destination NIC.
 //   - simsan certification of the hierarchical+compressed paths, plus a
 //     seeded scatter-before-interflow-complete bug the checker must name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/batch_executor.hpp"
@@ -246,9 +250,11 @@ TEST(MultiNodeGoldenTest, SingleNodeReportsNoInterNodeSection) {
 // and under leader-fail + nic-flap faults. The numbers were recorded
 // before PGAS forwarding was regrouped per node and re-recorded when each
 // node got its own host (nccl_pipelined's again when it gained the leader
-// staging kernels, and both collectives' fault pins when the standby's
-// rebuild moved before its gather); every simulated total, byte, message,
-// codec decision and resilience counter must stay put.
+// staging kernels, both collectives' fault pins when the standby's
+// rebuild moved before its gather, and both collectives' totals when the
+// exchange became pairwise and its pipelined form began routing when it
+// starts); every simulated total, byte, message, codec decision and
+// resilience counter must stay put.
 
 struct TrafficPin {
   const char* retriever;
@@ -276,9 +282,9 @@ ExperimentConfig hierConfig() {
 
 TEST(MultiNodeGoldenTest, HierarchicalTotalsArePinned) {
   const TrafficPin pins[] = {
-      {"nccl_collective", 6709215352, 553648128, 288, 402659328.0},
+      {"nccl_collective", 5367017592, 553648128, 288, 402659328.0},
       {"pgas_fused", 2164211130, 553648128, 1388544, 404226048.0},
-      {"nccl_pipelined", 5709549484, 553648128, 288, 402659328.0},
+      {"nccl_pipelined", 4304932677, 553648128, 288, 402659328.0},
   };
   for (const auto& pin : pins) {
     const ExperimentResult r = ScenarioRunner(hierConfig()).run(pin.retriever);
@@ -294,11 +300,11 @@ TEST(MultiNodeGoldenTest, HierarchicalAdaptiveCodecIsPinned) {
     std::int64_t raw_bytes, wire_bytes, hot_decisions, cool_decisions;
   };
   const Pin pins[] = {
-      {{"nccl_collective", 5686788480, 452985024, 288, 201449664.0},
+      {{"nccl_collective", 4688129436, 452985024, 288, 201449664.0},
        201326592, 100663488, 0, 24},
       {{"pgas_fused", 637183290, 401141760, 1388544, 99213312.0},
        201326592, 48820224, 11272, 1016},
-      {{"nccl_pipelined", 4687122612, 452985024, 288, 201449664.0},
+      {{"nccl_pipelined", 3626044521, 452985024, 288, 201449664.0},
        201326592, 100663488, 0, 24},
   };
   ExperimentConfig cfg = hierConfig();
@@ -328,12 +334,12 @@ TEST(MultiNodeGoldenTest, HierarchicalUnderNodeFaultsIsPinned) {
         hier_fallbacks, degraded_ps, leader_failovers, staging_rebuilds;
   };
   const Pin pins[] = {
-      {{"nccl_collective", 11895522732, 482869248, 345, 916235406.625},
+      {{"nccl_collective", 12039380832, 482869248, 345, 916235406.625},
        11, 9, 4718592, 0, 4718592, 9, 2908666965, 24, 7523946135, 1, 1},
       {{"pgas_fused", 9831219298, 499744768, 1311922, 1017726912.0},
        12, 10, 163840, 10, 163840, 0, 3082507688, 2136, 8657291902, 1, 0},
-      {{"nccl_pipelined", 14918771622, 407896064, 394, 1396852216.875},
-       12, 10, 5242880, 0, 5242880, 10, 3708666965, 48, 13702596040, 1, 1},
+      {{"nccl_pipelined", 11015343645, 483393536, 346, 922228000.875},
+       12, 10, 5242880, 0, 5242880, 10, 3708666965, 24, 7818353675, 1, 1},
   };
   const ExperimentConfig cfg = faultedConfig(
       4, 4, "leader-fail:1:0.0-1000000.0,nic-flap:2:0.04-1.5");
@@ -514,20 +520,23 @@ TEST(CompressionTest, ValidationRejectsInconsistentFlags) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiNodeSimsanTest, HierarchicalCompressedPathsAreClean) {
-  for (const int per_node : {2, 4}) {
-    ExperimentConfig cfg = sweepConfig(2, per_node);
+  // (nodes, GPUs per node): at 4 nodes the pairwise order rotates and
+  // each NIC carries several staged flows; at 2 it carries one.
+  const std::pair<int, int> widths[] = {{2, 2}, {2, 4}, {4, 2}};
+  for (const auto& [nodes, per_node] : widths) {
+    ExperimentConfig cfg = sweepConfig(nodes, per_node);
     cfg.num_batches = 2;
     cfg.hierarchical_a2a = true;
     cfg.compress_bound = 1e-2;
     cfg.simsan = true;
     for (const auto& name : kRetrievers) {
+      const std::string what = name + " @" + std::to_string(nodes) + "x" +
+                               std::to_string(per_node) + " GPUs";
       ScenarioRunner runner(cfg);
       const ExperimentResult r = runner.run(name);
-      ASSERT_TRUE(r.sanitizer.has_value())
-          << name << " @" << per_node << " GPUs/node";
-      EXPECT_TRUE(r.sanitizer->clean())
-          << name << " @" << per_node
-          << " GPUs/node\n" << r.sanitizer->report();
+      ASSERT_TRUE(r.sanitizer.has_value()) << what;
+      EXPECT_TRUE(r.sanitizer->clean()) << what << "\n"
+                                        << r.sanitizer->report();
     }
   }
 }
@@ -536,18 +545,21 @@ TEST(MultiNodeSimsanTest, StrictEffectsHoldUnderHierarchyAndCompression) {
   // Strict mode replays actual simulated-memory touches against the
   // declared footprints; the leader staging kernels and the forwarded
   // hops must stay inside what they declared.
-  ExperimentConfig cfg = sweepConfig(2, 2);
-  cfg.num_batches = 2;
-  cfg.hierarchical_a2a = true;
-  cfg.compress_bound = 1e-2;
-  cfg.simsan = true;
-  cfg.simsan_strict = true;
-  for (const auto& name : kRetrievers) {
-    ScenarioRunner runner(cfg);
-    const ExperimentResult r = runner.run(name);
-    ASSERT_TRUE(r.sanitizer.has_value()) << name;
-    EXPECT_TRUE(r.sanitizer->clean()) << name << "\n"
-                                      << r.sanitizer->report();
+  for (const int nodes : {2, 4}) {
+    ExperimentConfig cfg = sweepConfig(nodes, 2);
+    cfg.num_batches = 2;
+    cfg.hierarchical_a2a = true;
+    cfg.compress_bound = 1e-2;
+    cfg.simsan = true;
+    cfg.simsan_strict = true;
+    for (const auto& name : kRetrievers) {
+      const std::string what = name + " @" + std::to_string(nodes) + " nodes";
+      ScenarioRunner runner(cfg);
+      const ExperimentResult r = runner.run(name);
+      ASSERT_TRUE(r.sanitizer.has_value()) << what;
+      EXPECT_TRUE(r.sanitizer->clean()) << what << "\n"
+                                        << r.sanitizer->report();
+    }
   }
 }
 
@@ -599,7 +611,9 @@ struct Timeline {
   };
   struct Flow {
     int src, dst;
+    std::int64_t bytes, messages;
     SimTime start;  ///< on the wire
+    SimTime delivered;
   };
   std::vector<Kernel> kernels;  ///< in completion order
   std::vector<Flow> flows;
@@ -625,15 +639,60 @@ Timeline recordTimeline(const ExperimentConfig& cfg,
       [&t](int device, const std::string& name, SimTime start, SimTime end,
            SimTime) { t.kernels.push_back({device, name, start, end}); });
   builder.fabric().setFlowObserver(
-      [&t](int src, int dst, std::int64_t, std::int64_t, SimTime start,
-           SimTime) { t.flows.push_back({src, dst, start}); });
+      [&t](int src, int dst, std::int64_t bytes, std::int64_t messages,
+           SimTime start, SimTime delivered) {
+        t.flows.push_back({src, dst, bytes, messages, start, delivered});
+      });
   BatchExecutor exec(builder, retriever);
   ExperimentResult result;
   const auto batch = emb::SparseBatch::statistical(cfg.layer.batchSpec());
   for (int b = 0; b < cfg.num_batches; ++b) exec.runOne(batch, result);
   exec.finishRun(result);
-  t.staging_rebuilds = builder.faultInjector()->stats().staging_rebuilds;
+  if (const auto* injector = builder.faultInjector()) {
+    t.staging_rebuilds = injector->stats().staging_rebuilds;
+  }
   return t;
+}
+
+TEST(PairwiseExchangeTest, LeaderFlowsRotateAndNeverWaitAtTheirDestination) {
+  // One fault-free hierarchical collective batch on 4 nodes x 4 GPUs.
+  // Node n's leader ships to nodes n+1, n+2 and n+3 in that order, so
+  // each step's flows leave for distinct nodes, and every hop is served
+  // in arrival order: no leader-to-leader flow waits at its destination
+  // NIC, so each lands two hops of serialization plus latency after its
+  // wire start.
+  ExperimentConfig cfg = hierConfig();
+  cfg.num_batches = 1;
+  const Timeline t = recordTimeline(cfg, "nccl_collective");
+  const fabric::Link nic("nic", cfg.inter_node_link);
+  const int gpn = 4;
+  const int nodes = 4;
+  std::vector<std::vector<Timeline::Flow>> from(nodes);
+  for (const auto& f : t.flows) {
+    if (f.src / gpn == f.dst / gpn) continue;
+    ASSERT_EQ(f.src % gpn, 0) << f.src << "->" << f.dst;
+    ASSERT_EQ(f.dst % gpn, 0) << f.src << "->" << f.dst;
+    from[static_cast<std::size_t>(f.src / gpn)].push_back(f);
+    const SimTime hop = nic.serializationTime(f.bytes, f.messages) +
+                        cfg.inter_node_link.latency;
+    EXPECT_EQ(f.delivered - f.start, hop * 2)
+        << "flow " << f.src << "->" << f.dst << " at " << f.start.toUs()
+        << " us waited " << (f.delivered - f.start - hop * 2).toUs()
+        << " us at its destination";
+  }
+  for (int n = 0; n < nodes; ++n) {
+    auto flows = from[static_cast<std::size_t>(n)];
+    std::stable_sort(flows.begin(), flows.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.start < b.start;
+                     });
+    std::vector<int> steps;
+    for (const auto& f : flows) {
+      const int step = (f.dst / gpn - n + nodes) % nodes;
+      if (steps.empty() || steps.back() != step) steps.push_back(step);
+    }
+    EXPECT_EQ(steps, (std::vector<int>{1, 2, 3})) << "node " << n;
+  }
 }
 
 TEST(NodeFaultDomainTest, StandbyStagingIsRebuiltBeforeAnythingWritesIt) {
@@ -711,6 +770,35 @@ TEST(NodeFaultDomainTest, EachBatchKeepsTheLeaderItsGatherPicked) {
           << gathers[1].start.toUs() << " us";
     }
   }
+}
+
+TEST(NodeFaultDomainTest, PipelinedExchangeIsRoutedWhenItStarts) {
+  // The pinned fault plan: node 2's NIC flaps from 0.04 to 1.5 ms. The
+  // pipelined retriever launches batch 1's exchange inside that window,
+  // but the exchange starts on the comm streams only after batch 0's
+  // re-sent exchange, long after the window closed. It is routed when it
+  // starts, so node 2 keeps the hierarchy: every flow between node 2 and
+  // another node from batch 1's gather on goes leader to leader (node
+  // 1's standby, GPU 5, leads node 1).
+  const ExperimentConfig cfg = faultedConfig(
+      4, 4, "leader-fail:1:0.0-1000000.0,nic-flap:2:0.04-1.5");
+  const Timeline t = recordTimeline(cfg, "nccl_pipelined");
+  const auto gathers = t.named("emb_hier_gather.node2");
+  ASSERT_EQ(gathers.size(), 2u);
+  EXPECT_GT(gathers[1].start, SimTime::ms(1.5));
+  const auto leader = [](int node) { return node == 1 ? 5 : node * 4; };
+  int shipped = 0;
+  for (const auto& f : t.flows) {
+    const int a = f.src / 4;
+    const int b = f.dst / 4;
+    if (a == b || (a != 2 && b != 2) || f.start < gathers[1].start) continue;
+    EXPECT_EQ(f.src, leader(a)) << "flow " << f.src << "->" << f.dst
+                                << " at " << f.start.toUs() << " us";
+    EXPECT_EQ(f.dst, leader(b)) << "flow " << f.src << "->" << f.dst
+                                << " at " << f.start.toUs() << " us";
+    ++shipped;
+  }
+  EXPECT_GT(shipped, 0);
 }
 
 TEST(NodeFaultDomainTest, PerPairFallbackConfinedAndBeatsGlobalFlat) {
@@ -870,25 +958,28 @@ TEST(MultiNodeSimsanTest, SeededScatterBeforeInterFlowIsFlagged) {
   // gather staging is ready instead of waiting for the aggregated
   // inter-node flow to land: the scatter's staging read races the
   // inter-flow's remote write, and the report names both sides. The
-  // same run without the seeded bug is clean.
-  ExperimentConfig cfg = sweepConfig(2, 2);
-  cfg.num_batches = 1;
-  cfg.hierarchical_a2a = true;
-  cfg.simsan = true;
-  ScenarioRunner runner(cfg);
-  const ExperimentResult fixed = runner.run("nccl_collective");
-  ASSERT_TRUE(fixed.sanitizer.has_value());
-  EXPECT_TRUE(fixed.sanitizer->clean()) << fixed.sanitizer->report();
+  // same run without the seeded bug is clean, at 2 nodes and at 4.
+  for (const int nodes : {2, 4}) {
+    ExperimentConfig cfg = sweepConfig(nodes, 2);
+    cfg.num_batches = 1;
+    cfg.hierarchical_a2a = true;
+    cfg.simsan = true;
+    ScenarioRunner runner(cfg);
+    const ExperimentResult fixed = runner.run("nccl_collective");
+    ASSERT_TRUE(fixed.sanitizer.has_value()) << nodes << " nodes";
+    EXPECT_TRUE(fixed.sanitizer->clean())
+        << nodes << " nodes\n" << fixed.sanitizer->report();
 
-  runner.builder().seedBug(simsan::SeededBug::kScatterBeforeInterFlow);
-  const ExperimentResult r = runner.run("nccl_collective");
-  ASSERT_TRUE(r.sanitizer.has_value());
-  const auto& s = *r.sanitizer;
-  EXPECT_GT(s.races, 0) << s.report();
-  EXPECT_TRUE(anyRaceMentions(s, "hier_inter", "hier_scatter"))
-      << s.report();
-  EXPECT_EQ(s.out_of_bounds, 0) << s.report();
-  EXPECT_EQ(s.lifetime_errors, 0) << s.report();
+    runner.builder().seedBug(simsan::SeededBug::kScatterBeforeInterFlow);
+    const ExperimentResult r = runner.run("nccl_collective");
+    ASSERT_TRUE(r.sanitizer.has_value()) << nodes << " nodes";
+    const auto& s = *r.sanitizer;
+    EXPECT_GT(s.races, 0) << nodes << " nodes\n" << s.report();
+    EXPECT_TRUE(anyRaceMentions(s, "hier_inter", "hier_scatter"))
+        << nodes << " nodes\n" << s.report();
+    EXPECT_EQ(s.out_of_bounds, 0) << nodes << " nodes\n" << s.report();
+    EXPECT_EQ(s.lifetime_errors, 0) << nodes << " nodes\n" << s.report();
+  }
 }
 
 }  // namespace
