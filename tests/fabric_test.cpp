@@ -366,6 +366,62 @@ TEST(FabricTest, SharedNicCongests) {
   EXPECT_GT(d2.delivered, d1.delivered);
 }
 
+TEST(FabricTest, ArrivalOrderServesEachLinkInTheOrderFlowsReachIt) {
+  // Three single-GPU nodes: flows into node 2 share its NIC down-link.
+  // Flow 0 is listed first but reaches that link after flow 1, which
+  // therefore goes first; flows that reach it together keep list order.
+  const LinkParams nic = testLink();
+  Fabric fabric(std::make_unique<MultiNodeTopology>(3, 1, testLink(), nic));
+  int observed = 0;
+  fabric.setFlowObserver(
+      [&observed](int, int, std::int64_t, std::int64_t, SimTime, SimTime) {
+        ++observed;
+      });
+  const std::int64_t bytes = 2'000'000;  // 20 us on the wire
+  const SimTime hop =
+      Link("nic", nic).serializationTime(bytes, 1) + nic.latency;
+  const SimTime wait = hop - nic.latency;
+  const Fabric::Flow late_first[] = {
+      {fabric.route(0, 2), bytes, 1, SimTime::us(10)},
+      {fabric.route(1, 2), bytes, 1, SimTime::zero()},
+  };
+  const auto d = fabric.sendInArrivalOrder(late_first);
+  EXPECT_EQ(d[1].delivered, hop * 2);
+  EXPECT_EQ(d[0].delivered, hop * 2 + wait);
+  // Each flow is accounted like a send(): observer, totals, counters.
+  EXPECT_EQ(observed, 2);
+  EXPECT_EQ(fabric.totalPayloadBytes(), 2 * bytes);
+  EXPECT_EQ(fabric.totalMessages(), 2);
+  EXPECT_DOUBLE_EQ(fabric.deliveryCounter().total(), 2.0 * bytes);
+
+  fabric.reset();
+  const Fabric::Flow ties[] = {
+      {fabric.route(1, 2), bytes, 1, SimTime::zero()},
+      {fabric.route(0, 2), bytes, 1, SimTime::zero()},
+  };
+  const auto t = fabric.sendInArrivalOrder(ties);
+  EXPECT_EQ(t[0].delivered, hop * 2);
+  EXPECT_EQ(t[1].delivered, hop * 2 + wait);
+}
+
+TEST(FabricTest, ArrivalOrderIsPerHopOnASharedNicQueue) {
+  // One NIC queue per node serves both directions. Flow 1 leaves node 1
+  // at 5 us, before flow 0 from node 0 reaches node 1's queue, so node
+  // 1 sends before it receives: the merge orders hops, not whole flows.
+  const LinkParams nic = testLink();
+  Fabric fabric(std::make_unique<MultiNodeTopology>(
+      2, 1, testLink(), nic, /*shared_nic_queue=*/true));
+  const std::int64_t bytes = 2'000'000;
+  const SimTime wire = Link("nic", nic).serializationTime(bytes, 1);
+  const Fabric::Flow flows[] = {
+      {fabric.route(0, 1), bytes, 1, SimTime::zero()},
+      {fabric.route(1, 0), bytes, 1, SimTime::us(5)},
+  };
+  const auto d = fabric.sendInArrivalOrder(flows);
+  EXPECT_EQ(d[0].delivered, SimTime::us(5) + wire * 2 + nic.latency);
+  EXPECT_EQ(d[1].delivered, SimTime::us(5) + (wire + nic.latency) * 2);
+}
+
 TEST(FabricTest, ResetClearsCountersAndLinks) {
   Fabric fabric(std::make_unique<NvlinkAllToAllTopology>(2, testLink()));
   fabric.transfer(0, 1, 1000, 1, SimTime::zero());
