@@ -1,6 +1,6 @@
 // Unit tests for the interconnect model: link serialization math, FIFO
-// queueing, topology routing, byte conservation, and time-series
-// counters.
+// queueing, topology routing, byte conservation, time-series counters,
+// and the arrival-ordered merge of a batch of flows.
 #include <gtest/gtest.h>
 
 #include <memory>
