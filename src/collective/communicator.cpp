@@ -527,7 +527,8 @@ Request Communicator::allToAllSingle(
 }
 
 Request Communicator::allReduce(std::int64_t total_bytes,
-                                std::function<void()> on_complete) {
+                                std::function<void()> on_complete,
+                                const std::vector<gpu::Stream*>* streams) {
   PGASEMB_CHECK(total_bytes >= 0, "negative all-reduce size");
   const int n = system_.numGpus();
   const std::int64_t block = n > 0 ? total_bytes / n : 0;
@@ -543,7 +544,7 @@ Request Communicator::allReduce(std::int64_t total_bytes,
         }
         return t;
       },
-      std::move(on_complete));
+      std::move(on_complete), streams);
 }
 
 Request Communicator::ringShiftRounds(std::int64_t bytes_per_round,

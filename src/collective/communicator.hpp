@@ -81,8 +81,11 @@ class Communicator {
 
   /// Ring all-reduce = reduce-scatter + all-gather: 2(p-1) chained steps
   /// of total/p-sized transfers, reductions overlapped with transfer.
+  /// `streams` (optional, one per GPU) as for allToAllSingle: a side
+  /// stream lets the all-reduce run under other work on the device.
   Request allReduce(std::int64_t total_bytes,
-                    std::function<void()> on_complete = nullptr);
+                    std::function<void()> on_complete = nullptr,
+                    const std::vector<gpu::Stream*>* streams = nullptr);
 
   /// `rounds` rounds in which every GPU ships `bytes_per_round` to its
   /// ring successor, with a full synchronization between rounds.  This is

@@ -1,5 +1,6 @@
 #include "dlrm/backward.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "emb/lookup_kernel.hpp"
@@ -58,9 +59,41 @@ void EmbBackwardEngine::applyGradientsFunctional(
   }
 }
 
+SimTime EmbBackwardEngine::runApplyPhase(const emb::SparseBatch& batch,
+                                         const BesideApplyFn& beside_apply) {
+  auto& system = layer_.system();
+  const auto& sh = layer_.sharding();
+  const int p = system.numGpus();
+  for (int g = 0; g < p; ++g) {
+    const double rows =
+        batch.totalIndices(sh.firstTableOn(g), sh.tablesOn(g));
+    gpu::KernelDesc k;
+    k.name = "emb_backward_apply.gpu" + std::to_string(g);
+    k.duration = system.costModel().streamKernelTime(rows * layer_.dim() *
+                                                     4.0 * 3.0);
+    system.launchKernel(g, std::move(k));
+  }
+  if (!beside_apply) return system.syncAll();
+  const SimTime launched = system.hostNow();
+  const collective::Request beside = beside_apply();
+  const SimTime triggered = system.hostNow();
+  const SimTime end = system.syncAll();
+  // The sync also waited for the beside collective. Without it, the sync
+  // would have started once the host had launched the apply and the last
+  // apply kernel had ended; take out what the collective's host triggers
+  // and transfers added past that point.
+  SimTime applied = launched;
+  for (int g = 0; g < p; ++g) {
+    applied = std::max(applied, system.stream(g).lastCompletion());
+  }
+  return end -
+         (std::max({triggered, applied, beside.completionTime()}) - applied);
+}
+
 BackwardTiming EmbBackwardEngine::runBatch(const emb::SparseBatch& batch,
                                            BackwardScheme scheme,
-                                           const UpstreamGradFn& upstream) {
+                                           const UpstreamGradFn& upstream,
+                                           const BesideApplyFn& beside_apply) {
   auto& system = layer_.system();
   const auto& sh = layer_.sharding();
   const auto& cm = system.costModel();
@@ -122,15 +155,7 @@ BackwardTiming EmbBackwardEngine::runBatch(const emb::SparseBatch& batch,
     timing.aggregate_phase = (t4 - t3) + (t3 - t2);  // scatter + rounds
 
     // Phase 5: apply SGD updates.
-    for (int g = 0; g < p; ++g) {
-      const double rows =
-          batch.totalIndices(sh.firstTableOn(g), sh.tablesOn(g));
-      gpu::KernelDesc k;
-      k.name = "emb_backward_apply.gpu" + std::to_string(g);
-      k.duration = cm.streamKernelTime(rows * dim * 4.0 * 3.0);
-      system.launchKernel(g, std::move(k));
-    }
-    const SimTime t5 = system.syncAll();
+    const SimTime t5 = runApplyPhase(batch, beside_apply);
     timing.apply_phase = t5 - t4;
     timing.total = t5 - t0;
   } else {
@@ -168,15 +193,7 @@ BackwardTiming EmbBackwardEngine::runBatch(const emb::SparseBatch& batch,
     timing.grad_phase = t1 - t0;
 
     // Apply SGD updates from the atomically accumulated buffers.
-    for (int g = 0; g < p; ++g) {
-      const double rows =
-          batch.totalIndices(sh.firstTableOn(g), sh.tablesOn(g));
-      gpu::KernelDesc k;
-      k.name = "emb_backward_apply.gpu" + std::to_string(g);
-      k.duration = cm.streamKernelTime(rows * dim * 4.0 * 3.0);
-      system.launchKernel(g, std::move(k));
-    }
-    const SimTime t2 = system.syncAll();
+    const SimTime t2 = runApplyPhase(batch, beside_apply);
     timing.apply_phase = t2 - t1;
     timing.total = t2 - t0;
   }

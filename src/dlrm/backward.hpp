@@ -15,6 +15,10 @@
 //  - kPgasAtomics: one fused kernel per GPU that pushes each row
 //    gradient as a remote ATOMIC ADD the moment it is computed, quiet,
 //    then apply — no rounds, no extra synchronization.
+//
+// The apply uses no link, so either scheme offers the caller one launch
+// point right after the apply kernels: a collective launched there (the
+// trainer's MLP-gradient all-reduce) runs under the apply's compute.
 #pragma once
 
 #include <cstdint>
@@ -52,14 +56,25 @@ class EmbBackwardEngine {
   using UpstreamGradFn =
       std::function<float(std::int64_t table, std::int64_t sample, int col)>;
 
+  /// Launches a collective beside the apply and returns its request.
+  using BesideApplyFn = std::function<collective::Request()>;
+
   /// Run one backward pass over `batch`. In functional mode the dense
   /// embedding tables are updated in place (identically for both
-  /// schemes).
+  /// schemes). `beside_apply` (optional) runs once, right after the
+  /// apply kernels are launched; the final sync waits for its collective
+  /// too, but the returned timing is the EMB work's alone.
   BackwardTiming runBatch(const emb::SparseBatch& batch,
                           BackwardScheme scheme,
-                          const UpstreamGradFn& upstream = nullptr);
+                          const UpstreamGradFn& upstream = nullptr,
+                          const BesideApplyFn& beside_apply = nullptr);
 
  private:
+  /// Launches the SGD apply kernels, then `beside_apply`, and syncs.
+  /// Returns the time that sync would have ended at for the apply alone.
+  SimTime runApplyPhase(const emb::SparseBatch& batch,
+                        const BesideApplyFn& beside_apply);
+
   void applyGradientsFunctional(const emb::SparseBatch& batch,
                                 const UpstreamGradFn& upstream);
 

@@ -210,6 +210,16 @@ double Mlp::forwardFlops(std::int64_t batch) const {
   return flops;
 }
 
+std::int64_t Mlp::parameterBytes() const {
+  std::int64_t bytes = 0;
+  int in = config_.input_dim;
+  for (int out : config_.layer_dims) {
+    bytes += 4LL * (in * out + out);
+    in = out;
+  }
+  return bytes;
+}
+
 double Mlp::forwardBytes(std::int64_t batch) const {
   double bytes = 0.0;
   int in = config_.input_dim;

@@ -73,6 +73,10 @@ class Mlp {
 
   int inputDim(int layer) const;
 
+  /// Bytes of every fp32 weight and bias: what a data-parallel gradient
+  /// all-reduce sums.
+  std::int64_t parameterBytes() const;
+
   /// fp32 FLOPs for a forward pass over `batch` samples.
   double forwardFlops(std::int64_t batch) const;
   /// Bytes touched (weights once + activations per sample).

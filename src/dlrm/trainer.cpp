@@ -18,9 +18,13 @@ DlrmTrainer::DlrmTrainer(DlrmModel& model,
       emb_backward_(model.embLayer(), comm, runtime, learning_rate),
       lr_(learning_rate),
       scheme_(scheme) {
+  auto& system = model.embLayer().system();
+  for (int g = 0; g < system.numGpus(); ++g) {
+    allreduce_streams_.push_back(&system.createStream(g, "allreduce"));
+  }
   // Training mutates the MLPs; move them off the procedural weights.
   // Dense weights are data plane: a TimingOnly run never reads them.
-  if (model.embLayer().system().mode() == gpu::ExecutionMode::kFunctional) {
+  if (system.mode() == gpu::ExecutionMode::kFunctional) {
     model.topMlp().materialize();
     model.bottomMlp().materialize();
   }
@@ -101,7 +105,7 @@ TrainStepResult DlrmTrainer::step(const DenseBatch& dense,
     result.loss = loss_sum / static_cast<double>(sparse.batchSize());
   }
 
-  // ---- Timing: MLP backward kernels + data-parallel grad all-reduce ------
+  // ---- Timing: MLP backward kernels ---------------------------------------
   const SimTime t1 = system.hostNow();
   for (int g = 0; g < p; ++g) {
     const std::int64_t mb = sharding.miniBatchSize(g);
@@ -115,20 +119,10 @@ TrainStepResult DlrmTrainer::step(const DenseBatch& dense,
     system.launchKernel(g, std::move(desc2));
   }
   system.syncAll();
-  std::int64_t mlp_param_bytes = 0;
-  for (const Mlp* mlp : {&model_.topMlp(), &model_.bottomMlp()}) {
-    const auto& cfg = mlp->config();
-    int in = cfg.input_dim;
-    for (int out : cfg.layer_dims) {
-      mlp_param_bytes += 4LL * (in * out + out);
-      in = out;
-    }
-  }
-  auto allreduce = comm_.allReduce(mlp_param_bytes);
-  allreduce.wait(system);
-  result.mlp_backward_time = system.hostNow() - t1;
 
   // ---- EMB backward with the REAL upstream gradients ----------------------
+  // The MLP-gradient all-reduce launches on the side streams right after
+  // the apply kernels: the apply uses no link, so the ring runs under it.
   EmbBackwardEngine::UpstreamGradFn upstream;
   if (functional) {
     upstream = [this, tables, dim](std::int64_t t, std::int64_t b, int c) {
@@ -136,7 +130,17 @@ TrainStepResult DlrmTrainer::step(const DenseBatch& dense,
           (b * tables + t) * dim + c)];
     };
   }
-  result.emb_backward = emb_backward_.runBatch(sparse, scheme_, upstream);
+  result.emb_backward =
+      emb_backward_.runBatch(sparse, scheme_, upstream, [&] {
+        return comm_.allReduce(
+            top.parameterBytes() + bottom.parameterBytes(), nullptr,
+            &allreduce_streams_);
+      });
+  const SimTime end = system.hostNow();
+  // The MLP backward is its kernels and their sync, plus what the apply
+  // did not hide of the all-reduce: how far the step ends past the EMB
+  // backward.
+  result.mlp_backward_time = end - t1 - result.emb_backward.total;
 
   // ---- Apply the (all-reduced) MLP gradients ------------------------------
   if (functional) {
@@ -144,7 +148,13 @@ TrainStepResult DlrmTrainer::step(const DenseBatch& dense,
     bottom.applySgd(bottom_grads, lr_);
   }
 
-  result.total = system.hostNow() - t0;
+  result.total = end - t0;
+  // Every picosecond of the step belongs to the forward, the MLP backward
+  // or the EMB backward.
+  PGASEMB_ASSERT(result.total == fwd.batch_total + result.mlp_backward_time +
+                                     result.emb_backward.total,
+                 "step total ", result.total.count(),
+                 " ps is not the sum of its parts");
   return result;
 }
 

@@ -3,10 +3,13 @@
 //
 // Per step: forward pass (either EMB retriever) -> BCE loss against
 // synthetic click labels -> analytic backprop through the bottom MLP,
-// the dot-product interaction, and the top MLP -> the resulting REAL
-// upstream gradients drive the EMB backward pass (collective rounds or
-// PGAS remote atomics) -> data-parallel MLP gradients are all-reduced
-// and applied.
+// the dot-product interaction, and the top MLP -> MLP backward kernels
+// -> the resulting REAL upstream gradients drive the EMB backward pass
+// (collective rounds or PGAS remote atomics) -> data-parallel MLP
+// gradients are applied. Their ring all-reduce runs on one side stream
+// per GPU, launched right after the EMB backward's apply kernels (both
+// schemes): the apply uses no link, so the all-reduce's transfers run
+// under its compute and the EMB backward's final sync ends the step.
 //
 // Functional mode trains for real: the loss decreases and both backward
 // schemes produce bit-identical parameters (see dlrm tests). The MLP
@@ -30,7 +33,10 @@ struct TrainStepResult {
   SimTime total = SimTime::zero();
   core::BatchTiming emb_forward;
   BackwardTiming emb_backward;
-  SimTime mlp_backward_time = SimTime::zero();  ///< incl. grad all-reduce
+  /// MLP backward kernels, plus the part of the gradient all-reduce that
+  /// the EMB apply does not hide (zero when the apply outlasts it).
+  /// total = forward batch total + this + emb_backward.total.
+  SimTime mlp_backward_time = SimTime::zero();
 };
 
 class DlrmTrainer {
@@ -55,6 +61,7 @@ class DlrmTrainer {
   BackwardScheme scheme_;
   // dL/d(EMB output), [sample][table][col], refilled every step.
   std::vector<float> emb_upstream_;
+  std::vector<gpu::Stream*> allreduce_streams_;  ///< one per GPU
 };
 
 }  // namespace pgasemb::dlrm

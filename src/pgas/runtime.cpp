@@ -369,12 +369,17 @@ void PgasRuntime::PutEmitter::launch(const gpu::SliceClock& clock) {
     for (int s = 0; s < clock.slices; ++s) slice(s, clock.at(s));
     return;
   }
-  // Coalescing guarantees flat routing over links no other pair uses and
-  // nothing that observes the order of flows across links (no codec,
-  // simsan, injector or strict tracker). So stepping one row over every
-  // slice hands its links the same flows, in the same order and at the
-  // same times, as slice by slice: Link::occupy steps each link's
-  // FIFO through finish(s) = max(arrival(s), finish(s - 1)) + service(s).
+  // Coalescing guarantees flat routing over links no other (src, dst)
+  // pair uses and nothing that observes the order of flows across links
+  // (no codec, simsan, injector or strict tracker). So stepping one row
+  // over every slice hands its links the same flows, in the same order
+  // and at the same times, as slice by slice: Link::occupy steps each
+  // link's FIFO through finish(s) = max(arrival(s), finish(s - 1)) +
+  // service(s). That holds only while this kernel is its links' one
+  // sender. A collective that the same GPU launches on another stream
+  // while the kernel runs shares them, and then waits behind the last
+  // slice, which slice-by-slice emission would not yet have reserved
+  // (nothing in the tree overlaps the two today).
   std::int64_t sent_bytes = 0;
   for (std::size_t i = 0; i < plan_.flows.size(); ++i) {
     const Route& route = direct_[static_cast<std::size_t>(plan_.flows[i].dst)];

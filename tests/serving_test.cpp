@@ -1,10 +1,9 @@
-// Serving-pipeline suite: the open-loop refactor must not move a single
-// closed-loop bit, and the new path must be deterministic.
+// Serving-pipeline suite: the open-loop path must be deterministic and
+// leave the closed loop alone (the golden corpus pins every closed-loop
+// bench's output byte for byte).
 //
-//  - Golden parity: ScenarioRunner (now a thin loop over BatchExecutor)
-//    vs a verbatim copy of the pre-refactor run loop, full
-//    ExperimentResult equality for every retriever x {plain, cache,
-//    faults+fallback}.
+//  - Closed-loop fallback: a faulted PGAS run swaps to the fallback
+//    retriever exactly once.
 //  - Serving determinism: same seed -> identical histograms, timelines,
 //    and byte-identical sweep CSV.
 //  - Load generator statistics: Poisson inter-arrival mean/CV, bursty
@@ -23,8 +22,6 @@
 #include <vector>
 
 #include "core/latency_histogram.hpp"
-#include "core/registry.hpp"
-#include "emb/lookup_kernel.hpp"
 #include "emb/sparse_batch.hpp"
 #include "engine/dynamic_batcher.hpp"
 #include "engine/load_generator.hpp"
@@ -40,187 +37,13 @@ namespace {
 const std::vector<std::string> kRetrievers = {
     "nccl_collective", "pgas_fused", "nccl_pipelined"};
 
-// --- Golden parity: BatchExecutor vs the pre-refactor run loop ------------
+// --- Closed-loop fallback ----------------------------------------------------
 
-/// Verbatim copy of ScenarioRunner::run as it stood before the
-/// BatchExecutor extraction (PR 6). The refactor's contract is that the
-/// new closed-loop path reproduces this bit for bit.
-ExperimentResult legacyRun(const ExperimentConfig& config,
-                           const std::string& retriever_name) {
-  SystemBuilder builder(config);
-  builder.reset();
-  std::unique_ptr<core::EmbeddingRetriever> retriever =
-      core::RetrieverRegistry::instance().create(retriever_name,
-                                                 builder.context());
-
-  ExperimentResult result;
-  Rng rng(config.batch_seed);
-  const bool functional = config.mode == gpu::ExecutionMode::kFunctional;
-  emb::SparseBatch statistical =
-      emb::SparseBatch::statistical(config.layer.batchSpec());
-  core::SloTracker slo(config.fallback);
-  std::string active = retriever_name;
-  std::int64_t fallback_switches = 0;
-  for (int b = 0; b < config.num_batches; ++b) {
-    core::BatchTiming t;
-    if (functional) {
-      const auto batch =
-          emb::SparseBatch::generateUniform(config.layer.batchSpec(), rng);
-      t = retriever->runBatch(batch);
-    } else {
-      t = retriever->runBatch(statistical);
-    }
-    result.stats.add(t);
-    result.per_batch.push_back(t);
-    if (slo.record(t.total) && active != core::kFallbackRetriever) {
-      result.stats.total += retriever->finish();
-      retriever.reset();
-      active = core::kFallbackRetriever;
-      retriever = core::RetrieverRegistry::instance().create(
-          active, builder.context());
-      ++fallback_switches;
-    }
-  }
-  result.stats.total += retriever->finish();
-
-  {
-    fault::ResilienceStats resilience;
-    auto* injector = builder.faultInjector();
-    if (injector != nullptr) resilience = injector->stats();
-    resilience.fallback_switches = fallback_switches;
-    if (fallback_switches > 0) resilience.fallback_retriever = active;
-    if (injector != nullptr || resilience.any()) {
-      result.resilience = resilience;
-    }
-  }
-
-  const auto& counter = builder.fabric().deliveryCounter();
-  result.bucket_width = counter.bucketWidth();
-  result.wire_bytes_over_time.resize(counter.numBuckets());
-  for (std::size_t i = 0; i < counter.numBuckets(); ++i) {
-    result.wire_bytes_over_time[i] = counter.bucket(i);
-  }
-  result.total_wire_bytes = builder.fabric().totalPayloadBytes();
-  result.total_wire_messages = builder.fabric().totalMessages();
-
-  {
-    auto& layer = builder.layer();
-    const auto work = layer.lookupWork(statistical, 0);
-    const double dim = static_cast<double>(config.layer.dim);
-    const double outputs = static_cast<double>(work.totalOutputs());
-    const double bytes = outputs * 8.0 + work.gathered_rows * 8.0 +
-                         work.gathered_rows * dim * 4.0 +
-                         outputs * dim * 4.0;
-    const double instructions =
-        work.gathered_rows * dim *
-        config.cost_model.compute_instructions_per_element;
-    const SimTime duration = emb::lookupComputeTime(layer, work);
-    const auto tp =
-        config.cost_model.kernelThroughput(instructions, bytes, duration);
-    result.lookup_compute_throughput = tp.compute;
-    result.lookup_memory_throughput = tp.memory;
-  }
-  return result;
-}
-
-void expectTimingEq(const core::BatchTiming& a, const core::BatchTiming& b,
-                    const std::string& what) {
-  EXPECT_EQ(a.total, b.total) << what;
-  EXPECT_EQ(a.compute_phase, b.compute_phase) << what;
-  EXPECT_EQ(a.comm_phase, b.comm_phase) << what;
-  EXPECT_EQ(a.unpack_phase, b.unpack_phase) << what;
-  EXPECT_EQ(a.wire_time, b.wire_time) << what;
-  EXPECT_EQ(a.cache_lookups, b.cache_lookups) << what;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
-  EXPECT_EQ(a.cache_saved_bytes, b.cache_saved_bytes) << what;
-}
-
-/// Every PR-6-visible field of the refactored runner's result must
-/// equal the legacy loop's.
-void expectGoldenParity(const ExperimentConfig& cfg) {
-  for (const auto& name : kRetrievers) {
-    const ExperimentResult legacy = legacyRun(cfg, name);
-    ScenarioRunner runner(cfg);
-    const ExperimentResult fresh = runner.run(name);
-
-    const std::string what = "retriever " + name;
-    EXPECT_EQ(fresh.stats.batches, legacy.stats.batches) << what;
-    EXPECT_EQ(fresh.stats.total, legacy.stats.total) << what;
-    EXPECT_EQ(fresh.stats.compute_phase, legacy.stats.compute_phase) << what;
-    EXPECT_EQ(fresh.stats.comm_phase, legacy.stats.comm_phase) << what;
-    EXPECT_EQ(fresh.stats.unpack_phase, legacy.stats.unpack_phase) << what;
-    EXPECT_EQ(fresh.stats.wire_time, legacy.stats.wire_time) << what;
-    EXPECT_EQ(fresh.stats.cache_lookups, legacy.stats.cache_lookups) << what;
-    EXPECT_EQ(fresh.stats.cache_hits, legacy.stats.cache_hits) << what;
-    EXPECT_EQ(fresh.stats.cache_saved_bytes, legacy.stats.cache_saved_bytes)
-        << what;
-
-    ASSERT_EQ(fresh.per_batch.size(), legacy.per_batch.size()) << what;
-    for (std::size_t i = 0; i < fresh.per_batch.size(); ++i) {
-      expectTimingEq(fresh.per_batch[i], legacy.per_batch[i],
-                     what + " batch " + std::to_string(i));
-    }
-
-    EXPECT_EQ(fresh.total_wire_bytes, legacy.total_wire_bytes) << what;
-    EXPECT_EQ(fresh.total_wire_messages, legacy.total_wire_messages) << what;
-    EXPECT_EQ(fresh.bucket_width, legacy.bucket_width) << what;
-    ASSERT_EQ(fresh.wire_bytes_over_time.size(),
-              legacy.wire_bytes_over_time.size())
-        << what;
-    for (std::size_t i = 0; i < fresh.wire_bytes_over_time.size(); ++i) {
-      EXPECT_EQ(fresh.wire_bytes_over_time[i], legacy.wire_bytes_over_time[i])
-          << what << " bucket " << i;
-    }
-    EXPECT_EQ(fresh.lookup_compute_throughput,
-              legacy.lookup_compute_throughput)
-        << what;
-    EXPECT_EQ(fresh.lookup_memory_throughput, legacy.lookup_memory_throughput)
-        << what;
-
-    ASSERT_EQ(fresh.resilience.has_value(), legacy.resilience.has_value())
-        << what;
-    if (fresh.resilience) {
-      EXPECT_EQ(fresh.resilience->dropped_flows,
-                legacy.resilience->dropped_flows)
-          << what;
-      EXPECT_EQ(fresh.resilience->retransmits, legacy.resilience->retransmits)
-          << what;
-      EXPECT_EQ(fresh.resilience->collective_reissues,
-                legacy.resilience->collective_reissues)
-          << what;
-      EXPECT_EQ(fresh.resilience->launch_retries,
-                legacy.resilience->launch_retries)
-          << what;
-      EXPECT_EQ(fresh.resilience->fallback_switches,
-                legacy.resilience->fallback_switches)
-          << what;
-      EXPECT_EQ(fresh.resilience->fallback_retriever,
-                legacy.resilience->fallback_retriever)
-          << what;
-    }
-    EXPECT_FALSE(fresh.serving.has_value()) << what;
-  }
-}
-
-TEST(GoldenParity, PlainClosedLoop) {
-  ExperimentConfig cfg = weakScalingConfig(2);
-  cfg.num_batches = 4;
-  expectGoldenParity(cfg);
-}
-
-TEST(GoldenParity, WithReplicaCache) {
-  ExperimentConfig cfg = cacheServingConfig(2);
-  cfg.num_batches = 4;
-  cfg.cache_rows = 1024;
-  cfg.layer.zipf_alpha = 1.05;
-  expectGoldenParity(cfg);
-}
-
-TEST(GoldenParity, WithFaultsAndFallback) {
+TEST(ClosedLoopFallback, FaultedPgasSwapsToTheFallbackOnce) {
   ExperimentConfig cfg = weakScalingConfig(2);
   cfg.num_batches = 6;
   // The SLO sits just under a fault-free PGAS batch, so the fused runs
-  // trip it and both paths swap to the fallback mid-run.
+  // trip it and the run swaps to the fallback mid-run.
   const ExperimentResult healthy = ScenarioRunner(cfg).run("pgas_fused");
   cfg.faults = fault::FaultPlan::parse("link-degrade:0-1:0.25:0.0-5.0", 7,
                                        SimTime::ms(10.0));
@@ -229,7 +52,6 @@ TEST(GoldenParity, WithFaultsAndFallback) {
   const ExperimentResult fused = ScenarioRunner(cfg).run("pgas_fused");
   ASSERT_TRUE(fused.resilience.has_value());
   EXPECT_EQ(fused.resilience->fallback_switches, 1);
-  expectGoldenParity(cfg);
 }
 
 // --- Serving pipeline ------------------------------------------------------

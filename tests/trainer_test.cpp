@@ -1,10 +1,12 @@
 // Tests for the full training path: MLP backprop verified against
 // numerical finite-difference gradients, interaction backward, loss
 // decrease over SGD steps, bit-identical training under both EMB
-// backward schemes, and TimingOnly steps that build no dense-model
-// state.
+// backward schemes, TimingOnly steps that build no dense-model state,
+// and the MLP-gradient all-reduce under the EMB apply, whose unhidden
+// part counts as MLP backward time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -268,63 +270,221 @@ TEST(TrainerTest, BothBackwardSchemesTrainIdentically) {
   EXPECT_EQ(final_weights[0], final_weights[1]);
 }
 
+// bench_training's 4-GPU TimingOnly shape, the backward scheme paired
+// with its forward retriever.
+struct BenchShapeRig {
+  static constexpr int kGpus = 4;
+  gpu::MultiGpuSystem system;
+  fabric::Fabric fabric;
+  collective::Communicator comm;
+  pgas::PgasRuntime runtime;
+  emb::ShardedEmbeddingLayer layer;
+  DlrmModel model;
+  std::unique_ptr<core::EmbeddingRetriever> retriever;
+  DlrmTrainer trainer;
+  emb::SparseBatch sparse;
+  DenseBatch dense;
+
+  explicit BenchShapeRig(BackwardScheme scheme)
+      : system(config()),
+        fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
+            kGpus, fabric::LinkParams{})),
+        comm(system, fabric),
+        runtime(system, fabric),
+        layer(system, emb::weakScalingLayerSpec(kGpus)),
+        model(modelConfig(), layer),
+        retriever(makeRetriever(scheme, layer, comm, runtime)),
+        trainer(model, *retriever, comm, runtime, 0.01f, scheme),
+        sparse(emb::SparseBatch::statistical(layer.spec().batchSpec())),
+        dense(denseBatch()) {}
+
+  TrainStepResult step() { return trainer.step(dense, sparse); }
+
+  static gpu::SystemConfig config() {
+    gpu::SystemConfig cfg;
+    cfg.num_gpus = kGpus;
+    cfg.mode = gpu::ExecutionMode::kTimingOnly;
+    return cfg;
+  }
+  static DlrmConfig modelConfig() {
+    DlrmConfig cfg;
+    cfg.dense_dim = 13;
+    cfg.top_mlp = {512, 256, emb::weakScalingLayerSpec(kGpus).dim};
+    cfg.bottom_mlp = {512, 256, 1};
+    return cfg;
+  }
+  static std::unique_ptr<core::EmbeddingRetriever> makeRetriever(
+      BackwardScheme scheme, emb::ShardedEmbeddingLayer& layer,
+      collective::Communicator& comm, pgas::PgasRuntime& runtime) {
+    if (scheme == BackwardScheme::kPgasAtomics) {
+      return std::make_unique<core::PgasFusedRetriever>(
+          layer, runtime, core::PgasRetrieverOptions{});
+    }
+    return std::make_unique<core::CollectiveRetriever>(layer, comm);
+  }
+  static DenseBatch denseBatch() {
+    Rng rng(1);
+    return DenseBatch::generateUniform(
+        emb::weakScalingLayerSpec(kGpus).batch_size, modelConfig().dense_dim,
+        rng);
+  }
+};
+
 TEST(TrainerTest, TimingOnlyStepBuildsNoDenseModelState) {
-  // bench_training's 4-GPU shape, each backward scheme paired with its
-  // forward retriever. The MLP weights and gradients are data plane, so
-  // a TimingOnly trainer builds neither, and every simulated time stays
-  // at its pinned SimTime count (picoseconds; both steps take the same).
+  // The MLP weights and gradients are data plane, so a TimingOnly trainer
+  // builds neither, and every simulated time stays at its pinned SimTime
+  // count (picoseconds; both steps take the same).
   struct Pin {
     BackwardScheme scheme;
     std::int64_t total, emb_forward, emb_backward, mlp_backward;
   };
   const Pin pins[] = {
-      {BackwardScheme::kCollective, 283592847508, 61751273389, 171662288253,
-       36359540952},
-      {BackwardScheme::kPgasAtomics, 224242908762, 35506388282, 138557234614,
-       36359540952},
+      {BackwardScheme::kCollective, 271200452510, 61751273389, 171662288253,
+       23967145954},
+      {BackwardScheme::kPgasAtomics, 211850513764, 35506388282, 138557234614,
+       23967145954},
   };
-  constexpr int kGpus = 4;
-  const emb::EmbLayerSpec spec = emb::weakScalingLayerSpec(kGpus);
-  DlrmConfig model_cfg;
-  model_cfg.dense_dim = 13;
-  model_cfg.top_mlp = {512, 256, spec.dim};
-  model_cfg.bottom_mlp = {512, 256, 1};
-  const auto sparse = emb::SparseBatch::statistical(spec.batchSpec());
-  Rng rng(1);
-  const auto dense =
-      DenseBatch::generateUniform(spec.batch_size, model_cfg.dense_dim, rng);
   for (const auto& pin : pins) {
-    const bool pgas = pin.scheme == BackwardScheme::kPgasAtomics;
-    SCOPED_TRACE(pgas ? "pgas_fused + atomics" : "collective + rounds");
-    gpu::SystemConfig sys_cfg;
-    sys_cfg.num_gpus = kGpus;
-    sys_cfg.mode = gpu::ExecutionMode::kTimingOnly;
-    gpu::MultiGpuSystem system(sys_cfg);
-    fabric::Fabric fabric(std::make_unique<fabric::NvlinkAllToAllTopology>(
-        kGpus, fabric::LinkParams{}));
-    collective::Communicator comm(system, fabric);
-    pgas::PgasRuntime runtime(system, fabric);
-    emb::ShardedEmbeddingLayer layer(system, spec);
-    DlrmModel model(model_cfg, layer);
-    std::unique_ptr<core::EmbeddingRetriever> retriever;
-    if (pgas) {
-      retriever = std::make_unique<core::PgasFusedRetriever>(
-          layer, runtime, core::PgasRetrieverOptions{});
-    } else {
-      retriever = std::make_unique<core::CollectiveRetriever>(layer, comm);
-    }
-    DlrmTrainer trainer(model, *retriever, comm, runtime, 0.01f,
-                        pin.scheme);
+    SCOPED_TRACE(pin.scheme == BackwardScheme::kPgasAtomics
+                     ? "pgas_fused + atomics"
+                     : "collective + rounds");
+    BenchShapeRig rig(pin.scheme);
     for (int step = 0; step < 2; ++step) {
-      const auto r = trainer.step(dense, sparse);
+      const auto r = rig.step();
       EXPECT_EQ(r.total.count(), pin.total);
       EXPECT_EQ(r.emb_forward.total.count(), pin.emb_forward);
       EXPECT_EQ(r.emb_backward.total.count(), pin.emb_backward);
       EXPECT_EQ(r.mlp_backward_time.count(), pin.mlp_backward);
     }
-    EXPECT_FALSE(model.topMlp().materialized());
-    EXPECT_FALSE(model.bottomMlp().materialized());
+    EXPECT_FALSE(rig.model.topMlp().materialized());
+    EXPECT_FALSE(rig.model.bottomMlp().materialized());
   }
+}
+
+TEST(TrainerTest, AllReduceRunsUnderTheEmbApply) {
+  // On bench_training's shape every GPU's 70.4 ms emb_backward_apply
+  // outlasts the ring all-reduce of the 68.7 MB of MLP gradients, and it
+  // uses no link: every ring transfer of a step starts once its source
+  // GPU's apply has started and lands before that apply ends, and the
+  // EMB phases keep their pins (picoseconds).
+  struct Pin {
+    BackwardScheme scheme;
+    std::int64_t grad, comm, aggregate, apply;
+  };
+  const Pin pins[] = {
+      {BackwardScheme::kCollective, 795467360, 8114611424, 92301742348,
+       70450467121},
+      {BackwardScheme::kPgasAtomics, 68106767493, 0, 0, 70450467121},
+  };
+  constexpr int kGpus = BenchShapeRig::kGpus;
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(pin.scheme == BackwardScheme::kPgasAtomics
+                     ? "pgas_fused + atomics"
+                     : "collective + rounds");
+    BenchShapeRig rig(pin.scheme);
+    struct Span {
+      SimTime start, end;
+    };
+    std::vector<Span> apply(kGpus);
+    for (int g = 0; g < kGpus; ++g) {
+      rig.system.device(g).setKernelSpanObserver(
+          [&apply, g](const std::string& name, SimTime start, SimTime end,
+                      SimTime) {
+            if (name.starts_with("emb_backward_apply.")) {
+              apply[static_cast<std::size_t>(g)] = {start, end};
+            }
+          });
+    }
+    // The ring moves one 1/kGpus block of the gradients per transfer,
+    // each GPU to its successor.
+    const std::int64_t block = (rig.model.topMlp().parameterBytes() +
+                                rig.model.bottomMlp().parameterBytes()) /
+                               kGpus;
+    struct Flow {
+      int src;
+      SimTime start, delivered;
+    };
+    std::vector<Flow> ring;
+    rig.fabric.setFlowObserver([&ring, block](int src, int dst,
+                                              std::int64_t bytes,
+                                              std::int64_t, SimTime start,
+                                              SimTime delivered) {
+      if (bytes == block && dst == (src + 1) % kGpus) {
+        ring.push_back({src, start, delivered});
+      }
+    });
+    rig.step();
+    ring.clear();
+    const auto r = rig.step();
+    ASSERT_EQ(ring.size(), static_cast<std::size_t>(kGpus * 2 * (kGpus - 1)));
+    for (const auto& f : ring) {
+      const Span& a = apply[static_cast<std::size_t>(f.src)];
+      EXPECT_GE(f.start, a.start) << "gpu " << f.src;
+      EXPECT_LT(f.delivered, a.end) << "gpu " << f.src;
+    }
+    const auto& b = r.emb_backward;
+    EXPECT_EQ(b.grad_phase.count(), pin.grad);
+    EXPECT_EQ(b.comm_phase.count(), pin.comm);
+    EXPECT_EQ(b.aggregate_phase.count(), pin.aggregate);
+    EXPECT_EQ(b.apply_phase.count(), pin.apply);
+  }
+}
+
+TEST(TrainerTest, UnhiddenAllReduceIsMlpBackwardTime) {
+  // TrainRig's 2-GPU apply kernels sit at the latency floor, and the
+  // all-reduce's two host triggers alone outlast them, so the ring lands
+  // after the last apply kernel ends. The EMB backward still reports the
+  // EMB work alone: the engine measures the same on a twin rig with
+  // nothing beside its apply. The step's tail past it is MLP backward
+  // time (pinned, picoseconds).
+  TrainRig rig(2);
+  DlrmTrainer trainer(rig.model, rig.retriever, rig.comm, rig.runtime,
+                      0.05f, BackwardScheme::kPgasAtomics);
+  Rng rng(0x6010);
+  const auto sparse = emb::SparseBatch::generateUniform(
+      TrainRig::layerSpec().batchSpec(), rng);
+  const auto dense = DenseBatch::generateUniform(16, 4, rng);
+  SimTime apply_end = SimTime::zero();
+  for (int g = 0; g < 2; ++g) {
+    rig.system.device(g).setKernelSpanObserver(
+        [&apply_end](const std::string& name, SimTime, SimTime end,
+                     SimTime) {
+          if (name.starts_with("emb_backward_apply.")) {
+            apply_end = std::max(apply_end, end);
+          }
+        });
+  }
+  const std::int64_t block = (rig.model.topMlp().parameterBytes() +
+                              rig.model.bottomMlp().parameterBytes()) /
+                             2;
+  SimTime ring_end = SimTime::zero();
+  rig.fabric.setFlowObserver([&ring_end, block](int, int, std::int64_t bytes,
+                                                std::int64_t, SimTime,
+                                                SimTime delivered) {
+    if (bytes == block) ring_end = std::max(ring_end, delivered);
+  });
+  const auto r = trainer.step(dense, sparse);
+  EXPECT_GT(ring_end, apply_end);
+  // The step's final sync waited for the ring: one sync call per GPU
+  // after its last delivery.
+  EXPECT_EQ(rig.system.hostNow(),
+            ring_end + rig.system.costModel().stream_sync_overhead * 2);
+  // The MLP backward is its kernels and their sync (65 us: GPU 1's
+  // first kernel is the third 7 us launch, its two latency-floor kernels
+  // doubled for dgrad and wgrad take 24 us, then two 10 us sync calls)
+  // plus the ring's tail past the apply.
+  EXPECT_EQ(r.mlp_backward_time, SimTime::us(65.0) + (ring_end - apply_end));
+
+  TrainRig twin(2);
+  EmbBackwardEngine engine(twin.layer, twin.comm, twin.runtime, 0.05f);
+  const auto alone = engine.runBatch(sparse, BackwardScheme::kPgasAtomics);
+  EXPECT_EQ(r.emb_backward.total, alone.total);
+  EXPECT_EQ(r.emb_backward.grad_phase, alone.grad_phase);
+  EXPECT_EQ(r.emb_backward.apply_phase, alone.apply_phase);
+
+  EXPECT_EQ(r.total.count(), 350717238);
+  EXPECT_EQ(r.mlp_backward_time.count(), 118905238);
+  EXPECT_EQ(r.emb_backward.total.count(), 81906000);
 }
 
 TEST(TrainerTest, StepReportsAllTimingComponents) {
